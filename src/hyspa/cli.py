@@ -37,6 +37,7 @@ from .info_graph import canonicalize, graph_equal, validate_graph
 from .model import (
     ExtractionModel,
     ModelConfig,
+    ModelError,
     init_params,
     fit,
     prepare_training_data,
@@ -298,27 +299,37 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    """Extract every line; a line that cannot be decoded gets an empty record
+    with a ``diagnostics`` message, and the exit code is 1 if any line failed."""
     from .decode_search import extract_graph
 
     model = ExtractionModel.load(args.model)
     out = open(args.out, "w") if args.out else sys.stdout
+    total = failed = 0
     try:
         for line in Path(args.input).read_text().splitlines():
             tokens = line.split()
             if not tokens:
                 continue
-            res = extract_graph(
-                model, tokens, beam=args.beam,
-                length_penalty=args.length_penalty, max_len=args.max_len,
-            )
-            record = graph_to_record(tokens, res.graph, model.vocab)
-            if res.diagnostics:
-                record["diagnostics"] = res.diagnostics
+            total += 1
+            try:
+                res = extract_graph(
+                    model, tokens, beam=args.beam,
+                    length_penalty=args.length_penalty, max_len=args.max_len,
+                )
+            except ModelError as err:
+                failed += 1
+                record = {"tokens": tokens, "entities": [], "relations": [], "diagnostics": f"failed: {err}"}
+            else:
+                record = graph_to_record(tokens, res.graph, model.vocab)
+                if res.diagnostics:
+                    record["diagnostics"] = res.diagnostics
             out.write(json.dumps(record) + "\n")
     finally:
         if args.out:
             out.close()
-    return 0
+    print(f"extract: {failed}/{total} lines failed", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_gradcheck(args) -> int:

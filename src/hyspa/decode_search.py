@@ -330,6 +330,16 @@ def beam_decode(
     """Length-normalized beam search (score / steps**penalty) under the machine.
 
     beam=1, penalty=1 follows exactly the greedy path, tie-breaks included.
+
+    Each step keeps the ``beam`` best continuations that are not [EOS].  The
+    last kept child of each hypothesis takes over its parent's session and
+    constraint machine in place; only its siblings fork, so beam 1 never
+    forks.  The search stops once some hypothesis has finished and no live
+    one can still beat the best finished score: log-probabilities are <= 0
+    and no hypothesis runs more than max_len+1 steps, so a live raw score s
+    ends at best s / (max_len+1)**penalty, and a hypothesis that finishes
+    later is longer, so it loses a tie.  Only the best finished hypothesis is
+    returned, so stopping there changes no result.
     """
     if beam < 1 or length_penalty <= 0:
         raise ValueError("beam must be >= 1 and length_penalty > 0")
@@ -355,27 +365,29 @@ def beam_decode(
                     continue  # budget exhausted: only [EOS] may extend
                 candidates.append((hyp.score + float(logp[k]), int(k), pos, hyp))
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_live: list[_Hyp] = []
-        for new_score, k, _pos, hyp in candidates:
-            if len(next_live) >= beam:
+        kept = []
+        for cand in candidates:
+            if len(kept) >= beam:
                 break
+            new_score, k, _pos, hyp = cand
             if k == model.vocab.eos_index:
                 gen_steps = len(hyp.items) + 1
                 done.append((new_score / gen_steps**length_penalty, new_score, hyp.items))
-                continue
-            clone_sess = hyp.session.fork()
-            clone_sess.append(k)
-            clone_mach = hyp.machine.fork()
-            clone_mach.push(k)
-            next_live.append(_Hyp(hyp.items + [k], new_score, clone_sess, clone_mach))
-        live = next_live
-        if len(done) >= beam and live:
-            # raw scores only decrease and steps are capped, so the best any
-            # live hypothesis can still reach is score / (max_len+1)^p
-            done.sort(key=lambda d: (-d[0], len(d[2])))
-            worst_kept = done[min(beam, len(done)) - 1][0]
-            best_live_bound = max(h.score for h in live) / (max_len + 1) ** length_penalty
-            if best_live_bound <= worst_kept:
+            else:
+                kept.append(cand)
+        last_child = {pos: i for i, (_, _, pos, _) in enumerate(kept)}
+        live = []
+        for i, (new_score, k, pos, hyp) in enumerate(kept):
+            if last_child[pos] == i:  # its siblings have forked already
+                session, machine = hyp.session, hyp.machine
+            else:
+                session, machine = hyp.session.fork(), hyp.machine.fork()
+            session.append(k)
+            machine.push(k)
+            live.append(_Hyp(hyp.items + [k], new_score, session, machine))
+        if done and live:
+            best_done = max(d[0] for d in done)
+            if max(h.score for h in live) / (max_len + 1) ** length_penalty <= best_done:
                 break
     if done:
         done.sort(key=lambda d: (-d[0], len(d[2])))

@@ -5,10 +5,18 @@ Two forward implementations coexist on purpose:
 
 * a batched autodiff path (``sequence_loss`` / ``train_step``) used for
   training, built on :mod:`hyspa.numerics`;
-* a row-wise numpy inference engine (``encode_context``, ``DecodeSession``,
-  ``decoder_forward``, ``span_head``) in which every target row is produced by
-  the same per-row kernels whether computed incrementally with caches or over
-  the full sequence, making cached decoding bitwise-equal to recomputation.
+* a numpy inference engine (``encode_context``, ``DecodeSession``,
+  ``decoder_forward``, ``span_head``).  ``encode_context`` runs once per
+  input and stores each layer's source keys and values head-major,
+  ``(heads, n, d/heads)``.  Every target row then goes through one step
+  kernel, ``DecodeSession.append``, which handles all heads in one batched
+  matmul against those caches and the session's own head-major target
+  caches.  Cached decoding and full recomputation (``decoder_forward``
+  without a cache) both feed rows through that kernel with the same shapes,
+  so they are bitwise equal.  ``DecodeSession.fork`` copies only the filled
+  prefix of the target caches, and beam search lets the last child of each
+  hypothesis reuse its parent's session in place (see
+  ``decode_search.beam_decode``).
 
 The paper-style external embedders are replaced by one trainable lookup table
 covering type names and text tokens; text rows additionally receive the
@@ -60,6 +68,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.d_m % self.heads != 0:
             raise ModelError(f"d_m={self.d_m} not divisible by heads={self.heads}")
+        if self.d_m % 2 != 0:
+            raise ModelError(f"d_m={self.d_m} must be even for the sinusoidal position encoding")
         if self.layers < 0 or self.m < 1:
             raise ModelError("layers must be >= 0 and m >= 1")
 
@@ -135,10 +145,16 @@ def _h_row_ids(vocab: TypeVocab, token_ids: np.ndarray) -> np.ndarray:
 
 
 def _position_rows(vocab: TypeVocab, n: int, d: int) -> np.ndarray:
-    """Sinusoidal positions on text rows only; type rows get zeros."""
+    """Sinusoidal positions on text rows only; type rows get zeros.
+
+    The same arithmetic as ``sinusoidal(j, d)`` for every j at once, so the
+    rows are bitwise equal to it.
+    """
+    freqs = np.power(10000.0, -2.0 * np.arange(d // 2, dtype=np.float64) / d)
+    angles = np.arange(n, dtype=np.float64)[:, None] * freqs
     out = np.zeros((vocab.l_p + n, d))
-    for j in range(n):
-        out[vocab.l_p + j] = sinusoidal(j, d)
+    out[vocab.l_p :, 0::2] = np.sin(angles)
+    out[vocab.l_p :, 1::2] = np.cos(angles)
     return out
 
 
@@ -361,7 +377,7 @@ def fit(
 
 
 # ---------------------------------------------------------------------------
-# inference engine (row-wise deterministic numpy)
+# inference engine (deterministic numpy, one step kernel per target row)
 # ---------------------------------------------------------------------------
 
 def _softmax_vec(x: np.ndarray) -> np.ndarray:
@@ -374,11 +390,21 @@ def _logsumexp(x: np.ndarray) -> float:
     return float(mx + np.log(np.exp(x - mx).sum()))
 
 
-def _ln_row(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    mu = x.mean()
-    xc = x - mu
-    var = (xc * xc).mean()
+def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """Layer norm over the last axis, of one row or of a stack of rows.
+
+    ``np.add.reduce(...) / d`` is the arithmetic of ``ndarray.mean`` without
+    its Python-level overhead, which dominates at one row of 64.
+    """
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     return xc / np.sqrt(var + eps) * g + b
+
+
+def _head_major(x: np.ndarray, heads: int) -> np.ndarray:
+    """(rows, d) -> contiguous (heads, rows, d/heads)."""
+    return np.ascontiguousarray(x.reshape(len(x), heads, -1).transpose(1, 0, 2))
 
 
 @dataclass
@@ -389,7 +415,7 @@ class ContextRep:
     segment_ids: np.ndarray
     n: int
     span_scores: np.ndarray  # (l_h,) precomputed span-attention score vector
-    src_k: list[np.ndarray]  # per layer (n, d_m)
+    src_k: list[np.ndarray]  # per layer, head-major (heads, n, d_m/heads)
     src_v: list[np.ndarray]
     l_p: int
 
@@ -411,8 +437,11 @@ def encode_context(
 ) -> ContextRep:
     """Build H (type rows ++ text rows) and the one-time decoder source caches.
 
-    Computed once per input and shared by every decoding hypothesis; only
-    per-target-row computation needs the row-wise kernels.
+    Computed once per input and shared by every decoding hypothesis.  The
+    source self-attention keeps a loop over heads: a (heads, n, n) score
+    tensor would take 64 MB at n=1024.  The keys and values every decode step
+    attends to are stored head-major, so a step reads them with one batched
+    matmul and no per-step copy.
     """
     n = len(tokens)
     if n < 1:
@@ -437,8 +466,8 @@ def encode_context(
     for i in range(cfg.layers):
         k = x @ np_params[f"L{i}.wk"] + np_params[f"L{i}.bk"]
         v = x @ np_params[f"L{i}.wv"] + np_params[f"L{i}.bv"]
-        src_k.append(k)
-        src_v.append(v)
+        src_k.append(_head_major(k, heads))
+        src_v.append(_head_major(v, heads))
         q = x @ np_params[f"L{i}.wq"] + np_params[f"L{i}.bq"]
         out = np.empty_like(x)
         for h in range(heads):
@@ -447,10 +476,10 @@ def encode_context(
             w = np.exp(scores - scores.max(axis=-1, keepdims=True))
             w /= w.sum(axis=-1, keepdims=True)
             out[:, sl] = w @ v[:, sl]
-        x1 = np.stack([_ln_row(r, np_params[f"L{i}.ln1_g"], np_params[f"L{i}.ln1_b"]) for r in out + x])
+        x1 = _layer_norm(out + x, np_params[f"L{i}.ln1_g"], np_params[f"L{i}.ln1_b"])
         inner = np.maximum(x1 @ np_params[f"L{i}.w3"] + np_params[f"L{i}.b3"], 0.0)
         ffn = inner @ np_params[f"L{i}.w4"] + np_params[f"L{i}.b4"]
-        x = np.stack([_ln_row(r, np_params[f"L{i}.ln2_g"], np_params[f"L{i}.ln2_b"]) for r in ffn + x1])
+        x = _layer_norm(ffn + x1, np_params[f"L{i}.ln2_g"], np_params[f"L{i}.ln2_b"])
     return ContextRep(
         H=H, segment_ids=seg, n=n, span_scores=span_scores,
         src_k=src_k, src_v=src_v, l_p=vocab.l_p,
@@ -509,7 +538,17 @@ class DecodeSession:
 
     ``append`` encodes one more input element, pushes it through the decoder
     blocks with cached keys/values, and leaves the final hidden row in
-    ``last_hidden``.  ``fork`` clones the mutable caches for beam search.
+    ``last_hidden``.  Each step runs one kernel over all heads at once: the
+    new row's query meets the head-major source caches of the context and the
+    session's own head-major target caches, ``(heads, max_len+1, d/heads)``
+    per layer, in one batched matmul for the scores and two for the values.
+    Full recomputation (``decoder_forward`` without a cache) feeds the
+    elements through this same kernel one by one, so both give bitwise-equal
+    rows.
+
+    ``fork`` gives an independent copy for beam search.  It copies only the
+    ``t`` rows of the target caches that are filled; later rows are written
+    before they are read.
     """
 
     def __init__(
@@ -529,9 +568,9 @@ class DecodeSession:
         self.np_params = {k: v.data for k, v in params.items()}
         self.annotator = make_annotator(traversal, vocab, ctx.n, cfg.m)
         self.t = 0
-        d = cfg.d_m
-        self.tgt_k = [np.empty((max_len + 1, d)) for _ in range(cfg.layers)]
-        self.tgt_v = [np.empty((max_len + 1, d)) for _ in range(cfg.layers)]
+        shape = (cfg.heads, max_len + 1, cfg.d_m // cfg.heads)
+        self.tgt_k = [np.empty(shape) for _ in range(cfg.layers)]
+        self.tgt_v = [np.empty(shape) for _ in range(cfg.layers)]
         self.last_hidden: np.ndarray | None = None
         self.append(None)  # [SOS] context row
 
@@ -544,9 +583,9 @@ class DecodeSession:
         clone.max_len = self.max_len
         clone.np_params = self.np_params
         clone.annotator = self.annotator.copy()
-        clone.t = self.t
-        clone.tgt_k = [a.copy() for a in self.tgt_k]
-        clone.tgt_v = [a.copy() for a in self.tgt_v]
+        clone.t = t = self.t
+        clone.tgt_k = [_prefix_copy(a, t) for a in self.tgt_k]
+        clone.tgt_v = [_prefix_copy(a, t) for a in self.tgt_v]
         clone.last_hidden = None if self.last_hidden is None else self.last_hidden.copy()
         return clone
 
@@ -558,8 +597,7 @@ class DecodeSession:
         if self.t > self.max_len:
             raise ModelError("decode session exceeded max_len")
         cfg, p, ctx = self.cfg, self.np_params, self.ctx
-        d, heads = cfg.d_m, cfg.heads
-        dh = d // heads
+        d, heads, n = cfg.d_m, cfg.heads, ctx.n
         if k is None:
             row = _span_row(ctx, self.vocab.sos_index, cfg.m)
         else:
@@ -568,24 +606,27 @@ class DecodeSession:
         t = self.t
         for i in range(cfg.layers):
             q = x @ p[f"L{i}.wq"] + p[f"L{i}.bq"]
-            kk = x @ p[f"L{i}.wk"] + p[f"L{i}.bk"]
-            vv = x @ p[f"L{i}.wv"] + p[f"L{i}.bv"]
-            self.tgt_k[i][t] = kk
-            self.tgt_v[i][t] = vv
-            out = np.empty(d)
-            for h in range(heads):
-                sl = slice(h * dh, (h + 1) * dh)
-                qs = q[sl]
-                s_src = ctx.src_k[i][:, sl] @ qs
-                s_tgt = self.tgt_k[i][: t + 1, sl] @ qs
-                w = _softmax_vec(np.concatenate([s_src, s_tgt]) / math.sqrt(d))
-                out[sl] = w[: ctx.n] @ ctx.src_v[i][:, sl] + w[ctx.n :] @ self.tgt_v[i][: t + 1, sl]
-            x1 = _ln_row(out + x, p[f"L{i}.ln1_g"], p[f"L{i}.ln1_b"])
+            tgt_k, tgt_v = self.tgt_k[i][:, : t + 1], self.tgt_v[i][:, : t + 1]
+            tgt_k[:, t] = (x @ p[f"L{i}.wk"] + p[f"L{i}.bk"]).reshape(heads, -1)
+            tgt_v[:, t] = (x @ p[f"L{i}.wv"] + p[f"L{i}.bv"]).reshape(heads, -1)
+            qh = q.reshape(heads, -1, 1)
+            scores = np.concatenate([ctx.src_k[i] @ qh, tgt_k @ qh], axis=1)[:, :, 0] / math.sqrt(d)
+            w = np.exp(scores - scores.max(axis=1, keepdims=True))
+            w = (w / w.sum(axis=1, keepdims=True))[:, None, :]
+            out = w[:, :, :n] @ ctx.src_v[i] + w[:, :, n:] @ tgt_v
+            x1 = _layer_norm(out.reshape(d) + x, p[f"L{i}.ln1_g"], p[f"L{i}.ln1_b"])
             inner = np.maximum(x1 @ p[f"L{i}.w3"] + p[f"L{i}.b3"], 0.0)
             ffn = inner @ p[f"L{i}.w4"] + p[f"L{i}.b4"]
-            x = _ln_row(ffn + x1, p[f"L{i}.ln2_g"], p[f"L{i}.ln2_b"])
+            x = _layer_norm(ffn + x1, p[f"L{i}.ln2_g"], p[f"L{i}.ln2_b"])
         self.last_hidden = x
         self.t = t + 1
+
+
+def _prefix_copy(cache: np.ndarray, t: int) -> np.ndarray:
+    """A new head-major cache holding the first ``t`` rows of ``cache``."""
+    out = np.empty_like(cache)
+    out[:, :t] = cache[:, :t]
+    return out
 
 
 def decoder_forward(
@@ -600,8 +641,8 @@ def decoder_forward(
     """Final-layer hidden rows for the given input elements.
 
     Without ``cache`` this is a full recomputation; with a session it extends
-    the cached state.  Both produce bitwise-identical rows because they share
-    the per-row kernels.
+    the cached state.  Both produce bitwise-identical rows because both run
+    every row through ``DecodeSession.append``.
     """
     if cache is None:
         sos_stripped = list(elements)
@@ -636,10 +677,9 @@ def span_head(
     cells running past the text and alternating-mask slots sit at NEG_INF and
     get probability exactly 0.
     """
-    p = {k: v.data for k, v in params.items()}
     n, m = ctx.n, cfg.m
-    s = hidden @ p["head_w5"] + p["head_b5"]
-    e = hidden @ p["head_w6"] + p["head_b6"]
+    s = hidden @ params["head_w5"].data + params["head_b5"].data
+    e = hidden @ params["head_w6"].data + params["head_b6"].data
     m_a, m_ap = alternating_masks(prev_class, vocab, n, strict=strict, prev_index=prev_index)
     type_scores = ctx.h_types @ s + ctx.h_types @ e + m_a
     ts_vec = ctx.h_text @ s + m_ap

@@ -137,6 +137,29 @@ class TestModelCommands:
         assert loaded.traversal is Traversal.DFS
         assert invoke("eval", "--model", str(ckpt), "--data", str(train), "--limit", "5") == 0
 
+    def test_extract_fails_per_line(self, tmp_path, capsys):
+        from hyspa.altseq_codec import Traversal
+        from hyspa.data_io import default_vocab
+        from hyspa.model import ExtractionModel, ModelConfig, TokenVocab, init_params
+
+        vocab = default_vocab()
+        token_vocab = TokenVocab(tokens=("[UNK]", "a", "b"))
+        cfg = ModelConfig(d_m=16, layers=1, heads=2, m=16, dropout=0.0, max_tokens=8)
+        params = init_params(cfg, vocab, token_vocab, seed=0)
+        ckpt = tmp_path / "tiny.npz"
+        ExtractionModel(cfg, params, vocab, token_vocab, {}, Traversal.BFS).save(ckpt)
+        lines = ["a b a", " ".join(["a"] * 20), "b a b b"]
+        sents = tmp_path / "sents.txt"
+        sents.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "extracted.jsonl"
+        assert invoke("extract", "--model", str(ckpt), "--input", str(sents), "--out", str(out)) == 1
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["tokens"] for r in records] == [line.split() for line in lines]
+        assert "max_tokens" in records[1]["diagnostics"]
+        assert records[1]["entities"] == records[1]["relations"] == []
+        assert "diagnostics" not in records[0] and "diagnostics" not in records[2]
+        assert "1/3 lines failed" in capsys.readouterr().err
+
     def test_bench_tiny(self):
         assert invoke("bench", "--sizes", "32,64", "--steps", "4", "--d-model", "32",
                       "--heads", "4", "--layers", "1") == 0

@@ -168,15 +168,17 @@ class TestBeam:
                 assert g.finished and b.finished
                 assert b.score >= g.score - 1e-9
 
-    def test_beam_matches_exhaustive_on_tiny_instance(self, monkeypatch):
+    @pytest.mark.parametrize("seed", range(13, 21))
+    def test_beam_matches_exhaustive_on_tiny_instance(self, monkeypatch, seed):
         # a vocab with no relation types makes the machine's sequence space
         # finite (25 complete sequences for n=2, m=1): exhaustive enumeration
-        # must agree with a beam at least as wide as the branching factor
+        # must agree with a beam at least as wide as the branching factor,
+        # so the early stop must not cut off a better finished hypothesis
         from hyspa.type_vocab import build_vocab
 
         _patch_scripted(monkeypatch)
         tiny = build_vocab(["[TYPE]"], ["[NULL]", "A", "B"])
-        rng = np.random.default_rng(13)
+        rng = np.random.default_rng(seed)
         n, m = 2, 1
         size = tiny.l_p + n * m
         rows = [rng.normal(size=size) * 3 for _ in range(16)]
@@ -208,6 +210,25 @@ class TestBeam:
         assert res.score == pytest.approx(best[0][1], abs=1e-9)
         steps_taken = len(res.seq.items) + 1
         assert res.score / steps_taken == pytest.approx(best[0][0], abs=1e-9)
+
+    def test_beam1_never_forks(self, random_model, monkeypatch):
+        from hyspa.model import DecodeSession
+
+        model, ds = random_model
+        forks = []
+        for cls in (DecodeSession, GenConstraints):
+            original = cls.fork
+
+            def counting(self, _original=original):
+                forks.append(type(self).__name__)
+                return _original(self)
+
+            monkeypatch.setattr(cls, "fork", counting)
+        for tokens, _ in ds.examples[:3]:
+            assert beam_decode(model, tokens, beam=1).finished
+        assert forks == []
+        beam_decode(model, ds.examples[0][0], beam=3)
+        assert {"DecodeSession", "GenConstraints"} <= set(forks)
 
     def test_scores_monotone_nonincreasing(self, random_model):
         model, ds = random_model

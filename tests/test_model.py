@@ -84,6 +84,10 @@ class TestEncodeContext:
         with pytest.raises(ModelError):
             encode_context(("a",) * 5, small, params, vocab, tv)
 
+    def test_odd_width_rejected(self):
+        with pytest.raises(ModelError, match="even"):
+            ModelConfig(d_m=33, layers=1, heads=3)
+
 
 class TestSpanEncoding:
     def test_type_element_is_exactly_its_row(self, vocab, setup):
@@ -215,6 +219,33 @@ class TestDecoderForward:
         fork2.append(vocab.sep_index)
         sess.append(seq.items[2])
         assert not np.allclose(sess.last_hidden, fork2.last_hidden)
+
+    def test_fork_copies_filled_prefix_only(self, vocab, setup):
+        # a session forked at step t and fed the rest must match a fresh
+        # session fed everything, row for row and in every filled cache row
+        ds, tv, cfg, params = setup
+        tokens, g = ds.examples[2]
+        items = list(encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m).items)
+        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        fresh = DecodeSession(ctx, cfg, params, vocab, Traversal.BFS, max_len=len(items) + 4)
+        want = [fresh.last_hidden.copy()]
+        for k in items:
+            fresh.append(k)
+            want.append(fresh.last_hidden.copy())
+        for t in range(len(items)):
+            sess = DecodeSession(ctx, cfg, params, vocab, Traversal.BFS, max_len=len(items) + 4)
+            for k in items[:t]:
+                sess.append(k)
+            fork = sess.fork()
+            sess.append(vocab.sep_index)  # the parent moves on; the fork must not see it
+            got = [fork.last_hidden.copy()]
+            for k in items[t:]:
+                fork.append(k)
+                got.append(fork.last_hidden.copy())
+            assert np.array_equal(np.stack(got), np.stack(want[t:])), t
+            filled = len(items) + 1
+            for a, b in zip(fork.tgt_k + fork.tgt_v, fresh.tgt_k + fresh.tgt_v):
+                assert np.array_equal(a[:, :filled], b[:, :filled]), t
 
 
 class TestSpanHead:
