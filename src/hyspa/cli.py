@@ -333,7 +333,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .model import TokenVocab, sequence_loss
+    from .model import sequence_loss
     from .numerics import finite_diff_check
 
     vocab = _load_vocab_arg(args)
@@ -346,16 +346,9 @@ def _cmd_gradcheck(args) -> int:
     params = init_params(cfg, vocab, token_vocab, seed=args.seed)
     batch = prepared[: args.examples]
 
-    def loss_fn():
-        total = None
-        for ids, seq in batch:
-            part = sequence_loss(ids, seq, cfg, params)
-            total = part if total is None else nm.add(total, part)
-        return nm.scale(total, 1.0 / len(batch))
-
     report = finite_diff_check(
-        loss_fn, params, h=1e-5, coords_per_tensor=args.coords,
-        rng=np.random.default_rng(args.seed),
+        lambda: sequence_loss(batch, cfg, params), params,
+        h=1e-5, coords_per_tensor=args.coords, rng=np.random.default_rng(args.seed),
     )
     print(f"max relative error: {report.max_rel_err:.3e} over {report.checked} coordinates")
     if report.worst:
@@ -411,7 +404,6 @@ _COMMANDS = {
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    np.random.seed(args.seed if hasattr(args, "seed") else 0)
     try:
         return _COMMANDS[args.command](args)
     except (OSError, ValueError, FloatingPointError) as err:

@@ -36,20 +36,21 @@ class PositionAnnotation:
     offset: int  # position within the level (DFS connection distance)
 
 
-def sinusoidal(pos: int, d_m: int) -> np.ndarray:
-    """Interleaved sin/cos position encoding; pos=0 gives [0, 1, 0, 1, ...]."""
+def sinusoidal(pos, d_m: int) -> np.ndarray:
+    """Interleaved sin/cos position encoding; pos=0 gives [0, 1, 0, 1, ...].
+
+    ``pos`` is an int or an integer array; the result has shape
+    np.shape(pos) + (d_m,), each row computed as for its int.
+    """
     if d_m % 2 != 0:
         raise ValueError(f"d_m must be even, got {d_m}")
     half = np.arange(d_m // 2, dtype=np.float64)
     freqs = np.power(10000.0, -2.0 * half / d_m)
-    out = np.empty(d_m)
-    out[0::2] = np.sin(pos * freqs)
-    out[1::2] = np.cos(pos * freqs)
+    angles = np.multiply.outer(pos, freqs)
+    out = np.empty(angles.shape[:-1] + (d_m,))
+    out[..., 0::2] = np.sin(angles)
+    out[..., 1::2] = np.cos(angles)
     return out
-
-
-def sinusoidal_table(max_pos: int, d_m: int) -> np.ndarray:
-    return np.stack([sinusoidal(p, d_m) for p in range(max_pos)])
 
 
 class BfsAnnotator:
@@ -149,19 +150,15 @@ def bfs_components(
     annotations: list[PositionAnnotation], d_m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Constant inputs to the BFS traversal embedding: level sinusoids,
-    parent/child selector rows, tree one-hot rows."""
-    levels = np.stack([sinusoidal(a.level, d_m) for a in annotations]) if annotations else np.zeros((0, d_m))
-    roles = np.zeros((len(annotations), 2))
-    for i, a in enumerate(annotations):
-        if a.role is Role.PARENT:
-            roles[i, 0] = 1.0
-        elif a.role is Role.CHILD:
-            roles[i, 1] = 1.0
-    trees = (
-        np.stack([tree_onehot(a.path) for a in annotations])
-        if annotations
-        else np.zeros((0, 3 * TREE_BRANCH_CAP))
-    )
+    parent/child selector rows, tree one-hot rows (as ``tree_onehot``)."""
+    levels = sinusoidal(np.array([a.level for a in annotations], dtype=np.intp), d_m)
+    roles = np.array([(a.role is Role.PARENT, a.role is Role.CHILD) for a in annotations],
+                     dtype=np.float64).reshape(-1, 2)
+    paths = np.array([a.path for a in annotations], dtype=np.intp).reshape(-1, 3)
+    trees = np.zeros((len(annotations), 3 * TREE_BRANCH_CAP))
+    rows, depths = np.nonzero(paths >= 0)
+    cols = depths * TREE_BRANCH_CAP + np.minimum(paths[rows, depths], TREE_BRANCH_CAP - 1)
+    trees[rows, cols] = 1.0
     return levels, roles, trees
 
 
@@ -170,11 +167,7 @@ def dfs_components(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Constant inputs to the DFS traversal embedding: level ids, connection sinusoids."""
     level_ids = np.array([a.level % DFS_LEVEL_TABLE for a in annotations], dtype=np.intp)
-    conns = (
-        np.stack([sinusoidal(a.offset, d_m) for a in annotations])
-        if annotations
-        else np.zeros((0, d_m))
-    )
+    conns = sinusoidal(np.array([a.offset for a in annotations], dtype=np.intp), d_m)
     return level_ids, conns
 
 

@@ -5,23 +5,23 @@ a score tensor removes the masked slots from the subsequent softmax.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .hybrid_index import HSpan
 from .numerics import NEG_INF
 from .type_vocab import ElementClass, TypeVocab
 
 
-def span_attention_mask(hspans: Sequence[HSpan], l_h: int) -> np.ndarray:
-    """Row i admits exactly the inclusive H-row window [lo_i, hi_i]."""
-    out = np.full((len(hspans), l_h), NEG_INF)
-    for i, h in enumerate(hspans):
-        if h.hi >= l_h:
-            raise ValueError(f"H-span {h} outside representation of height {l_h}")
-        out[i, h.lo : h.hi + 1] = 0.0
-    return out
+def span_attention_mask(lo, hi, l_h: int) -> np.ndarray:
+    """Row r admits exactly the inclusive H-row window [lo_r, hi_r].
+
+    ``lo`` and ``hi`` are arrays of one shape S (the ``HSpan`` bounds of each
+    row); the mask has shape S + (l_h,).
+    """
+    lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+    if (hi >= l_h).any():
+        raise ValueError(f"H-span outside representation of height {l_h}")
+    cols = np.arange(l_h)
+    return np.where((cols >= lo) & (cols <= hi), 0.0, NEG_INF)
 
 
 def alternating_masks(
@@ -65,18 +65,25 @@ def alternating_masks(
     return m_a, m_a_prime
 
 
-def mixed_attention_mask(n: int, t: int) -> np.ndarray:
+def mixed_attention_mask(n, t: int) -> np.ndarray:
     """The (n+t) x (n+t) mixed-attention mask over [source ; target] rows.
 
     Row r admits column j iff j < n (any source column) or j <= r (causal,
     self included).  Target row n+i therefore sees all sources plus targets
     up to i; source rows see source columns only, which is what lets their
     representations be computed once and cached during decoding.
+
+    ``n`` may also be an array of source lengths, one per example, whose
+    sources are padded to n_pad = max(n) rows: the masks then have shape
+    n.shape + (n_pad+t, n_pad+t), targets start at row n_pad, and the padded
+    source columns are closed to every row.
     """
-    if n < 1 or t < 1:
+    n = np.asarray(n)
+    if (n < 1).any() or t < 1:
         raise ValueError("source and target lengths must be >= 1")
-    size = n + t
+    n_pad = int(n.max())
+    size = n_pad + t
     i = np.arange(size)[:, None]
     j = np.arange(size)[None, :]
-    allowed = (j < n) | (j <= i)
+    allowed = (j < n[..., None, None]) | ((j >= n_pad) & (j <= i))
     return np.where(allowed, 0.0, NEG_INF)

@@ -3,8 +3,16 @@ attention, N mixed-attention decoder blocks, and the hybrid span decoding head.
 
 Two forward implementations coexist on purpose:
 
-* a batched autodiff path (``sequence_loss`` / ``train_step``) used for
-  training, built on :mod:`hyspa.numerics`;
+* an autodiff path (``sequence_logits`` / ``sequence_loss`` /
+  ``train_step``) used for training, built on :mod:`hyspa.numerics`.  It
+  takes a whole mini-batch and builds one tape for it: sources are padded to
+  the batch's largest n and targets to its largest length, every attention
+  and output mask gets a batch axis, and padding sits in the existing
+  NEG_INF masks (padded columns get probability exactly 0) or carries weight
+  0 in the cross entropy.  One backward pass then serves the whole batch.
+  Dropout masks are drawn example by example in the order a per-example
+  forward would draw them, so a batch and its examples one at a time agree
+  to rounding;
 * a numpy inference engine (``encode_context``, ``DecodeSession``,
   ``decoder_forward``, ``span_head``).  ``encode_context`` runs once per
   input and stores each layer's source keys and values head-major,
@@ -145,46 +153,90 @@ def _h_row_ids(vocab: TypeVocab, token_ids: np.ndarray) -> np.ndarray:
 
 
 def _position_rows(vocab: TypeVocab, n: int, d: int) -> np.ndarray:
-    """Sinusoidal positions on text rows only; type rows get zeros.
-
-    The same arithmetic as ``sinusoidal(j, d)`` for every j at once, so the
-    rows are bitwise equal to it.
-    """
-    freqs = np.power(10000.0, -2.0 * np.arange(d // 2, dtype=np.float64) / d)
-    angles = np.arange(n, dtype=np.float64)[:, None] * freqs
+    """Sinusoidal positions on text rows only; type rows get zeros."""
     out = np.zeros((vocab.l_p + n, d))
-    out[vocab.l_p :, 0::2] = np.sin(angles)
-    out[vocab.l_p :, 1::2] = np.cos(angles)
+    out[vocab.l_p :] = sinusoidal(np.arange(n), d)
     return out
 
 
 # ---------------------------------------------------------------------------
-# training path (autodiff)
+# training path (autodiff, one padded tape per batch)
 # ---------------------------------------------------------------------------
 
-def _traversal_matrix(
-    items: Sequence[int],
-    traversal: Traversal,
-    vocab: TypeVocab,
-    n: int,
-    cfg: ModelConfig,
-    params: dict[str, Tensor],
+def _traversal_embedding(
+    seqs: Sequence[AltSequence], t_pad: int, cfg: ModelConfig, params: dict[str, Tensor]
 ) -> Tensor:
-    ann = make_annotator(traversal, vocab, n, cfg.m)
-    annotations = [ann.push(k) for k in items]
+    """(B, t_pad, d) traversal embedding of every decoder input.
+
+    Row 1 + i of example b holds item i; the [SOS] row and padding rows are 0.
+    """
+    vocab, traversal = seqs[0].vocab, seqs[0].traversal
+    annotations = []
+    for seq in seqs:
+        annotator = make_annotator(traversal, vocab, seq.n, cfg.m)
+        annotations += [annotator.push(k) for k in seq.items]
+    at = np.concatenate([b * t_pad + 1 + np.arange(len(s.items)) for b, s in enumerate(seqs)])
+
+    def placed(rows: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(seqs) * t_pad,) + rows.shape[1:], dtype=rows.dtype)
+        out[at] = rows
+        return out.reshape((len(seqs), t_pad) + rows.shape[1:])
+
     if traversal == Traversal.BFS:
         levels, roles, trees = bfs_components(annotations, cfg.d_m)
         return nm.add(
-            nm.add(Tensor(levels), nm.matmul(Tensor(roles), params["trav_pc"])),
-            nm.matmul(Tensor(trees), params["trav_tree"]),
+            nm.add(Tensor(placed(levels)), nm.matmul(Tensor(placed(roles)), params["trav_pc"])),
+            nm.matmul(Tensor(placed(trees)), params["trav_tree"]),
         )
     level_ids, conns = dfs_components(annotations, cfg.d_m)
-    return nm.add(nm.take_rows(params["dfs_level"], level_ids), Tensor(conns))
+    levels = nm.take_rows(params["dfs_level"], placed(level_ids))
+    is_item = placed(np.ones((len(at), 1)))
+    return nm.add(nm.mul(levels, Tensor(is_item)), Tensor(placed(conns)))
+
+
+def _dropout_keep(
+    n: np.ndarray, t: np.ndarray, t_pad: int, cfg: ModelConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """Dropout multipliers, (layers, 2, B, n_pad + t_pad, d): attention, then FFN.
+
+    Drawn example by example, and within an example layer by layer, attention
+    mask before FFN mask, each over the example's own n + t rows: the order a
+    per-example forward would draw them in.  Padding rows get 0.
+    """
+    n_pad, p, d = int(n.max()), cfg.dropout, cfg.d_m
+    keep = np.zeros((cfg.layers, 2, len(n), n_pad + t_pad, d))
+    for b, (nb, tb) in enumerate(zip(n, t)):
+        mask = (rng.random((cfg.layers, 2, nb + tb, d)) >= p) / (1.0 - p)
+        keep[:, :, b, :nb] = mask[:, :, :nb]
+        keep[:, :, b, n_pad : n_pad + tb] = mask[:, :, nb:]
+    return keep
+
+
+def _output_masks(
+    inputs: np.ndarray, n: np.ndarray, vocab: TypeVocab, m: int, strict: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating masks for every decoder input: (B, T, l_p) over types, (B, T, n_pad) over text.
+
+    Every text span closes and opens the same slots, so ``alternating_masks``
+    runs once per distinct type index plus once for all spans.  Text columns
+    past an example's own n stay closed.
+    """
+    l_p = vocab.l_p
+    keys = np.minimum(inputs, l_p)
+    uniq, where = np.unique(keys, return_inverse=True)
+    m_a = np.empty((len(uniq), l_p))
+    text_open = np.empty(len(uniq), dtype=bool)
+    for u, k in enumerate(uniq.tolist()):
+        cls = classify(k, vocab, 1, m)
+        m_a[u], m_ap = alternating_masks(cls, vocab, 1, strict=strict, prev_index=k)
+        text_open[u] = m_ap[0] == 0.0
+    where = where.reshape(inputs.shape)
+    in_text = np.arange(int(n.max())) < n[:, None, None]
+    return m_a[where], np.where(text_open[where][..., None] & in_text, 0.0, NEG_INF)
 
 
 def sequence_logits(
-    token_ids: np.ndarray,
-    seq: AltSequence,
+    batch: Sequence[tuple[np.ndarray, AltSequence]],
     cfg: ModelConfig,
     params: dict[str, Tensor],
     *,
@@ -192,90 +244,111 @@ def sequence_logits(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """Teacher-forced masked logits over all positions, plus the target ids.
+    """Teacher-forced masked logits of a batch of (token_ids, sequence) pairs, on one tape.
 
-    Row i of the result scores the element following decoder input i (inputs
-    are [SOS] + items); targets are items + [EOS].
+    Returns logits of shape (B, T, l_p + n_pad*m) and targets of shape (B, T),
+    where n_pad and T are the batch's largest n and sequence length + 1.  Row
+    i of example b scores the element following decoder input i (inputs are
+    [SOS] + items); targets are items + [EOS].  Padding rows have target -1.
+    Columns past l_p + n_b*m and padded attention columns sit at NEG_INF, so
+    they get probability exactly 0 and no gradient.  A batch of one is not
+    padded.  The batch must share one vocab, traversal and m.
     """
-    vocab, n, m = seq.vocab, seq.n, seq.m
-    if len(seq.items) == 0:
-        raise ModelError("zero-length target sequence")
-    if n != len(token_ids):
-        raise ModelError(f"sequence n={n} does not match {len(token_ids)} tokens")
-    if n > cfg.max_tokens:
-        raise ModelError(f"input length {n} exceeds max_tokens={cfg.max_tokens}")
-    d = cfg.d_m
-    l_p, l_h = vocab.l_p, vocab.l_p + n
-    rng = rng or np.random.default_rng(0)
+    if not batch:
+        raise ModelError("empty batch")
+    seqs = [seq for _, seq in batch]
+    vocab, traversal, m = seqs[0].vocab, seqs[0].traversal, seqs[0].m
+    for token_ids, seq in batch:
+        if seq.traversal != traversal or seq.m != m or seq.vocab != vocab:
+            raise ModelError("a batch must share one vocab, traversal and m")
+        if len(seq.items) == 0:
+            raise ModelError("zero-length target sequence")
+        if seq.n != len(token_ids):
+            raise ModelError(f"sequence n={seq.n} does not match {len(token_ids)} tokens")
+        if seq.n > cfg.max_tokens:
+            raise ModelError(f"input length {seq.n} exceeds max_tokens={cfg.max_tokens}")
+    B, d = len(batch), cfg.d_m
+    n = np.array([seq.n for seq in seqs])
+    t = np.array([len(seq.items) + 1 for seq in seqs])
+    n_pad, t_pad = int(n.max()), int(t.max())
+    l_p, l_h = vocab.l_p, vocab.l_p + n_pad
+
+    # decoder inputs ([SOS] + items) and targets (items + [EOS]), padded
+    inputs = np.full((B, t_pad), vocab.sos_index, dtype=np.intp)
+    targets = np.full((B, t_pad), -1, dtype=np.intp)
+    text_ids = np.zeros((B, n_pad), dtype=np.intp)  # padding reads the [UNK] row
+    for b, (token_ids, seq) in enumerate(batch):
+        inputs[b, 1 : t[b]] = seq.items
+        targets[b, : t[b] - 1] = seq.items
+        targets[b, t[b] - 1] = vocab.eos_index
+        text_ids[b, : n[b]] = token_ids
+    # inclusive H-row window of each input, as index_to_hspan computes it
+    off = np.maximum(inputs - l_p, 0)
+    lo = np.where(inputs < l_p, inputs, l_p + off // m)
+    hi = lo + off % m
+    if (inputs < 0).any() or (hi >= l_p + n[:, None]).any():
+        raise ModelError("a sequence item lies outside its hybrid index space")
 
     # hybrid representation H: shared embedding + meta-type + text positions
-    h0 = nm.take_rows(params["embed"], _h_row_ids(vocab, token_ids))
-    meta = nm.take_rows(params["meta"], np.array(segment_ids(vocab, n), dtype=np.intp))
-    H = nm.add(nm.add(h0, meta), Tensor(_position_rows(vocab, n, d)))
+    row_ids = np.concatenate([np.broadcast_to(np.arange(l_p), (B, l_p)), l_p + text_ids], axis=1)
+    h0 = nm.take_rows(params["embed"], row_ids)
+    meta = nm.take_rows(params["meta"], np.array(segment_ids(vocab, n_pad), dtype=np.intp))
+    H = nm.add(nm.add(h0, meta), Tensor(_position_rows(vocab, n_pad, d)))
+    h_types = nm.getitem(H, (slice(None), slice(0, l_p)))
+    h_text = nm.getitem(H, (slice(None), slice(l_p, l_h)))
 
-    # span encoding of decoder inputs ([SOS] + items) via masked attention
-    inputs = [vocab.sos_index, *seq.items]
-    hspans = [index_to_hspan(k, m, l_p, n) for k in inputs]
-    m0 = span_attention_mask(hspans, l_h)
-    cls_row = nm.slice_rows(H, l_p, l_p + 1)
-    q = nm.add(nm.matmul(cls_row, params["span_w1"]), params["span_b1"])
-    K = nm.add(nm.matmul(H, params["span_w2"]), params["span_b2"])
-    att = nm.add(nm.scale(nm.matmul(q, nm.transpose(K, (1, 0))), 1.0 / math.sqrt(d)), Tensor(m0))
-    Hy = nm.matmul(nm.softmax(att), H)
-
-    trav = _traversal_matrix(seq.items, seq.traversal, vocab, n, cfg, params)
-    trav_full = nm.concat_rows([Tensor(np.zeros((1, d))), trav])  # zero row for [SOS]
-    Hy = nm.add(Hy, trav_full)
+    # span encoding of decoder inputs via masked attention
+    cls_row = nm.getitem(H, (slice(None), slice(l_p, l_p + 1)))
+    q = nm.linear(cls_row, params["span_w1"], params["span_b1"])
+    K = nm.linear(H, params["span_w2"], params["span_b2"])
+    m0 = span_attention_mask(lo, hi, l_h)
+    att = nm.attention_weights(q, K, m0, 1.0 / math.sqrt(d))
+    Hy = nm.add(nm.matmul(att, H), _traversal_embedding(seqs, t_pad, cfg, params))
 
     # mixed-attention decoder over [source text rows ; target rows]
-    L = len(inputs)
-    h_text = nm.slice_rows(H, l_p, l_h)
-    src = nm.add(h_text, nm.slice_rows(params["srctgt"], 0, 1))
-    tgt = nm.add(Hy, nm.slice_rows(params["srctgt"], 1, 2))
-    x = nm.concat_rows([src, tgt])
-    mask = Tensor(mixed_attention_mask(n, L))
+    src = nm.add(h_text, nm.getitem(params["srctgt"], slice(0, 1)))
+    tgt = nm.add(Hy, nm.getitem(params["srctgt"], slice(1, 2)))
+    x = nm.concat([src, tgt], axis=1)
+    rows = n_pad + t_pad
+    mask = mixed_attention_mask(n, t_pad)[:, None]
+    keep = None
+    if training and cfg.dropout > 0:
+        keep = _dropout_keep(n, t, t_pad, cfg, rng or np.random.default_rng(0))
     heads, dh = cfg.heads, d // cfg.heads
     for i in range(cfg.layers):
         qkv = []
-        for w, b in (("wq", "bq"), ("wk", "bk"), ("wv", "bv")):
-            proj = nm.add(nm.matmul(x, params[f"L{i}.{w}"]), params[f"L{i}.{b}"])
-            qkv.append(nm.transpose(nm.reshape(proj, (n + L, heads, dh)), (1, 0, 2)))
+        for w, bias in (("wq", "bq"), ("wk", "bk"), ("wv", "bv")):
+            proj = nm.linear(x, params[f"L{i}.{w}"], params[f"L{i}.{bias}"])
+            qkv.append(nm.transpose(nm.reshape(proj, (B, rows, heads, dh)), (0, 2, 1, 3)))
         qh, kh, vh = qkv
-        scores = nm.scale(nm.matmul(qh, nm.transpose(kh, (0, 2, 1))), 1.0 / math.sqrt(d))
-        attn = nm.matmul(nm.softmax(nm.add(scores, mask)), vh)
-        attn = nm.reshape(nm.transpose(attn, (1, 0, 2)), (n + L, d))
-        attn = nm.dropout(attn, cfg.dropout, rng, training)
+        attn = nm.matmul(nm.attention_weights(qh, kh, mask, 1.0 / math.sqrt(d)), vh)
+        attn = nm.reshape(nm.transpose(attn, (0, 2, 1, 3)), (B, rows, d))
+        if keep is not None:
+            attn = nm.mul(attn, Tensor(keep[i, 0]))
         x1 = nm.layer_norm(nm.add(attn, x), params[f"L{i}.ln1_g"], params[f"L{i}.ln1_b"])
-        inner = nm.relu(nm.add(nm.matmul(x1, params[f"L{i}.w3"]), params[f"L{i}.b3"]))
-        ffn = nm.add(nm.matmul(inner, params[f"L{i}.w4"]), params[f"L{i}.b4"])
-        ffn = nm.dropout(ffn, cfg.dropout, rng, training)
+        inner = nm.relu(nm.linear(x1, params[f"L{i}.w3"], params[f"L{i}.b3"]))
+        ffn = nm.linear(inner, params[f"L{i}.w4"], params[f"L{i}.b4"])
+        if keep is not None:
+            ffn = nm.mul(ffn, Tensor(keep[i, 1]))
         x = nm.layer_norm(nm.add(ffn, x1), params[f"L{i}.ln2_g"], params[f"L{i}.ln2_b"])
-    hy_n = nm.slice_rows(x, n, n + L)
+    hy_n = nm.getitem(x, (slice(None), slice(n_pad, rows)))
 
     # hybrid span decoding head, batched over positions
-    s_rep = nm.add(nm.matmul(hy_n, params["head_w5"]), params["head_b5"])
-    e_rep = nm.add(nm.matmul(hy_n, params["head_w6"]), params["head_b6"])
-    h_types = nm.slice_rows(H, 0, l_p)
-    types_t = nm.transpose(h_types, (1, 0))
-    text_t = nm.transpose(nm.slice_rows(H, l_p, l_h), (1, 0))
-    m_a = np.empty((L, l_p))
-    m_ap = np.empty((L, n))
-    for pos, prev in enumerate(inputs):
-        prev_cls = ElementClass.VIRTUAL_SOS if pos == 0 else classify(prev, vocab, n, m)
-        m_a[pos], m_ap[pos] = alternating_masks(prev_cls, vocab, n, strict=strict, prev_index=prev)
+    s_rep = nm.linear(hy_n, params["head_w5"], params["head_b5"])
+    e_rep = nm.linear(hy_n, params["head_w6"], params["head_b6"])
+    types_t = nm.transpose(h_types, (0, 2, 1))
+    text_t = nm.transpose(h_text, (0, 2, 1))
+    m_a, m_ap = _output_masks(inputs, n, vocab, m, strict)
     type_scores = nm.add(nm.add(nm.matmul(s_rep, types_t), nm.matmul(e_rep, types_t)), Tensor(m_a))
     ts_vec = nm.add(nm.matmul(s_rep, text_t), Tensor(m_ap))
     te_vec = nm.add(nm.matmul(e_rep, text_t), Tensor(m_ap))
-    t_mat = nm.add(nm.unfold(te_vec, m), nm.reshape(ts_vec, (L, n, 1)))
-    logits = nm.concat_cols([type_scores, nm.reshape(t_mat, (L, n * m))])
-
-    targets = np.array([*seq.items, vocab.eos_index], dtype=np.intp)
+    t_mat = nm.add(nm.unfold(te_vec, m), nm.reshape(ts_vec, (B, t_pad, n_pad, 1)))
+    logits = nm.concat([type_scores, nm.reshape(t_mat, (B, t_pad, n_pad * m))], axis=2)
     return logits, targets
 
 
 def sequence_loss(
-    token_ids: np.ndarray,
-    seq: AltSequence,
+    batch: Sequence[tuple[np.ndarray, AltSequence]],
     cfg: ModelConfig,
     params: dict[str, Tensor],
     *,
@@ -284,11 +357,22 @@ def sequence_loss(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Teacher-forced mean per-position label-smoothed CE for one example."""
+    """Teacher-forced label-smoothed CE of a batch: the mean over examples of
+    each example's mean per-position loss.
+
+    Raises FloatingPointError naming the first example whose logits are not
+    finite.
+    """
     logits, targets = sequence_logits(
-        token_ids, seq, cfg, params, strict=strict, training=training, rng=rng
+        batch, cfg, params, strict=strict, training=training, rng=rng
     )
-    return nm.label_smoothed_ce(logits, targets, label_smoothing)
+    finite = np.isfinite(logits.data).all(axis=(1, 2))
+    if not finite.all():
+        seq = batch[int(np.argmin(finite))][1]
+        raise FloatingPointError(f"non-finite loss (n={seq.n}, T={len(seq.items)})")
+    real = targets >= 0
+    weights = real / (len(batch) * real.sum(axis=1, keepdims=True))
+    return nm.label_smoothed_ce(logits, targets, label_smoothing, weights)
 
 
 def train_step(
@@ -302,26 +386,23 @@ def train_step(
     strict: bool = False,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """One optimizer step over a batch of (token_ids, target sequence) pairs."""
-    if not batch:
-        raise ModelError("empty batch")
-    rng = rng or np.random.default_rng(0)
+    """One optimizer step over a batch of (token_ids, target sequence) pairs.
+
+    The whole batch is one padded tape and one backward pass; the returned
+    loss is the mean over examples of each example's mean per-position loss.
+    """
     opt.zero_grad()
-    total = 0.0
-    for token_ids, seq in batch:
+    try:
         loss = sequence_loss(
-            token_ids, seq, cfg, params,
+            batch, cfg, params,
             label_smoothing=label_smoothing, strict=strict, training=True, rng=rng,
         )
-        if not np.isfinite(loss.data).all():
-            raise FloatingPointError(
-                f"non-finite loss at opt step {opt.step_count + 1} (n={seq.n}, T={len(seq.items)})"
-            )
-        total += loss.item()
-        nm.scale(loss, 1.0 / len(batch)).backward()
+    except FloatingPointError as err:
+        raise FloatingPointError(f"opt step {opt.step_count + 1}: {err}") from None
+    loss.backward()
     nm.clip_global_norm(params.values(), clip)
     opt.step()
-    return total / len(batch)
+    return loss.item()
 
 
 def prepare_training_data(dataset, traversal: Traversal = Traversal.BFS):
@@ -684,9 +765,8 @@ def span_head(
     type_scores = ctx.h_types @ s + ctx.h_types @ e + m_a
     ts_vec = ctx.h_text @ s + m_ap
     te_vec = ctx.h_text @ e + m_ap
-    t_mat = np.full((n, m), NEG_INF)
-    for dlt in range(min(m, n)):
-        t_mat[: n - dlt, dlt] = ts_vec[: n - dlt] + te_vec[dlt:]
+    idx, inside = nm.span_windows(n, m)
+    t_mat = np.where(inside, ts_vec[:, None] + te_vec[idx], NEG_INF)
     scores = np.concatenate([type_scores, t_mat.reshape(-1)])
     if extra_mask is not None:
         scores = scores + extra_mask

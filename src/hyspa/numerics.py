@@ -7,6 +7,7 @@ arithmetic stays finite while softmax still underflows masked slots to 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -44,7 +45,13 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output."""
+        """Reverse-mode sweep from a scalar output.
+
+        The sweep frees the graph as it goes: once a node has passed its
+        gradient on, it drops its edges and the arrays its backward kept, so
+        intermediates nothing else refers to are released during the sweep
+        and a graph can be swept only once.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -62,9 +69,11 @@ class Tensor:
             for p in node._parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+            node._parents, node._backward = (), None
 
     # arithmetic sugar
     def __add__(self, other):
@@ -98,11 +107,14 @@ def _as_tensor(x) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``.  The first gradient is stored as a copy:
+    ``add`` hands the same array to both parents, and views must not alias."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -126,8 +138,10 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data, parents=(a, b))
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     out._backward = backward
     return out
@@ -145,8 +159,10 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data, parents=(a, b))
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     out._backward = backward
     return out
@@ -160,16 +176,51 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """2-D or batched 3-D matrix product; batch dims must match exactly."""
+    """Matrix product: 2-D, batched with equal batch dims, or batched-left
+    ``(..., k) @ (k, n)`` (see ``linear``)."""
     a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim > 2 and b.ndim == 2:
+        return linear(a, b)
     if a.ndim > 2 or b.ndim > 2:
         if a.data.shape[:-2] != b.data.shape[:-2]:
             raise ValueError(f"batch dims differ: {a.data.shape} vs {b.data.shape}")
     out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
 
     def backward(g):
-        _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+        if a.requires_grad:
+            _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if b.requires_grad:
+            _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+
+    out._backward = backward
+    return out
+
+
+def linear(x, w, bias=None) -> Tensor:
+    """``x @ w + bias`` for x of shape (..., k), w (k, n) and bias (n,).
+
+    Runs as one 2-D GEMM over the stacked rows of x, with the bias added in
+    place, so the product and the sum are one tensor on the tape.  The
+    gradients of w and bias sum over the stacked rows.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    k, n = w.data.shape
+    rows = x.data.reshape(-1, k)
+    y = rows @ w.data
+    if bias is not None:
+        bias = _as_tensor(bias)
+        y += bias.data
+    parents = (x, w) if bias is None else (x, w, bias)
+    out = Tensor(y.reshape(x.data.shape[:-1] + (n,)), parents=parents)
+
+    def backward(g):
+        g = g.reshape(-1, n)
+        if x.requires_grad:
+            _accumulate(x, (g @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            _accumulate(w, rows.T @ g)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=0))
 
     out._backward = backward
     return out
@@ -182,17 +233,45 @@ def relu(a) -> Tensor:
     return out
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient at softmax's input, given its output ``p`` and the gradient ``g`` at ``p``."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
 def softmax(a) -> Tensor:
     """Stable softmax over the last axis; NEG_INF slots come out exactly 0."""
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax(a.data)
     out = Tensor(p, parents=(a,))
+    out._backward = lambda g: _accumulate(a, _softmax_grad(p, g))
+    return out
+
+
+def attention_weights(q, k, mask: np.ndarray, scale: float) -> Tensor:
+    """softmax(scale * q @ k^T + mask) over the last axis, as one tape node.
+
+    ``q`` is (..., r, e) and ``k`` (..., c, e); the constant ``mask`` may
+    broadcast the (..., r, c) scores to more rows.  Only the weights are kept
+    for the backward pass, not the raw, scaled and masked scores, which at
+    (batch, heads, rows, rows) are the largest arrays of a decoder layer.
+    """
+    q, k = _as_tensor(q), _as_tensor(k)
+    raw = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    shape = raw.shape
+    p = _softmax(raw * scale + mask)
+    out = Tensor(p, parents=(q, k))
 
     def backward(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        _accumulate(a, p * (g - inner))
+        gs = _unbroadcast(_softmax_grad(p, g), shape) * scale
+        if q.requires_grad:
+            _accumulate(q, np.matmul(gs, k.data))
+        if k.requires_grad:
+            _accumulate(k, np.matmul(np.swapaxes(gs, -1, -2), q.data))
 
     out._backward = backward
     return out
@@ -214,23 +293,26 @@ def log_softmax(a) -> Tensor:
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-12) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Means are ``np.add.reduce(...) / d``, the arithmetic of ``ndarray.mean``
+    without its Python-level overhead.
+    """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    d = x.data.shape[-1]
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor(xhat * gamma.data + beta.data, parents=(x, gamma, beta))
 
     def backward(g):
-        d = x.data.shape[-1]
         reduce_axes = tuple(range(g.ndim - 1))
         _accumulate(beta, g.sum(axis=reduce_axes))
         _accumulate(gamma, (g * xhat).sum(axis=reduce_axes))
         gx = g * gamma.data
-        gxm = gx.mean(axis=-1, keepdims=True)
-        gxxm = (gx * xhat).mean(axis=-1, keepdims=True)
+        gxm = np.add.reduce(gx, axis=-1, keepdims=True) / d
+        gxxm = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
         _accumulate(x, inv * (gx - gxm - xhat * gxxm))
 
     out._backward = backward
@@ -254,39 +336,28 @@ def take_rows(table, ids) -> Tensor:
     return out
 
 
-def concat_rows(parts: Sequence) -> Tensor:
+def concat(parts: Sequence, axis: int) -> Tensor:
+    """Join tensors along ``axis``; each part gets its slice of the gradient back."""
     parts = [_as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0), parents=tuple(parts))
-    offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), parents=tuple(parts))
+    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lo:hi])
+            _accumulate(p, g[(slice(None),) * (axis % g.ndim) + (slice(lo, hi),)])
 
     out._backward = backward
     return out
 
 
-def concat_cols(parts: Sequence) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), parents=tuple(parts))
-    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[:, lo:hi])
-
-    out._backward = backward
-    return out
-
-
-def slice_rows(a, start: int, stop: int) -> Tensor:
+def getitem(a, index) -> Tensor:
+    """Basic slicing (ints and slices only); the gradient lands in the sliced cells."""
     a = _as_tensor(a)
-    out = Tensor(a.data[start:stop], parents=(a,))
+    out = Tensor(a.data[index], parents=(a,))
 
     def backward(g):
         full = np.zeros_like(a.data)
-        full[start:stop] = g
+        full[index] = g
         _accumulate(a, full)
 
     out._backward = backward
@@ -316,6 +387,21 @@ def sum_all(a) -> Tensor:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def span_windows(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, m) window layout: cell (j, d) reads position j+d.
+
+    Returns the positions clipped to n-1 (safe to gather with) and the mask
+    of cells whose position lies inside the n positions.  Both are cached per
+    (n, m), because the decoder's span head needs them at every step, and
+    read-only, because every caller shares them.
+    """
+    idx = np.arange(n)[:, None] + np.arange(m)
+    clipped, inside = np.minimum(idx, n - 1), idx < n
+    clipped.flags.writeable = inside.flags.writeable = False
+    return clipped, inside
+
+
 def unfold(v, m: int, fill: float = NEG_INF) -> Tensor:
     """Sliding windows of width ``m`` with stride 1 over the last axis.
 
@@ -324,42 +410,17 @@ def unfold(v, m: int, fill: float = NEG_INF) -> Tensor:
     """
     v = _as_tensor(v)
     n = v.data.shape[-1]
-    j = np.arange(n)[:, None]
-    d = np.arange(m)[None, :]
-    idx = j + d
-    valid = idx < n
-    idx_c = np.minimum(idx, n - 1)
-    data = np.where(valid, v.data[..., idx_c], fill)
+    idx, inside = span_windows(n, m)
+    data = np.where(inside, v.data[..., idx], fill)
     out = Tensor(data, parents=(v,))
 
     def backward(g):
-        if not v.requires_grad:
-            return
-        if v.grad is None:
-            v.grad = np.zeros_like(v.data)
         gv = np.zeros_like(v.data)
-        if v.data.ndim == 1:
-            np.add.at(gv, idx[valid], g[valid])
-        else:
-            rows = np.broadcast_to(
-                np.arange(v.data.shape[0])[:, None, None], g.shape
-            )
-            cols = np.broadcast_to(idx[None, :, :], g.shape)
-            sel = np.broadcast_to(valid[None, :, :], g.shape)
-            np.add.at(gv, (rows[sel], cols[sel]), g[sel])
-        v.grad += gv
+        for d in range(min(m, n)):  # diagonal d: cell (j, d) reads v[j + d]
+            gv[..., d:] += g[..., : n - d, d]
+        _accumulate(v, gv)
 
     out._backward = backward
-    return out
-
-
-def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    if not training or p <= 0.0:
-        return _as_tensor(a)
-    a = _as_tensor(a)
-    keep = (rng.random(a.data.shape) >= p) / (1.0 - p)
-    out = Tensor(a.data * keep, parents=(a,))
-    out._backward = lambda g: _accumulate(a, g * keep)
     return out
 
 
@@ -367,34 +428,40 @@ def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
 # loss, schedule, optimizer
 # ---------------------------------------------------------------------------
 
-def label_smoothed_ce(logits: Tensor, target, epsilon: float) -> Tensor:
+def label_smoothed_ce(logits: Tensor, target, epsilon: float, weights=None) -> Tensor:
     """Cross entropy with uniform label smoothing over admissible classes.
 
-    ``logits`` is (C,) or (T, C) and already carries NEG_INF on masked slots;
-    those slots are excluded from the smoothing mass.  The target class gets
+    ``logits`` is (..., C) and already carries NEG_INF on masked slots; those
+    slots are excluded from the smoothing mass.  The target class gets
     1 - epsilon, the rest of the admissible classes share epsilon evenly.
+    Row r's cross entropy enters the sum with ``weights[r]`` (default: the
+    mean over rows); rows of weight 0 are padding, and their targets are not
+    read.
     """
     logits = _as_tensor(logits)
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
-    squeeze = logits.ndim == 1
-    data = logits.data[None, :] if squeeze else logits.data
-    targets = np.atleast_1d(np.asarray(target, dtype=np.intp))
+    data = logits.data.reshape(-1, logits.data.shape[-1])
+    targets = np.asarray(target, dtype=np.intp).reshape(-1)
     if targets.shape[0] != data.shape[0]:
         raise ValueError("target count does not match logit rows")
+    if weights is None:
+        w = np.full(len(targets), 1.0 / len(targets))
+    else:
+        w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    rows = np.flatnonzero(w)
+    cols = targets[rows]
     admissible = data > NEG_INF / 2
-    rows = np.arange(data.shape[0])
-    if not admissible[rows, targets].all():
-        bad = int(rows[~admissible[rows, targets]][0])
+    if (cols < 0).any() or not admissible[rows, cols].all():
+        bad = int(rows[(cols < 0) | ~admissible[rows, np.maximum(cols, 0)]][0])
         raise ValueError(f"target class is masked at row {bad}")
     counts = admissible.sum(axis=-1)
     q = np.zeros_like(data)
     spread = np.where(counts > 1, epsilon / np.maximum(counts - 1, 1), 0.0)
     q[admissible] = np.repeat(spread, counts)
-    q[rows, targets] = np.where(counts > 1, 1.0 - epsilon, 1.0)
-    logp = log_softmax(logits if not squeeze else reshape(logits, (1, -1)))
-    per_row = sum_all(mul(logp, Tensor(-q)))
-    return scale(per_row, 1.0 / data.shape[0])
+    q[rows, cols] = np.where(counts[rows] > 1, 1.0 - epsilon, 1.0)
+    q *= -w[:, None]
+    return sum_all(mul(log_softmax(logits), Tensor(q.reshape(logits.data.shape))))
 
 
 def inv_sqrt_lr(step: int, peak_lr: float, warmup: int) -> float:
@@ -463,11 +530,6 @@ class AdamW:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
-
-
-def adamw_step(state: AdamW) -> float:
-    """Functional alias: apply one optimizer step, returning the lr used."""
-    return state.step()
 
 
 # ---------------------------------------------------------------------------

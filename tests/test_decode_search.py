@@ -236,6 +236,25 @@ class TestBeam:
         res = beam_decode(model, tokens, beam=3)
         assert res.score <= 0.0
 
+    def test_top_admissible_matches_stable_argsort(self):
+        from hyspa.decode_search import _top_admissible
+
+        rng = np.random.default_rng(0)
+        vectors = [
+            np.array([-1.0, -2.0, -1.0, NEG_INF, -2.0, -1.0, -3.0]),  # ties at and across the cut
+            np.array([NEG_INF, -0.5, NEG_INF, NEG_INF]),  # fewer admissible slots than k
+            np.full(5, NEG_INF),
+        ]
+        for size in [*rng.integers(1, 40, size=50), *rng.integers(300, 2000, size=20)]:
+            v = rng.integers(-4, 0, size=size).astype(float)  # few values: many ties
+            v[rng.random(v.size) < 0.4] = NEG_INF
+            vectors.append(v)
+        vectors.append(np.where(np.arange(1000) % 2, -1.0, NEG_INF))  # 500 admissible, all tied
+        for v in vectors:
+            for k in (1, 2, 3, 6):
+                ref = [i for i in np.argsort(-v, kind="stable")[:k] if v[i] > NEG_INF / 2]
+                assert _top_admissible(v, k).tolist() == ref, (v, k)
+
     def test_bad_args_rejected(self, random_model):
         model, ds = random_model
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hyspa.hybrid_index import HSpan
 from hyspa.masks import alternating_masks, mixed_attention_mask, span_attention_mask
 from hyspa.numerics import NEG_INF
 from hyspa.type_vocab import ElementClass
@@ -13,23 +12,23 @@ def admitted(mask_vec):
 
 class TestSpanAttentionMask:
     def test_type_row_single_zero(self):
-        m0 = span_attention_mask([HSpan(10, 10)], l_h=28)
+        m0 = span_attention_mask([10], [10], l_h=28)
         assert admitted(m0[0]) == {10}
 
     def test_window_rows(self):
-        m0 = span_attention_mask([HSpan(21, 22)], l_h=28)
+        m0 = span_attention_mask([21], [22], l_h=28)
         assert admitted(m0[0]) == {21, 22}
 
     def test_baghdad_row(self):
-        m0 = span_attention_mask([HSpan(23, 23)], l_h=28)
+        m0 = span_attention_mask([23], [23], l_h=28)
         assert admitted(m0[0]) == {23}
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            span_attention_mask([HSpan(27, 28)], l_h=28)
+            span_attention_mask([27], [28], l_h=28)
 
     def test_entries_binary(self):
-        m0 = span_attention_mask([HSpan(2, 5), HSpan(0, 0)], l_h=8)
+        m0 = span_attention_mask([2, 0], [5, 0], l_h=8)
         assert set(np.unique(m0)) <= {0.0, NEG_INF}
 
 

@@ -119,7 +119,7 @@ class TestSpanEncoding:
         ctx = encode_context(tokens, cfg, params, vocab, tv)
         items = [vocab.sos_index, vocab.l_e, span_to_index(TextSpan(1, 2), cfg.m, vocab.l_p)]
         hspans = [index_to_hspan(k, cfg.m, vocab.l_p, n) for k in items]
-        m0 = span_attention_mask(hspans, vocab.l_p + n)
+        m0 = span_attention_mask([h.lo for h in hspans], [h.hi for h in hspans], vocab.l_p + n)
         q = ctx.H[vocab.l_p] @ params["span_w1"].data + params["span_b1"].data
         K = ctx.H @ params["span_w2"].data + params["span_b2"].data
         scores = (K @ q) / np.sqrt(cfg.d_m) + m0
@@ -150,7 +150,7 @@ class TestEncodeHybridSpans:
         from hyspa.masks import span_attention_mask
 
         hspans = [index_to_hspan(k, cfg.m, l_p, n) for k in seq.items]
-        m0 = span_attention_mask(hspans, l_p + n)
+        m0 = span_attention_mask([h.lo for h in hspans], [h.hi for h in hspans], l_p + n)
         q = ctx.H[l_p] @ params["span_w1"].data + params["span_b1"].data
         K = ctx.H @ params["span_w2"].data + params["span_b2"].data
         att = (K @ q) / math.sqrt(cfg.d_m) + m0
@@ -297,6 +297,25 @@ class TestSpanHead:
                 if j + d >= n:
                     assert scores[vocab.l_p + j * cfg.m + d] < NEG_INF / 2
 
+    @pytest.mark.parametrize("n", [5, 16, 23])  # n < m, n = m, n > m
+    def test_window_fill_bitwise_equals_diagonal_loop(self, vocab, setup, n):
+        _, tv, cfg, params = setup
+        ctx = encode_context(("tok",) * n, cfg, params, vocab, tv)
+        rng = np.random.default_rng(n)
+        for prev_class, prev in ((ElementClass.VIRTUAL_SOS, None), (ElementClass.TEXT_SPAN, vocab.l_p)):
+            h = rng.normal(size=cfg.d_m)
+            scores, _ = span_head(h, ctx, prev_class, cfg, params, prev_index=prev, vocab=vocab)
+            s = h @ params["head_w5"].data + params["head_b5"].data
+            e = h @ params["head_w6"].data + params["head_b6"].data
+            from hyspa.masks import alternating_masks
+
+            _, m_ap = alternating_masks(prev_class, vocab, n, prev_index=prev)
+            ts_vec, te_vec = ctx.h_text @ s + m_ap, ctx.h_text @ e + m_ap
+            t_mat = np.full((n, cfg.m), NEG_INF)
+            for dlt in range(min(cfg.m, n)):
+                t_mat[: n - dlt, dlt] = ts_vec[: n - dlt] + te_vec[dlt:]
+            assert np.array_equal(scores[vocab.l_p :], t_mat.reshape(-1))
+
     def test_prev_span_blocks_text_mass(self, vocab, setup):
         ds, tv, cfg, params = setup
         tokens = ds.examples[0][0]
@@ -315,7 +334,8 @@ class TestTrainingPath:
             tokens, g = ds.examples[idx]
             seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
             ids = tv.ids(tokens)
-            logits, _ = sequence_logits(ids, seq, cfg, params)
+            logits, _ = sequence_logits([(ids, seq)], cfg, params)
+            logits = logits.data[0]
             ctx = encode_context(tokens, cfg, params, vocab, tv)
             rows = decoder_forward(ctx, list(seq.items), cfg, params, vocab, Traversal.BFS)
             inputs = [None, *seq.items]
@@ -327,8 +347,8 @@ class TestTrainingPath:
                     else classify(prev, vocab, seq.n, cfg.m)
                 )
                 scores, _ = span_head(h, ctx, cls, cfg, params, prev_index=prev, vocab=vocab)
-                adm = logits.data[i] > NEG_INF / 2
-                assert np.allclose(scores[adm], logits.data[i][adm], atol=1e-9)
+                adm = logits[i] > NEG_INF / 2
+                assert np.allclose(scores[adm], logits[i][adm], atol=1e-9)
 
     def test_teacher_forced_product_equals_exp_neg_ce(self, vocab, setup):
         # autoregressive factorization: sum of per-step CE at eps=0 equals -log p(seq)
@@ -336,18 +356,18 @@ class TestTrainingPath:
         tokens, g = ds.examples[4]
         seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
         ids = tv.ids(tokens)
-        loss = sequence_loss(ids, seq, cfg, params, label_smoothing=0.0)
-        logits, targets = sequence_logits(ids, seq, cfg, params)
-        logp = nm.log_softmax(logits).data
-        total = sum(logp[i, t] for i, t in enumerate(targets))
-        assert loss.item() * len(targets) == pytest.approx(-total, abs=1e-9)
+        loss = sequence_loss([(ids, seq)], cfg, params, label_smoothing=0.0)
+        logits, targets = sequence_logits([(ids, seq)], cfg, params)
+        logp = nm.log_softmax(logits).data[0]
+        total = sum(logp[i, t] for i, t in enumerate(targets[0]))
+        assert loss.item() * len(targets[0]) == pytest.approx(-total, abs=1e-9)
 
     def test_zero_length_target_rejected(self, vocab, setup):
         ds, tv, cfg, params = setup
         tokens = ds.examples[0][0]
         seq = AltSequence((), Traversal.BFS, vocab, len(tokens), cfg.m)
         with pytest.raises(ModelError):
-            sequence_loss(tv.ids(tokens), seq, cfg, params)
+            sequence_loss([(tv.ids(tokens), seq)], cfg, params)
 
     def test_loss_decreases_on_one_example(self, vocab, setup):
         ds, tv, cfg, _ = setup
@@ -367,12 +387,13 @@ class TestTrainingPath:
         tokens, g = ds.examples[0]
         seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
         ids = tv.ids(tokens)
-        a = sequence_loss(ids, seq, cfg, params).item()
-        b = sequence_loss(ids, seq, cfg, params).item()
+        batch = [(ids, seq)]
+        a = sequence_loss(batch, cfg, params).item()
+        b = sequence_loss(batch, cfg, params).item()
         assert a == b  # inference-mode losses are deterministic
         rng = np.random.default_rng(0)
-        c = sequence_loss(ids, seq, cfg, params, training=True, rng=rng).item()
-        d = sequence_loss(ids, seq, cfg, params, training=True, rng=rng).item()
+        c = sequence_loss(batch, cfg, params, training=True, rng=rng).item()
+        d = sequence_loss(batch, cfg, params, training=True, rng=rng).item()
         assert c != d
 
     def test_short_text_smaller_than_span_window(self, vocab, setup):
@@ -386,7 +407,7 @@ class TestTrainingPath:
         seq = encode_bfs(canonicalize(g, {}, vocab), vocab, cfg.m)
         assert graph_equal(decode_sequence(seq), g)
         tokens = ("[CLS]", "alice")
-        loss = sequence_loss(tv.ids(tokens), seq, cfg, params)
+        loss = sequence_loss([(tv.ids(tokens), seq)], cfg, params)
         assert np.isfinite(loss.item())
         model = ExtractionModel(cfg, params, vocab, tv, {}, Traversal.BFS)
         res = greedy_decode(model, tokens)
@@ -398,11 +419,101 @@ class TestTrainingPath:
         tokens, g = ds.examples[3]
         seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
         ids = tv.ids(tokens)
-        logits, targets = sequence_logits(ids, seq, cfg, params)
+        logits, targets = sequence_logits([(ids, seq)], cfg, params)
         loss = nm.label_smoothed_ce(logits, targets, 0.1)
         loss.backward()
         masked = logits.data <= NEG_INF / 2
         assert (logits.grad[masked] == 0.0).all()
+
+
+def _grads(params):
+    return {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for k, p in params.items()}
+
+
+class TestBatchedTape:
+    """One padded tape per batch agrees with one example at a time."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self, vocab):
+        ds = synth_generate(40, seed=21)
+        tv, prepared = prepare_training_data(ds)
+        by_len = sorted(prepared, key=lambda p: (len(p[0]), len(p[1].items)))
+        batch = [by_len[0], by_len[-1], by_len[len(by_len) // 2], by_len[1]]
+        assert len({len(ids) for ids, _ in batch}) > 2 and len({len(s.items) for _, s in batch}) > 2
+        cfg = ModelConfig(d_m=32, layers=2, heads=4, m=16, dropout=0.3)
+        return batch, cfg, init_params(cfg, vocab, tv, seed=4)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_loss_and_grads_equal_mean_of_single_examples(self, mixed, training):
+        batch, cfg, params = mixed
+        for p in params.values():
+            p.grad = None
+        loss = sequence_loss(batch, cfg, params, training=training, rng=np.random.default_rng(6))
+        loss.backward()
+        batched = _grads(params)
+
+        rng = np.random.default_rng(6)  # single examples draw the same dropout stream in turn
+        singles, total = [], 0.0
+        for ex in batch:
+            for p in params.values():
+                p.grad = None
+            one = sequence_loss([ex], cfg, params, training=training, rng=rng)
+            one.backward()
+            total += one.item()
+            singles.append(_grads(params))
+        assert loss.item() == pytest.approx(total / len(batch), abs=1e-12)
+        means = {name: sum(s[name] for s in singles) / len(batch) for name in batched}
+        largest = max(np.abs(g).max() for g in means.values())
+        worst = max(np.abs(batched[name] - g).max() for name, g in means.items())
+        assert worst / largest < 1e-12
+
+    def test_dropout_masks_follow_per_example_draw_order(self, mixed):
+        from hyspa.model import _dropout_keep
+
+        _, cfg, _ = mixed
+        n, t = np.array([2, 4, 3]), np.array([5, 2, 3])
+        keep = _dropout_keep(n, t, 5, cfg, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        for b in range(3):
+            rows = np.r_[np.arange(n[b]), 4 + np.arange(t[b])]  # sources, then targets after n_pad
+            for layer in range(cfg.layers):
+                for kind in (0, 1):  # attention output, then FFN output
+                    mask = (rng.random((n[b] + t[b], cfg.d_m)) >= cfg.dropout) / (1.0 - cfg.dropout)
+                    assert np.array_equal(keep[layer, kind, b, rows], mask)
+        assert (keep.sum(axis=-1) == 0).sum() == cfg.layers * 2 * (3 * 9 - (n + t).sum())
+
+    def test_padding_gets_exactly_zero_gradient(self, vocab, mixed):
+        batch, cfg, params = mixed
+        logits, targets = sequence_logits(batch, cfg, params)
+        real = targets >= 0
+        weights = real / (len(batch) * real.sum(axis=1, keepdims=True))
+        loss = nm.label_smoothed_ce(logits, targets, 0.1, weights)
+        assert loss.item() == sequence_loss(batch, cfg, params).item()
+        loss.backward()
+        assert logits.data.shape[:2] == targets.shape
+        assert (logits.grad[~real] == 0.0).all()
+        for b, (ids, seq) in enumerate(batch):
+            assert real[b].sum() == len(seq.items) + 1
+            assert (logits.grad[b, :, vocab.l_p + len(ids) * cfg.m :] == 0.0).all()
+            assert (logits.data[b, :, vocab.l_p + len(ids) * cfg.m :] < NEG_INF / 2).all()
+        assert np.abs(logits.grad[real]).max() > 0.0
+
+    def test_nan_parameter_names_step_and_example(self, vocab, mixed):
+        batch, cfg, params = mixed
+        bad = {k: nm.Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
+        opt = AdamW(bad, peak_lr=1e-3, warmup=10)
+        train_step(batch, cfg, bad, opt)
+        bad["head_w5"].data[0, 0] = np.nan
+        ids, seq = batch[0]
+        with pytest.raises(FloatingPointError, match=rf"opt step 2: .*n={seq.n}, T={len(seq.items)}"):
+            train_step(batch, cfg, bad, opt)
+
+    def test_mixed_traversal_rejected(self, vocab, mixed):
+        batch, cfg, params = mixed
+        ds = synth_generate(4, seed=22)
+        _, dfs = prepare_training_data(ds, Traversal.DFS)
+        with pytest.raises(ModelError, match="traversal"):
+            sequence_loss([batch[0], dfs[0]], cfg, params)
 
 
 class TestCheckpoint:

@@ -62,6 +62,55 @@ class TestPrimitiveGradients:
         w = Tensor(rng.normal(size=(4, 3)))
         _check_op(lambda: nm.sum_all(nm.mul(nm.take_rows(t, ids), w)), {"t": t})
 
+    def test_linear_batched_left(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = Tensor(rng.normal(size=(5,)), requires_grad=True)
+        out = nm.linear(x, w, b)
+        assert np.array_equal(out.data, np.matmul(x.data, w.data) + b.data)
+        assert np.array_equal(nm.matmul(x, w).data, np.matmul(x.data, w.data))
+        g = Tensor(rng.normal(size=(2, 3, 5)))
+        _check_op(lambda: nm.sum_all(nm.mul(nm.linear(x, w, b), g)), {"x": x, "w": w, "b": b})
+        _check_op(lambda: nm.sum_all(nm.mul(nm.matmul(x, w), g)), {"x": x, "w": w})
+
+    def test_attention_weights(self, rng):
+        # one query row per batch, broadcast over three mask rows with closed cells
+        q = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+        mask = np.where(rng.random((2, 3, 5)) < 0.3, NEG_INF, 0.0)
+        mask[..., 0] = 0.0
+        w = Tensor(rng.normal(size=(2, 3, 5)))
+        p = nm.attention_weights(q, k, mask, 0.5).data
+        scores = 0.5 * (q.data @ np.swapaxes(k.data, 1, 2)) + mask
+        ref = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        assert np.allclose(p, ref / ref.sum(axis=-1, keepdims=True), atol=1e-15)
+        assert (p[mask < 0] == 0.0).all()
+        _check_op(lambda: nm.sum_all(nm.mul(nm.attention_weights(q, k, mask, 0.5), w)), {"q": q, "k": k})
+
+    def test_unfold_batched(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 7)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, 7, 4)))
+        _check_op(lambda: nm.sum_all(nm.mul(nm.unfold(x, 4, fill=0.0), w)), {"x": x})
+
+    def test_first_gradient_is_not_aliased(self, rng):
+        # add hands one array to both parents; a later += into one must not reach the other
+        a = Tensor(rng.normal(size=3), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        w, v = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3))
+        for swap in (False, True):
+            a.grad = b.grad = None
+            parts = [nm.sum_all(nm.mul(nm.add(a, b), w)), nm.sum_all(nm.mul(a, v))]
+            nm.add(*(parts[::-1] if swap else parts)).backward()
+            assert np.allclose(a.grad, w.data + v.data) and np.allclose(b.grad, w.data)
+
+    def test_backward_releases_the_graph(self, rng):
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        h = nm.relu(nm.matmul(x, Tensor(rng.normal(size=(4, 2)))))
+        loss = nm.sum_all(h)
+        loss.backward()
+        assert loss._parents == () and h._parents == () and h._backward is None
+        assert x.grad is not None and h.grad is not None
+
     def test_attention_composite(self, rng):
         q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         k = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
