@@ -311,21 +311,16 @@ def greedy_decode(
     return DecodeResult(seq, score, finished, diag)
 
 
-# Below this many admissible slots one sort beats partition + sort.
-_PARTITION_ABOVE = 256
-
-
 def _top_admissible(logp: np.ndarray, k: int) -> np.ndarray:
     """The at most ``k`` best admissible slots (logp > NEG_INF/2), best first.
 
     The order is that of a stable descending argsort (ties go to the lower
-    slot).  When there are many admissible slots, only those at or above the
-    k-th best value, found with a partition, are sorted: a full sort costs
-    1-2 ms at n=1024.
+    slot), but only the slots at or above the k-th best value, found with a
+    partition, are sorted: a full sort costs 1-2 ms at n=1024.
     """
     slots = np.flatnonzero(logp > NEG_INF / 2)
     vals = logp[slots]
-    if len(slots) > max(k, _PARTITION_ABOVE):
+    if len(slots) > k:
         at_least = vals >= np.partition(vals, len(vals) - k)[len(vals) - k]
         slots, vals = slots[at_least], vals[at_least]
     return slots[np.argsort(-vals, kind="stable")[:k]]

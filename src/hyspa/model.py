@@ -5,14 +5,17 @@ Two forward implementations coexist on purpose:
 
 * an autodiff path (``sequence_logits`` / ``sequence_loss`` /
   ``train_step``) used for training, built on :mod:`hyspa.numerics`.  It
-  takes a whole mini-batch and builds one tape for it: sources are padded to
-  the batch's largest n and targets to its largest length, every attention
-  and output mask gets a batch axis, and padding sits in the existing
-  NEG_INF masks (padded columns get probability exactly 0) or carries weight
-  0 in the cross entropy.  One backward pass then serves the whole batch.
-  Dropout masks are drawn example by example in the order a per-example
-  forward would draw them, so a batch and its examples one at a time agree
-  to rounding;
+  takes a batch of examples and builds one tape for it: sources are padded
+  to the batch's largest n and targets to its largest length, every
+  attention and output mask gets a batch axis, and padding sits in the
+  existing NEG_INF masks (padded columns get probability exactly 0) or
+  carries weight 0 in the cross entropy.  ``train_step`` splits a
+  mini-batch into runs of consecutive examples whose padded tape stays
+  small (``_tape_runs``), one tape and one backward pass per run: a
+  mini-batch of sentences is one run, and a long input gets a tape of its
+  own instead of padding the others to its length.  Dropout masks are drawn
+  example by example in the order a per-example forward would draw them,
+  so a batch and its examples one at a time agree to rounding;
 * a numpy inference engine (``encode_context``, ``DecodeSession``,
   ``decoder_forward``, ``span_head``).  ``encode_context`` runs once per
   input and stores each layer's source keys and values head-major,
@@ -356,9 +359,14 @@ def sequence_loss(
     strict: bool = False,
     training: bool = False,
     rng: np.random.Generator | None = None,
+    batch_size: int | None = None,
 ) -> Tensor:
     """Teacher-forced label-smoothed CE of a batch: the mean over examples of
     each example's mean per-position loss.
+
+    ``batch_size`` (default ``len(batch)``) is the size of the mini-batch
+    that ``batch`` is a run of: rows are weighted 1/(batch_size * T_b), so the
+    losses of a mini-batch's runs add up to the mini-batch's loss.
 
     Raises FloatingPointError naming the first example whose logits are not
     finite.
@@ -371,8 +379,37 @@ def sequence_loss(
         seq = batch[int(np.argmin(finite))][1]
         raise FloatingPointError(f"non-finite loss (n={seq.n}, T={len(seq.items)})")
     real = targets >= 0
-    weights = real / (len(batch) * real.sum(axis=1, keepdims=True))
+    weights = real / ((batch_size or len(batch)) * real.sum(axis=1, keepdims=True))
     return nm.label_smoothed_ce(logits, targets, label_smoothing, weights)
+
+
+# A run's tape holds (run, heads, rows, rows) attention weights per layer,
+# rows = n_pad + T_pad.  2**17 cells are about 8 MB of weights per layer at
+# 8 heads: every sentence mini-batch fits in one run, and a long input is a run
+# of its own instead of padding the others to its length.
+_RUN_CELLS = 2**17
+
+
+def _tape_runs(
+    batch: Sequence[tuple[np.ndarray, AltSequence]],
+) -> list[list[tuple[np.ndarray, AltSequence]]]:
+    """Split a mini-batch, in order, into runs of consecutive examples whose
+    padded tape, len(run) * (n_pad + T_pad)**2 cells, stays within _RUN_CELLS.
+
+    An example larger than that on its own is a run of one.  Runs keep the
+    batch order, so dropout masks are still drawn example by example.
+    """
+    runs: list[list[tuple[np.ndarray, AltSequence]]] = []
+    n_pad = t_pad = 0
+    for example in batch:
+        n, t = example[1].n, len(example[1].items) + 1
+        if runs and (len(runs[-1]) + 1) * (max(n_pad, n) + max(t_pad, t)) ** 2 <= _RUN_CELLS:
+            runs[-1].append(example)
+            n_pad, t_pad = max(n_pad, n), max(t_pad, t)
+        else:
+            runs.append([example])
+            n_pad, t_pad = n, t
+    return runs
 
 
 def train_step(
@@ -388,21 +425,28 @@ def train_step(
 ) -> float:
     """One optimizer step over a batch of (token_ids, target sequence) pairs.
 
-    The whole batch is one padded tape and one backward pass; the returned
-    loss is the mean over examples of each example's mean per-position loss.
+    Each run of ``_tape_runs`` is one padded tape and one backward pass, and
+    the gradients add up over the runs; a mini-batch of sentences is a single
+    run.  The returned loss is the mean over examples of each example's mean
+    per-position loss.
     """
+    if not batch:
+        raise ModelError("empty batch")
     opt.zero_grad()
-    try:
-        loss = sequence_loss(
-            batch, cfg, params,
-            label_smoothing=label_smoothing, strict=strict, training=True, rng=rng,
-        )
-    except FloatingPointError as err:
-        raise FloatingPointError(f"opt step {opt.step_count + 1}: {err}") from None
-    loss.backward()
+    total = 0.0
+    for run in _tape_runs(batch):
+        try:
+            loss = sequence_loss(
+                run, cfg, params, label_smoothing=label_smoothing, strict=strict,
+                training=True, rng=rng, batch_size=len(batch),
+            )
+        except FloatingPointError as err:
+            raise FloatingPointError(f"opt step {opt.step_count + 1}: {err}") from None
+        loss.backward()
+        total += loss.item()
     nm.clip_global_norm(params.values(), clip)
     opt.step()
-    return loss.item()
+    return total
 
 
 def prepare_training_data(dataset, traversal: Traversal = Traversal.BFS):

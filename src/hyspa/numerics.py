@@ -168,13 +168,6 @@ def mul(a, b) -> Tensor:
     return out
 
 
-def scale(a, c: float) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data * c, parents=(a,))
-    out._backward = lambda g: _accumulate(a, g * c)
-    return out
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product: 2-D, batched with equal batch dims, or batched-left
     ``(..., k) @ (k, n)`` (see ``linear``)."""
@@ -234,6 +227,7 @@ def relu(a) -> Tensor:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis; NEG_INF slots come out exactly 0."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -241,15 +235,6 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The gradient at softmax's input, given its output ``p`` and the gradient ``g`` at ``p``."""
     return p * (g - (g * p).sum(axis=-1, keepdims=True))
-
-
-def softmax(a) -> Tensor:
-    """Stable softmax over the last axis; NEG_INF slots come out exactly 0."""
-    a = _as_tensor(a)
-    p = _softmax(a.data)
-    out = Tensor(p, parents=(a,))
-    out._backward = lambda g: _accumulate(a, _softmax_grad(p, g))
-    return out
 
 
 def attention_weights(q, k, mask: np.ndarray, scale: float) -> Tensor:

@@ -498,6 +498,47 @@ class TestBatchedTape:
             assert (logits.data[b, :, vocab.l_p + len(ids) * cfg.m :] < NEG_INF / 2).all()
         assert np.abs(logits.grad[real]).max() > 0.0
 
+    @pytest.mark.parametrize("cells", [0, 1500, 4000, 2**17])
+    def test_tape_runs_are_greedy_consecutive_and_within_budget(self, mixed, monkeypatch, cells):
+        from hyspa import model as hm
+
+        batch, _, _ = mixed
+        monkeypatch.setattr(hm, "_RUN_CELLS", cells)
+        runs = hm._tape_runs(batch)
+
+        def cost(run):
+            return len(run) * max(s.n + len(s.items) + 1 for _, s in run) ** 2
+
+        assert [ex for run in runs for ex in run] == batch
+        assert all(len(run) == 1 or cost(run) <= cells for run in runs)
+        assert all(cost(a + b[:1]) > cells for a, b in zip(runs, runs[1:]))
+        if cells == 2**17:
+            assert len(runs) == 1
+
+    def test_train_step_over_runs_equals_one_tape(self, mixed, monkeypatch):
+        from hyspa import model as hm
+
+        batch, cfg, params = mixed
+
+        def step():
+            copy = {k: nm.Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}
+            opt = AdamW(copy, peak_lr=1e-3, warmup=10)
+            loss = train_step(batch, cfg, copy, opt, rng=np.random.default_rng(8))
+            return loss, _grads(copy)
+
+        one_loss, one = step()
+        monkeypatch.setattr(hm, "_RUN_CELLS", 0)  # every example a run of its own
+        assert len(hm._tape_runs(batch)) == len(batch)
+        runs_loss, runs = step()
+        assert runs_loss == pytest.approx(one_loss, abs=1e-12)
+        largest = max(np.abs(g).max() for g in one.values())
+        assert max(np.abs(runs[k] - g).max() for k, g in one.items()) / largest < 1e-12
+
+    def test_empty_batch_rejected(self, mixed):
+        _, cfg, params = mixed
+        with pytest.raises(ModelError, match="empty batch"):
+            train_step([], cfg, params, AdamW(params, peak_lr=1e-3, warmup=10))
+
     def test_nan_parameter_names_step_and_example(self, vocab, mixed):
         batch, cfg, params = mixed
         bad = {k: nm.Tensor(v.data.copy(), requires_grad=True) for k, v in params.items()}

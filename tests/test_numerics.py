@@ -27,9 +27,11 @@ class TestPrimitiveGradients:
         _check_op(lambda: nm.sum_all(nm.matmul(a, b)), {"a": a, "b": b})
 
     def test_softmax(self, rng):
+        # attention weights against identity keys are the softmax of the queries
         x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(6,)))
-        _check_op(lambda: nm.sum_all(nm.mul(nm.softmax(x), w)), {"x": x})
+        eye = Tensor(np.eye(6))
+        _check_op(lambda: nm.sum_all(nm.mul(nm.attention_weights(x, eye, 0.0, 1.0), w)), {"x": x})
 
     def test_log_softmax(self, rng):
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
@@ -118,8 +120,7 @@ class TestPrimitiveGradients:
         w = Tensor(rng.normal(size=(3, 4)))
 
         def build():
-            scores = nm.scale(nm.matmul(q, nm.transpose(k, (1, 0))), 0.5)
-            return nm.sum_all(nm.mul(nm.matmul(nm.softmax(scores), v), w))
+            return nm.sum_all(nm.mul(nm.matmul(nm.attention_weights(q, k, 0.0, 0.5), v), w))
 
         _check_op(build, {"q": q, "k": k, "v": v})
 
@@ -127,8 +128,9 @@ class TestPrimitiveGradients:
 class TestSoftmaxLayerNormInvariants:
     def test_softmax_sums_to_one_over_unmasked(self, rng):
         x = rng.normal(size=(8, 10))
-        x[:, 3] = NEG_INF
-        p = nm.softmax(Tensor(x)).data
+        mask = np.zeros(10)
+        mask[3] = NEG_INF
+        p = nm.attention_weights(Tensor(x), Tensor(np.eye(10)), mask, 1.0).data
         assert np.allclose(p.sum(axis=-1), 1.0)
         assert (p >= 0).all()
         assert (p[:, 3] == 0.0).all()
