@@ -1,17 +1,13 @@
 """Command-line entry point wiring the library into user-facing workflows.
 
 Exit codes: 0 success, 1 assertion/verification failure, 2 usage error.
-Flag values override config-file values override built-in defaults.  The
-HYSPA_THREADS environment variable caps worker parallelism for the
-embarrassingly parallel subcommands.
+Flag values override config-file values override built-in defaults.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -45,25 +41,6 @@ from .model import (
 from .type_vocab import TypeVocab, load_vocab
 
 
-def worker_count() -> int:
-    cap = os.environ.get("HYSPA_THREADS")
-    avail = os.cpu_count() or 1
-    if cap:
-        try:
-            return max(1, min(int(cap), avail))
-        except ValueError:
-            return 1
-    return avail
-
-
-def _parallel_map(fn, items):
-    workers = worker_count()
-    if workers <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load_vocab_arg(args) -> TypeVocab:
     if getattr(args, "vocab", None):
         return load_vocab(args.vocab)
@@ -88,11 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--beam", type=int, default=1)
             p.add_argument("--length-penalty", type=float, default=1.0)
             p.add_argument("--max-len", type=int, default=None)
-            p.add_argument(
-                "--strict-typing", action="store_true",
-                help="accepted for interface parity; generation always enforces "
-                     "the structural constraints, the flag tightens training masks",
-            )
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     common(p)
@@ -220,16 +192,11 @@ def _cmd_roundtrip(args) -> int:
     ds = load_jsonl(args.data, vocab, m=args.m)
     traversal = Traversal(args.traversal)
 
-    def check(example):
-        tokens, g = example
+    bad = 0
+    for _, g in ds.examples:
         seq = encode(canonicalize(g, ds.edge_freq, vocab), vocab, args.m, traversal)
-        if validate_sequence(seq) is not None:
-            return False
-        return graph_equal(g, decode_sequence(seq))
-
-    results = _parallel_map(check, ds.examples)
-    bad = results.count(False)
-    print(f"roundtrip {args.traversal}: {len(results) - bad}/{len(results)} ok")
+        bad += validate_sequence(seq) is not None or not graph_equal(g, decode_sequence(seq))
+    print(f"roundtrip {args.traversal}: {len(ds) - bad}/{len(ds)} ok")
     return 1 if bad else 0
 
 

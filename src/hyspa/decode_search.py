@@ -19,7 +19,7 @@ import numpy as np
 
 from .altseq_codec import AltSequence, SequenceDecodeError, Traversal, decode_sequence
 from .info_graph import InfoGraph
-from .model import DecodeSession, ExtractionModel, span_head
+from .model import DecodeSession, ExtractionModel, decode_step, span_head
 from .numerics import NEG_INF
 from .type_vocab import ElementClass, TypeVocab, classify
 
@@ -258,22 +258,21 @@ def default_max_len(n: int) -> int:
     return max(32, 4 * n + 16)
 
 
-def _step_logprobs(model: ExtractionModel, session, machine: GenConstraints, items):
-    prev_index = items[-1] if items else None
-    prev_cls = (
-        ElementClass.VIRTUAL_SOS
-        if prev_index is None
-        else classify(prev_index, model.vocab, machine.n, machine.m)
-    )
+def _step_logprobs(model: ExtractionModel, sessions, machines, histories) -> np.ndarray:
+    """(B, l_p + n*m) log-probabilities of the next element of B hypotheses
+    of one input: one span-head call over their last hidden rows."""
+    vocab, n, m = model.vocab, machines[0].n, machines[0].m
+    prev = [items[-1] if items else None for items in histories]
+    classes = [ElementClass.VIRTUAL_SOS if k is None else classify(k, vocab, n, m) for k in prev]
     _, logp = span_head(
-        session.last_hidden,
-        session.ctx,
-        prev_cls,
+        np.array([s.last_hidden for s in sessions]),
+        sessions[0].ctx,
+        classes,
         model.cfg,
         model.params,
-        prev_index=prev_index,
-        extra_mask=machine.mask(),
-        vocab=model.vocab,
+        prev_index=prev,
+        extra_mask=np.array([machine.mask() for machine in machines]),
+        vocab=vocab,
     )
     return logp
 
@@ -294,7 +293,7 @@ def greedy_decode(
     score = 0.0
     finished = False
     while True:
-        logp = _step_logprobs(model, session, machine, items)
+        logp = _step_logprobs(model, [session], [machine], [items])[0]
         k = int(np.argmax(logp))
         if k == model.vocab.eos_index:
             score += float(logp[k])
@@ -344,17 +343,24 @@ def beam_decode(
 ) -> DecodeResult:
     """Length-normalized beam search (score / steps**penalty) under the machine.
 
-    beam=1, penalty=1 follows exactly the greedy path, tie-breaks included.
+    beam=1, penalty=1 follows exactly the greedy path, tie-breaks included,
+    and gives the greedy score bitwise: with one live hypothesis every step
+    runs the one-row kernels greedy decoding runs.
 
-    Each step keeps the ``beam`` best continuations that are not [EOS].  The
-    last kept child of each hypothesis takes over its parent's session and
-    constraint machine in place; only its siblings fork, so beam 1 never
-    forks.  The search stops once some hypothesis has finished and no live
-    one can still beat the best finished score: log-probabilities are <= 0
-    and no hypothesis runs more than max_len+1 steps, so a live raw score s
-    ends at best s / (max_len+1)**penalty, and a hypothesis that finishes
-    later is longer, so it loses a tie.  Only the best finished hypothesis is
-    returned, so stopping there changes no result.
+    Each step scores all live hypotheses with one ``span_head`` call over
+    their last hidden rows, and keeps the ``beam`` best continuations that
+    are not [EOS].  The last kept child of each hypothesis takes over its
+    parent's session and constraint machine in place; only its siblings fork
+    (a prefix copy), so beam 1 never forks.  The kept children then advance
+    together in one ``decode_step`` call, one row each.
+
+    The search stops once some hypothesis has finished and no live one can
+    still beat the best finished score: log-probabilities are <= 0 and no
+    hypothesis runs more than max_len+1 steps, so a live raw score s ends at
+    best s / (max_len+1)**penalty, and a hypothesis that finishes later is
+    longer, so it loses a tie.  Only the best finished hypothesis is
+    returned, so stopping there changes no result, and the children of that
+    last step are not fed.
     """
     if beam < 1 or length_penalty <= 0:
         raise ValueError("beam must be >= 1 and length_penalty > 0")
@@ -369,9 +375,11 @@ def beam_decode(
     steps = 0
     while live and steps <= max_len + 1:
         steps += 1
+        logps = _step_logprobs(
+            model, [h.session for h in live], [h.machine for h in live], [h.items for h in live]
+        )
         candidates = []  # (new_score, slot, hyp_pos, hyp)
-        for pos, hyp in enumerate(live):
-            logp = _step_logprobs(model, hyp.session, hyp.machine, hyp.items)
+        for pos, (hyp, logp) in enumerate(zip(live, logps)):
             for k in _top_admissible(logp, beam + 1):
                 if k != model.vocab.eos_index and len(hyp.items) >= max_len:
                     continue  # budget exhausted: only [EOS] may extend
@@ -394,13 +402,14 @@ def beam_decode(
                 session, machine = hyp.session, hyp.machine
             else:
                 session, machine = hyp.session.fork(), hyp.machine.fork()
-            session.append(k)
             machine.push(k)
             live.append(_Hyp(hyp.items + [k], new_score, session, machine))
         if done and live:
             best_done = max(d[0] for d in done)
             if max(h.score for h in live) / (max_len + 1) ** length_penalty <= best_done:
                 break
+        if live:
+            decode_step([h.session for h in live], [h.items[-1] for h in live])
     if done:
         done.sort(key=lambda d: (-d[0], len(d[2])))
         penalized, raw, items = done[0]
@@ -537,7 +546,7 @@ def bench_decode_steps(
         items: list[int] = []
 
         def one_step():
-            logp = _step_logprobs(model, session, machine, items)
+            logp = _step_logprobs(model, [session], [machine], [items])[0]
             k = int(np.argmax(logp))
             if k == model.vocab.eos_index:  # keep stepping: pick the runner-up
                 logp[k] = NEG_INF

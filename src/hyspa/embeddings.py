@@ -9,6 +9,7 @@ plus a sinusoidal intra-level connection embedding.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,17 +37,25 @@ class PositionAnnotation:
     offset: int  # position within the level (DFS connection distance)
 
 
+@functools.lru_cache(maxsize=8)
+def _frequencies(d_m: int) -> np.ndarray:
+    """The d_m/2 sinusoid frequencies, cached read-only: the decoder asks for
+    one position row per step."""
+    if d_m % 2 != 0:
+        raise ValueError(f"d_m must be even, got {d_m}")
+    half = np.arange(d_m // 2, dtype=np.float64)
+    freqs = np.power(10000.0, -2.0 * half / d_m)
+    freqs.flags.writeable = False
+    return freqs
+
+
 def sinusoidal(pos, d_m: int) -> np.ndarray:
     """Interleaved sin/cos position encoding; pos=0 gives [0, 1, 0, 1, ...].
 
     ``pos`` is an int or an integer array; the result has shape
     np.shape(pos) + (d_m,), each row computed as for its int.
     """
-    if d_m % 2 != 0:
-        raise ValueError(f"d_m must be even, got {d_m}")
-    half = np.arange(d_m // 2, dtype=np.float64)
-    freqs = np.power(10000.0, -2.0 * half / d_m)
-    angles = np.multiply.outer(pos, freqs)
+    angles = np.multiply.outer(pos, _frequencies(d_m))
     out = np.empty(angles.shape[:-1] + (d_m,))
     out[..., 0::2] = np.sin(angles)
     out[..., 1::2] = np.cos(angles)

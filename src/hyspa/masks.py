@@ -47,7 +47,7 @@ def alternating_masks(
     m_a = np.full(vocab.l_p, NEG_INF)
     m_a_prime = np.full(n, NEG_INF)
     if prev.is_node_element:
-        m_a[list(vocab.real_edge_indices)] = 0.0
+        m_a[: len(vocab.edge_types)] = 0.0  # the real edge types
         m_a[vocab.sep_index] = 0.0
         return m_a, m_a_prime
     if prev is ElementClass.VIRTUAL_SEP:

@@ -17,17 +17,21 @@ Two forward implementations coexist on purpose:
   example by example in the order a per-example forward would draw them,
   so a batch and its examples one at a time agree to rounding;
 * a numpy inference engine (``encode_context``, ``DecodeSession``,
-  ``decoder_forward``, ``span_head``).  ``encode_context`` runs once per
-  input and stores each layer's source keys and values head-major,
-  ``(heads, n, d/heads)``.  Every target row then goes through one step
-  kernel, ``DecodeSession.append``, which handles all heads in one batched
-  matmul against those caches and the session's own head-major target
-  caches.  Cached decoding and full recomputation (``decoder_forward``
-  without a cache) both feed rows through that kernel with the same shapes,
-  so they are bitwise equal.  ``DecodeSession.fork`` copies only the filled
-  prefix of the target caches, and beam search lets the last child of each
-  hypothesis reuse its parent's session in place (see
-  ``decode_search.beam_decode``).
+  ``decode_step``, ``decoder_forward``, ``span_head``).  ``encode_context``
+  runs once per input and stores each layer's source keys and values
+  head-major, ``(heads, n, d/heads)``.  Every target row then goes through
+  one step kernel, ``decode_step``, which takes B sessions of one input (one
+  per live beam hypothesis) and one element each: the projections and the
+  FFN are (B, d) GEMMs, the source attention reads the shared caches once
+  for all B queries, and the target attention reads the sessions' own
+  head-major caches stacked to (B, heads, t+1, d/heads).
+  ``DecodeSession.append`` is its one-row call, and cached decoding, full
+  recomputation (``decoder_forward`` without a cache) and greedy decoding
+  all feed rows through it with the same shapes, so they are bitwise equal.
+  ``span_head`` likewise scores B hidden rows in one call.
+  ``DecodeSession.fork`` copies only the filled prefix of the target caches,
+  and beam search lets the last child of each hypothesis reuse its parent's
+  session in place (see ``decode_search.beam_decode``).
 
 The paper-style external embedders are replaced by one trainable lookup table
 covering type names and text tokens; text rows additionally receive the
@@ -107,47 +111,49 @@ class TokenVocab:
         return getattr(self, "_cache")
 
 
-def init_params(cfg: ModelConfig, vocab: TypeVocab, token_vocab: TokenVocab, seed: int = 0) -> dict[str, Tensor]:
-    rng = np.random.default_rng(seed)
+def param_shapes(cfg: ModelConfig, vocab: TypeVocab, token_vocab: TokenVocab) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter, in the order ``init_params`` draws them."""
     d = cfg.d_m
-
-    def p(*shape):
-        return Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    params: dict[str, Tensor] = {
-        "embed": p(vocab.l_p + len(token_vocab), d),
-        "meta": p(4, d),
-        "span_w1": p(d, d),
-        "span_b1": zeros(d),
-        "span_w2": p(d, d),
-        "span_b2": zeros(d),
-        "trav_pc": p(2, d),
-        "trav_tree": p(3 * TREE_BRANCH_CAP, d),
-        "dfs_level": p(DFS_LEVEL_TABLE, d),
-        "srctgt": p(2, d),
-        "head_w5": p(d, d),
-        "head_b5": zeros(d),
-        "head_w6": p(d, d),
-        "head_b6": zeros(d),
+    shapes: dict[str, tuple[int, ...]] = {
+        "embed": (vocab.l_p + len(token_vocab), d),
+        "meta": (4, d),
+        "span_w1": (d, d),
+        "span_b1": (d,),
+        "span_w2": (d, d),
+        "span_b2": (d,),
+        "trav_pc": (2, d),
+        "trav_tree": (3 * TREE_BRANCH_CAP, d),
+        "dfs_level": (DFS_LEVEL_TABLE, d),
+        "srctgt": (2, d),
+        "head_w5": (d, d),
+        "head_b5": (d,),
+        "head_w6": (d, d),
+        "head_b6": (d,),
     }
     for i in range(cfg.layers):
-        params[f"L{i}.wq"] = p(d, d)
-        params[f"L{i}.bq"] = zeros(d)
-        params[f"L{i}.wk"] = p(d, d)
-        params[f"L{i}.bk"] = zeros(d)
-        params[f"L{i}.wv"] = p(d, d)
-        params[f"L{i}.bv"] = zeros(d)
-        params[f"L{i}.w3"] = p(d, 4 * d)
-        params[f"L{i}.b3"] = zeros(4 * d)
-        params[f"L{i}.w4"] = p(4 * d, d)
-        params[f"L{i}.b4"] = zeros(d)
-        params[f"L{i}.ln1_g"] = Tensor(np.ones(d), requires_grad=True)
-        params[f"L{i}.ln1_b"] = zeros(d)
-        params[f"L{i}.ln2_g"] = Tensor(np.ones(d), requires_grad=True)
-        params[f"L{i}.ln2_b"] = zeros(d)
+        shapes.update({
+            f"L{i}.wq": (d, d), f"L{i}.bq": (d,),
+            f"L{i}.wk": (d, d), f"L{i}.bk": (d,),
+            f"L{i}.wv": (d, d), f"L{i}.bv": (d,),
+            f"L{i}.w3": (d, 4 * d), f"L{i}.b3": (4 * d,),
+            f"L{i}.w4": (4 * d, d), f"L{i}.b4": (d,),
+            f"L{i}.ln1_g": (d,), f"L{i}.ln1_b": (d,),
+            f"L{i}.ln2_g": (d,), f"L{i}.ln2_b": (d,),
+        })
+    return shapes
+
+
+def init_params(cfg: ModelConfig, vocab: TypeVocab, token_vocab: TokenVocab, seed: int = 0) -> dict[str, Tensor]:
+    """Matrices drawn from N(0, 0.02^2) in ``param_shapes`` order; biases 0,
+    layer-norm gains 1."""
+    rng = np.random.default_rng(seed)
+    params: dict[str, Tensor] = {}
+    for name, shape in param_shapes(cfg, vocab, token_vocab).items():
+        if len(shape) == 2:
+            data = rng.normal(0.0, 0.02, shape)
+        else:
+            data = np.ones(shape) if name.endswith("_g") else np.zeros(shape)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -502,17 +508,12 @@ def fit(
 
 
 # ---------------------------------------------------------------------------
-# inference engine (deterministic numpy, one step kernel per target row)
+# inference engine (deterministic numpy, one step kernel for B target rows)
 # ---------------------------------------------------------------------------
 
 def _softmax_vec(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum()
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    mx = x.max()
-    return float(mx + np.log(np.exp(x - mx).sum()))
+    e = np.exp(x - np.maximum.reduce(x))
+    return e / np.add.reduce(e)
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -663,13 +664,13 @@ class DecodeSession:
 
     ``append`` encodes one more input element, pushes it through the decoder
     blocks with cached keys/values, and leaves the final hidden row in
-    ``last_hidden``.  Each step runs one kernel over all heads at once: the
-    new row's query meets the head-major source caches of the context and the
-    session's own head-major target caches, ``(heads, max_len+1, d/heads)``
-    per layer, in one batched matmul for the scores and two for the values.
+    ``last_hidden``.  It is the one-row call of ``decode_step``, which beam
+    search calls once per step with the sessions of all live hypotheses.  The
+    session owns its head-major target caches, ``(heads, max_len+1,
+    d/heads)`` per layer; the source caches belong to the shared context.
     Full recomputation (``decoder_forward`` without a cache) feeds the
-    elements through this same kernel one by one, so both give bitwise-equal
-    rows.
+    elements through the same one-row call one by one, so both give
+    bitwise-equal rows.
 
     ``fork`` gives an independent copy for beam search.  It copies only the
     ``t`` rows of the target caches that are filled; later rows are written
@@ -690,7 +691,10 @@ class DecodeSession:
         self.vocab = vocab
         self.traversal = traversal
         self.max_len = max_len
-        self.np_params = {k: v.data for k, v in params.items()}
+        self.np_params = p = {k: v.data for k, v in params.items()}
+        for i in range(cfg.layers):  # Q, K and V side by side: one projection GEMM per layer
+            p[f"L{i}.wqkv"] = np.concatenate([p[f"L{i}.wq"], p[f"L{i}.wk"], p[f"L{i}.wv"]], axis=1)
+            p[f"L{i}.bqkv"] = np.concatenate([p[f"L{i}.bq"], p[f"L{i}.bk"], p[f"L{i}.bv"]])
         self.annotator = make_annotator(traversal, vocab, ctx.n, cfg.m)
         self.t = 0
         shape = (cfg.heads, max_len + 1, cfg.d_m // cfg.heads)
@@ -714,37 +718,75 @@ class DecodeSession:
         clone.last_hidden = None if self.last_hidden is None else self.last_hidden.copy()
         return clone
 
-    def _trav_row(self, ann: PositionAnnotation) -> np.ndarray:
-        return _traversal_row(ann, self.traversal, self.cfg.d_m, self.np_params)
+    def _input_row(self, k: int | None) -> np.ndarray:
+        """Span-attention row of the next input element plus its traversal
+        embedding; None is the [SOS] context row."""
+        cfg, ctx = self.cfg, self.ctx
+        if k is None:
+            return _span_row(ctx, self.vocab.sos_index, cfg.m)
+        ann = self.annotator.push(k)
+        return _span_row(ctx, k, cfg.m) + _traversal_row(ann, self.traversal, cfg.d_m, self.np_params)
 
     def append(self, k: int | None) -> None:
-        """Feed the next input element (None = the [SOS] context row)."""
-        if self.t > self.max_len:
-            raise ModelError("decode session exceeded max_len")
-        cfg, p, ctx = self.cfg, self.np_params, self.ctx
-        d, heads, n = cfg.d_m, cfg.heads, ctx.n
-        if k is None:
-            row = _span_row(ctx, self.vocab.sos_index, cfg.m)
-        else:
-            row = _span_row(ctx, k, cfg.m) + self._trav_row(self.annotator.push(k))
-        x = row + p["srctgt"][1]
-        t = self.t
-        for i in range(cfg.layers):
-            q = x @ p[f"L{i}.wq"] + p[f"L{i}.bq"]
-            tgt_k, tgt_v = self.tgt_k[i][:, : t + 1], self.tgt_v[i][:, : t + 1]
-            tgt_k[:, t] = (x @ p[f"L{i}.wk"] + p[f"L{i}.bk"]).reshape(heads, -1)
-            tgt_v[:, t] = (x @ p[f"L{i}.wv"] + p[f"L{i}.bv"]).reshape(heads, -1)
-            qh = q.reshape(heads, -1, 1)
-            scores = np.concatenate([ctx.src_k[i] @ qh, tgt_k @ qh], axis=1)[:, :, 0] / math.sqrt(d)
-            w = np.exp(scores - scores.max(axis=1, keepdims=True))
-            w = (w / w.sum(axis=1, keepdims=True))[:, None, :]
-            out = w[:, :, :n] @ ctx.src_v[i] + w[:, :, n:] @ tgt_v
-            x1 = _layer_norm(out.reshape(d) + x, p[f"L{i}.ln1_g"], p[f"L{i}.ln1_b"])
-            inner = np.maximum(x1 @ p[f"L{i}.w3"] + p[f"L{i}.b3"], 0.0)
-            ffn = inner @ p[f"L{i}.w4"] + p[f"L{i}.b4"]
-            x = _layer_norm(ffn + x1, p[f"L{i}.ln2_g"], p[f"L{i}.ln2_b"])
-        self.last_hidden = x
-        self.t = t + 1
+        """Feed the next input element (None = the [SOS] context row): the
+        one-row call of ``decode_step``."""
+        decode_step([self], [k])
+
+
+def decode_step(sessions: Sequence[DecodeSession], elements: Sequence[int | None]) -> None:
+    """Feed one input element to each session: one decoder step over B rows.
+
+    The sessions share one context, configuration and parameters, and have
+    all been fed the same number of rows.  Per layer, the projections and the
+    FFN are (B, d) GEMMs, the source attention reads the shared head-major
+    source caches once for all B queries, and the target attention reads the
+    sessions' own caches stacked to (B, heads, t+1, d/heads).  With B = 1
+    every product has the shapes of a single-row step, so a session fed alone
+    always gives the same bits.
+    """
+    lead = sessions[0]
+    cfg, p, ctx, t = lead.cfg, lead.np_params, lead.ctx, lead.t
+    if t > lead.max_len:
+        raise ModelError("decode session exceeded max_len")
+    if any(s.t != t or s.ctx is not ctx for s in sessions):
+        raise ModelError("decode_step needs sessions of one context, all fed the same number of rows")
+    B, d, heads, n = len(sessions), cfg.d_m, cfg.heads, ctx.n
+    # np.array stacks a short list of arrays at a fifth of np.stack's overhead
+    x = np.array([s._input_row(k) for s, k in zip(sessions, elements)]) + p["srctgt"][1]
+    for i in range(cfg.layers):
+        qkv = (x @ p[f"L{i}.wqkv"] + p[f"L{i}.bqkv"]).reshape(B, 3, heads, -1)
+        q = qkv[:, 0]  # (B, heads, dh)
+        for b, s in enumerate(sessions):
+            s.tgt_k[i][:, t] = qkv[b, 1]
+            s.tgt_v[i][:, t] = qkv[b, 2]
+        tgt_k = _stacked([s.tgt_k[i] for s in sessions], t + 1)  # (B, heads, t+1, dh)
+        tgt_v = _stacked([s.tgt_v[i] for s in sessions], t + 1)
+        src_scores = ctx.src_k[i] @ q.transpose(1, 2, 0)  # (heads, n, B)
+        tgt_scores = tgt_k @ q[..., None]  # (B, heads, t+1, 1)
+        scores = np.concatenate([src_scores.transpose(2, 0, 1), tgt_scores[..., 0]], axis=2)
+        scores /= math.sqrt(d)
+        scores -= np.maximum.reduce(scores, axis=2, keepdims=True)
+        w = np.exp(scores, out=scores)
+        w /= np.add.reduce(w, axis=2, keepdims=True)  # (B, heads, n+t+1)
+        src_out = w.transpose(1, 0, 2)[:, :, :n] @ ctx.src_v[i]  # (heads, B, dh)
+        tgt_out = w[:, :, None, n:] @ tgt_v  # (B, heads, 1, dh)
+        out = (src_out.transpose(1, 0, 2) + tgt_out[:, :, 0]).reshape(B, d)
+        x1 = _layer_norm(out + x, p[f"L{i}.ln1_g"], p[f"L{i}.ln1_b"])
+        inner = np.maximum(x1 @ p[f"L{i}.w3"] + p[f"L{i}.b3"], 0.0)
+        ffn = inner @ p[f"L{i}.w4"] + p[f"L{i}.b4"]
+        x = _layer_norm(ffn + x1, p[f"L{i}.ln2_g"], p[f"L{i}.ln2_b"])
+    for b, s in enumerate(sessions):
+        s.last_hidden = x[b]
+        s.t = t + 1
+
+
+def _stacked(caches: list[np.ndarray], t: int) -> np.ndarray:
+    """The first ``t`` rows of B head-major caches as one (B, heads, t, dh)
+    array: a view of a single cache, which greedy decoding reads at every
+    step, or a stacked copy of several."""
+    if len(caches) == 1:
+        return caches[0][None, :, :t]
+    return np.array([c[:, :t] for c in caches])
 
 
 def _prefix_copy(cache: np.ndarray, t: int) -> np.ndarray:
@@ -787,34 +829,50 @@ def decoder_forward(
 def span_head(
     hidden: np.ndarray,
     ctx: ContextRep,
-    prev_class: ElementClass,
+    prev_class: ElementClass | Sequence[ElementClass],
     cfg: ModelConfig,
     params: dict[str, Tensor],
     *,
-    prev_index: int | None = None,
+    prev_index: int | None | Sequence[int | None] = None,
     strict: bool = False,
     extra_mask: np.ndarray | None = None,
     vocab: TypeVocab,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and log-probabilities over the n*m + l_p output slots.
+    """Scores and log-probabilities over the l_p + n*m output slots.
+
+    ``hidden`` holds B rows, (B, d), each with its own previous element class
+    and index (sequences of B) and row of ``extra_mask``, (B, l_p + n*m); the
+    results are (B, l_p + n*m).  One row, (d,), takes a single class and
+    index and gives 1-D results.
 
     Slot k < l_p is type k; slot l_p + j*m + d is the span (j, j+d+1).  Window
     cells running past the text and alternating-mask slots sit at NEG_INF and
-    get probability exactly 0.
+    get probability exactly 0.  Each of the four products against the type
+    and text rows covers all B rows; with one row they have the shapes of a
+    single-row head, so a row scored alone always gives the same bits.
     """
-    n, m = ctx.n, cfg.m
+    if hidden.ndim == 1:
+        scores, logp = span_head(
+            hidden[None], ctx, [prev_class], cfg, params, prev_index=[prev_index], strict=strict,
+            extra_mask=None if extra_mask is None else extra_mask[None], vocab=vocab,
+        )
+        return scores[0], logp[0]
+    n, m, l_p = ctx.n, cfg.m, ctx.l_p
     s = hidden @ params["head_w5"].data + params["head_b5"].data
     e = hidden @ params["head_w6"].data + params["head_b6"].data
-    m_a, m_ap = alternating_masks(prev_class, vocab, n, strict=strict, prev_index=prev_index)
-    type_scores = ctx.h_types @ s + ctx.h_types @ e + m_a
-    ts_vec = ctx.h_text @ s + m_ap
-    te_vec = ctx.h_text @ e + m_ap
+    m_a, m_ap = np.empty((len(hidden), l_p)), np.empty((len(hidden), n))
+    for b, (cls, k) in enumerate(zip(prev_class, prev_index)):
+        m_a[b], m_ap[b] = alternating_masks(cls, vocab, n, strict=strict, prev_index=k)
+    type_scores = (ctx.h_types @ s.T).T + (ctx.h_types @ e.T).T + m_a
+    ts_vec = (ctx.h_text @ s.T).T + m_ap
+    te_vec = (ctx.h_text @ e.T).T + m_ap
     idx, inside = nm.span_windows(n, m)
-    t_mat = np.where(inside, ts_vec[:, None] + te_vec[idx], NEG_INF)
-    scores = np.concatenate([type_scores, t_mat.reshape(-1)])
+    t_mat = np.where(inside, ts_vec[:, :, None] + te_vec.take(idx, axis=1), NEG_INF)
+    scores = np.concatenate([type_scores, t_mat.reshape(len(hidden), n * m)], axis=1)
     if extra_mask is not None:
-        scores = scores + extra_mask
-    logp = scores - _logsumexp(scores)
+        scores += extra_mask
+    mx = np.maximum.reduce(scores, axis=1, keepdims=True)
+    logp = scores - (mx + np.log(np.add.reduce(np.exp(scores - mx), axis=1, keepdims=True)))
     return scores, logp
 
 
@@ -870,5 +928,22 @@ class ExtractionModel:
         cfg = ModelConfig(**meta["cfg"])
         vocab = build_vocab(meta["edge_types"], meta["node_types"])
         token_vocab = TokenVocab(tokens=tuple(meta["tokens"]))
+        _check_params(params, param_shapes(cfg, vocab, token_vocab), path)
         edge_freq = {int(k): v for k, v in meta["edge_freq"].items()}
         return cls(cfg, params, vocab, token_vocab, edge_freq, Traversal(meta["traversal"]))
+
+
+def _check_params(params: dict[str, Tensor], shapes: dict[str, tuple[int, ...]], path) -> None:
+    """ModelError naming the first parameter that is missing, has the wrong
+    shape, or is not part of the configured model."""
+    for name, shape in shapes.items():
+        if name not in params:
+            raise ModelError(f"checkpoint {path}: parameter {name} {shape} is missing")
+        if params[name].data.shape != shape:
+            raise ModelError(
+                f"checkpoint {path}: parameter {name} has shape {params[name].data.shape}, "
+                f"the saved config needs {shape}"
+            )
+    for name in params:
+        if name not in shapes:
+            raise ModelError(f"checkpoint {path}: parameter {name} is not part of the saved config")

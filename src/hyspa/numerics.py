@@ -500,16 +500,25 @@ class AdamW:
         b1, b2 = self.betas
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
+        # In place, with each operation's operands and order as in
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+        # p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps) + weight_decay*p)
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            mhat = self.m[name] / bc1
-            vhat = self.v[name] / bc2
-            decay = self.weight_decay * p.data
-            p.data -= lr * (mhat / (np.sqrt(vhat) + self.eps) + decay)
+            g, m, v = p.grad, self.m[name], self.v[name]
+            a, c = np.empty(m.shape), np.empty(m.shape)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=a)
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bc1, out=a)
+            np.sqrt(np.divide(v, bc2, out=c), out=c)
+            a /= np.add(c, self.eps, out=c)
+            a += np.multiply(p.data, self.weight_decay, out=c)
+            a *= lr
+            p.data -= a
         return lr
 
     def zero_grad(self) -> None:

@@ -6,7 +6,7 @@ import pytest
 
 from testutil import FIG4_TOKENS
 
-from hyspa.cli import run, worker_count
+from hyspa.cli import run
 
 
 def invoke(*argv):
@@ -85,16 +85,6 @@ class TestUsageErrors:
 
     def test_missing_file_exits_1(self, tmp_path):
         assert invoke("roundtrip", "--data", str(tmp_path / "nope.jsonl")) == 1
-
-
-class TestWorkerCount:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("HYSPA_THREADS", "1")
-        assert worker_count() == 1
-        monkeypatch.setenv("HYSPA_THREADS", "not-a-number")
-        assert worker_count() == 1
-        monkeypatch.delenv("HYSPA_THREADS")
-        assert worker_count() >= 1
 
 
 class TestModelCommands:

@@ -73,16 +73,27 @@ class ScriptedModel:
 
 
 def _patch_scripted(monkeypatch):
-    """Route span_head through the scripted session's current row."""
+    """Route span_head through each scripted session's current row, and the
+    batched decoder step through each session's own append."""
     import hyspa.decode_search as ds_mod
 
-    def fake_step_logprobs(model, session, machine, items):
-        scores = session.script[session.step].copy() + machine.mask()
-        mx = scores.max()
-        logp = scores - (mx + np.log(np.exp(scores - mx).sum()))
-        return logp
+    def fake_step_logprobs(model, sessions, machines, histories):
+        assert len(sessions) == len(machines) == len(histories)
+        rows = []
+        for session, machine in zip(sessions, machines):
+            scores = session.script[session.step].copy() + machine.mask()
+            mx = scores.max()
+            rows.append(scores - (mx + np.log(np.exp(scores - mx).sum())))
+        return np.stack(rows)
+
+    def fake_decode_step(sessions, elements):
+        assert len(sessions) == len(elements)
+        assert len({id(s) for s in sessions}) == len(sessions)  # every hypothesis owns its session
+        for session, k in zip(sessions, elements):
+            session.append(k)
 
     monkeypatch.setattr(ds_mod, "_step_logprobs", fake_step_logprobs)
+    monkeypatch.setattr(ds_mod, "decode_step", fake_decode_step)
 
 
 def rigged_rows_for(items, vocab, n, m, boost=50.0):
@@ -148,6 +159,7 @@ class TestBeam:
             g = greedy_decode(model, tokens)
             b = beam_decode(model, tokens, beam=1, length_penalty=1.0)
             assert g.seq.items == b.seq.items
+            assert g.score == b.score  # the same one-row kernels: bitwise equal
 
     def test_beam_dominates_greedy_score(self, monkeypatch):
         # on a tiny vocabulary a beam at least as wide as the branching factor
@@ -229,6 +241,36 @@ class TestBeam:
         assert forks == []
         beam_decode(model, ds.examples[0][0], beam=3)
         assert {"DecodeSession", "GenConstraints"} <= set(forks)
+
+    def test_one_head_call_and_one_decoder_call_per_step(self, random_model, monkeypatch):
+        # each beam step scores every live hypothesis in one span-head call
+        # and then feeds every surviving child in one decode_step call
+        import hyspa.decode_search as ds_mod
+
+        model, ds = random_model
+        calls = []
+
+        def recording(kind, fn, rows):
+            def wrapper(*args, **kwargs):
+                calls.append((kind, rows(*args)))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ds_mod, "span_head", recording("head", ds_mod.span_head, lambda h, *_: len(h)))
+        monkeypatch.setattr(ds_mod, "decode_step", recording("step", ds_mod.decode_step, lambda s, _: len(s)))
+        for beam in (1, 3):
+            for tokens, _ in ds.examples[:3]:
+                calls.clear()
+                assert beam_decode(model, tokens, beam=beam).finished
+                kinds = [kind for kind, _ in calls]
+                assert kinds[::2] == ["head"] * len(kinds[::2])
+                assert kinds[1::2] == ["step"] * len(kinds[1::2])
+                rows = [b for _, b in calls]
+                # a step feeds exactly the hypotheses the next head call scores
+                assert rows[1:-1:2] == rows[2::2]
+                assert max(rows) <= beam
+            if beam == 3:
+                assert max(rows) > 1
 
     def test_scores_monotone_nonincreasing(self, random_model):
         model, ds = random_model

@@ -15,6 +15,7 @@ from hyspa.model import (
     ModelConfig,
     ModelError,
     TokenVocab,
+    decode_step,
     decoder_forward,
     encode_context,
     init_params,
@@ -247,8 +248,71 @@ class TestDecoderForward:
             for a, b in zip(fork.tgt_k + fork.tgt_v, fresh.tgt_k + fresh.tgt_v):
                 assert np.array_equal(a[:, :filled], b[:, :filled]), t
 
+    def test_batched_step_matches_sessions_stepped_alone(self, vocab, setup):
+        # sessions with different histories fed one element each in one
+        # decode_step give the rows and cache rows each gets when fed alone
+        ds, tv, cfg, params = setup
+        tokens, g = ds.examples[2]
+        items = list(encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m).items)
+        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        t = 6
+        histories = [items[:t], items[: t - 1] + [vocab.sep_index], items[1 : t + 1], [vocab.l_p] * t]
+        nexts = [items[t], vocab.l_p + cfg.m, vocab.sep_index, vocab.type_edge_index]
+
+        def fed(history):
+            sess = DecodeSession(ctx, cfg, params, vocab, Traversal.BFS, max_len=t + 4)
+            for k in history:
+                sess.append(k)
+            return sess
+
+        alone = [fed(h) for h in histories]
+        for sess, k in zip(alone, nexts):
+            sess.append(k)
+        batch = [fed(h) for h in histories]
+        decode_step(batch, nexts)
+        for a, b in zip(alone, batch):
+            assert a.t == b.t == t + 2
+            assert _rel_err(b.last_hidden, a.last_hidden) <= 1e-12
+            for ca, cb in zip(a.tgt_k + a.tgt_v, b.tgt_k + b.tgt_v):
+                assert _rel_err(cb[:, : t + 2], ca[:, : t + 2]) <= 1e-12
+        assert not np.allclose(batch[0].last_hidden, batch[1].last_hidden)
+        with pytest.raises(ModelError, match="same number of rows"):
+            decode_step([fed(histories[0]), fed(histories[1][:-1])], nexts[:2])
+
+
+def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest deviation, relative to the largest magnitude of ``want``."""
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
 
 class TestSpanHead:
+    def test_batched_rows_match_single_row_calls(self, vocab, setup):
+        ds, tv, cfg, params = setup
+        tokens = ds.examples[2][0]
+        n, size = len(tokens), vocab.l_p + len(tokens) * cfg.m
+        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        rng = np.random.default_rng(6)
+        prev = [None, vocab.sep_index, vocab.type_edge_index, 0, vocab.l_e, vocab.l_p + 3]
+        classes = [ElementClass.VIRTUAL_SOS if k is None else classify(k, vocab, n, cfg.m) for k in prev]
+        hidden = rng.normal(size=(len(prev), cfg.d_m))
+        extra = np.where(rng.random((len(prev), size)) < 0.3, NEG_INF, 0.0)
+        for strict in (False, True):
+            scores, logp = span_head(
+                hidden, ctx, classes, cfg, params, prev_index=prev, strict=strict, extra_mask=extra, vocab=vocab
+            )
+            assert scores.shape == logp.shape == (len(prev), size)
+            for b in range(len(prev)):
+                s1, l1 = span_head(
+                    hidden[b], ctx, classes[b], cfg, params, prev_index=prev[b], strict=strict,
+                    extra_mask=extra[b], vocab=vocab,
+                )
+                adm = s1 > NEG_INF / 2
+                assert adm.any()
+                assert np.array_equal(scores[b] > NEG_INF / 2, adm)
+                assert _rel_err(scores[b][adm], s1[adm]) <= 1e-12
+                assert _rel_err(logp[b][adm], l1[adm]) <= 1e-12
+                assert (np.exp(logp[b][~adm]) == 0.0).all()
+
     def test_probabilities_normalize_over_admissible(self, vocab, setup):
         ds, tv, cfg, params = setup
         tokens = ds.examples[0][0]
@@ -581,3 +645,24 @@ class TestCheckpoint:
         loaded = ExtractionModel.load(path)
         tokens = ds.examples[0][0]
         assert greedy_decode(model, tokens).seq.items == greedy_decode(loaded, tokens).seq.items
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [("truncate", r"L0\.wq has shape \(32, 31\)"), ("drop", r"L0\.wq \(32, 32\) is missing"),
+         ("extra", r"L9\.wq is not part")],
+        ids=["truncate", "drop", "extra"],
+    )
+    def test_mismatched_parameter_fails_at_load(self, vocab, setup, tmp_path, damage, message):
+        ds, tv, cfg, params = setup
+        arrays = {k: v.data for k, v in params.items()}
+        if damage == "truncate":
+            arrays["L0.wq"] = arrays["L0.wq"][:, :-1]
+        elif damage == "drop":
+            del arrays["L0.wq"]
+        else:
+            arrays["L9.wq"] = arrays["L0.wq"]
+        path = tmp_path / "model.npz"
+        damaged = {k: nm.Tensor(v) for k, v in arrays.items()}
+        ExtractionModel(cfg, damaged, vocab, tv, dict(ds.edge_freq), Traversal.BFS).save(path)
+        with pytest.raises(ModelError, match=message):
+            ExtractionModel.load(path)

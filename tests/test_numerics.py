@@ -260,6 +260,32 @@ class TestAdamW:
         opt_b.step()
         assert (a.data[0] - b.data[0]) == pytest.approx(0.1 * 0.01 * 2.0, abs=1e-12)
 
+    def test_in_place_step_equals_reference_formula_bitwise(self):
+        # the in-place update keeps the operands and order of the textbook
+        # expression below, so parameters and moments agree bit for bit
+        rng = np.random.default_rng(4)
+        shapes = {"w": (5, 3), "b": (3,)}
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True) for k, s in shapes.items()}
+        ref = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = AdamW(params, peak_lr=1e-2, warmup=3, weight_decay=0.01)
+        b1, b2 = opt.betas
+        for step in range(1, 8):
+            grads = {k: rng.normal(size=s) for k, s in shapes.items()}
+            for k, p in params.items():
+                p.grad = grads[k].copy()
+            lr = opt.step()
+            assert lr == inv_sqrt_lr(step, 1e-2, 3)
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * g * g
+                mhat, vhat = m[k] / (1.0 - b1**step), v[k] / (1.0 - b2**step)
+                ref[k] -= lr * (mhat / (np.sqrt(vhat) + opt.eps) + 0.01 * ref[k])
+                assert np.array_equal(params[k].data, ref[k]), (step, k)
+                assert np.array_equal(opt.m[k], m[k]) and np.array_equal(opt.v[k], v[k])
+                assert np.array_equal(params[k].grad, g)  # the gradient is read, not changed
+
 
 class TestClip:
     def test_norm_scaled_down(self):
