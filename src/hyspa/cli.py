@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hyspa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_opts=False, decode_opts=False):
+    def common(p, model_opts=False):
         p.add_argument("--vocab", help="vocab config JSON (edge_types/node_types)")
         p.add_argument("--traversal", choices=["bfs", "dfs"], default="bfs")
         p.add_argument("--max-span-len", type=int, default=16, dest="m")
@@ -64,10 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--layers", type=int, default=2)
             p.add_argument("--heads", type=int, default=8)
             p.add_argument("--dropout", type=float, default=0.1)
-        if decode_opts:
-            p.add_argument("--beam", type=int, default=1)
-            p.add_argument("--length-penalty", type=float, default=1.0)
-            p.add_argument("--max-len", type=int, default=None)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     common(p)
@@ -105,22 +101,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-decay", type=float, default=0.01)
     p.add_argument("--label-smoothing", type=float, default=0.1)
     p.add_argument("--clip", type=float, default=0.25)
-    p.add_argument("--strict-typing", action="store_true")
     p.add_argument("--eval-every", type=int, default=500)
     p.add_argument("--stop-em", type=float, default=None, help="early-stop dev exact match")
     p.add_argument("--out", required=True, help="checkpoint path (.npz)")
 
+    # eval and extract take vocab, traversal and m from the checkpoint
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
-    common(p, decode_opts=True)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
+    p.add_argument("--beam", type=int, default=1)
+    p.add_argument("--length-penalty", type=float, default=1.0)
     p.add_argument("--limit", type=int, default=None)
 
     p = sub.add_parser("extract", help="run end-to-end extraction on raw token lines")
-    common(p, decode_opts=True)
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="text file, one whitespace-tokenized sentence per line")
     p.add_argument("--out", help="JSONL output (default: stdout)")
+    p.add_argument("--beam", type=int, default=1)
+    p.add_argument("--length-penalty", type=float, default=1.0)
+    p.add_argument("--max-len", type=int, default=None)
 
     p = sub.add_parser("gradcheck", help="compare autodiff gradients to finite differences")
     common(p, model_opts=True)
@@ -128,11 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--examples", type=int, default=2)
     p.add_argument("--coords", type=int, default=4)
     p.add_argument("--tolerance", type=float, default=1e-4)
-
-    p = sub.add_parser("bench", help="measure per-decode-step time/memory scaling")
-    common(p, model_opts=True)
-    p.add_argument("--sizes", default="128,256,512,1024")
-    p.add_argument("--steps", type=int, default=24)
 
     return parser
 
@@ -248,7 +242,7 @@ def _cmd_train(args) -> int:
     fit(
         cfg, params, prepared, opt, args.steps, args.batch_examples,
         label_smoothing=args.label_smoothing, clip=args.clip,
-        strict=args.strict_typing, seed=args.seed, log_every=200, callback=callback,
+        seed=args.seed, log_every=200, callback=callback,
     )
     model.save(args.out)
     print(f"saved checkpoint to {args.out}")
@@ -328,36 +322,6 @@ def _cmd_gradcheck(args) -> int:
     return 0 if report.max_rel_err < args.tolerance else 1
 
 
-def _cmd_bench(args) -> int:
-    from .decode_search import bench_decode_steps, fit_exponent
-    from .model import TokenVocab
-
-    vocab = _load_vocab_arg(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    token_vocab = TokenVocab(tokens=("[UNK]", *[f"tok{i}" for i in range(64)]))
-    cfg = ModelConfig(
-        d_m=args.d_model, layers=args.layers, heads=args.heads,
-        m=args.m, dropout=0.0, max_tokens=max(sizes) + 8,
-    )
-    params = init_params(cfg, vocab, token_vocab, seed=args.seed)
-    model = ExtractionModel(cfg, params, vocab, token_vocab, {}, Traversal(args.traversal))
-    rows = bench_decode_steps(model, sizes=sizes, steps=args.steps, seed=args.seed)
-    print(f"{'n':>6} {'per-step (ms)':>14} {'score bytes':>12} {'peak bytes':>11}")
-    for row in rows:
-        print(
-            f"{row.n:>6} {row.per_step_seconds * 1e3:>14.3f}"
-            f" {row.score_vector_bytes:>12} {row.peak_step_bytes:>11}"
-        )
-    for row in rows:
-        raw = " ".join(f"{t * 1e3:.3f}" for t in row.raw_times)
-        print(f"raw times n={row.n} (ms): {raw}")
-    t_exp = fit_exponent([r.n for r in rows], [r.per_step_seconds for r in rows])
-    m_exp = fit_exponent([r.n for r in rows], [r.score_vector_bytes for r in rows])
-    print(f"fitted time exponent: {t_exp:.3f}")
-    print(f"fitted score-memory exponent: {m_exp:.3f}")
-    return 0 if t_exp < 1.2 and m_exp < 1.2 else 1
-
-
 _COMMANDS = {
     "synth": _cmd_synth,
     "encode": _cmd_encode,
@@ -368,7 +332,6 @@ _COMMANDS = {
     "eval": _cmd_eval,
     "extract": _cmd_extract,
     "gradcheck": _cmd_gradcheck,
-    "bench": _cmd_bench,
 }
 
 

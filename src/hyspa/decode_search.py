@@ -1,7 +1,8 @@
 """Constrained greedy and beam-search generation, plus end-to-end extraction.
 
-Generation runs under a structural constraint machine layered on top of the
-alternating output masks.  The machine admits only sequence continuations
+Generation runs under a structural constraint machine, the only
+admissibility rule at decode time: its additive mask is the one the span head
+adds to each hypothesis' scores.  It admits only sequence continuations
 that decode to a valid information graph: every level parent is a fresh text
 span (or [NULL] as the lone root), every mention is typed through a [TYPE]
 pair before anything else, relation children are text spans, and [EOS] only
@@ -11,9 +12,7 @@ hypothesis is decodable regardless of the scores that drove it.
 """
 from __future__ import annotations
 
-import time
-import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,21 +251,16 @@ def default_max_len(n: int) -> int:
     return max(32, 4 * n + 16)
 
 
-def _step_logprobs(model: ExtractionModel, sessions, machines, histories) -> np.ndarray:
+def _step_logprobs(model: ExtractionModel, sessions, machines) -> np.ndarray:
     """(B, l_p + n*m) log-probabilities of the next element of B hypotheses
-    of one input: one span-head call over their last hidden rows."""
-    vocab, n, m = model.vocab, machines[0].n, machines[0].m
-    prev = [items[-1] if items else None for items in histories]
-    classes = [ElementClass.VIRTUAL_SOS if k is None else classify(k, vocab, n, m) for k in prev]
+    of one input: one span-head call over their last hidden rows, each row
+    masked by its hypothesis' constraint machine."""
     _, logp = span_head(
         np.array([s.last_hidden for s in sessions]),
         sessions[0].ctx,
-        classes,
         model.cfg,
         model.params,
-        prev_index=prev,
-        extra_mask=np.array([machine.mask() for machine in machines]),
-        vocab=vocab,
+        np.array([machine.mask() for machine in machines]),
     )
     return logp
 
@@ -287,7 +281,7 @@ def greedy_decode(
     score = 0.0
     finished = False
     while True:
-        logp = _step_logprobs(model, [session], [machine], [items])[0]
+        logp = _step_logprobs(model, [session], [machine])[0]
         k = int(np.argmax(logp))
         if k == model.vocab.eos_index:
             score += float(logp[k])
@@ -369,9 +363,7 @@ def beam_decode(
     steps = 0
     while live and steps <= max_len + 1:
         steps += 1
-        logps = _step_logprobs(
-            model, [h.session for h in live], [h.machine for h in live], [h.items for h in live]
-        )
+        logps = _step_logprobs(model, [h.session for h in live], [h.machine for h in live])
         candidates = []  # (new_score, slot, hyp_pos, hyp)
         for pos, (hyp, logp) in enumerate(zip(live, logps)):
             for k in _top_admissible(logp, beam + 1):
@@ -476,7 +468,7 @@ def sample_sequence(
 
 
 # ---------------------------------------------------------------------------
-# evaluation and benchmarking
+# evaluation
 # ---------------------------------------------------------------------------
 
 def evaluate_model(
@@ -519,90 +511,3 @@ def evaluate_model(
         "count": len(examples),
         "failed": failed,
     }
-
-
-@dataclass
-class BenchRow:
-    n: int
-    per_step_seconds: float
-    score_vector_bytes: int
-    peak_step_bytes: int
-    steps: int = 0
-    raw_times: list = field(default_factory=list)
-
-
-def bench_decode_steps(
-    model: ExtractionModel,
-    sizes=(128, 256, 512, 1024),
-    steps: int = 24,
-    seed: int = 0,
-) -> list[BenchRow]:
-    """Measure per-decode-step time and score-vector memory across input sizes."""
-    rows = []
-    rng = np.random.default_rng(seed)
-    vocab_tokens = [t for t in model.token_vocab.tokens if t != "[UNK]"] or ["a"]
-    for n in sizes:
-        tokens = [vocab_tokens[int(rng.integers(len(vocab_tokens)))] for _ in range(n)]
-        max_len = 4 * steps + 64  # generous so budget forcing never perturbs timing
-        session = model.open_session(tokens, max_len)
-        machine = GenConstraints(model.vocab, n, model.cfg.m, model.traversal, max_len)
-        items: list[int] = []
-
-        def one_step():
-            logp = _step_logprobs(model, [session], [machine], [items])[0]
-            k = int(np.argmax(logp))
-            if k == model.vocab.eos_index:  # keep stepping: pick the runner-up
-                logp[k] = NEG_INF
-                k = int(np.argmax(logp))
-            machine.push(k)
-            session.append(k)
-            items.append(k)
-
-        one_step()  # warmup (also primes caches)
-        times = []
-        for _ in range(steps):
-            t0 = time.perf_counter()
-            one_step()
-            times.append(time.perf_counter() - t0)
-
-        # probe the actual per-step score vector size
-        prev_index = items[-1]
-        scores, _ = span_head(
-            session.last_hidden,
-            session.ctx,
-            classify(prev_index, model.vocab, n, model.cfg.m),
-            model.cfg,
-            model.params,
-            prev_index=prev_index,
-            vocab=model.vocab,
-        )
-        score_bytes = int(scores.nbytes)
-
-        # memory pass on a fresh session, tracemalloc around a single step
-        session = model.open_session(tokens, max_len)
-        machine = GenConstraints(model.vocab, n, model.cfg.m, model.traversal, max_len)
-        items = []
-        one_step()
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        one_step()
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        rows.append(
-            BenchRow(
-                n=n,
-                per_step_seconds=float(np.median(times)),
-                score_vector_bytes=score_bytes,
-                peak_step_bytes=int(peak),
-                steps=steps,
-                raw_times=times,
-            )
-        )
-    return rows
-
-
-def fit_exponent(xs, ys) -> float:
-    """Least-squares slope of log(y) on log(x)."""
-    lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
-    slope, _ = np.polyfit(lx, ly, 1)
-    return float(slope)

@@ -1,7 +1,10 @@
-"""Attention and output masks: span attention, alternating output, mixed attention.
+"""Attention and output masks of the training tape: span attention,
+alternating output, mixed attention.
 
 All masks are dense float64 matrices/vectors over {0, NEG_INF}; adding one to
-a score tensor removes the masked slots from the subsequent softmax.
+a score tensor removes the masked slots from the subsequent softmax.  The
+inference engine uses none of them: at decode time the constraint machine
+(``decode_search.GenConstraints``) alone masks the span head.
 """
 from __future__ import annotations
 
@@ -24,14 +27,10 @@ def span_attention_mask(lo, hi, l_h: int) -> np.ndarray:
     return np.where((cols >= lo) & (cols <= hi), 0.0, NEG_INF)
 
 
-def alternating_masks(
-    prev: ElementClass,
-    vocab: TypeVocab,
-    n: int,
-    strict: bool = False,
-    prev_index: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Output masks (over the l_p type slots, over the n text positions).
+def alternating_masks(prev: ElementClass, vocab: TypeVocab, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Output masks (over the l_p type slots, over the n text positions) of
+    the training tape.  Every slot the constraint machine opens at decode time
+    is open here too (``tests/test_decode_search.py::MachineRun``).
 
     After a node element only edge slots open: the real edge types plus [SEP]
     ([SOS]/[EOS] stay closed so that sampled sequences remain storable).
@@ -39,10 +38,6 @@ def alternating_masks(
     positions; the [EOS] slot additionally opens after [SEP], the only point
     at which every traversal level is closed, so training targets (sequence
     plus [EOS]) are never masked.
-
-    ``strict`` refines the edge branch and needs the concrete ``prev_index``:
-    after the [TYPE] edge only node types open, after any other real edge only
-    text spans open.
     """
     m_a = np.full(vocab.l_p, NEG_INF)
     m_a_prime = np.full(n, NEG_INF)
@@ -52,14 +47,6 @@ def alternating_masks(
         return m_a, m_a_prime
     if prev is ElementClass.VIRTUAL_SEP:
         m_a[vocab.eos_index] = 0.0
-    if strict and prev is ElementClass.REAL_EDGE:
-        if prev_index is None:
-            raise ValueError("strict mode needs prev_index for real edges")
-        if prev_index == vocab.type_edge_index:
-            m_a[vocab.l_e : vocab.l_p] = 0.0
-        else:
-            m_a_prime[:] = 0.0
-        return m_a, m_a_prime
     m_a[vocab.l_e : vocab.l_p] = 0.0
     m_a_prime[:] = 0.0
     return m_a, m_a_prime

@@ -28,7 +28,10 @@ Two forward implementations coexist on purpose:
   ``DecodeSession.append`` is its one-row call, and cached decoding, full
   recomputation (``decoder_forward``) and greedy decoding
   all feed rows through it with the same shapes, so they are bitwise equal.
-  ``span_head`` likewise scores B hidden rows in one call.
+  ``span_head`` likewise scores B hidden rows in one call, under the
+  additive mask its caller passes: at decode time the constraint machine's,
+  the only admissibility rule there (the tape's alternating output masks
+  are training-only).
   ``DecodeSession.fork`` copies only the filled prefix of the target caches,
   and beam search lets the last child of each hypothesis reuse its parent's
   session in place (see ``decode_search.beam_decode``).  ``encode_context``
@@ -73,7 +76,7 @@ from .embeddings import (
 from .hybrid_index import index_to_hspan
 from .masks import alternating_masks, mixed_attention_mask, span_attention_mask
 from .numerics import NEG_INF, Tensor
-from .type_vocab import ElementClass, TypeVocab, classify, segment_ids
+from .type_vocab import TypeVocab, classify, segment_ids
 
 UNK_TOKEN = "[UNK]"
 
@@ -233,7 +236,7 @@ def _dropout_keep(
 
 
 def _output_masks(
-    inputs: np.ndarray, n: np.ndarray, vocab: TypeVocab, m: int, strict: bool
+    inputs: np.ndarray, n: np.ndarray, vocab: TypeVocab, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alternating masks for every decoder input: (B, T, l_p) over types, (B, T, n_pad) over text.
 
@@ -248,7 +251,7 @@ def _output_masks(
     text_open = np.empty(len(uniq), dtype=bool)
     for u, k in enumerate(uniq.tolist()):
         cls = classify(k, vocab, 1, m)
-        m_a[u], m_ap = alternating_masks(cls, vocab, 1, strict=strict, prev_index=k)
+        m_a[u], m_ap = alternating_masks(cls, vocab, 1)
         text_open[u] = m_ap[0] == 0.0
     where = where.reshape(inputs.shape)
     in_text = np.arange(int(n.max())) < n[:, None, None]
@@ -260,7 +263,6 @@ def sequence_logits(
     cfg: ModelConfig,
     params: dict[str, Tensor],
     *,
-    strict: bool = False,
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, np.ndarray]:
@@ -358,7 +360,7 @@ def sequence_logits(
     e_rep = nm.linear(hy_n, params["head_w6"], params["head_b6"])
     types_t = nm.transpose(h_types, (0, 2, 1))
     text_t = nm.transpose(h_text, (0, 2, 1))
-    m_a, m_ap = _output_masks(inputs, n, vocab, m, strict)
+    m_a, m_ap = _output_masks(inputs, n, vocab, m)
     type_scores = nm.add(nm.add(nm.matmul(s_rep, types_t), nm.matmul(e_rep, types_t)), Tensor(m_a))
     ts_vec = nm.add(nm.matmul(s_rep, text_t), Tensor(m_ap))
     te_vec = nm.add(nm.matmul(e_rep, text_t), Tensor(m_ap))
@@ -373,7 +375,6 @@ def sequence_loss(
     params: dict[str, Tensor],
     *,
     label_smoothing: float = 0.1,
-    strict: bool = False,
     training: bool = False,
     rng: np.random.Generator | None = None,
     batch_size: int | None = None,
@@ -388,9 +389,7 @@ def sequence_loss(
     Raises FloatingPointError naming the first example whose logits are not
     finite.
     """
-    logits, targets = sequence_logits(
-        batch, cfg, params, strict=strict, training=training, rng=rng
-    )
+    logits, targets = sequence_logits(batch, cfg, params, training=training, rng=rng)
     finite = np.isfinite(logits.data).all(axis=(1, 2))
     if not finite.all():
         seq = batch[int(np.argmin(finite))][1]
@@ -437,7 +436,6 @@ def train_step(
     *,
     label_smoothing: float = 0.1,
     clip: float = 0.25,
-    strict: bool = False,
     rng: np.random.Generator | None = None,
 ) -> float:
     """One optimizer step over a batch of (token_ids, target sequence) pairs.
@@ -454,7 +452,7 @@ def train_step(
     for run in _tape_runs(batch):
         try:
             loss = sequence_loss(
-                run, cfg, params, label_smoothing=label_smoothing, strict=strict,
+                run, cfg, params, label_smoothing=label_smoothing,
                 training=True, rng=rng, batch_size=len(batch),
             )
         except FloatingPointError as err:
@@ -490,7 +488,6 @@ def fit(
     *,
     label_smoothing: float = 0.1,
     clip: float = 0.25,
-    strict: bool = False,
     seed: int = 0,
     log_every: int = 0,
     log=print,
@@ -508,7 +505,7 @@ def fit(
         batch = [prepared[i] for i in idx]
         loss = train_step(
             batch, cfg, params, opt,
-            label_smoothing=label_smoothing, clip=clip, strict=strict, rng=drop_rng,
+            label_smoothing=label_smoothing, clip=clip, rng=drop_rng,
         )
         history.append((step, loss))
         if log_every and step % log_every == 0:
@@ -781,48 +778,32 @@ def decoder_forward(
 def span_head(
     hidden: np.ndarray,
     ctx: ContextRep,
-    prev_class: ElementClass | Sequence[ElementClass],
     cfg: ModelConfig,
     params: dict[str, Tensor],
-    *,
-    prev_index: int | None | Sequence[int | None] = None,
-    strict: bool = False,
-    extra_mask: np.ndarray | None = None,
-    vocab: TypeVocab,
+    mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and log-probabilities over the l_p + n*m output slots.
-
-    ``hidden`` holds B rows, (B, d), each with its own previous element class
-    and index (sequences of B) and row of ``extra_mask``, (B, l_p + n*m); the
-    results are (B, l_p + n*m).  One row, (d,), takes a single class and
-    index and gives 1-D results.
+    """Scores and log-probabilities of B hidden rows, (B, d), over the
+    l_p + n*m output slots: (B, l_p + n*m) each.
 
     Slot k < l_p is type k; slot l_p + j*m + d is the span (j, j+d+1).  Window
-    cells running past the text and alternating-mask slots sit at NEG_INF and
-    get probability exactly 0.  Each of the four products against the type
-    and text rows covers all B rows; with one row they have the shapes of a
-    single-row head, so a row scored alone always gives the same bits.
+    cells running past the text sit at NEG_INF, and so do the slots that the
+    additive ``mask`` (B, l_p + n*m) closes; all of them get probability
+    exactly 0.  Decoding passes the constraint machine's masks.  Each of the
+    four products against the type and text rows covers all B rows; with one
+    row they have the shapes of a single-row head, so a row scored alone
+    always gives the same bits.
     """
-    if hidden.ndim == 1:
-        scores, logp = span_head(
-            hidden[None], ctx, [prev_class], cfg, params, prev_index=[prev_index], strict=strict,
-            extra_mask=None if extra_mask is None else extra_mask[None], vocab=vocab,
-        )
-        return scores[0], logp[0]
-    n, m, l_p = ctx.n, cfg.m, ctx.l_p
+    n, m = ctx.n, cfg.m
     s = hidden @ params["head_w5"].data + params["head_b5"].data
     e = hidden @ params["head_w6"].data + params["head_b6"].data
-    m_a, m_ap = np.empty((len(hidden), l_p)), np.empty((len(hidden), n))
-    for b, (cls, k) in enumerate(zip(prev_class, prev_index)):
-        m_a[b], m_ap[b] = alternating_masks(cls, vocab, n, strict=strict, prev_index=k)
-    type_scores = (ctx.h_types @ s.T).T + (ctx.h_types @ e.T).T + m_a
-    ts_vec = (ctx.h_text @ s.T).T + m_ap
-    te_vec = (ctx.h_text @ e.T).T + m_ap
+    type_scores = (ctx.h_types @ s.T).T + (ctx.h_types @ e.T).T
+    ts_vec = (ctx.h_text @ s.T).T
+    te_vec = (ctx.h_text @ e.T).T
     idx, inside = nm.span_windows(n, m)
     t_mat = np.where(inside, ts_vec[:, :, None] + te_vec.take(idx, axis=1), NEG_INF)
     scores = np.concatenate([type_scores, t_mat.reshape(len(hidden), n * m)], axis=1)
-    if extra_mask is not None:
-        scores += extra_mask
+    if mask is not None:
+        scores += mask
     mx = np.maximum.reduce(scores, axis=1, keepdims=True)
     logp = scores - (mx + np.log(np.add.reduce(np.exp(scores - mx), axis=1, keepdims=True)))
     return scores, logp
@@ -869,18 +850,26 @@ class ExtractionModel:
         from .type_vocab import build_vocab
 
         with np.load(path) as blob:
+            if "__meta__" not in blob.files:
+                raise ModelError(f"checkpoint {path}: no __meta__ entry")
             meta = json.loads(bytes(blob["__meta__"]).decode())
             params = {
                 k[len("param/") :]: Tensor(blob[k].copy(), requires_grad=True)
                 for k in blob.files
                 if k.startswith("param/")
             }
-        cfg = ModelConfig(**meta["cfg"])
-        vocab = build_vocab(meta["edge_types"], meta["node_types"])
-        token_vocab = TokenVocab(tokens=tuple(meta["tokens"]))
+        try:
+            cfg = ModelConfig(**meta["cfg"])
+            vocab = build_vocab(meta["edge_types"], meta["node_types"])
+            token_vocab = TokenVocab(tokens=tuple(meta["tokens"]))
+            edge_freq = {int(k): v for k, v in meta["edge_freq"].items()}
+            traversal = Traversal(meta["traversal"])
+        except KeyError as err:
+            raise ModelError(f"checkpoint {path}: meta has no {err.args[0]!r} entry") from None
+        except (TypeError, ValueError) as err:  # e.g. an unknown config field, a bad traversal
+            raise ModelError(f"checkpoint {path}: {err}") from None
         _check_params(params, param_shapes(cfg, vocab, token_vocab), path)
-        edge_freq = {int(k): v for k, v in meta["edge_freq"].items()}
-        return cls(cfg, params, vocab, token_vocab, edge_freq, Traversal(meta["traversal"]))
+        return cls(cfg, params, vocab, token_vocab, edge_freq, traversal)
 
 
 def _check_params(params: dict[str, Tensor], shapes: dict[str, tuple[int, ...]], path) -> None:

@@ -8,16 +8,19 @@ import time
 import numpy as np
 import pytest
 
-from testutil import fig4_bfs_items, fig4_graph, pinned_vocab, random_edge_freq, random_graph
+from testutil import (
+    fig4_bfs_items,
+    fig4_graph,
+    fit_exponent,
+    pinned_vocab,
+    probe_decode_steps,
+    random_edge_freq,
+    random_graph,
+)
 
 from hyspa.altseq_codec import Traversal, decode_sequence, encode, validate_sequence
 from hyspa.data_io import synth_generate
-from hyspa.decode_search import (
-    bench_decode_steps,
-    evaluate_model,
-    fit_exponent,
-    sample_sequence,
-)
+from hyspa.decode_search import evaluate_model, sample_sequence
 from hyspa.hybrid_index import TextSpan, index_to_hspan, span_to_index
 from hyspa.info_graph import canonicalize, graph_equal, validate_graph
 from hyspa.model import (
@@ -34,7 +37,6 @@ from hyspa.model import (
     span_head,
 )
 from hyspa.numerics import NEG_INF, AdamW, finite_diff_check
-from hyspa.type_vocab import ElementClass, classify
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -195,10 +197,7 @@ def test_c6_span_head_layout():
         n = len(tokens)
         ctx = encode_context(tokens, cfg, params, vocab, token_vocab)
         h = rng.normal(size=cfg.d_m)
-        scores, _ = span_head(
-            h, ctx, ElementClass.VIRTUAL_SEP, cfg, params,
-            prev_index=vocab.sep_index, vocab=vocab,
-        )
+        scores = span_head(h[None], ctx, cfg, params)[0][0]
         s = h @ params["head_w5"].data + params["head_b5"].data
         e = h @ params["head_w6"].data + params["head_b6"].data
         ts_score = ctx.h_text @ s
@@ -227,7 +226,7 @@ def test_c7_linear_scaling():
     cfg = ModelConfig(d_m=64, layers=2, heads=8, m=M, dropout=0.0, max_tokens=1100)
     params = init_params(cfg, vocab, token_vocab, seed=13)
     model = ExtractionModel(cfg, params, vocab, token_vocab, {}, Traversal.BFS)
-    rows = bench_decode_steps(model, sizes=(128, 256, 512, 1024), steps=24, seed=0)
+    rows = probe_decode_steps(model, sizes=(128, 256, 512, 1024), steps=24, seed=0)
     ns = [r.n for r in rows]
     t_exp = fit_exponent(ns, [r.per_step_seconds for r in rows])
     m_exp = fit_exponent(ns, [r.score_vector_bytes for r in rows])
@@ -241,7 +240,17 @@ def test_c7_linear_scaling():
         f"time exponent {t_exp:.3f}, score-vector exponent {m_exp:.3f} "
         f"(< 1.2); per-step [{times}]; score vectors [{mems}] ({elapsed:.1f}s)",
     )
-    assert ok
+    # the same holds inside beam search: one step over five live hypotheses
+    beam_rows = probe_decode_steps(model, sizes=(128, 256, 512, 1024), steps=24, beam=5, seed=0)
+    b_exp = fit_exponent(ns, [r.per_step_seconds for r in beam_rows])
+    beam_ok = b_exp < 1.2
+    times = ", ".join(f"n={r.n}:{r.per_step_seconds * 1e3:.2f}ms" for r in beam_rows)
+    report(
+        "C7 linear scaling, beam 5",
+        beam_ok,
+        f"time exponent {b_exp:.3f} (< 1.2) of a step over 5 live hypotheses; per-step [{times}]",
+    )
+    assert ok and beam_ok
 
 
 def test_c8_toy_learning():
@@ -312,10 +321,8 @@ def test_c9_incremental_equivalence():
             inc.append(sess.last_hidden.copy())
         inc = np.stack(inc)
         equal_rows += int(np.array_equal(full, inc))
-        prev = items[-1] if items else None
-        cls = ElementClass.VIRTUAL_SOS if prev is None else classify(prev, vocab, n, M)
-        s_full, _ = span_head(full[-1], ctx, cls, cfg, params, prev_index=prev, vocab=vocab)
-        s_inc, _ = span_head(inc[-1], ctx, cls, cfg, params, prev_index=prev, vocab=vocab)
+        s_full, _ = span_head(full[-1:], ctx, cfg, params)
+        s_inc, _ = span_head(inc[-1:], ctx, cfg, params)
         equal_scores += int(np.array_equal(s_full, s_inc))
     ok = equal_rows == total and equal_scores == total
     report(

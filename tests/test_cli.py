@@ -182,6 +182,37 @@ class TestModelCommands:
         assert "max_tokens" in res["failed"][0]["error"]
         assert 0.0 <= res["exact_match"] <= 2 / 3
 
-    def test_bench_tiny(self):
-        assert invoke("bench", "--sizes", "32,64", "--steps", "4", "--d-model", "32",
-                      "--heads", "4", "--layers", "1") == 0
+    def test_eval_rejects_checkpoint_flags(self, corpus, tmp_path):
+        # vocab, traversal and m come from the checkpoint, so eval has no flags for them
+        _, train = corpus
+        with pytest.raises(SystemExit) as exc:
+            invoke("eval", "--model", str(tmp_path / "model.npz"), "--data", str(train), "--traversal", "dfs")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("damage", ["no meta", "no meta key", "unknown config field", "bad traversal"])
+    def test_malformed_checkpoint_fails_with_message(self, corpus, tmp_path, capsys, damage):
+        import numpy as np
+
+        from hyspa.altseq_codec import Traversal
+        from hyspa.data_io import default_vocab
+        from hyspa.model import ExtractionModel, ModelConfig, TokenVocab, init_params
+
+        _, train = corpus
+        vocab, token_vocab = default_vocab(), TokenVocab(tokens=("[UNK]", "a"))
+        cfg = ModelConfig(d_m=16, layers=1, heads=2, m=16, dropout=0.0)
+        ckpt = tmp_path / "model.npz"
+        ExtractionModel(cfg, init_params(cfg, vocab, token_vocab), vocab, token_vocab, {}, Traversal.BFS).save(ckpt)
+        with np.load(ckpt) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+        if damage == "no meta key":
+            del meta["edge_freq"]
+        elif damage == "unknown config field":
+            meta["cfg"]["width"] = 3
+        elif damage == "bad traversal":
+            meta["traversal"] = "zigzag"
+        if damage != "no meta":
+            arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(ckpt, **arrays)
+        assert invoke("eval", "--model", str(ckpt), "--data", str(train), "--limit", "1") == 1
+        assert f"error: checkpoint {ckpt}" in capsys.readouterr().err

@@ -1,23 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from testutil import fig4_bfs_items, fig4_graph, pinned_vocab
+from testutil import fig4_bfs_items, fig4_graph, fit_exponent, pinned_vocab
 
-from hyspa.altseq_codec import Traversal, decode_sequence, validate_sequence
+from hyspa.altseq_codec import AltSequence, Traversal, decode_sequence, encode, validate_sequence
 from hyspa.data_io import synth_generate
 from hyspa.decode_search import (
     GenConstraints,
     beam_decode,
-    bench_decode_steps,
     extract_graph,
-    fit_exponent,
     greedy_decode,
     salvage_levels,
     sample_sequence,
 )
-from hyspa.info_graph import graph_equal
-from hyspa.model import ExtractionModel, ModelConfig, TokenVocab, init_params, prepare_training_data
-from hyspa.numerics import NEG_INF
+from hyspa.hybrid_index import TextSpan
+from hyspa.info_graph import Mention, RelationEdge, canonicalize, graph_equal, make_graph, validate_graph
+from hyspa.masks import alternating_masks
+from hyspa.model import ExtractionModel, ModelConfig, init_params, prepare_training_data
+from hyspa.numerics import NEG_INF, span_windows
+from hyspa.type_vocab import ElementClass, classify
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +80,8 @@ def _patch_scripted(monkeypatch):
     batched decoder step through each session's own append."""
     import hyspa.decode_search as ds_mod
 
-    def fake_step_logprobs(model, sessions, machines, histories):
-        assert len(sessions) == len(machines) == len(histories)
+    def fake_step_logprobs(model, sessions, machines):
+        assert len(sessions) == len(machines)
         rows = []
         for session, machine in zip(sessions, machines):
             scores = session.script[session.step].copy() + machine.mask()
@@ -366,19 +369,124 @@ class TestConstraintMachine:
                 decode_sequence(s)
 
 
+VOCAB, M = pinned_vocab(), 16
+# Near its length budget the machine forces the shortest completion: once
+# max_len - emitted <= (items still needed) + 6 (``GenConstraints._tight``) it
+# closes relation edges and spans that would open new levels.  A canonical
+# encoding of L items is therefore admitted only when max_len >= L + 5: over
+# 3,000 random graphs per traversal every encoding was admitted at slack 5,
+# and at slack 4 some were not, in BFS and in DFS.
+COMPLETE_SLACK = 5
+
+
+@st.composite
+def graphs(draw):
+    """A valid graph over n in [1, 39] tokens: distinct spans, real relation types."""
+    n = draw(st.integers(1, 39))
+    spans = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(1, M)).map(lambda s: TextSpan(s[0], min(s[0] + s[1], n))),
+        max_size=6, unique=True,
+    ))
+    node_types = [t for t in VOCAB.node_type_indices if VOCAB.name(t) != "[NULL]"]
+    mentions = [Mention(span, draw(st.sampled_from(node_types))) for span in sorted(spans)]
+    relations = []
+    if mentions:
+        ends = st.integers(0, len(mentions) - 1)
+        rel_types = [e for e in VOCAB.real_edge_indices if e != VOCAB.type_edge_index]
+        relations = draw(st.lists(st.builds(RelationEdge, ends, ends, st.sampled_from(rel_types)), max_size=8))
+    return make_graph(mentions, relations, n=n, m=M)
+
+
+class MachineRun(RuleBasedStateMachine):
+    """One run of the constraint machine (BFS or DFS, max_len >= 16).
+
+    The run follows the canonical encoding of a random graph for a while,
+    may leave it for any admitted slot, and is finished on its lowest
+    admitted slots.  It checks that every canonical encoding is admitted
+    (completeness, with max_len >= L + COMPLETE_SLACK), that every slot the
+    machine opens is open in the alternating masks of the previous element
+    (so those masks add nothing at decode time), and that every finished run
+    decodes to a valid graph (soundness).
+    """
+
+    runs = dict(
+        graph=graphs(), traversal=st.sampled_from(Traversal),
+        slack=st.integers(COMPLETE_SLACK, 40), order=st.permutations(VOCAB.real_edge_indices),
+    )
+
+    @initialize(**runs)
+    def start(self, graph, traversal, slack, order):
+        freq = {e: i for i, e in enumerate(order)}
+        self.graph = graph
+        self.canonical = list(encode(canonicalize(graph, freq, VOCAB), VOCAB, M, traversal).items)
+        self.max_len = max(16, len(self.canonical) + slack)
+        self.machine = GenConstraints(VOCAB, graph.n, M, traversal, self.max_len)
+        self.items: list[int] = []
+        self.on_path = True
+
+    def _canonical_next(self) -> int:
+        path = self.canonical
+        return path[len(self.items)] if len(self.items) < len(path) else VOCAB.eos_index
+
+    def _push(self, k: int) -> None:
+        self.on_path = self.on_path and k == self._canonical_next()
+        self.machine.push(k)
+        if k != VOCAB.eos_index:
+            self.items.append(k)
+
+    @precondition(lambda self: self.on_path and not self.machine.finished)
+    @rule()
+    def follow_canonical(self):
+        k = self._canonical_next()
+        assert self.machine.mask()[k] == 0.0, (self.machine.traversal, self.canonical, self.max_len, k)
+        self._push(k)
+
+    @precondition(lambda self: not self.machine.finished)
+    @rule(data=st.data())
+    def emit_admitted(self, data):
+        self._push(data.draw(st.sampled_from(np.flatnonzero(self.machine.mask() == 0.0).tolist())))
+
+    @precondition(lambda self: self.machine.finished)
+    @rule(**runs)
+    def next_run(self, graph, traversal, slack, order):
+        self._check_finished()
+        self.start(graph, traversal, slack, order)
+
+    @invariant()
+    def opens_inside_alternating_masks(self):
+        if self.machine.finished:
+            return
+        n = self.graph.n
+        prev = classify(self.items[-1], VOCAB, n, M) if self.items else ElementClass.VIRTUAL_SOS
+        m_a, m_ap = alternating_masks(prev, VOCAB, n)
+        idx, inside = span_windows(n, M)
+        spans = np.where(inside, m_ap[:, None] + m_ap.take(idx), NEG_INF).reshape(-1)
+        alternating_open = np.concatenate([m_a, spans]) == 0.0
+        closed_but_admitted = np.flatnonzero((self.machine.mask() == 0.0) & ~alternating_open)
+        assert closed_but_admitted.size == 0, (self.items, closed_but_admitted)
+
+    def teardown(self):
+        while not self.machine.finished:
+            self.opens_inside_alternating_masks()
+            self._push(int(np.flatnonzero(self.machine.mask() == 0.0)[0]))
+        self._check_finished()
+
+    def _check_finished(self) -> None:
+        assert len(self.items) <= self.max_len
+        seq = AltSequence(tuple(self.items), self.machine.traversal, VOCAB, self.graph.n, M)
+        assert validate_sequence(seq) is None
+        decoded = decode_sequence(seq)
+        assert validate_graph(decoded, self.graph.n, M, VOCAB) == []
+        if self.on_path:
+            assert graph_equal(decoded, self.graph)
+
+
+TestMachineRun = MachineRun.TestCase
+TestMachineRun.settings = settings(max_examples=100, stateful_step_count=100, deadline=None)
+
+
 class TestBench:
-    def test_small_scaling_run(self, vocab):
-        tv = TokenVocab(tokens=("[UNK]", "a", "b", "c"))
-        cfg = ModelConfig(d_m=32, layers=1, heads=4, m=8, dropout=0.0, max_tokens=256)
-        params = init_params(cfg, vocab, tv, seed=0)
-        model = ExtractionModel(cfg, params, vocab, tv, {}, Traversal.BFS)
-        rows = bench_decode_steps(model, sizes=(32, 64, 128), steps=6, seed=0)
-        assert [r.n for r in rows] == [32, 64, 128]
-        mem_exp = fit_exponent([r.n for r in rows], [r.score_vector_bytes for r in rows])
-        assert mem_exp < 1.2
-        for row in rows:
-            assert len(row.raw_times) == 6
-            assert row.per_step_seconds > 0
+    """The least-squares fit behind the C7 step probe (tests/testutil.py)."""
 
     def test_fit_exponent_on_known_data(self):
         xs = [10, 20, 40, 80]

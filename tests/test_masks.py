@@ -58,29 +58,11 @@ class TestAlternatingMasks:
             m_a, _ = alternating_masks(cls, vocab, n=9)
             assert vocab.sos_index not in admitted(m_a)
 
-    def test_strict_after_type_edge(self, vocab):
-        m_a, m_ap = alternating_masks(
-            ElementClass.REAL_EDGE, vocab, n=9, strict=True, prev_index=vocab.type_edge_index
-        )
-        assert admitted(m_a) == set(range(vocab.l_e, vocab.l_p))
-        assert admitted(m_ap) == set()
-
-    def test_strict_after_relation_edge(self, vocab):
-        m_a, m_ap = alternating_masks(
-            ElementClass.REAL_EDGE, vocab, n=9, strict=True, prev_index=vocab.index("PHYS")
-        )
-        assert admitted(m_a) == set()
-        assert admitted(m_ap) == set(range(9))
-
-    def test_strict_needs_prev_index(self, vocab):
-        with pytest.raises(ValueError):
-            alternating_masks(ElementClass.REAL_EDGE, vocab, n=9, strict=True)
-
     def test_always_at_least_one_admissible(self, vocab):
         for cls in ElementClass:
             if cls is ElementClass.VIRTUAL_EOS:
                 continue  # EOS terminates; nothing follows it
-            m_a, m_ap = alternating_masks(cls, vocab, n=9, prev_index=0)
+            m_a, m_ap = alternating_masks(cls, vocab, n=9)
             assert admitted(m_a) | admitted(m_ap)
 
     def test_masked_softmax_sums_to_one_over_admissible(self, vocab, rng):

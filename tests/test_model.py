@@ -8,6 +8,7 @@ from testutil import fig4_bfs_items, random_edge_freq, random_graph
 from hyspa import numerics as nm
 from hyspa.altseq_codec import AltSequence, Traversal, encode, encode_bfs
 from hyspa.data_io import synth_generate
+from hyspa.decode_search import GenConstraints, _step_logprobs
 from hyspa.hybrid_index import TextSpan, index_to_hspan, span_to_index
 from hyspa.info_graph import canonicalize
 from hyspa.masks import span_attention_mask
@@ -28,7 +29,7 @@ from hyspa.model import (
     train_step,
 )
 from hyspa.numerics import NEG_INF, AdamW
-from hyspa.type_vocab import ElementClass, classify, segment_ids
+from hyspa.type_vocab import segment_ids
 
 
 @pytest.fixture(scope="module")
@@ -291,40 +292,31 @@ class TestSpanHead:
     def test_batched_rows_match_single_row_calls(self, vocab, setup):
         ds, tv, cfg, params = setup
         tokens = ds.examples[2][0]
-        n, size = len(tokens), vocab.l_p + len(tokens) * cfg.m
+        size = vocab.l_p + len(tokens) * cfg.m
         ctx = encode_context(tokens, cfg, params, vocab, tv)
         rng = np.random.default_rng(6)
-        prev = [None, vocab.sep_index, vocab.type_edge_index, 0, vocab.l_e, vocab.l_p + 3]
-        classes = [ElementClass.VIRTUAL_SOS if k is None else classify(k, vocab, n, cfg.m) for k in prev]
-        hidden = rng.normal(size=(len(prev), cfg.d_m))
-        extra = np.where(rng.random((len(prev), size)) < 0.3, NEG_INF, 0.0)
-        for strict in (False, True):
-            scores, logp = span_head(
-                hidden, ctx, classes, cfg, params, prev_index=prev, strict=strict, extra_mask=extra, vocab=vocab
-            )
-            assert scores.shape == logp.shape == (len(prev), size)
-            for b in range(len(prev)):
-                s1, l1 = span_head(
-                    hidden[b], ctx, classes[b], cfg, params, prev_index=prev[b], strict=strict,
-                    extra_mask=extra[b], vocab=vocab,
-                )
-                adm = s1 > NEG_INF / 2
-                assert adm.any()
-                assert np.array_equal(scores[b] > NEG_INF / 2, adm)
-                assert _rel_err(scores[b][adm], s1[adm]) <= 1e-12
-                assert _rel_err(logp[b][adm], l1[adm]) <= 1e-12
-                assert (np.exp(logp[b][~adm]) == 0.0).all()
+        hidden = rng.normal(size=(6, cfg.d_m))
+        mask = np.where(rng.random((6, size)) < 0.3, NEG_INF, 0.0)
+        scores, logp = span_head(hidden, ctx, cfg, params, mask)
+        assert scores.shape == logp.shape == (6, size)
+        for b in range(6):
+            s1, l1 = span_head(hidden[b : b + 1], ctx, cfg, params, mask[b : b + 1])
+            adm = s1[0] > NEG_INF / 2
+            assert adm.any()
+            assert np.array_equal(scores[b] > NEG_INF / 2, adm)
+            assert _rel_err(scores[b][adm], s1[0][adm]) <= 1e-12
+            assert _rel_err(logp[b][adm], l1[0][adm]) <= 1e-12
+            assert (np.exp(logp[b][~adm]) == 0.0).all()
 
     def test_probabilities_normalize_over_admissible(self, vocab, setup):
         ds, tv, cfg, params = setup
         tokens = ds.examples[0][0]
         ctx = encode_context(tokens, cfg, params, vocab, tv)
-        h = np.random.default_rng(3).normal(size=cfg.d_m)
-        scores, logp = span_head(
-            h, ctx, ElementClass.VIRTUAL_SOS, cfg, params, prev_index=None, vocab=vocab
-        )
-        p = np.exp(logp)
-        adm = scores > NEG_INF / 2
+        h = np.random.default_rng(3).normal(size=(1, cfg.d_m))
+        mask = np.where(np.arange(vocab.l_p + len(tokens) * cfg.m) % 3 == 0, NEG_INF, 0.0)
+        scores, logp = span_head(h, ctx, cfg, params, mask[None])
+        p = np.exp(logp[0])
+        adm = scores[0] > NEG_INF / 2
         assert np.isclose(p[adm].sum(), 1.0)
         assert (p[~adm] == 0.0).all()
 
@@ -335,10 +327,7 @@ class TestSpanHead:
         ctx = encode_context(tokens, cfg, params, vocab, tv)
         rng = np.random.default_rng(4)
         h = rng.normal(size=cfg.d_m)
-        scores, _ = span_head(
-            h, ctx, ElementClass.VIRTUAL_SEP, cfg, params,
-            prev_index=vocab.sep_index, vocab=vocab,
-        )
+        scores = span_head(h[None], ctx, cfg, params)[0][0]
         s = h @ params["head_w5"].data + params["head_b5"].data
         e = h @ params["head_w6"].data + params["head_b6"].data
         ts_score = ctx.h_text @ s
@@ -354,10 +343,7 @@ class TestSpanHead:
         tokens = ds.examples[0][0]
         n = len(tokens)
         ctx = encode_context(tokens, cfg, params, vocab, tv)
-        h = np.zeros(cfg.d_m)
-        scores, _ = span_head(
-            h, ctx, ElementClass.VIRTUAL_SOS, cfg, params, prev_index=None, vocab=vocab
-        )
+        scores = span_head(np.zeros((1, cfg.d_m)), ctx, cfg, params)[0][0]
         for j in range(n):
             for d in range(cfg.m):
                 if j + d >= n:
@@ -367,30 +353,29 @@ class TestSpanHead:
     def test_window_fill_bitwise_equals_diagonal_loop(self, vocab, setup, n):
         _, tv, cfg, params = setup
         ctx = encode_context(("tok",) * n, cfg, params, vocab, tv)
-        rng = np.random.default_rng(n)
-        for prev_class, prev in ((ElementClass.VIRTUAL_SOS, None), (ElementClass.TEXT_SPAN, vocab.l_p)):
-            h = rng.normal(size=cfg.d_m)
-            scores, _ = span_head(h, ctx, prev_class, cfg, params, prev_index=prev, vocab=vocab)
+        for h in np.random.default_rng(n).normal(size=(2, cfg.d_m)):
+            row = span_head(h[None], ctx, cfg, params)[0][0]
             s = h @ params["head_w5"].data + params["head_b5"].data
             e = h @ params["head_w6"].data + params["head_b6"].data
-            from hyspa.masks import alternating_masks
-
-            _, m_ap = alternating_masks(prev_class, vocab, n, prev_index=prev)
-            ts_vec, te_vec = ctx.h_text @ s + m_ap, ctx.h_text @ e + m_ap
+            ts_vec, te_vec = ctx.h_text @ s, ctx.h_text @ e
             t_mat = np.full((n, cfg.m), NEG_INF)
             for dlt in range(min(cfg.m, n)):
                 t_mat[: n - dlt, dlt] = ts_vec[: n - dlt] + te_vec[dlt:]
-            assert np.array_equal(scores[vocab.l_p :], t_mat.reshape(-1))
+            assert np.array_equal(row[vocab.l_p :], t_mat.reshape(-1))
 
     def test_prev_span_blocks_text_mass(self, vocab, setup):
+        # after a level-parent span the constraint machine opens only the
+        # [TYPE] edge, so the decoder's step puts no mass on text spans
         ds, tv, cfg, params = setup
         tokens = ds.examples[0][0]
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
-        h = np.random.default_rng(5).normal(size=cfg.d_m)
-        _, logp = span_head(
-            h, ctx, ElementClass.TEXT_SPAN, cfg, params, prev_index=vocab.l_p, vocab=vocab
-        )
+        model = ExtractionModel(cfg, params, vocab, tv, dict(ds.edge_freq), Traversal.BFS)
+        session = model.open_session(tokens, max_len=32)
+        machine = GenConstraints(vocab, len(tokens), cfg.m, Traversal.BFS, max_len=32)
+        machine.push(vocab.l_p)
+        session.append(vocab.l_p)
+        logp = _step_logprobs(model, [session], [machine])[0]
         assert np.exp(logp[vocab.l_p :]).sum() == 0.0
+        assert np.exp(logp[vocab.type_edge_index]) == pytest.approx(1.0)
 
 
 class TestTrainingPath:
@@ -404,17 +389,10 @@ class TestTrainingPath:
             logits = logits.data[0]
             ctx = encode_context(tokens, cfg, params, vocab, tv)
             rows = decoder_forward(ctx, list(seq.items), cfg, vocab, traversal)
-            inputs = [None, *seq.items]
-            for i, h in enumerate(rows):
-                prev = inputs[i]
-                cls = (
-                    ElementClass.VIRTUAL_SOS
-                    if prev is None
-                    else classify(prev, vocab, seq.n, cfg.m)
-                )
-                scores, _ = span_head(h, ctx, cls, cfg, params, prev_index=prev, vocab=vocab)
+            scores, _ = span_head(rows, ctx, cfg, params)
+            for i, row in enumerate(scores):
                 adm = logits[i] > NEG_INF / 2
-                assert np.allclose(scores[adm], logits[i][adm], atol=1e-9)
+                assert np.allclose(row[adm], logits[i][adm], atol=1e-9)
 
     def test_teacher_forced_product_equals_exp_neg_ce(self, vocab, setup):
         # autoregressive factorization: sum of per-step CE at eps=0 equals -log p(seq)

@@ -1,11 +1,18 @@
-"""Shared fixtures: the pinned example configuration and random graph generation."""
+"""Shared fixtures: the pinned example configuration, random graph
+generation, and the decode-step probe of criterion C7."""
 from __future__ import annotations
+
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from hyspa.data_io import DEFAULT_EDGE_TYPES, DEFAULT_NODE_TYPES
+from hyspa.decode_search import GenConstraints, _step_logprobs
 from hyspa.hybrid_index import TextSpan
 from hyspa.info_graph import InfoGraph, Mention, RelationEdge, make_graph
+from hyspa.model import ExtractionModel, decode_step
+from hyspa.numerics import NEG_INF
 from hyspa.type_vocab import TypeVocab, build_vocab
 
 
@@ -76,3 +83,61 @@ def random_graph(
 
 def random_edge_freq(rng: np.random.Generator, vocab: TypeVocab) -> dict[int, int]:
     return {e: int(rng.integers(0, 100)) for e in vocab.real_edge_indices}
+
+
+@dataclass
+class StepProbe:
+    n: int
+    per_step_seconds: float  # median over the timed steps
+    score_vector_bytes: int  # the score row of one hypothesis
+
+
+def probe_decode_steps(
+    model: ExtractionModel, sizes, steps: int, beam: int = 1, seed: int = 0
+) -> list[StepProbe]:
+    """Time the decode step of ``beam`` live hypotheses of one random input
+    per size: one ``_step_logprobs`` call and one ``decode_step`` call.
+
+    The hypotheses are forks of one root.  Each takes its best slot other
+    than [EOS], so the run keeps stepping, and the budget is generous, so
+    length forcing never perturbs the timing.
+    """
+    rows = []
+    rng = np.random.default_rng(seed)
+    vocab_tokens = [t for t in model.token_vocab.tokens if t != "[UNK]"] or ["a"]
+    for n in sizes:
+        tokens = [vocab_tokens[int(rng.integers(len(vocab_tokens)))] for _ in range(n)]
+        max_len = 4 * steps + 64
+        session = model.open_session(tokens, max_len)
+        machine = GenConstraints(model.vocab, n, model.cfg.m, model.traversal, max_len)
+        sessions = [session] + [session.fork() for _ in range(beam - 1)]
+        machines = [machine] + [machine.fork() for _ in range(beam - 1)]
+
+        def one_step() -> int:
+            logps = _step_logprobs(model, sessions, machines)
+            picks = []
+            for logp, hyp_machine in zip(logps, machines):
+                k = int(np.argmax(logp))
+                if k == model.vocab.eos_index:  # keep stepping: pick the runner-up
+                    logp[k] = NEG_INF
+                    k = int(np.argmax(logp))
+                hyp_machine.push(k)
+                picks.append(k)
+            decode_step(sessions, picks)
+            return logps[0].nbytes
+
+        one_step()  # warmup (also primes caches)
+        times = []
+        for _ in range(steps):
+            t0 = time.perf_counter()
+            score_bytes = one_step()
+            times.append(time.perf_counter() - t0)
+        rows.append(StepProbe(n, float(np.median(times)), score_bytes))
+    return rows
+
+
+def fit_exponent(xs, ys) -> float:
+    """Least-squares slope of log(y) on log(x)."""
+    lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
+    slope, _ = np.polyfit(lx, ly, 1)
+    return float(slope)
