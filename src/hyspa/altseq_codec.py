@@ -57,9 +57,6 @@ class AltSequence:
     def __len__(self) -> int:
         return len(self.items)
 
-    def classes(self) -> list[ElementClass]:
-        return [classify(k, self.vocab, self.n, self.m) for k in self.items]
-
 
 def _node_index(node: GraphNode, vocab: TypeVocab, n: int, m: int) -> int:
     if isinstance(node, TypeNode):

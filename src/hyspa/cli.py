@@ -45,53 +45,61 @@ from .type_vocab import TypeVocab, load_vocab
 
 
 def _load_vocab_arg(args) -> TypeVocab:
-    if getattr(args, "vocab", None):
+    if args.vocab:
         return load_vocab(args.vocab)
     return default_vocab()
+
+
+# flags that several subcommands take; each subcommand takes only those its handler reads
+_SHARED_FLAGS = {
+    "vocab": (["--vocab"], dict(help="vocab config JSON (edge_types/node_types)")),
+    "traversal": (["--traversal"], dict(choices=["bfs", "dfs"], default="bfs")),
+    "m": (["--max-span-len"], dict(type=int, default=16, dest="m")),
+    "seed": (["--seed"], dict(type=int, default=0)),
+    "d_model": (["--d-model"], dict(type=int, default=64)),
+    "layers": (["--layers"], dict(type=int, default=2)),
+    "heads": (["--heads"], dict(type=int, default=8)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hyspa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_opts=False):
-        p.add_argument("--vocab", help="vocab config JSON (edge_types/node_types)")
-        p.add_argument("--traversal", choices=["bfs", "dfs"], default="bfs")
-        p.add_argument("--max-span-len", type=int, default=16, dest="m")
-        p.add_argument("--seed", type=int, default=0)
-        if model_opts:
-            p.add_argument("--d-model", type=int, default=64)
-            p.add_argument("--layers", type=int, default=2)
-            p.add_argument("--heads", type=int, default=8)
-            p.add_argument("--dropout", type=float, default=0.1)
+    def subcommand(name, help, *shared):
+        p = sub.add_parser(name, help=help)
+        for flag in shared:
+            names, kwargs = _SHARED_FLAGS[flag]
+            p.add_argument(*names, **kwargs)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    common(p)
+    p = subcommand("synth", "generate a synthetic corpus", "vocab", "m", "seed")
     p.add_argument("--size", type=int, default=1000)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest", help="also write a dataset manifest JSON")
 
-    p = sub.add_parser("encode", help="encode a corpus into alternating sequences")
-    common(p)
+    p = subcommand("encode", "encode a corpus into alternating sequences", "vocab", "traversal", "m")
     p.add_argument("--data", required=True)
     p.add_argument("--freq-from", help="corpus supplying edge frequencies (default: --data)")
     p.add_argument("--out", help="sequence dump path (default: stdout)")
 
-    p = sub.add_parser("decode", help="decode a sequence dump back into graphs")
-    common(p)
+    # traversal and m come from the dump's header
+    p = subcommand("decode", "decode a sequence dump back into graphs", "vocab")
     p.add_argument("--seqs", required=True)
+    p.add_argument("--traversal", choices=["bfs", "dfs"], help="fail unless the dump holds this traversal")
     p.add_argument("--out", help="JSONL output (default: stdout)")
 
-    p = sub.add_parser("roundtrip", help="assert decode(encode(g)) == g over a corpus")
-    common(p)
+    p = subcommand("roundtrip", "assert decode(encode(g)) == g over a corpus", "vocab", "traversal", "m")
     p.add_argument("--data", required=True)
 
-    p = sub.add_parser("validate", help="validate every graph in a corpus")
-    common(p)
+    p = subcommand("validate", "validate every graph in a corpus", "vocab", "m")
     p.add_argument("--data", required=True)
 
-    p = sub.add_parser("train", help="train the toy extraction model")
-    common(p, model_opts=True)
+    p = subcommand(
+        "train", "train the toy extraction model",
+        "vocab", "traversal", "m", "seed", "d_model", "layers", "heads",
+    )
+    p.add_argument("--dropout", type=float, default=0.1)
     p.add_argument("--data", required=True)
     p.add_argument("--dev")
     p.add_argument("--steps", type=int, default=4000)
@@ -106,14 +114,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint path (.npz)")
 
     # eval and extract take vocab, traversal and m from the checkpoint
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
+    p = subcommand("eval", "evaluate a checkpoint on a corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--beam", type=int, default=1)
     p.add_argument("--length-penalty", type=float, default=1.0)
     p.add_argument("--limit", type=int, default=None)
 
-    p = sub.add_parser("extract", help="run end-to-end extraction on raw token lines")
+    p = subcommand("extract", "run end-to-end extraction on raw token lines")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="text file, one whitespace-tokenized sentence per line")
     p.add_argument("--out", help="JSONL output (default: stdout)")
@@ -121,8 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length-penalty", type=float, default=1.0)
     p.add_argument("--max-len", type=int, default=None)
 
-    p = sub.add_parser("gradcheck", help="compare autodiff gradients to finite differences")
-    common(p, model_opts=True)
+    # gradcheck runs without dropout, so finite differences see a deterministic loss
+    p = subcommand(
+        "gradcheck", "compare autodiff gradients to finite differences",
+        "vocab", "traversal", "m", "seed", "d_model", "layers", "heads",
+    )
     p.set_defaults(d_model=32)
     p.add_argument("--examples", type=int, default=2)
     p.add_argument("--coords", type=int, default=4)
@@ -164,6 +175,10 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     vocab = _load_vocab_arg(args)
     seqs = read_sequence_dump(args.seqs, vocab)
+    if args.traversal and seqs and seqs[0].traversal.value != args.traversal:
+        raise ValueError(
+            f"--traversal {args.traversal}, but {args.seqs} holds {seqs[0].traversal.value} sequences"
+        )
     out = open(args.out, "w") if args.out else sys.stdout
     failures = 0
     try:
@@ -313,7 +328,7 @@ def _cmd_gradcheck(args) -> int:
 
     report = finite_diff_check(
         lambda: sequence_loss(batch, cfg, params), params,
-        h=1e-5, coords_per_tensor=args.coords, rng=np.random.default_rng(args.seed),
+        coords_per_tensor=args.coords, rng=np.random.default_rng(args.seed),
     )
     print(f"max relative error: {report.max_rel_err:.3e} over {report.checked} coordinates")
     if report.worst:

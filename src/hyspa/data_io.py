@@ -25,6 +25,7 @@ DEFAULT_EDGE_TYPES = (
     "[TYPE]", "PHYS", "PART-WHOLE", "PER-SOC", "ORG-AFF", "ART", "GEN-AFF", "OTHER-AFF",
 )
 DEFAULT_NODE_TYPES = ("PER", "ORG", "GPE", "LOC", "FAC", "VEH", "WEA", "[NULL]")
+CLS_TOKEN = "[CLS]"  # first token of every synthetic sentence
 
 
 def default_vocab() -> TypeVocab:
@@ -227,11 +228,10 @@ def synth_generate(
     vocab: TypeVocab | None = None,
     m: int = 16,
     templates: Sequence[Template] = TEMPLATES,
-    cls_token: str = "[CLS]",
 ) -> Dataset:
     """Reproducible synthetic corpus: same seed, same bytes.
 
-    Every sentence starts with the reserved ``cls_token``; entity spans use
+    Every sentence starts with the reserved ``CLS_TOKEN``; entity spans use
     verbatim token coordinates (so they never start at position 0).
     """
     vocab = vocab or default_vocab()
@@ -248,7 +248,7 @@ def synth_generate(
                 pick = pool[int(rng.integers(len(pool)))]
             used.add(pick)
             fillers.append(pick)
-        tokens: list[str] = [cls_token]
+        tokens: list[str] = [CLS_TOKEN]
         spans: list[TextSpan] = []
         for piece in tpl.pattern:
             if isinstance(piece, int):

@@ -25,14 +25,12 @@ from .type_vocab import ElementClass, TypeVocab, classify
 
 class _Phase:
     PARENT = "parent"          # expecting a level parent (start or after [SEP])
-    AFTER_PARENT = "after_parent"  # parent span emitted; [TYPE] edge forced
-    TYPE_EDGE = "type_edge"    # DFS: untyped node, [TYPE] edge forced
+    AFTER_PARENT = "after_parent"  # untyped node emitted; [TYPE] edge forced
     TYPE_VALUE = "type_value"  # [TYPE] emitted; node-type slot open
     AFTER_CHILD = "after_child"    # BFS: relation edges or [SEP]
     REL_EDGE = "rel_edge"      # DFS: re-emitted parent; relation edge forced
     REL_VALUE = "rel_value"    # relation emitted; span slot open
-    LEAF_SEP = "leaf_sep"      # DFS: [SEP] forced after a leaf
-    NULL_SEP = "null_sep"      # [NULL] root emitted; [SEP] forced
+    SEP = "sep"                # [NULL] root, or in DFS a leaf, emitted; [SEP] forced
     DONE = "done"
 
 
@@ -50,6 +48,7 @@ class GenConstraints:
         self.size = vocab.l_p + n * m
         # additive mask over the n*m span slots: windows past the text are closed
         self._legal = np.where(span_windows(n, m)[1], 0.0, NEG_INF).reshape(-1)
+        self._rel_edges = [e for e in vocab.real_edge_indices if e != vocab.type_edge_index]
         self.phase = _Phase.PARENT
         self.emitted = 0
         self.started = False
@@ -78,17 +77,15 @@ class GenConstraints:
                 _Phase.TYPE_VALUE: 2 + 4 * max(p - 1, 0),
                 _Phase.AFTER_CHILD: 1 + 4 * p,
                 _Phase.REL_VALUE: 2 + 4 * p,
-                _Phase.NULL_SEP: 1,
+                _Phase.SEP: 1,
             }[self.phase]
         return {
             _Phase.PARENT: 0 if self.started else 2,
             _Phase.AFTER_PARENT: 3,
-            _Phase.TYPE_EDGE: 3,
             _Phase.TYPE_VALUE: 2,
             _Phase.REL_EDGE: 3,
             _Phase.REL_VALUE: 2,
-            _Phase.LEAF_SEP: 1,
-            _Phase.NULL_SEP: 1,
+            _Phase.SEP: 1,
         }[self.phase]
 
     def _tight(self) -> bool:
@@ -120,16 +117,14 @@ class GenConstraints:
             if self.traversal == Traversal.BFS:
                 for k in self.parented:
                     v[k] = NEG_INF
-            else:
-                has_relations = any(e != voc.type_edge_index for e in voc.real_edge_indices)
-                if not has_relations:
-                    # a re-emitted (typed) parent would have nothing to emit
-                    for k in self.typed:
-                        v[k] = NEG_INF
+            elif not self._rel_edges:
+                # a re-emitted (typed) parent would have nothing to emit
+                for k in self.typed:
+                    v[k] = NEG_INF
             if not self.started:
                 v[voc.null_type_index] = 0.0
             return v
-        if ph in (_Phase.AFTER_PARENT, _Phase.TYPE_EDGE):
+        if ph == _Phase.AFTER_PARENT:
             v[voc.type_edge_index] = 0.0
             return v
         if ph == _Phase.TYPE_VALUE:
@@ -138,21 +133,17 @@ class GenConstraints:
         if ph == _Phase.AFTER_CHILD:
             v[voc.sep_index] = 0.0
             if not tight:
-                for e in voc.real_edge_indices:
-                    if e != voc.type_edge_index:
-                        v[e] = 0.0
+                v[self._rel_edges] = 0.0
             return v
         if ph == _Phase.REL_EDGE:
-            for e in voc.real_edge_indices:
-                if e != voc.type_edge_index:
-                    v[e] = 0.0
+            v[self._rel_edges] = 0.0
             return v
         if ph == _Phase.REL_VALUE:
             if tight:
                 return self._spans_only(v, restrict=self.typed | self.pending)
             v[voc.l_p :] = self._legal
             return v
-        if ph in (_Phase.LEAF_SEP, _Phase.NULL_SEP):
+        if ph == _Phase.SEP:
             v[voc.sep_index] = 0.0
             return v
         raise RuntimeError(f"unexpected phase {ph}")
@@ -176,7 +167,7 @@ class GenConstraints:
             self.started = True
             if cls is ElementClass.NODE_TYPE:
                 self.null_used = True
-                self.phase = _Phase.NULL_SEP
+                self.phase = _Phase.SEP
                 return
             self.cur = k
             if self.traversal == Traversal.BFS:
@@ -191,13 +182,13 @@ class GenConstraints:
                     self.pending.add(k)
                     self.phase = _Phase.AFTER_PARENT
             return
-        if ph in (_Phase.AFTER_PARENT, _Phase.TYPE_EDGE):
+        if ph == _Phase.AFTER_PARENT:
             self.phase = _Phase.TYPE_VALUE
             return
         if ph == _Phase.TYPE_VALUE:
             self.typed.add(self.cur)
             self.pending.discard(self.cur)
-            self.phase = _Phase.AFTER_CHILD if self.traversal == Traversal.BFS else _Phase.LEAF_SEP
+            self.phase = _Phase.AFTER_CHILD if self.traversal == Traversal.BFS else _Phase.SEP
             return
         if ph == _Phase.AFTER_CHILD:
             if k == voc.sep_index:
@@ -215,13 +206,13 @@ class GenConstraints:
                 self.phase = _Phase.AFTER_CHILD
             else:
                 if k in self.typed:
-                    self.phase = _Phase.LEAF_SEP
+                    self.phase = _Phase.SEP
                 else:
                     self.pending.add(k)
                     self.cur = k
-                    self.phase = _Phase.TYPE_EDGE
+                    self.phase = _Phase.AFTER_PARENT
             return
-        if ph in (_Phase.LEAF_SEP, _Phase.NULL_SEP):
+        if ph == _Phase.SEP:
             self.phase = _Phase.PARENT
             return
         raise RuntimeError(f"push in unexpected phase {ph}")
@@ -259,7 +250,6 @@ def _step_logprobs(model: ExtractionModel, sessions, machines) -> np.ndarray:
         np.array([s.last_hidden for s in sessions]),
         sessions[0].ctx,
         model.cfg,
-        model.params,
         np.array([machine.mask() for machine in machines]),
     )
     return logp

@@ -1,5 +1,6 @@
 """Attention and output masks of the training tape: span attention,
-alternating output, mixed attention.
+alternating output, mixed attention.  Each is index arithmetic over a whole
+padded batch.
 
 All masks are dense float64 matrices/vectors over {0, NEG_INF}; adding one to
 a score tensor removes the masked slots from the subsequent softmax.  The
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import NEG_INF
-from .type_vocab import ElementClass, TypeVocab
+from .type_vocab import TypeVocab
 
 
 def span_attention_mask(lo, hi, l_h: int) -> np.ndarray:
@@ -27,29 +28,28 @@ def span_attention_mask(lo, hi, l_h: int) -> np.ndarray:
     return np.where((cols >= lo) & (cols <= hi), 0.0, NEG_INF)
 
 
-def alternating_masks(prev: ElementClass, vocab: TypeVocab, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Output masks (over the l_p type slots, over the n text positions) of
-    the training tape.  Every slot the constraint machine opens at decode time
-    is open here too (``tests/test_decode_search.py::MachineRun``).
+def output_masks(inputs, n, vocab: TypeVocab) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating output masks of the training tape for every decoder input:
+    (B, T, l_p) over the type slots and (B, T, n_pad) over the text positions,
+    for inputs of shape (B, T) and the B examples' text lengths ``n``.
 
-    After a node element only edge slots open: the real edge types plus [SEP]
-    ([SOS]/[EOS] stay closed so that sampled sequences remain storable).
-    After an edge element the node slots open: node types plus all text
-    positions; the [EOS] slot additionally opens after [SEP], the only point
-    at which every traversal level is closed, so training targets (sequence
-    plus [EOS]) are never masked.
+    After a node element (an input ``>= l_e``: a node type or text span) only
+    edge slots open: the real edge types plus [SEP] ([SOS]/[EOS] stay closed
+    so that sampled sequences remain storable).  After an edge element the
+    node slots open: the node types plus the example's own text positions;
+    the [EOS] slot additionally opens after [SEP], the only point at which
+    every traversal level is closed, so training targets (sequence plus
+    [EOS]) are never masked.  Every slot the constraint machine opens at
+    decode time is open here too (``tests/test_decode_search.py::MachineRun``).
     """
-    m_a = np.full(vocab.l_p, NEG_INF)
-    m_a_prime = np.full(n, NEG_INF)
-    if prev.is_node_element:
-        m_a[: len(vocab.edge_types)] = 0.0  # the real edge types
-        m_a[vocab.sep_index] = 0.0
-        return m_a, m_a_prime
-    if prev is ElementClass.VIRTUAL_SEP:
-        m_a[vocab.eos_index] = 0.0
-    m_a[vocab.l_e : vocab.l_p] = 0.0
-    m_a_prime[:] = 0.0
-    return m_a, m_a_prime
+    inputs, n = np.asarray(inputs), np.asarray(n)
+    after_node = (inputs >= vocab.l_e)[..., None]
+    slots = np.arange(vocab.l_p)
+    edge_slots = (slots < len(vocab.edge_types)) | (slots == vocab.sep_index)
+    open_a = np.where(after_node, edge_slots, slots >= vocab.l_e)
+    open_a |= (inputs == vocab.sep_index)[..., None] & (slots == vocab.eos_index)
+    open_text = ~after_node & (np.arange(int(n.max())) < n[:, None, None])
+    return np.where(open_a, 0.0, NEG_INF), np.where(open_text, 0.0, NEG_INF)
 
 
 def mixed_attention_mask(n, t: int) -> np.ndarray:

@@ -30,15 +30,16 @@ Two forward implementations coexist on purpose:
   all feed rows through it with the same shapes, so they are bitwise equal.
   ``span_head`` likewise scores B hidden rows in one call, under the
   additive mask its caller passes: at decode time the constraint machine's,
-  the only admissibility rule there (the tape's alternating output masks
-  are training-only).
+  the only admissibility rule there (the tape's alternating output masks,
+  ``masks.output_masks``, are training-only).
   ``DecodeSession.fork`` copies only the filled prefix of the target caches,
   and beam search lets the last child of each hypothesis reuse its parent's
   session in place (see ``decode_search.beam_decode``).  ``encode_context``
   also builds the engine's parameter arrays once per input (``ctx.params``),
-  and ``_block_tail`` (residual, layer norm, FFN, residual, layer norm) is
-  the second half of every decoder layer, for the source rows and for the
-  decode steps alike.
+  the only weights ``decode_step`` and ``span_head`` read, and
+  ``_block_tail`` (residual, layer norm, FFN, residual, layer norm) is the
+  second half of every decoder layer, for the source rows and for the decode
+  steps alike.
 
 Both forms take their softmax and layer-norm forward from
 :mod:`hyspa.numerics` (``softmax``, ``normalize``) and their span-window
@@ -74,9 +75,9 @@ from .embeddings import (
     TREE_BRANCH_CAP,
 )
 from .hybrid_index import index_to_hspan
-from .masks import alternating_masks, mixed_attention_mask, span_attention_mask
+from .masks import mixed_attention_mask, output_masks, span_attention_mask
 from .numerics import NEG_INF, Tensor
-from .type_vocab import TypeVocab, classify, segment_ids
+from .type_vocab import TypeVocab, segment_ids
 
 UNK_TOKEN = "[UNK]"
 
@@ -208,8 +209,8 @@ def _traversal_embedding(
     if traversal == Traversal.BFS:
         levels, roles, trees = bfs_components(annotations, cfg.d_m)
         return nm.add(
-            nm.add(Tensor(placed(levels)), nm.matmul(Tensor(placed(roles)), params["trav_pc"])),
-            nm.matmul(Tensor(placed(trees)), params["trav_tree"]),
+            nm.add(Tensor(placed(levels)), nm.linear(Tensor(placed(roles)), params["trav_pc"])),
+            nm.linear(Tensor(placed(trees)), params["trav_tree"]),
         )
     level_ids, conns = dfs_components(annotations, cfg.d_m)
     levels = nm.take_rows(params["dfs_level"], placed(level_ids))
@@ -233,29 +234,6 @@ def _dropout_keep(
         keep[:, :, b, :nb] = mask[:, :, :nb]
         keep[:, :, b, n_pad : n_pad + tb] = mask[:, :, nb:]
     return keep
-
-
-def _output_masks(
-    inputs: np.ndarray, n: np.ndarray, vocab: TypeVocab, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Alternating masks for every decoder input: (B, T, l_p) over types, (B, T, n_pad) over text.
-
-    Every text span closes and opens the same slots, so ``alternating_masks``
-    runs once per distinct type index plus once for all spans.  Text columns
-    past an example's own n stay closed.
-    """
-    l_p = vocab.l_p
-    keys = np.minimum(inputs, l_p)
-    uniq, where = np.unique(keys, return_inverse=True)
-    m_a = np.empty((len(uniq), l_p))
-    text_open = np.empty(len(uniq), dtype=bool)
-    for u, k in enumerate(uniq.tolist()):
-        cls = classify(k, vocab, 1, m)
-        m_a[u], m_ap = alternating_masks(cls, vocab, 1)
-        text_open[u] = m_ap[0] == 0.0
-    where = where.reshape(inputs.shape)
-    in_text = np.arange(int(n.max())) < n[:, None, None]
-    return m_a[where], np.where(text_open[where][..., None] & in_text, 0.0, NEG_INF)
 
 
 def sequence_logits(
@@ -360,7 +338,7 @@ def sequence_logits(
     e_rep = nm.linear(hy_n, params["head_w6"], params["head_b6"])
     types_t = nm.transpose(h_types, (0, 2, 1))
     text_t = nm.transpose(h_text, (0, 2, 1))
-    m_a, m_ap = _output_masks(inputs, n, vocab, m)
+    m_a, m_ap = output_masks(inputs, n, vocab)
     type_scores = nm.add(nm.add(nm.matmul(s_rep, types_t), nm.matmul(e_rep, types_t)), Tensor(m_a))
     ts_vec = nm.add(nm.matmul(s_rep, text_t), Tensor(m_ap))
     te_vec = nm.add(nm.matmul(e_rep, text_t), Tensor(m_ap))
@@ -490,7 +468,6 @@ def fit(
     clip: float = 0.25,
     seed: int = 0,
     log_every: int = 0,
-    log=print,
     callback=None,
 ) -> list[tuple[int, float]]:
     """Run ``steps`` optimizer steps over random batches; returns (step, loss) history.
@@ -509,7 +486,7 @@ def fit(
         )
         history.append((step, loss))
         if log_every and step % log_every == 0:
-            log(f"step {step:>6d}  lr {opt.current_lr():.2e}  loss {loss:.4f}")
+            print(f"step {step:>6d}  lr {opt.current_lr():.2e}  loss {loss:.4f}")
         if callback is not None and callback(step):
             break
     return history
@@ -779,7 +756,6 @@ def span_head(
     hidden: np.ndarray,
     ctx: ContextRep,
     cfg: ModelConfig,
-    params: dict[str, Tensor],
     mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scores and log-probabilities of B hidden rows, (B, d), over the
@@ -793,9 +769,9 @@ def span_head(
     row they have the shapes of a single-row head, so a row scored alone
     always gives the same bits.
     """
-    n, m = ctx.n, cfg.m
-    s = hidden @ params["head_w5"].data + params["head_b5"].data
-    e = hidden @ params["head_w6"].data + params["head_b6"].data
+    n, m, p = ctx.n, cfg.m, ctx.params
+    s = hidden @ p["head_w5"] + p["head_b5"]
+    e = hidden @ p["head_w6"] + p["head_b6"]
     type_scores = (ctx.h_types @ s.T).T + (ctx.h_types @ e.T).T
     ts_vec = (ctx.h_text @ s.T).T
     te_vec = (ctx.h_text @ e.T).T

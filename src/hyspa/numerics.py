@@ -14,6 +14,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 NEG_INF = -1e30
+LN_EPS = 1e-12  # added to the variance in layer norm
+FD_STEP = 1e-5  # central-difference step of ``finite_diff_check``
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +138,9 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product: 2-D, batched with equal batch dims, or batched-left
-    ``(..., k) @ (k, n)`` (see ``linear``)."""
+    """Matrix product: 2-D, or batched with equal batch dims (a batch of rows
+    times one matrix is ``linear``)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim > 2 and b.ndim == 2:
-        return linear(a, b)
     if a.ndim > 2 or b.ndim > 2:
         if a.data.shape[:-2] != b.data.shape[:-2]:
             raise ValueError(f"batch dims differ: {a.data.shape} vs {b.data.shape}")
@@ -252,7 +252,7 @@ def log_softmax(a) -> Tensor:
     return out
 
 
-def normalize(x: np.ndarray, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Zero mean and unit variance over the last axis of an array: returns
     ``xhat = (x - mean) / std`` and ``std``.
 
@@ -263,15 +263,15 @@ def normalize(x: np.ndarray, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray
     """
     d = x.shape[-1]
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
-    std = np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
+    std = np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + LN_EPS)
     return xc / std, std
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-12) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     d = x.data.shape[-1]
-    xhat, std = normalize(x.data, eps)
+    xhat, std = normalize(x.data)
     out = Tensor(xhat * gamma.data + beta.data, parents=(x, gamma, beta))
 
     def backward(g):
@@ -455,21 +455,20 @@ def clip_global_norm(params: Iterable[Tensor], max_norm: float) -> float:
 class AdamW:
     """Decoupled-weight-decay Adam with an inverse-sqrt learning-rate schedule."""
 
+    betas = (0.9, 0.999)
+    eps = 1e-8
+
     def __init__(
         self,
         params: Mapping[str, Tensor],
         peak_lr: float = 2e-4,
         warmup: int = 2000,
         weight_decay: float = 0.01,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
     ):
         self.params = dict(params)
         self.peak_lr = peak_lr
         self.warmup = warmup
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -533,11 +532,11 @@ class FiniteDiffReport:
 def finite_diff_check(
     f: Callable[[], Tensor],
     params: Mapping[str, Tensor],
-    h: float = 1e-5,
     coords_per_tensor: int = 4,
     rng: np.random.Generator | None = None,
 ) -> FiniteDiffReport:
-    """Compare reverse-mode gradients of ``f()`` against central differences.
+    """Compare reverse-mode gradients of ``f()`` against central differences
+    with step ``FD_STEP``.
 
     ``f`` must rebuild its graph on every call and be deterministic.  For each
     parameter tensor a handful of coordinates is sampled (always including the
@@ -563,11 +562,11 @@ def finite_diff_check(
         flat = p.data.reshape(-1)
         for idx in sorted(set(int(c) for c in coords)):
             orig = flat[idx]
-            flat[idx] = orig + h
+            flat[idx] = orig + FD_STEP
             f_plus = f().data.item()
-            flat[idx] = orig - h
+            flat[idx] = orig - FD_STEP
             f_minus = f().data.item()
             flat[idx] = orig
-            fd = (f_plus - f_minus) / (2.0 * h)
+            fd = (f_plus - f_minus) / (2.0 * FD_STEP)
             report.record(name, idx, fd, float(grads[name].reshape(-1)[idx]))
     return report

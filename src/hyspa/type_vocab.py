@@ -10,6 +10,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 SOS = "[SOS]"
 EOS = "[EOS]"
@@ -56,7 +57,7 @@ class TypeVocab:
 
     edge_types: tuple[str, ...]
     node_types: tuple[str, ...]
-    virtual_edge_types: tuple[str, ...] = VIRTUAL_EDGE_TYPES
+    virtual_edge_types: ClassVar[tuple[str, ...]] = VIRTUAL_EDGE_TYPES
     _index: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):

@@ -41,6 +41,18 @@ class TestCodecCommands:
         lines = decoded.read_text().splitlines()
         assert len(lines) == 60
 
+    def test_decode_checks_traversal_against_dump(self, corpus, capsys):
+        # the dump's header fixes the traversal; a different --traversal is an error, not ignored
+        root, train = corpus
+        seqs = root / "seqs_bfs.txt"
+        decoded = root / "decoded_bfs.jsonl"
+        assert invoke("encode", "--data", str(train), "--out", str(seqs)) == 0
+        capsys.readouterr()
+        assert invoke("decode", "--seqs", str(seqs), "--traversal", "dfs", "--out", str(decoded)) == 1
+        assert "error: --traversal dfs, but" in capsys.readouterr().err
+        assert invoke("decode", "--seqs", str(seqs), "--traversal", "bfs", "--out", str(decoded)) == 0
+        assert len(decoded.read_text().splitlines()) == 60
+
     def test_encode_fig4_prints_pinned_indices(self, corpus, tmp_path, capsys):
         record = {
             "tokens": list(FIG4_TOKENS),
@@ -94,6 +106,44 @@ class TestUsageErrors:
 
     def test_missing_file_exits_1(self, tmp_path):
         assert invoke("roundtrip", "--data", str(tmp_path / "nope.jsonl")) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--out", "x.jsonl", "--traversal", "dfs"),
+        ("encode", "--data", "x.jsonl", "--seed", "1"),
+        ("decode", "--seqs", "x.txt", "--max-span-len", "8"),
+        ("decode", "--seqs", "x.txt", "--seed", "1"),
+        ("roundtrip", "--data", "x.jsonl", "--seed", "1"),
+        ("validate", "--data", "x.jsonl", "--traversal", "dfs"),
+        ("validate", "--data", "x.jsonl", "--seed", "1"),
+        ("gradcheck", "--dropout", "0.1"),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_unread_flag_is_a_usage_error(self, argv):
+        # a subcommand accepts only the flags its handler reads
+        with pytest.raises(SystemExit) as exc:
+            invoke(*argv)
+        assert exc.value.code == 2
+
+    def test_every_flag_has_a_reader(self):
+        # each subcommand's flags are exactly the args.X names its handler reads
+        # (vocab through _load_vocab_arg)
+        import argparse
+        import ast
+        import inspect
+
+        import hyspa.cli as cli
+
+        sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(cli._COMMANDS)
+        for name, parser in sub.choices.items():
+            source = inspect.getsource(cli._COMMANDS[name])
+            read = {
+                node.attr for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+            }
+            if "_load_vocab_arg(args)" in source:
+                read.add("vocab")
+            flags = {action.dest for action in parser._actions if action.dest != "help"}
+            assert flags == read, name
 
 
 class TestModelCommands:

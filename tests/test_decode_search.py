@@ -17,10 +17,9 @@ from hyspa.decode_search import (
 )
 from hyspa.hybrid_index import TextSpan
 from hyspa.info_graph import Mention, RelationEdge, canonicalize, graph_equal, make_graph, validate_graph
-from hyspa.masks import alternating_masks
+from hyspa.masks import output_masks
 from hyspa.model import ExtractionModel, ModelConfig, init_params, prepare_training_data
 from hyspa.numerics import NEG_INF, span_windows
-from hyspa.type_vocab import ElementClass, classify
 
 
 @pytest.fixture(scope="module")
@@ -404,9 +403,9 @@ class MachineRun(RuleBasedStateMachine):
     may leave it for any admitted slot, and is finished on its lowest
     admitted slots.  It checks that every canonical encoding is admitted
     (completeness, with max_len >= L + COMPLETE_SLACK), that every slot the
-    machine opens is open in the alternating masks of the previous element
-    (so those masks add nothing at decode time), and that every finished run
-    decodes to a valid graph (soundness).
+    machine opens is open in the training tape's output masks for the
+    previous element (so those masks add nothing at decode time), and that
+    every finished run decodes to a valid graph (soundness).
     """
 
     runs = dict(
@@ -457,8 +456,8 @@ class MachineRun(RuleBasedStateMachine):
         if self.machine.finished:
             return
         n = self.graph.n
-        prev = classify(self.items[-1], VOCAB, n, M) if self.items else ElementClass.VIRTUAL_SOS
-        m_a, m_ap = alternating_masks(prev, VOCAB, n)
+        prev = self.items[-1] if self.items else VOCAB.sos_index
+        m_a, m_ap = (mask[0, 0] for mask in output_masks(np.array([[prev]]), np.array([n]), VOCAB))
         idx, inside = span_windows(n, M)
         spans = np.where(inside, m_ap[:, None] + m_ap.take(idx), NEG_INF).reshape(-1)
         alternating_open = np.concatenate([m_a, spans]) == 0.0

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from hyspa.masks import alternating_masks, mixed_attention_mask, span_attention_mask
+from hyspa.masks import mixed_attention_mask, output_masks, span_attention_mask
 from hyspa.numerics import NEG_INF
-from hyspa.type_vocab import ElementClass
 
 
 def admitted(mask_vec):
@@ -32,41 +31,46 @@ class TestSpanAttentionMask:
         assert set(np.unique(m0)) <= {0.0, NEG_INF}
 
 
+def masks_after(k, vocab, n=9):
+    """The tape's output masks for one decoder input ``k``: one example, one row."""
+    m_a, m_ap = output_masks(np.array([[k]]), np.array([n]), vocab)
+    return m_a[0, 0], m_ap[0, 0]
+
+
 class TestAlternatingMasks:
     def test_after_text_span_only_edges(self, vocab):
-        m_a, m_ap = alternating_masks(ElementClass.TEXT_SPAN, vocab, n=9)
+        m_a, m_ap = masks_after(vocab.l_p, vocab)
         adm = admitted(m_a)
         assert adm == set(range(len(vocab.edge_types))) | {vocab.sep_index}
         assert admitted(m_ap) == set()
 
     def test_sos_start_admits_nodes_and_spans(self, vocab):
-        m_a, m_ap = alternating_masks(ElementClass.VIRTUAL_SOS, vocab, n=9)
+        m_a, m_ap = masks_after(vocab.sos_index, vocab)
         assert admitted(m_a) == set(range(vocab.l_e, vocab.l_p))
         assert admitted(m_ap) == set(range(9))
 
     def test_eos_opens_only_after_sep(self, vocab):
-        m_a, _ = alternating_masks(ElementClass.VIRTUAL_SEP, vocab, n=9)
+        m_a, _ = masks_after(vocab.sep_index, vocab)
         assert vocab.eos_index in admitted(m_a)
-        m_a, _ = alternating_masks(ElementClass.VIRTUAL_SOS, vocab, n=9)
+        m_a, _ = masks_after(vocab.sos_index, vocab)
         assert vocab.eos_index not in admitted(m_a)
-        m_a, _ = alternating_masks(ElementClass.TEXT_SPAN, vocab, n=9)
+        m_a, _ = masks_after(vocab.l_p, vocab)
         assert vocab.eos_index not in admitted(m_a)
 
     def test_sos_never_admitted(self, vocab):
-        for cls in (ElementClass.TEXT_SPAN, ElementClass.NODE_TYPE,
-                    ElementClass.VIRTUAL_SEP, ElementClass.VIRTUAL_SOS):
-            m_a, _ = alternating_masks(cls, vocab, n=9)
+        for k in (vocab.l_p, vocab.l_e, vocab.sep_index, vocab.sos_index):
+            m_a, _ = masks_after(k, vocab)
             assert vocab.sos_index not in admitted(m_a)
 
     def test_always_at_least_one_admissible(self, vocab):
-        for cls in ElementClass:
-            if cls is ElementClass.VIRTUAL_EOS:
+        for k in range(vocab.l_p + 9 * 16):
+            if k == vocab.eos_index:
                 continue  # EOS terminates; nothing follows it
-            m_a, m_ap = alternating_masks(cls, vocab, n=9)
+            m_a, m_ap = masks_after(k, vocab)
             assert admitted(m_a) | admitted(m_ap)
 
     def test_masked_softmax_sums_to_one_over_admissible(self, vocab, rng):
-        m_a, m_ap = alternating_masks(ElementClass.VIRTUAL_SEP, vocab, n=9)
+        m_a, m_ap = masks_after(vocab.sep_index, vocab)
         scores = np.concatenate([rng.normal(size=vocab.l_p) + m_a, rng.normal(size=9) + m_ap])
         p = np.exp(scores - scores.max())
         p /= p.sum()

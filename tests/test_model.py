@@ -297,10 +297,10 @@ class TestSpanHead:
         rng = np.random.default_rng(6)
         hidden = rng.normal(size=(6, cfg.d_m))
         mask = np.where(rng.random((6, size)) < 0.3, NEG_INF, 0.0)
-        scores, logp = span_head(hidden, ctx, cfg, params, mask)
+        scores, logp = span_head(hidden, ctx, cfg, mask)
         assert scores.shape == logp.shape == (6, size)
         for b in range(6):
-            s1, l1 = span_head(hidden[b : b + 1], ctx, cfg, params, mask[b : b + 1])
+            s1, l1 = span_head(hidden[b : b + 1], ctx, cfg, mask[b : b + 1])
             adm = s1[0] > NEG_INF / 2
             assert adm.any()
             assert np.array_equal(scores[b] > NEG_INF / 2, adm)
@@ -314,7 +314,7 @@ class TestSpanHead:
         ctx = encode_context(tokens, cfg, params, vocab, tv)
         h = np.random.default_rng(3).normal(size=(1, cfg.d_m))
         mask = np.where(np.arange(vocab.l_p + len(tokens) * cfg.m) % 3 == 0, NEG_INF, 0.0)
-        scores, logp = span_head(h, ctx, cfg, params, mask[None])
+        scores, logp = span_head(h, ctx, cfg, mask[None])
         p = np.exp(logp[0])
         adm = scores[0] > NEG_INF / 2
         assert np.isclose(p[adm].sum(), 1.0)
@@ -327,7 +327,7 @@ class TestSpanHead:
         ctx = encode_context(tokens, cfg, params, vocab, tv)
         rng = np.random.default_rng(4)
         h = rng.normal(size=cfg.d_m)
-        scores = span_head(h[None], ctx, cfg, params)[0][0]
+        scores = span_head(h[None], ctx, cfg)[0][0]
         s = h @ params["head_w5"].data + params["head_b5"].data
         e = h @ params["head_w6"].data + params["head_b6"].data
         ts_score = ctx.h_text @ s
@@ -343,7 +343,7 @@ class TestSpanHead:
         tokens = ds.examples[0][0]
         n = len(tokens)
         ctx = encode_context(tokens, cfg, params, vocab, tv)
-        scores = span_head(np.zeros((1, cfg.d_m)), ctx, cfg, params)[0][0]
+        scores = span_head(np.zeros((1, cfg.d_m)), ctx, cfg)[0][0]
         for j in range(n):
             for d in range(cfg.m):
                 if j + d >= n:
@@ -354,7 +354,7 @@ class TestSpanHead:
         _, tv, cfg, params = setup
         ctx = encode_context(("tok",) * n, cfg, params, vocab, tv)
         for h in np.random.default_rng(n).normal(size=(2, cfg.d_m)):
-            row = span_head(h[None], ctx, cfg, params)[0][0]
+            row = span_head(h[None], ctx, cfg)[0][0]
             s = h @ params["head_w5"].data + params["head_b5"].data
             e = h @ params["head_w6"].data + params["head_b6"].data
             ts_vec, te_vec = ctx.h_text @ s, ctx.h_text @ e
@@ -389,7 +389,7 @@ class TestTrainingPath:
             logits = logits.data[0]
             ctx = encode_context(tokens, cfg, params, vocab, tv)
             rows = decoder_forward(ctx, list(seq.items), cfg, vocab, traversal)
-            scores, _ = span_head(rows, ctx, cfg, params)
+            scores, _ = span_head(rows, ctx, cfg)
             for i, row in enumerate(scores):
                 adm = logits[i] > NEG_INF / 2
                 assert np.allclose(row[adm], logits[i][adm], atol=1e-9)
