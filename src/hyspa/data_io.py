@@ -18,7 +18,7 @@ import numpy as np
 
 from .altseq_codec import Traversal
 from .hybrid_index import TextSpan
-from .info_graph import InfoGraph, Mention, RelationEdge, make_graph, validate_graph
+from .info_graph import InfoGraph, Mention, RelationEdge, make_graph, span_keys, validate_graph
 from .type_vocab import TypeVocab, build_vocab
 
 DEFAULT_EDGE_TYPES = (
@@ -305,25 +305,10 @@ def eval_f1(pred: Sequence[InfoGraph], gold: Sequence[InfoGraph]) -> F1Result:
         raise ValueError(f"prediction/gold length mismatch: {len(pred)} vs {len(gold)}")
     ner, re = PRF(), PRF()
     for p, g in zip(pred, gold):
-        pm = {(mn.span.start, mn.span.end, mn.node_type) for mn in p.mentions}
-        gm = {(mn.span.start, mn.span.end, mn.node_type) for mn in g.mentions}
+        (pm, pr), (gm, gr) = span_keys(p), span_keys(g)
         ner.tp += len(pm & gm)
         ner.fp += len(pm - gm)
         ner.fn += len(gm - pm)
-
-        def rels(graph: InfoGraph) -> Counter:
-            return Counter(
-                (
-                    graph.mentions[r.head].span.start,
-                    graph.mentions[r.head].span.end,
-                    graph.mentions[r.tail].span.start,
-                    graph.mentions[r.tail].span.end,
-                    r.edge_type,
-                )
-                for r in graph.relations
-            )
-
-        pr, gr = rels(p), rels(g)
         inter = sum((pr & gr).values())
         re.tp += inter
         re.fp += sum(pr.values()) - inter

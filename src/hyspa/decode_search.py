@@ -20,7 +20,7 @@ from .altseq_codec import AltSequence, SequenceDecodeError, Traversal, decode_se
 from .info_graph import InfoGraph
 from .model import DecodeSession, ExtractionModel, ModelError, decode_step, span_head
 from .numerics import NEG_INF, span_windows
-from .type_vocab import ElementClass, TypeVocab, classify
+from .type_vocab import TypeVocab, VocabError
 
 
 class _Phase:
@@ -34,6 +34,14 @@ class _Phase:
     DONE = "done"
 
 
+# the phase that follows each forced emission
+_FORCED = {
+    _Phase.AFTER_PARENT: _Phase.TYPE_VALUE,
+    _Phase.REL_EDGE: _Phase.REL_VALUE,
+    _Phase.SEP: _Phase.PARENT,
+}
+
+
 class GenConstraints:
     """Structural admissibility for one growing hypothesis (BFS or DFS)."""
 
@@ -41,23 +49,30 @@ class GenConstraints:
         if max_len < 16:
             raise ValueError("max_len must be at least 16")
         self.vocab = vocab
-        self.n = n
-        self.m = m
         self.traversal = traversal
         self.max_len = max_len
         self.size = vocab.l_p + n * m
         # additive mask over the n*m span slots: windows past the text are closed
         self._legal = np.where(span_windows(n, m)[1], 0.0, NEG_INF).reshape(-1)
         self._rel_edges = [e for e in vocab.real_edge_indices if e != vocab.type_edge_index]
+        # the slots each fixed-slot phase opens, whatever the state
+        self._fixed = {
+            _Phase.AFTER_PARENT: [vocab.type_edge_index],
+            _Phase.TYPE_VALUE: slice(vocab.l_e, vocab.l_p),
+            _Phase.REL_EDGE: self._rel_edges,
+            _Phase.SEP: [vocab.sep_index],
+        }
         self.phase = _Phase.PARENT
-        self.emitted = 0
-        self.started = False
+        self.emitted = 0  # items pushed, [EOS] aside
         self.null_used = False
         self.typed: set[int] = set()     # span indices with an assigned type
         self.pending: set[int] = set()   # span indices seen but not yet typed
         self.parented: set[int] = set()  # BFS: spans that already opened a level
-        self.cur: int | None = None      # DFS: current node
-        self.finished = False
+        self.cur: int | None = None      # the node the next [TYPE] pair types
+
+    @property
+    def finished(self) -> bool:
+        return self.phase == _Phase.DONE
 
     def fork(self) -> "GenConstraints":
         clone = object.__new__(GenConstraints)
@@ -72,7 +87,7 @@ class GenConstraints:
         p = len(self.pending)
         if self.traversal == Traversal.BFS:
             return {
-                _Phase.PARENT: 4 * p if self.started else 2,
+                _Phase.PARENT: 4 * p if self.emitted else 2,
                 _Phase.AFTER_PARENT: 3 + 4 * max(p - 1, 0),
                 _Phase.TYPE_VALUE: 2 + 4 * max(p - 1, 0),
                 _Phase.AFTER_CHILD: 1 + 4 * p,
@@ -80,7 +95,7 @@ class GenConstraints:
                 _Phase.SEP: 1,
             }[self.phase]
         return {
-            _Phase.PARENT: 0 if self.started else 2,
+            _Phase.PARENT: 0 if self.emitted else 2,
             _Phase.AFTER_PARENT: 3,
             _Phase.TYPE_VALUE: 2,
             _Phase.REL_EDGE: 3,
@@ -94,128 +109,86 @@ class GenConstraints:
     # -- admissibility -----------------------------------------------------
     def mask(self) -> np.ndarray:
         """Additive mask over the l_p + n*m output slots for the next emission."""
-        if self.finished:
+        ph = self.phase
+        if ph == _Phase.DONE:
             raise RuntimeError("hypothesis already finished")
         v = np.full(self.size, NEG_INF)
         voc = self.vocab
-        tight = self._tight()
-        ph = self.phase
-        if ph == _Phase.PARENT:
-            if self.null_used:
-                v[voc.eos_index] = 0.0
-                return v
-            if self.started and not self.pending:
-                v[voc.eos_index] = 0.0
-                if tight:
-                    return v
-            if tight and self.pending:
-                # budget is short: only untyped mentions may open levels now
-                return self._spans_only(v, restrict=self.pending)
-            if tight:
-                return v
-            v[voc.l_p :] = self._legal
-            if self.traversal == Traversal.BFS:
-                for k in self.parented:
-                    v[k] = NEG_INF
-            elif not self._rel_edges:
-                # a re-emitted (typed) parent would have nothing to emit
-                for k in self.typed:
-                    v[k] = NEG_INF
-            if not self.started:
-                v[voc.null_type_index] = 0.0
-            return v
-        if ph == _Phase.AFTER_PARENT:
-            v[voc.type_edge_index] = 0.0
-            return v
-        if ph == _Phase.TYPE_VALUE:
-            v[voc.l_e : voc.l_p] = 0.0
+        if ph in self._fixed:
+            v[self._fixed[ph]] = 0.0
             return v
         if ph == _Phase.AFTER_CHILD:
             v[voc.sep_index] = 0.0
-            if not tight:
+            if not self._tight():
                 v[self._rel_edges] = 0.0
             return v
-        if ph == _Phase.REL_EDGE:
-            v[self._rel_edges] = 0.0
-            return v
         if ph == _Phase.REL_VALUE:
-            if tight:
-                return self._spans_only(v, restrict=self.typed | self.pending)
-            v[voc.l_p :] = self._legal
+            if self._tight():
+                v[list(self.typed | self.pending)] = 0.0
+            else:
+                v[voc.l_p :] = self._legal
             return v
-        if ph == _Phase.SEP:
-            v[voc.sep_index] = 0.0
+        # PARENT; before the first emission the budget cannot be tight (max_len >= 16)
+        if self.null_used:
+            v[voc.eos_index] = 0.0
             return v
-        raise RuntimeError(f"unexpected phase {ph}")
-
-    def _spans_only(self, v: np.ndarray, restrict: set[int]) -> np.ndarray:
-        for k in restrict:
-            v[k] = 0.0
+        if self.emitted:
+            if not self.pending:
+                v[voc.eos_index] = 0.0
+            if self._tight():
+                # budget is short: [EOS], or only untyped mentions may open levels
+                v[list(self.pending)] = 0.0
+                return v
+        v[voc.l_p :] = self._legal
+        if self.traversal == Traversal.BFS:
+            v[list(self.parented)] = NEG_INF
+        elif not self._rel_edges:
+            # a re-emitted (typed) parent would have nothing to emit
+            v[list(self.typed)] = NEG_INF
+        if not self.emitted:
+            v[voc.null_type_index] = 0.0
         return v
 
     # -- transitions ---------------------------------------------------------
     def push(self, k: int) -> None:
         voc = self.vocab
+        if not 0 <= k < self.size:
+            raise VocabError(f"index {k} outside [0, {self.size})")
         if k == voc.eos_index:
-            self.finished = True
             self.phase = _Phase.DONE
             return
         self.emitted += 1
-        cls = classify(k, voc, self.n, self.m)
         ph = self.phase
-        if ph == _Phase.PARENT:
-            self.started = True
-            if cls is ElementClass.NODE_TYPE:
-                self.null_used = True
-                self.phase = _Phase.SEP
-                return
-            self.cur = k
-            if self.traversal == Traversal.BFS:
-                self.parented.add(k)
-                if k not in self.typed:
-                    self.pending.add(k)
-                self.phase = _Phase.AFTER_PARENT
-            else:
-                if k in self.typed:
-                    self.phase = _Phase.REL_EDGE
-                else:
-                    self.pending.add(k)
-                    self.phase = _Phase.AFTER_PARENT
-            return
-        if ph == _Phase.AFTER_PARENT:
-            self.phase = _Phase.TYPE_VALUE
-            return
-        if ph == _Phase.TYPE_VALUE:
+        bfs = self.traversal == Traversal.BFS
+        if ph in _FORCED:
+            self.phase = _FORCED[ph]
+        elif ph == _Phase.TYPE_VALUE:
             self.typed.add(self.cur)
             self.pending.discard(self.cur)
-            self.phase = _Phase.AFTER_CHILD if self.traversal == Traversal.BFS else _Phase.SEP
-            return
-        if ph == _Phase.AFTER_CHILD:
-            if k == voc.sep_index:
-                self.phase = _Phase.PARENT
-            else:
-                self.phase = _Phase.REL_VALUE
-            return
-        if ph == _Phase.REL_EDGE:
-            self.phase = _Phase.REL_VALUE
-            return
-        if ph == _Phase.REL_VALUE:
-            if self.traversal == Traversal.BFS:
-                if k not in self.typed:
-                    self.pending.add(k)
+            self.phase = _Phase.AFTER_CHILD if bfs else _Phase.SEP
+        elif ph == _Phase.AFTER_CHILD:
+            self.phase = _Phase.PARENT if k == voc.sep_index else _Phase.REL_VALUE
+        elif ph == _Phase.PARENT and k < voc.l_p:  # the [NULL] root
+            self.null_used = True
+            self.phase = _Phase.SEP
+        elif ph in (_Phase.PARENT, _Phase.REL_VALUE):  # a span: level parent or relation child
+            typed = k in self.typed
+            if not typed:
+                self.pending.add(k)
+            if ph == _Phase.PARENT:
+                self.cur = k
+                if bfs:
+                    self.parented.add(k)
+                self.phase = _Phase.REL_EDGE if typed and not bfs else _Phase.AFTER_PARENT
+            elif bfs:
                 self.phase = _Phase.AFTER_CHILD
+            elif typed:
+                self.phase = _Phase.SEP
             else:
-                if k in self.typed:
-                    self.phase = _Phase.SEP
-                else:
-                    self.pending.add(k)
-                    self.cur = k
-                    self.phase = _Phase.AFTER_PARENT
-            return
-        if ph == _Phase.SEP:
-            self.phase = _Phase.PARENT
-            return
-        raise RuntimeError(f"push in unexpected phase {ph}")
+                self.cur = k
+                self.phase = _Phase.AFTER_PARENT
+        else:
+            raise RuntimeError(f"push in unexpected phase {ph}")
 
 
 # ---------------------------------------------------------------------------

@@ -150,23 +150,24 @@ def canonicalize(
     return OrderedGraph(roots=tuple(roots), adjacency=adjacency, n=g.n, m=g.m)
 
 
+def span_keys(g: InfoGraph) -> tuple[set, Counter]:
+    """The keys span-level comparison reads: the set of mentions as (start,
+    end, type) and the multiset of relations as (head start, head end, tail
+    start, tail end, type)."""
+    mentions = {(mn.span.start, mn.span.end, mn.node_type) for mn in g.mentions}
+    relations = Counter(
+        (
+            g.mentions[r.head].span.start,
+            g.mentions[r.head].span.end,
+            g.mentions[r.tail].span.start,
+            g.mentions[r.tail].span.end,
+            r.edge_type,
+        )
+        for r in g.relations
+    )
+    return mentions, relations
+
+
 def graph_equal(a: InfoGraph, b: InfoGraph) -> bool:
     """Span-level equality: same mention set and same relation multiset."""
-    ma = {(mn.span.start, mn.span.end, mn.node_type) for mn in a.mentions}
-    mb = {(mn.span.start, mn.span.end, mn.node_type) for mn in b.mentions}
-    if ma != mb:
-        return False
-
-    def rel_multiset(g: InfoGraph) -> Counter:
-        return Counter(
-            (
-                g.mentions[r.head].span.start,
-                g.mentions[r.head].span.end,
-                g.mentions[r.tail].span.start,
-                g.mentions[r.tail].span.end,
-                r.edge_type,
-            )
-            for r in g.relations
-        )
-
-    return rel_multiset(a) == rel_multiset(b)
+    return span_keys(a) == span_keys(b)

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -627,9 +627,10 @@ class DecodeSession:
     bitwise-equal rows.
 
     ``fork`` gives an independent copy for beam search.  It copies only the
-    annotator, the ``t`` rows of the target caches that are filled (later
-    rows are written before they are read) and the last hidden row; the rest
-    it shares with its parent.
+    annotator and the ``t`` rows of the target caches that are filled (later
+    rows are written before they are read); the rest it shares with its
+    parent, the last hidden row too, which ``decode_step`` rebinds and never
+    writes into.
     """
 
     def __init__(self, ctx: ContextRep, cfg: ModelConfig, vocab: TypeVocab, traversal: Traversal, max_len: int):
@@ -652,7 +653,6 @@ class DecodeSession:
         clone.annotator = self.annotator.copy()
         clone.tgt_k = [_prefix_copy(a, self.t) for a in self.tgt_k]
         clone.tgt_v = [_prefix_copy(a, self.t) for a in self.tgt_v]
-        clone.last_hidden = None if self.last_hidden is None else self.last_hidden.copy()
         return clone
 
     def _input_row(self, k: int | None) -> np.ndarray:
@@ -731,7 +731,7 @@ def _prefix_copy(cache: np.ndarray, t: int) -> np.ndarray:
 
 def decoder_forward(
     ctx: ContextRep,
-    elements: Sequence[int | None],
+    elements: Sequence[int],
     cfg: ModelConfig,
     vocab: TypeVocab,
     traversal: Traversal = Traversal.BFS,
@@ -741,12 +741,9 @@ def decoder_forward(
     row through the same ``DecodeSession.append``, so both give
     bitwise-identical rows.
     """
-    sos_stripped = list(elements)
-    if sos_stripped and sos_stripped[0] is None:
-        sos_stripped = sos_stripped[1:]
-    session = DecodeSession(ctx, cfg, vocab, traversal, max_len=len(sos_stripped) + 1)
+    session = DecodeSession(ctx, cfg, vocab, traversal, max_len=len(elements) + 1)
     rows = [session.last_hidden.copy()]
-    for k in sos_stripped:
+    for k in elements:
         session.append(k)
         rows.append(session.last_hidden.copy())
     return np.stack(rows)
@@ -808,10 +805,7 @@ class ExtractionModel:
 
     def save(self, path) -> None:
         meta = {
-            "cfg": {
-                "d_m": self.cfg.d_m, "layers": self.cfg.layers, "heads": self.cfg.heads,
-                "m": self.cfg.m, "dropout": self.cfg.dropout, "max_tokens": self.cfg.max_tokens,
-            },
+            "cfg": asdict(self.cfg),
             "edge_types": list(self.vocab.edge_types),
             "node_types": list(self.vocab.node_types),
             "tokens": list(self.token_vocab.tokens),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from testutil import FIG4_TOKENS, fig4_graph, pinned_vocab
+from testutil import fig4_graph, pinned_vocab
 
 
 @pytest.fixture(scope="session")

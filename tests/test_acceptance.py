@@ -6,7 +6,6 @@ model from scratch and dominates the runtime (a few minutes on one CPU core).
 import time
 
 import numpy as np
-import pytest
 
 from testutil import (
     fig4_bfs_items,
@@ -36,7 +35,7 @@ from hyspa.model import (
     sequence_loss,
     span_head,
 )
-from hyspa.numerics import NEG_INF, AdamW, finite_diff_check
+from hyspa.numerics import AdamW, finite_diff_check
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

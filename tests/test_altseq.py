@@ -11,11 +11,10 @@ from hyspa.altseq_codec import (
     decode_sequence,
     encode,
     encode_bfs,
-    encode_dfs,
     validate_sequence,
 )
 from hyspa.info_graph import canonicalize, graph_equal, make_graph
-from hyspa.type_vocab import ElementClass, classify
+from hyspa.type_vocab import classify
 
 M = 16
 

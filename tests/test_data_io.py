@@ -8,21 +8,15 @@ from testutil import FIG4_TOKENS, fig4_graph
 from hyspa.altseq_codec import Traversal, decode_sequence, encode, validate_sequence
 from hyspa.data_io import (
     CorpusError,
-    Dataset,
-    default_vocab,
     eval_f1,
-    graph_to_record,
     load_jsonl,
     read_sequence_dump,
-    record_to_graph,
     save_jsonl,
     synth_generate,
     write_sequence_dump,
 )
-from hyspa.hybrid_index import TextSpan
 from hyspa.info_graph import (
     InfoGraph,
-    Mention,
     RelationEdge,
     canonicalize,
     graph_equal,

@@ -6,6 +6,10 @@ except comments and docstrings; string literals count, because perfbench
 names the functions it wraps in strings, so this is a word search over code,
 not a walk of the call graph.  Names in ``hyspa.__all__`` are the public API
 and are exempt, as are the gate references below.
+
+Every name a module of ``src/hyspa/`` or ``tests/`` imports is read in that
+module.  The re-exports in ``hyspa.__all__`` count as read, and
+``from __future__`` imports are exempt.
 """
 import ast
 import io
@@ -70,3 +74,27 @@ def test_no_unused_definitions():
         if name not in exempt and words.get(name, 0) <= defined
     )
     assert unused == [], f"defined but never used outside their definition: {unused}"
+
+
+def _unused_imports(source: str, exempt: set[str]) -> list[str]:
+    """The names ``source`` imports but never reads, except ``exempt`` ones."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used | exempt)
+
+
+def test_no_unused_imports():
+    unused = {}
+    for path in sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        exempt = set(hyspa.__all__) if path == SRC / "__init__.py" else set()
+        names = _unused_imports(path.read_text(), exempt)
+        if names:
+            unused[str(path.relative_to(ROOT))] = names
+    assert unused == {}, f"imported but never used: {unused}"

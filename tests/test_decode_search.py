@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from testutil import fig4_bfs_items, fig4_graph, fit_exponent, pinned_vocab
+from testutil import fig4_bfs_items, fig4_dfs_items, fig4_graph, fit_exponent, pinned_vocab
 
 from hyspa.altseq_codec import AltSequence, Traversal, decode_sequence, encode, validate_sequence
 from hyspa.data_io import synth_generate
@@ -331,7 +331,96 @@ class TestExtract:
         assert list(trimmed.items) == fig4_bfs_items(vocab)
 
 
+# Exact masks along the Figure 4 walks (n=9, m=16, pinned vocab): [TYPE] is
+# slot 0, the relation edges 1-7, [EOS] 9, [SEP] 10, the node types 11-18
+# ([NULL] 18), and span (s, s+w+1) is slot 19 + 16*s + w.
+LEGAL_SPANS = frozenset(19 + 16 * s + w for s in range(9) for w in range(9 - s))
+RELS, NODES = (1, 2, 3, 4, 5, 6, 7), (11, 12, 13, 14, 15, 16, 17, 18)
+HE, BAGHDAD = 19, 83
+# (admitted type slots, admitted span slots) before each item, then before [EOS]
+FIG4_SLOTS = {
+    Traversal.BFS: [
+        ((18,), LEGAL_SPANS),            # the start: any span, or the [NULL] root
+        ((0,), set()),                   # He
+        (NODES, set()),                  # [TYPE]
+        ((*RELS, 10), set()),            # PER: a relation or [SEP]
+        ((9,), LEGAL_SPANS - {HE}),      # [SEP]: He already opened a level
+        ((0,), set()),                   # Baghdad
+        (NODES, set()),                  # [TYPE]
+        ((*RELS, 10), set()),            # GPE
+        ((), LEGAL_SPANS),               # PHYS: any span as its child
+        ((*RELS, 10), set()),            # He
+        ((9,), LEGAL_SPANS - {HE, BAGHDAD}),  # [SEP]
+    ],
+    Traversal.DFS: [
+        ((18,), LEGAL_SPANS),
+        ((0,), set()),                   # He
+        (NODES, set()),                  # [TYPE]
+        ((10,), set()),                  # PER: the leaf closes
+        ((9,), LEGAL_SPANS),             # [SEP]: a typed parent may come back
+        ((0,), set()),                   # Baghdad
+        (NODES, set()),                  # [TYPE]
+        ((10,), set()),                  # GPE
+        ((9,), LEGAL_SPANS),             # [SEP]
+        (RELS, set()),                   # Baghdad again: a relation edge
+        ((), LEGAL_SPANS),               # PHYS
+        ((10,), set()),                  # He, typed: the level closes
+        ((9,), LEGAL_SPANS),             # [SEP]
+    ],
+}
+# At max_len=16 the budget is tight from the relation child on (``_tight``):
+# the child must be a mention already seen, no new relation may open, and
+# the closed sequence must end.
+FIG4_BFS_SLOTS_AT_16 = [*FIG4_SLOTS[Traversal.BFS][:8], ((), {HE, BAGHDAD}), ((10,), set()), ((9,), set())]
+# A walk whose relation child is typed on a later level: once the budget is
+# tight, that pending mention is the only admitted level parent, with no [EOS].
+PENDING_BFS_ITEMS = [HE, 0, 11, 1, BAGHDAD, 10, BAGHDAD, 0, 13, 10]
+PENDING_BFS_SLOTS_AT_16 = [
+    ((18,), LEGAL_SPANS),
+    ((0,), set()),                       # He
+    (NODES, set()),                      # [TYPE]
+    ((*RELS, 10), set()),                # PER
+    ((), LEGAL_SPANS),                   # PHYS
+    ((10,), set()),                      # Baghdad, untyped: only [SEP] fits the budget
+    ((), {BAGHDAD}),                     # [SEP]: Baghdad must be typed before [EOS]
+    ((0,), set()),                       # Baghdad
+    (NODES, set()),                      # [TYPE]
+    ((10,), set()),                      # GPE
+    ((9,), set()),                       # [SEP]
+]
+
+
+def admitted_slots(vocab, items, traversal, max_len):
+    """(admitted type slots, admitted span slots) of the machine (n=9, m=16)
+    before each of ``items`` and before the final [EOS], checking that the
+    masks hold only 0 and NEG_INF and that [EOS] finishes the run."""
+    machine = GenConstraints(vocab, 9, 16, traversal, max_len)
+    slots = []
+    for k in [*items, vocab.eos_index]:
+        mask = machine.mask()
+        assert set(np.unique(mask)) <= {0.0, NEG_INF}
+        open_slots = np.flatnonzero(mask == 0.0)
+        slots.append((
+            tuple(int(s) for s in open_slots if s < vocab.l_p),
+            {int(s) for s in open_slots if s >= vocab.l_p},
+        ))
+        machine.push(k)
+    assert machine.finished
+    return slots
+
+
 class TestConstraintMachine:
+    @pytest.mark.parametrize("traversal", [Traversal.BFS, Traversal.DFS], ids=["bfs", "dfs"])
+    def test_fig4_admitted_slots(self, vocab, traversal):
+        items = fig4_bfs_items(vocab) if traversal is Traversal.BFS else fig4_dfs_items(vocab)
+        assert admitted_slots(vocab, items, traversal, max_len=64) == FIG4_SLOTS[traversal]
+
+    def test_tight_budget_admitted_slots(self, vocab):
+        fig4 = admitted_slots(vocab, fig4_bfs_items(vocab), Traversal.BFS, max_len=16)
+        assert fig4 == FIG4_BFS_SLOTS_AT_16
+        pending = admitted_slots(vocab, PENDING_BFS_ITEMS, Traversal.BFS, max_len=16)
+        assert pending == PENDING_BFS_SLOTS_AT_16
+
     @pytest.mark.parametrize("traversal", [Traversal.BFS, Traversal.DFS])
     def test_sampled_sequences_validate_and_decode(self, vocab, traversal):
         rng = np.random.default_rng(17)

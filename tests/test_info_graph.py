@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from testutil import fig4_graph, random_edge_freq, random_graph

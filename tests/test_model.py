@@ -3,8 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from testutil import fig4_bfs_items, random_edge_freq, random_graph
-
 from hyspa import numerics as nm
 from hyspa.altseq_codec import AltSequence, Traversal, encode, encode_bfs
 from hyspa.data_io import synth_generate
@@ -17,7 +15,6 @@ from hyspa.model import (
     ExtractionModel,
     ModelConfig,
     ModelError,
-    TokenVocab,
     decode_step,
     decoder_forward,
     encode_context,
