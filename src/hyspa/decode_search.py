@@ -9,6 +9,13 @@ pair before anything else, relation children are text spans, and [EOS] only
 opens once all levels are closed and no mention is left untyped.  Near the
 length budget the machine forces the shortest completion, so any finished
 hypothesis is decodable regardless of the scores that drove it.
+
+Most steps admit no text span (a [TYPE] edge, a node type, a relation edge,
+[SEP] or [EOS] comes next).  There the mask covers only the l_p type slots,
+and the span head scores such a hypothesis over those slots alone, with the
+bits the full row would give them; a step's cost grows with n only for the
+hypotheses that can emit a span.  Type slots come first in every row, so a
+slot index means the same in a short row as in a full one.
 """
 from __future__ import annotations
 
@@ -41,6 +48,29 @@ _FORCED = {
     _Phase.SEP: _Phase.PARENT,
 }
 
+# the fewest items that still finish a run once something is emitted, as
+# (base, per pending mention) in each live phase: BFS types a pending
+# mention at a level of its own (span, [TYPE], type, [SEP]); in AFTER_PARENT
+# and TYPE_VALUE the current parent is one of the pending mentions
+_FINISH = {
+    Traversal.BFS: {
+        _Phase.PARENT: (0, 4),
+        _Phase.AFTER_PARENT: (-1, 4),
+        _Phase.TYPE_VALUE: (-2, 4),
+        _Phase.AFTER_CHILD: (1, 4),
+        _Phase.REL_VALUE: (2, 4),
+        _Phase.SEP: (1, 0),
+    },
+    Traversal.DFS: {
+        _Phase.PARENT: (0, 0),
+        _Phase.AFTER_PARENT: (3, 0),
+        _Phase.TYPE_VALUE: (2, 0),
+        _Phase.REL_EDGE: (3, 0),
+        _Phase.REL_VALUE: (2, 0),
+        _Phase.SEP: (1, 0),
+    },
+}
+
 
 class GenConstraints:
     """Structural admissibility for one growing hypothesis (BFS or DFS)."""
@@ -53,7 +83,9 @@ class GenConstraints:
         self.max_len = max_len
         self.size = vocab.l_p + n * m
         # additive mask over the n*m span slots: windows past the text are closed
-        self._legal = np.where(span_windows(n, m)[1], 0.0, NEG_INF).reshape(-1)
+        inside = span_windows(n, m)[1]
+        self._legal = np.where(inside, 0.0, NEG_INF).reshape(-1)
+        self._n_legal = int(inside.sum())
         self._rel_edges = [e for e in vocab.real_edge_indices if e != vocab.type_edge_index]
         # the slots each fixed-slot phase opens, whatever the state
         self._fixed = {
@@ -84,36 +116,23 @@ class GenConstraints:
 
     # -- budget ------------------------------------------------------------
     def _min_to_finish(self) -> int:
-        p = len(self.pending)
-        if self.traversal == Traversal.BFS:
-            return {
-                _Phase.PARENT: 4 * p if self.emitted else 2,
-                _Phase.AFTER_PARENT: 3 + 4 * max(p - 1, 0),
-                _Phase.TYPE_VALUE: 2 + 4 * max(p - 1, 0),
-                _Phase.AFTER_CHILD: 1 + 4 * p,
-                _Phase.REL_VALUE: 2 + 4 * p,
-                _Phase.SEP: 1,
-            }[self.phase]
-        return {
-            _Phase.PARENT: 0 if self.emitted else 2,
-            _Phase.AFTER_PARENT: 3,
-            _Phase.TYPE_VALUE: 2,
-            _Phase.REL_EDGE: 3,
-            _Phase.REL_VALUE: 2,
-            _Phase.SEP: 1,
-        }[self.phase]
+        if not self.emitted:
+            return 2  # a [NULL] root and its [SEP]
+        base, per_pending = _FINISH[self.traversal][self.phase]
+        return base + per_pending * len(self.pending)
 
     def _tight(self) -> bool:
         return self.max_len - self.emitted <= self._min_to_finish() + 6
 
     # -- admissibility -----------------------------------------------------
     def mask(self) -> np.ndarray:
-        """Additive mask over the l_p + n*m output slots for the next emission."""
+        """Additive mask for the next emission: over the l_p type slots alone
+        when no span slot is admitted, else over all l_p + n*m output slots."""
         ph = self.phase
         if ph == _Phase.DONE:
             raise RuntimeError("hypothesis already finished")
-        v = np.full(self.size, NEG_INF)
         voc = self.vocab
+        v = np.full(voc.l_p, NEG_INF)
         if ph in self._fixed:
             v[self._fixed[ph]] = 0.0
             return v
@@ -123,30 +142,39 @@ class GenConstraints:
                 v[self._rel_edges] = 0.0
             return v
         if ph == _Phase.REL_VALUE:
-            if self._tight():
-                v[list(self.typed | self.pending)] = 0.0
-            else:
-                v[voc.l_p :] = self._legal
-            return v
+            return self._open_spans(v, self.typed | self.pending) if self._tight() else self._open_legal(v, ())
         # PARENT; before the first emission the budget cannot be tight (max_len >= 16)
         if self.null_used:
             v[voc.eos_index] = 0.0
             return v
-        if self.emitted:
-            if not self.pending:
-                v[voc.eos_index] = 0.0
-            if self._tight():
-                # budget is short: [EOS], or only untyped mentions may open levels
-                v[list(self.pending)] = 0.0
-                return v
-        v[voc.l_p :] = self._legal
-        if self.traversal == Traversal.BFS:
-            v[list(self.parented)] = NEG_INF
-        elif not self._rel_edges:
-            # a re-emitted (typed) parent would have nothing to emit
-            v[list(self.typed)] = NEG_INF
         if not self.emitted:
             v[voc.null_type_index] = 0.0
+            return self._open_legal(v, ())
+        if not self.pending:
+            v[voc.eos_index] = 0.0
+        if self._tight():
+            # budget is short: [EOS], or only untyped mentions may open levels
+            return self._open_spans(v, self.pending)
+        if self.traversal == Traversal.BFS:
+            return self._open_legal(v, self.parented)
+        # DFS: with no relation type, a re-emitted (typed) parent would have nothing to emit
+        return self._open_legal(v, () if self._rel_edges else self.typed)
+
+    def _open_spans(self, types: np.ndarray, spans) -> np.ndarray:
+        """``types`` followed by the span slots, only the slots ``spans`` open."""
+        if not spans:
+            return types
+        v = np.concatenate([types, np.full(self.size - len(types), NEG_INF)])
+        v[list(spans)] = 0.0
+        return v
+
+    def _open_legal(self, types: np.ndarray, closed) -> np.ndarray:
+        """``types`` followed by the span slots, every window inside the text
+        open except the slots ``closed`` (admitted spans, so inside)."""
+        if len(closed) == self._n_legal:
+            return types
+        v = np.concatenate([types, self._legal])
+        v[list(closed)] = NEG_INF
         return v
 
     # -- transitions ---------------------------------------------------------
@@ -215,15 +243,16 @@ def default_max_len(n: int) -> int:
     return max(32, 4 * n + 16)
 
 
-def _step_logprobs(model: ExtractionModel, sessions, machines) -> np.ndarray:
-    """(B, l_p + n*m) log-probabilities of the next element of B hypotheses
-    of one input: one span-head call over their last hidden rows, each row
-    masked by its hypothesis' constraint machine."""
+def _step_logprobs(model: ExtractionModel, sessions, machines) -> list[np.ndarray]:
+    """Log-probabilities of the next element of B hypotheses of one input:
+    one span-head call over their last hidden rows, each row masked by its
+    hypothesis' constraint machine and as long as that mask, so l_p long
+    when the hypothesis can emit no span and l_p + n*m long otherwise."""
     _, logp = span_head(
         np.array([s.last_hidden for s in sessions]),
         sessions[0].ctx,
         model.cfg,
-        np.array([machine.mask() for machine in machines]),
+        [machine.mask() for machine in machines],
     )
     return logp
 
@@ -299,7 +328,8 @@ def beam_decode(
     runs the one-row kernels greedy decoding runs.
 
     Each step scores all live hypotheses with one ``span_head`` call over
-    their last hidden rows, and keeps the ``beam`` best continuations that
+    their last hidden rows (over the type slots alone for a hypothesis whose
+    machine admits no span), and keeps the ``beam`` best continuations that
     are not [EOS].  The last kept child of each hypothesis takes over its
     parent's session and constraint machine in place; only its siblings fork
     (a prefix copy), so beam 1 never forks.  The kept children then advance
@@ -414,13 +444,16 @@ def sample_sequence(
     """Draw a sequence from uniformly random logits under the masks.
 
     Each step takes the argmax of fresh uniform logits plus the admissibility
-    mask, i.e. a uniform draw over the admitted slots.
+    mask, i.e. a uniform draw over the admitted slots.  A logit is drawn for
+    every output slot even when the mask covers only the type slots, so the
+    draws do not depend on the mask's length.
     """
     machine = GenConstraints(vocab, n, m, traversal, max_len)
     items: list[int] = []
     while True:
-        logits = rng.random(machine.size) + machine.mask()
-        k = int(np.argmax(logits))
+        logits = rng.random(machine.size)
+        mask = machine.mask()
+        k = int(np.argmax(logits[: len(mask)] + mask))
         if k == vocab.eos_index:
             break
         machine.push(k)

@@ -31,7 +31,8 @@ Two forward implementations coexist on purpose:
   ``span_head`` likewise scores B hidden rows in one call, under the
   additive mask its caller passes: at decode time the constraint machine's,
   the only admissibility rule there (the tape's alternating output masks,
-  ``masks.output_masks``, are training-only).
+  ``masks.output_masks``, are training-only).  A mask row that covers only
+  the type slots spares its row the text-span scores.
   ``DecodeSession.fork`` copies only the filled prefix of the target caches,
   and beam search lets the last child of each hypothesis reuse its parent's
   session in place (see ``decode_search.beam_decode``).  ``encode_context``
@@ -749,37 +750,94 @@ def decoder_forward(
     return np.stack(rows)
 
 
+def _pairwise_prefix(w: int, width: int) -> int:
+    """The prefix of a ``width``-long row over which numpy sums its first ``w``
+    entries with the grouping it uses for the whole row.
+
+    ``np.add.reduce`` sums up to 128 contiguous entries in eight interleaved
+    partial sums and splits a longer block at half its length, rounded down
+    to a multiple of 8, into two blocks it sums apart.  When only the first
+    ``w`` entries are non-zero, every block split off to the right holds
+    zeros, and adding 0.0 changes no bits, so the sum over this prefix equals
+    the sum over the whole row bit for bit.
+    """
+    length = width
+    while length > 128:
+        half = length // 2 - length // 2 % 8
+        if w > half:
+            break
+        length = half
+    return length
+
+
+def _log_softmax_rows(scores: np.ndarray, width: int) -> np.ndarray:
+    """Log-softmax of each row of ``scores`` (B, w), bitwise equal to the first w
+    entries of the log-softmax of that row continued with closed (NEG_INF)
+    slots to ``width``, provided one of its w slots is open: the closed slots
+    change neither the row's maximum nor, with exponential exactly 0, its sum.
+    """
+    w = scores.shape[1]
+    mx = np.maximum.reduce(scores, axis=1, keepdims=True)
+    ex = np.zeros((len(scores), _pairwise_prefix(w, width)))
+    np.exp(scores - mx, out=ex[:, :w])
+    return scores - (mx + np.log(np.add.reduce(ex, axis=1, keepdims=True)))
+
+
 def span_head(
     hidden: np.ndarray,
     ctx: ContextRep,
     cfg: ModelConfig,
-    mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and log-probabilities of B hidden rows, (B, d), over the
-    l_p + n*m output slots: (B, l_p + n*m) each.
+    mask: Sequence[np.ndarray] | None = None,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Scores and log-probabilities of B hidden rows, (B, d): two lists of B
+    rows over the output slots.
 
     Slot k < l_p is type k; slot l_p + j*m + d is the span (j, j+d+1).  Window
     cells running past the text sit at NEG_INF, and so do the slots that the
-    additive ``mask`` (B, l_p + n*m) closes; all of them get probability
-    exactly 0.  Decoding passes the constraint machine's masks.  Each of the
-    four products against the type and text rows covers all B rows; with one
-    row they have the shapes of a single-row head, so a row scored alone
-    always gives the same bits.
+    additive ``mask`` closes; all of them get probability exactly 0.
+    ``mask`` holds one row per hidden row, l_p + n*m or only l_p long, and
+    each output row is as long as its mask row (without a mask, full).
+    Decoding passes the constraint machine's masks, which are l_p long when
+    a hypothesis can emit no span, so only full rows pay for the text-span
+    scores.  A type-only row is bitwise equal to the first l_p entries of the
+    full row with every span slot closed.  The products against the type rows
+    cover all B rows, those against the text rows all full rows; with one row
+    they have the shapes of a single-row head, so a row scored alone always
+    gives the same bits.
     """
-    n, m, p = ctx.n, cfg.m, ctx.params
+    p, l_p = ctx.params, ctx.l_p
+    width = l_p + ctx.n * cfg.m
     s = hidden @ p["head_w5"] + p["head_b5"]
     e = hidden @ p["head_w6"] + p["head_b6"]
     type_scores = (ctx.h_types @ s.T).T + (ctx.h_types @ e.T).T
+    B = len(hidden)
+    short = [] if mask is None else [b for b in range(B) if len(mask[b]) == l_p]
+    full = [b for b in range(B) if b not in short]
+    scores, logp = [None] * B, [None] * B
+    for group in (short, full):
+        if not group:
+            continue
+        at = slice(None) if len(group) == B else group  # a view when every row is in the group
+        block = type_scores[at]
+        if group is full:
+            block = _with_text_scores(ctx, cfg.m, s[at], e[at], block)
+        if mask is not None:
+            block += np.array([mask[b] for b in group])
+        for b, s_row, l_row in zip(group, block, _log_softmax_rows(block, width)):
+            scores[b], logp[b] = s_row, l_row
+    return scores, logp
+
+
+def _with_text_scores(
+    ctx: ContextRep, m: int, s: np.ndarray, e: np.ndarray, type_scores: np.ndarray
+) -> np.ndarray:
+    """The rows of ``type_scores`` followed by the n*m text-span scores of the
+    same rows of the start and end projections ``s`` and ``e``."""
     ts_vec = (ctx.h_text @ s.T).T
     te_vec = (ctx.h_text @ e.T).T
-    idx, inside = nm.span_windows(n, m)
+    idx, inside = nm.span_windows(ctx.n, m)
     t_mat = np.where(inside, ts_vec[:, :, None] + te_vec.take(idx, axis=1), NEG_INF)
-    scores = np.concatenate([type_scores, t_mat.reshape(len(hidden), n * m)], axis=1)
-    if mask is not None:
-        scores += mask
-    mx = np.maximum.reduce(scores, axis=1, keepdims=True)
-    logp = scores - (mx + np.log(np.add.reduce(np.exp(scores - mx), axis=1, keepdims=True)))
-    return scores, logp
+    return np.concatenate([type_scores, t_mat.reshape(len(s), ctx.n * m)], axis=1)
 
 
 # ---------------------------------------------------------------------------

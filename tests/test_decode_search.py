@@ -83,10 +83,11 @@ def _patch_scripted(monkeypatch):
         assert len(sessions) == len(machines)
         rows = []
         for session, machine in zip(sessions, machines):
-            scores = session.script[session.step].copy() + machine.mask()
+            mask = machine.mask()  # the row covers the slots its mask covers
+            scores = session.script[session.step][: len(mask)] + mask
             mx = scores.max()
             rows.append(scores - (mx + np.log(np.exp(scores - mx).sum())))
-        return np.stack(rows)
+        return rows
 
     def fake_decode_step(sessions, elements):
         assert len(sessions) == len(elements)
@@ -200,7 +201,8 @@ class TestBeam:
         max_len = 16
 
         def logp_row(step, machine):
-            scores = rows[min(step, len(rows) - 1)] + machine.mask()
+            mask = machine.mask()
+            scores = rows[min(step, len(rows) - 1)][: len(mask)] + mask
             mx = scores.max()
             return scores - (mx + np.log(np.exp(scores - mx).sum()))
 
@@ -393,13 +395,16 @@ PENDING_BFS_SLOTS_AT_16 = [
 def admitted_slots(vocab, items, traversal, max_len):
     """(admitted type slots, admitted span slots) of the machine (n=9, m=16)
     before each of ``items`` and before the final [EOS], checking that the
-    masks hold only 0 and NEG_INF and that [EOS] finishes the run."""
+    masks hold only 0 and NEG_INF, that a mask covers the type slots alone
+    exactly when it admits no span, and that [EOS] finishes the run."""
     machine = GenConstraints(vocab, 9, 16, traversal, max_len)
     slots = []
     for k in [*items, vocab.eos_index]:
         mask = machine.mask()
         assert set(np.unique(mask)) <= {0.0, NEG_INF}
         open_slots = np.flatnonzero(mask == 0.0)
+        assert len(mask) in (vocab.l_p, machine.size)
+        assert (len(mask) == vocab.l_p) == (open_slots.max() < vocab.l_p)
         slots.append((
             tuple(int(s) for s in open_slots if s < vocab.l_p),
             {int(s) for s in open_slots if s >= vocab.l_p},
@@ -444,7 +449,7 @@ class TestConstraintMachine:
                 machine = GenConstraints(vocab, seq.n, 16, trv, max_len=len(seq.items) + 24)
                 for k in seq.items:
                     mask = machine.mask()
-                    assert mask[k] == 0.0, (trv, seq.items, k)
+                    assert k < len(mask) and mask[k] == 0.0, (trv, seq.items, k)
                     machine.push(k)
                 assert machine.mask()[vocab.eos_index] == 0.0
 
@@ -516,6 +521,15 @@ class MachineRun(RuleBasedStateMachine):
         path = self.canonical
         return path[len(self.items)] if len(self.items) < len(path) else VOCAB.eos_index
 
+    def _admitted(self) -> np.ndarray:
+        """The slots the machine admits next; its mask covers the type slots
+        alone exactly when no span slot is among them."""
+        mask = self.machine.mask()
+        admitted = np.flatnonzero(mask == 0.0)
+        assert len(mask) in (VOCAB.l_p, self.machine.size)
+        assert (len(mask) == VOCAB.l_p) == (admitted.max() < VOCAB.l_p), (self.items, len(mask))
+        return admitted
+
     def _push(self, k: int) -> None:
         self.on_path = self.on_path and k == self._canonical_next()
         self.machine.push(k)
@@ -526,13 +540,13 @@ class MachineRun(RuleBasedStateMachine):
     @rule()
     def follow_canonical(self):
         k = self._canonical_next()
-        assert self.machine.mask()[k] == 0.0, (self.machine.traversal, self.canonical, self.max_len, k)
+        assert k in self._admitted(), (self.machine.traversal, self.canonical, self.max_len, k)
         self._push(k)
 
     @precondition(lambda self: not self.machine.finished)
     @rule(data=st.data())
     def emit_admitted(self, data):
-        self._push(data.draw(st.sampled_from(np.flatnonzero(self.machine.mask() == 0.0).tolist())))
+        self._push(data.draw(st.sampled_from(self._admitted().tolist())))
 
     @precondition(lambda self: self.machine.finished)
     @rule(**runs)
@@ -550,13 +564,14 @@ class MachineRun(RuleBasedStateMachine):
         idx, inside = span_windows(n, M)
         spans = np.where(inside, m_ap[:, None] + m_ap.take(idx), NEG_INF).reshape(-1)
         alternating_open = np.concatenate([m_a, spans]) == 0.0
-        closed_but_admitted = np.flatnonzero((self.machine.mask() == 0.0) & ~alternating_open)
+        admitted = self._admitted()
+        closed_but_admitted = admitted[~alternating_open[admitted]]
         assert closed_but_admitted.size == 0, (self.items, closed_but_admitted)
 
     def teardown(self):
         while not self.machine.finished:
             self.opens_inside_alternating_masks()
-            self._push(int(np.flatnonzero(self.machine.mask() == 0.0)[0]))
+            self._push(int(self._admitted()[0]))
         self._check_finished()
 
     def _check_finished(self) -> None:

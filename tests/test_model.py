@@ -295,7 +295,7 @@ class TestSpanHead:
         hidden = rng.normal(size=(6, cfg.d_m))
         mask = np.where(rng.random((6, size)) < 0.3, NEG_INF, 0.0)
         scores, logp = span_head(hidden, ctx, cfg, mask)
-        assert scores.shape == logp.shape == (6, size)
+        assert np.shape(scores) == np.shape(logp) == (6, size)
         for b in range(6):
             s1, l1 = span_head(hidden[b : b + 1], ctx, cfg, mask[b : b + 1])
             adm = s1[0] > NEG_INF / 2
@@ -371,8 +371,44 @@ class TestSpanHead:
         machine.push(vocab.l_p)
         session.append(vocab.l_p)
         logp = _step_logprobs(model, [session], [machine])[0]
+        assert len(logp) == vocab.l_p  # a type-only row: no span slot is scored
         assert np.exp(logp[vocab.l_p :]).sum() == 0.0
         assert np.exp(logp[vocab.type_edge_index]) == pytest.approx(1.0)
+
+    # l_p + n*m = 67, 387 and 1139: numpy sums the first in one block of at
+    # most 128 entries, and splits the others once or several times
+    @pytest.mark.parametrize("n", [3, 23, 70])
+    def test_type_only_rows_bitwise_equal_closed_full_rows(self, vocab, setup, n):
+        # a row whose mask covers the type slots alone carries exactly the bits
+        # of the full row with every span slot closed, scored alone and in a
+        # batch with full rows; summing its exponentials in another order
+        # (a plain sequential sum) changes the last bits of some rows
+        _, tv, cfg, params = setup
+        l_p, spans = vocab.l_p, n * cfg.m
+        ctx = encode_context(("tok",) * n, cfg, params, vocab, tv)
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            hidden = rng.normal(size=(5, cfg.d_m)) * 3
+            short = [np.where(rng.random(l_p) < 0.3, NEG_INF, 0.0) for _ in range(5)]
+            for row in short:
+                row[rng.integers(l_p)] = 0.0
+            closed = [np.concatenate([row, np.full(spans, NEG_INF)]) for row in short]
+            full = [np.where(rng.random(l_p + spans) < 0.3, NEG_INF, 0.0) for _ in range(5)]
+            for row in full:
+                row[l_p + rng.integers(spans)] = 0.0
+            mixed = [full[b] if b in (1, 3) else short[b] for b in range(5)]
+            dense = [full[b] if b in (1, 3) else closed[b] for b in range(5)]
+            for masks, ref in ((short[:1], closed[:1]), (mixed, dense)):
+                got_s, got_l = span_head(hidden[: len(masks)], ctx, cfg, masks)
+                want_s, want_l = span_head(hidden[: len(masks)], ctx, cfg, np.array(ref))
+                for b, mask in enumerate(masks):
+                    assert len(got_s[b]) == len(got_l[b]) == len(mask)
+                    if len(mask) == l_p:
+                        assert np.array_equal(got_s[b], want_s[b][:l_p])
+                        assert np.array_equal(got_l[b], want_l[b][:l_p])
+                    else:  # the text products cover fewer rows: equal to rounding
+                        adm = mask == 0.0
+                        assert _rel_err(got_l[b][adm], want_l[b][adm]) <= 1e-12
 
 
 class TestTrainingPath:

@@ -89,7 +89,7 @@ def random_edge_freq(rng: np.random.Generator, vocab: TypeVocab) -> dict[int, in
 class StepProbe:
     n: int
     per_step_seconds: float  # median over the timed steps
-    score_vector_bytes: int  # the score row of one hypothesis
+    score_vector_bytes: int  # the largest score row of one hypothesis over the timed steps
 
 
 def probe_decode_steps(
@@ -124,13 +124,14 @@ def probe_decode_steps(
                 hyp_machine.push(k)
                 picks.append(k)
             decode_step(sessions, picks)
-            return logps[0].nbytes
+            return max(logp.nbytes for logp in logps)
 
         one_step()  # warmup (also primes caches)
         times = []
+        score_bytes = 0  # a step that admits no span gives l_p-long rows
         for _ in range(steps):
             t0 = time.perf_counter()
-            score_bytes = one_step()
+            score_bytes = max(score_bytes, one_step())
             times.append(time.perf_counter() - t0)
         rows.append(StepProbe(n, float(np.median(times)), score_bytes))
     return rows
