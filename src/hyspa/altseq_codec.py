@@ -9,6 +9,12 @@ BFS emits one level per parent: ``parent (edge child)* [SEP]``.  DFS emits
 ``parent edge child`` triples, re-emitting the parent from its second child
 onward and closing every leaf with [SEP]; interleaved this way the global
 node/edge alternation still holds.
+
+One decoder inverts both.  It reads a sequence as ``node (edge node)*`` in
+which the first node and every node after [SEP] open a level, and the two
+traversals differ in one rule only: a relation's child becomes the current
+parent under DFS and does not under BFS.  Validation and decoding classify
+items by comparing them with the vocabulary's ``l_e``/``l_p`` bounds.
 """
 from __future__ import annotations
 
@@ -16,17 +22,9 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
-from .hybrid_index import TextSpan, index_to_text_span, span_is_legal, span_to_index
-from .info_graph import (
-    GraphNode,
-    InfoGraph,
-    Mention,
-    OrderedGraph,
-    RelationEdge,
-    TypeNode,
-    make_graph,
-)
-from .type_vocab import ElementClass, TypeVocab, classify
+from .hybrid_index import index_to_text_span, span_is_legal, span_to_index
+from .info_graph import GraphNode, InfoGraph, Mention, OrderedGraph, RelationEdge, TypeNode
+from .type_vocab import TypeVocab
 
 
 class Traversal(str, enum.Enum):
@@ -139,168 +137,91 @@ def validate_sequence(s: AltSequence) -> int | None:
     """Return None if structurally valid, else the offset of the first violation.
 
     Checks alternation, index ranges (including window cells that run past the
-    text), absence of stored [SOS]/[EOS], and [SEP]-closure of the final level.
+    text), absence of stored [SOS]/[EOS], [SEP]-closure of the final level and,
+    under DFS, that every node type is a leaf.  Items are classified by
+    comparison with the layout bounds, which are read once per sequence.
     """
-    vocab, n, m = s.vocab, s.n, s.m
-    bound = vocab.l_p + n * m
-    if not s.items:
+    items, vocab, n, m = s.items, s.vocab, s.n, s.m
+    if not items:
         return 0
-    for i, k in enumerate(s.items):
+    l_e, l_p, sos, sep = vocab.l_e, vocab.l_p, vocab.sos_index, vocab.sep_index
+    bound = l_p + n * m
+    dfs = s.traversal == Traversal.DFS
+    for i, k in enumerate(items):
         if not 0 <= k < bound:
             return i
-        cls = classify(k, vocab, n, m)
-        if cls in (ElementClass.VIRTUAL_SOS, ElementClass.VIRTUAL_EOS):
-            return i
-        if i % 2 == 0 and not cls.is_node_element:
-            return i
-        if i % 2 == 1 and not cls.is_edge_element:
-            return i
-        if cls is ElementClass.TEXT_SPAN:
-            span = index_to_text_span(k, m, vocab.l_p)
-            if span.end > n:
+        if i % 2:
+            if k >= sos and k != sep:  # edge slots hold a real edge or [SEP]
                 return i
-        if s.traversal == Traversal.DFS and cls is ElementClass.NODE_TYPE and i % 2 == 0:
-            # node-type tokens are leaves in DFS: next edge, if any, must close
-            if i + 1 < len(s.items) and s.items[i + 1] != vocab.sep_index:
-                return i + 1
-    if s.items[-1] != vocab.sep_index:
-        return len(s.items) - 1
-    return None
+        elif k >= l_p:
+            off = k - l_p
+            if off // m + off % m >= n:  # the window's end runs past the text
+                return i
+        elif k < l_e:
+            return i
+        elif dfs and i + 1 < len(items) and items[i + 1] != sep:
+            return i + 1  # node types are DFS leaves: the next edge must close
+    return None if items[-1] == sep else len(items) - 1
 
 
-def _bfs_levels(s: AltSequence) -> list[list[int]]:
-    levels, cur = [], []
-    for k in s.items:
-        cur.append(k)
-        if k == s.vocab.sep_index:
-            levels.append(cur)
-            cur = []
-    return levels
+def _decode(s: AltSequence) -> InfoGraph:
+    """Read a validated sequence as ``node (edge node)*``.
 
-
-class _GraphAccumulator:
-    """Shared mention/relation collector for both traversal decoders."""
-
-    def __init__(self, s: AltSequence):
-        self.s = s
-        self.types: dict[TextSpan, int] = {}
-        self.relations: list[tuple[TextSpan, int, TextSpan]] = []
-
-    def see_span(self, k: int, offset: int) -> TextSpan:
-        span = index_to_text_span(k, self.s.m, self.s.vocab.l_p)
-        if span.end > self.s.n:
-            raise SequenceDecodeError(f"span {span} runs past text of length {self.s.n}", offset)
-        self.types.setdefault(span, -1)
-        return span
-
-    def assign_type(self, span: TextSpan, type_id: int, offset: int) -> None:
-        old = self.types.get(span, -1)
-        if old not in (-1, type_id):
-            raise SequenceDecodeError(f"conflicting node types for span {span}", offset)
-        self.types[span] = type_id
-
-    def add_relation(self, head: TextSpan, edge_id: int, tail: TextSpan) -> None:
-        self.relations.append((head, edge_id, tail))
-
-    def build(self) -> InfoGraph:
-        untyped = [sp for sp, t in self.types.items() if t == -1]
-        if untyped:
-            raise SequenceDecodeError(
-                f"mention(s) with no type assignment: {sorted((sp.start, sp.end) for sp in untyped)}",
-                len(self.s.items) - 1,
-            )
-        spans = sorted(self.types)
-        index = {sp: i for i, sp in enumerate(spans)}
-        mentions = [Mention(sp, self.types[sp]) for sp in spans]
-        relations = [RelationEdge(index[h], index[t], e) for h, e, t in self.relations]
-        return make_graph(mentions, relations, self.s.n, self.s.m)
-
-
-def _decode_bfs(s: AltSequence) -> InfoGraph:
-    vocab = s.vocab
-    acc = _GraphAccumulator(s)
-    levels = _bfs_levels(s)
-    offset = 0
-    null_levels = 0
-    for level in levels:
-        parent_k = level[0]
-        parent_cls = classify(parent_k, vocab, s.n, s.m)
-        pairs = list(zip(level[1:-1:2], level[2:-1:2]))
-        if parent_cls is ElementClass.NODE_TYPE:
-            if parent_k != vocab.null_type_index or pairs:
-                raise SequenceDecodeError("node-type parent is only legal as a bare [NULL] root", offset)
-            null_levels += 1
-        else:
-            parent = acc.see_span(parent_k, offset)
-            for j, (edge_k, child_k) in enumerate(pairs):
-                e_off = offset + 1 + 2 * j
-                child_cls = classify(child_k, vocab, s.n, s.m)
-                if edge_k == vocab.type_edge_index:
-                    if child_cls is not ElementClass.NODE_TYPE:
-                        raise SequenceDecodeError("[TYPE] child is not a node type", e_off + 1)
-                    acc.assign_type(parent, child_k, e_off + 1)
-                else:
-                    if child_cls is not ElementClass.TEXT_SPAN:
-                        raise SequenceDecodeError("relation child is not a text span", e_off + 1)
-                    child = acc.see_span(child_k, e_off + 1)
-                    acc.add_relation(parent, edge_k, child)
-        offset += len(level)
-    if null_levels and (len(levels) > 1 or acc.types):
-        raise SequenceDecodeError("[NULL] root must be the only level", 0)
-    return acc.build()
-
-
-def _decode_dfs(s: AltSequence) -> InfoGraph:
-    vocab = s.vocab
-    acc = _GraphAccumulator(s)
-    cur: TextSpan | None = None
-    cur_k = s.items[0]
-    cur_cls = classify(cur_k, vocab, s.n, s.m)
-    if cur_cls is ElementClass.TEXT_SPAN:
-        cur = acc.see_span(cur_k, 0)
-    elif cur_k != vocab.null_type_index:
-        raise SequenceDecodeError("DFS sequence must start with a span or [NULL]", 0)
-    null_root = cur is None
-    for i in range(1, len(s.items) - 1, 2):
-        edge_k, node_k = s.items[i], s.items[i + 1]
-        node_cls = classify(node_k, vocab, s.n, s.m)
-        if edge_k == vocab.sep_index:
-            # reset: the node after a [SEP] is a (re-)emitted parent or new root
-            if node_cls is ElementClass.TEXT_SPAN:
-                cur = acc.see_span(node_k, i + 1)
-            elif node_k == vocab.null_type_index:
-                cur = None
+    The first node and each node after [SEP] open a level: a span, or [NULL]
+    as the lone root.  [TYPE] types the current span; a relation links it to a
+    span child, which becomes the current span under DFS, while BFS keeps the
+    parent.  Mentions are keyed by their span index until the graph is built;
+    index order is span order.
+    """
+    items, vocab, m = s.items, s.vocab, s.m
+    l_p, sep, type_edge = vocab.l_p, vocab.sep_index, vocab.type_edge_index
+    null, descend = vocab.null_type_index, s.traversal == Traversal.DFS
+    types: dict[int, int] = {}  # span index -> node type, -1 until typed
+    relations: list[tuple[int, int, int]] = []
+    cur, null_root = None, False
+    for i, edge, k in zip(range(0, len(items), 2), (sep, *items[1::2]), items[::2]):
+        if edge == sep:
+            if k < l_p:
+                if k != null or items[i + 1] != sep:
+                    raise SequenceDecodeError("node-type parent is only legal as a bare [NULL] root", i)
+                null_root = True
             else:
-                raise SequenceDecodeError("DFS parent after [SEP] must be a span or [NULL]", i + 1)
-            continue
-        if cur is None:
-            raise SequenceDecodeError("[NULL] root cannot own edges", i)
-        if edge_k == vocab.type_edge_index:
-            if node_cls is not ElementClass.NODE_TYPE:
-                raise SequenceDecodeError("[TYPE] child is not a node type", i + 1)
-            acc.assign_type(cur, node_k, i + 1)
-            cur = None  # type tokens are leaves; a [SEP] reset must follow
+                cur = k
+                types.setdefault(k, -1)
+        elif edge == type_edge:
+            if k >= l_p:
+                raise SequenceDecodeError("[TYPE] child is not a node type", i)
+            if types[cur] not in (-1, k):
+                raise SequenceDecodeError(f"conflicting node types for span {index_to_text_span(cur, m, l_p)}", i)
+            types[cur] = k
         else:
-            if node_cls is not ElementClass.TEXT_SPAN:
-                raise SequenceDecodeError("relation child is not a text span", i + 1)
-            child = acc.see_span(node_k, i + 1)
-            acc.add_relation(cur, edge_k, child)
-            cur = child  # descend unless the next edge is a [SEP] reset
-    if null_root and acc.types:
+            if k < l_p:
+                raise SequenceDecodeError("relation child is not a text span", i)
+            types.setdefault(k, -1)
+            relations.append((cur, edge, k))
+            if descend:
+                cur = k
+    if null_root and len(items) > 2:
         raise SequenceDecodeError("[NULL] root must be the only level", 0)
-    return acc.build()
+    order = sorted(types)
+    spans = [index_to_text_span(k, m, l_p) for k in order]
+    untyped = [(sp.start, sp.end) for sp, k in zip(spans, order) if types[k] == -1]
+    if untyped:
+        raise SequenceDecodeError(f"mention(s) with no type assignment: {untyped}", len(items) - 1)
+    index = {k: i for i, k in enumerate(order)}
+    mentions = tuple(Mention(sp, types[k]) for sp, k in zip(spans, order))
+    return InfoGraph(mentions, tuple(RelationEdge(index[h], index[t], e) for h, e, t in relations), s.n, m)
 
 
 def decode_sequence(s: AltSequence) -> InfoGraph:
     """Exact inverse of the matching encoder: rebuild the information graph.
 
+    The sequence is validated first; one walk then serves both traversals.
     [TYPE] children become the parent mention's node type; relation children
     become head->tail edges.  Raises SequenceDecodeError with a precise offset
-    for any structurally valid sequence that has no graph reading.
+    for any sequence that fails validation or has no graph reading.
     """
     bad = validate_sequence(s)
     if bad is not None:
         raise SequenceDecodeError("sequence fails structural validation", bad)
-    if s.traversal == Traversal.BFS:
-        return _decode_bfs(s)
-    return _decode_dfs(s)
+    return _decode(s)

@@ -27,7 +27,8 @@ from .data_io import (
     graph_to_record,
     load_jsonl,
     parse_line,
-    read_sequence_dump,
+    parse_sequence_line,
+    read_dump_header,
     save_jsonl,
     synth_generate,
     write_sequence_dump,
@@ -173,20 +174,28 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    """Decode a sequence dump into JSONL graphs.  A malformed line or a sequence
+    with no graph reading is reported as ``PATH:LINENO: ...`` and fails alone;
+    the exit code is 1 if any line failed."""
     vocab = _load_vocab_arg(args)
-    seqs = read_sequence_dump(args.seqs, vocab)
-    if args.traversal and seqs and seqs[0].traversal.value != args.traversal:
-        raise ValueError(
-            f"--traversal {args.traversal}, but {args.seqs} holds {seqs[0].traversal.value} sequences"
-        )
+    m, traversal = read_dump_header(args.seqs, vocab)
+    if args.traversal and traversal.value != args.traversal:
+        raise ValueError(f"--traversal {args.traversal}, but {args.seqs} holds {traversal.value} sequences")
     out = open(args.out, "w") if args.out else sys.stdout
     failures = 0
     try:
-        for i, seq in enumerate(seqs):
+        for lineno, line in corpus_lines(args.seqs):
+            if lineno == 1:
+                continue
             try:
+                seq = parse_sequence_line(args.seqs, lineno, line, vocab, m, traversal)
                 g = decode_sequence(seq)
+            except CorpusError as err:
+                print(err, file=sys.stderr)
+                failures += 1
+                continue
             except SequenceDecodeError as err:
-                print(f"sequence {i}: {err}", file=sys.stderr)
+                print(f"{args.seqs}:{lineno}: {err}", file=sys.stderr)
                 failures += 1
                 continue
             record = graph_to_record([""] * seq.n, g, vocab)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .altseq_codec import Traversal
+from .altseq_codec import AltSequence, Traversal
 from .hybrid_index import TextSpan
 from .info_graph import InfoGraph, Mention, RelationEdge, make_graph, span_keys, validate_graph
 from .type_vocab import TypeVocab, build_vocab
@@ -329,19 +329,41 @@ def write_sequence_dump(path, seqs, vocab: TypeVocab, m: int, traversal: Travers
             fh.write(" ".join(str(x) for x in (seq.n, *seq.items)) + "\n")
 
 
-def read_sequence_dump(path, vocab: TypeVocab):
-    from .altseq_codec import AltSequence
-
+def read_dump_header(path, vocab: TypeVocab) -> tuple[int, Traversal]:
+    """The (m, traversal) a sequence dump's header line records.  A header that
+    is not a JSON object with ``m``, ``traversal`` and this vocab's
+    ``vocab_hash`` raises CorpusError naming ``path``."""
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header["vocab_hash"] != vocab.config_hash():
-            raise CorpusError("sequence dump was written with a different vocab")
-        m = header["m"]
-        traversal = Traversal(header["traversal"])
-        seqs = []
-        for line in fh:
-            if not line.strip():
-                continue
-            nums = [int(x) for x in line.split()]
-            seqs.append(AltSequence(tuple(nums[1:]), traversal, vocab, nums[0], m))
-    return seqs
+        line = fh.readline()
+    try:
+        header = json.loads(line)
+        vocab_hash, m, traversal = header["vocab_hash"], header["m"], Traversal(header["traversal"])
+    except KeyError as err:
+        raise CorpusError(f"{path}:1: sequence dump header has no {err} key") from None
+    except (TypeError, ValueError) as err:
+        raise CorpusError(f"{path}:1: malformed sequence dump header: {err}") from None
+    if not isinstance(m, int):
+        raise CorpusError(f"{path}:1: sequence dump header has a non-integer m: {m!r}")
+    if vocab_hash != vocab.config_hash():
+        raise CorpusError(f"{path}: sequence dump was written with a different vocab")
+    return m, traversal
+
+
+def parse_sequence_line(path, lineno: int, line: str, vocab: TypeVocab, m: int, traversal: Traversal) -> AltSequence:
+    """One dump line, n followed by the items, as a sequence; a line that is not
+    all integers raises CorpusError naming ``path:lineno``."""
+    try:
+        n, *items = map(int, line.split())
+    except ValueError as err:
+        raise CorpusError(f"{path}:{lineno}: malformed sequence line: {err}") from None
+    return AltSequence(tuple(items), traversal, vocab, n, m)
+
+
+def read_sequence_dump(path, vocab: TypeVocab) -> list[AltSequence]:
+    """Every sequence of a dump; a bad header or sequence line raises CorpusError."""
+    m, traversal = read_dump_header(path, vocab)
+    return [
+        parse_sequence_line(path, lineno, line, vocab, m, traversal)
+        for lineno, line in corpus_lines(path)
+        if lineno > 1
+    ]

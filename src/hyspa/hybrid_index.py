@@ -74,8 +74,14 @@ def hspan_to_text_span(h: HSpan, l_p: int) -> TextSpan:
 
 
 def index_to_text_span(k: int, m: int, l_p: int, n: int | None = None) -> TextSpan:
-    """Shorthand for hspan_to_text_span(index_to_hspan(k)); k must be a span index."""
-    return hspan_to_text_span(index_to_hspan(k, m, l_p, n), l_p)
+    """Invert a span index k >= l_p to its token span, the same span as
+    hspan_to_text_span(index_to_hspan(k)) without the H-row detour.  When ``n``
+    is given the span must end inside the text."""
+    start = (k - l_p) // m
+    span = TextSpan(start, start + (k - l_p) % m + 1)
+    if n is not None and span.end > n:
+        raise SpanError(f"index {k} addresses span {span} beyond text length {n}")
+    return span
 
 
 def span_is_legal(span: TextSpan, n: int, m: int) -> bool:

@@ -35,14 +35,6 @@ class ElementClass(enum.Enum):
     NODE_TYPE = "node_type"
     TEXT_SPAN = "text_span"
 
-    @property
-    def is_node_element(self) -> bool:
-        return self in (ElementClass.NODE_TYPE, ElementClass.TEXT_SPAN)
-
-    @property
-    def is_edge_element(self) -> bool:
-        return not self.is_node_element
-
 
 _VIRTUAL_BY_OFFSET = (
     ElementClass.VIRTUAL_SOS,

@@ -14,7 +14,7 @@ from hyspa.altseq_codec import (
     validate_sequence,
 )
 from hyspa.info_graph import canonicalize, graph_equal, make_graph
-from hyspa.type_vocab import classify
+from hyspa.type_vocab import ElementClass, classify
 
 M = 16
 
@@ -149,6 +149,25 @@ class TestDecodeSequence:
         with pytest.raises(SequenceDecodeError, match="no type assignment"):
             decode_sequence(seq)
 
+    @pytest.mark.parametrize("traversal", list(Traversal))
+    @pytest.mark.parametrize("lead", ["typed_span", "null"])
+    def test_null_level_must_be_the_only_level(self, vocab, traversal, lead):
+        per, sep, null = vocab.index("PER"), vocab.sep_index, vocab.null_type_index
+        first = (19, vocab.type_edge_index, per, sep) if lead == "typed_span" else (null, sep)
+        seq = AltSequence((*first, null, sep), traversal, vocab, 9, M)
+        with pytest.raises(SequenceDecodeError, match=r"\[NULL\] root must be the only level") as err:
+            decode_sequence(seq)
+        assert err.value.offset == 0
+
+    @pytest.mark.parametrize("traversal", list(Traversal))
+    def test_type_parent_rejected_at_its_offset(self, vocab, traversal):
+        per, sep = vocab.index("PER"), vocab.sep_index
+        items = (19, vocab.type_edge_index, per, sep, vocab.index("ORG"), sep)
+        seq = AltSequence(items, traversal, vocab, 9, M)
+        with pytest.raises(SequenceDecodeError, match="node-type parent is only legal as a bare") as err:
+            decode_sequence(seq)
+        assert err.value.offset == 4
+
     @given(st.lists(st.integers(0, 19 + 9 * 16 - 1), min_size=0, max_size=24), st.sampled_from(list(Traversal)))
     @settings(max_examples=300, deadline=None)
     def test_fuzz_never_crashes(self, items, traversal):
@@ -156,9 +175,14 @@ class TestDecodeSequence:
         seq = AltSequence(tuple(items), traversal, vocab, 9, M)
         try:
             g = decode_sequence(seq)
-        except SequenceDecodeError:
+        except SequenceDecodeError as err:
+            if str(err).startswith("sequence fails structural validation"):
+                assert err.offset == validate_sequence(seq)
             return
         assert g.n == 9
+        assert validate_sequence(seq) is None
+        for trv in Traversal:
+            assert graph_equal(decode_sequence(canonical_encode(g, {}, vocab, trv)), g), trv
 
 
 class TestRoundTrip:
@@ -188,11 +212,8 @@ class TestRoundTrip:
             for trv in Traversal:
                 seq = canonical_encode(g, {}, vocab, trv)
                 for off, k in enumerate(seq.items):
-                    cls = classify(k, vocab, seq.n, M)
-                    if off % 2 == 0:
-                        assert cls.is_node_element
-                    else:
-                        assert cls.is_edge_element
+                    is_node = classify(k, vocab, seq.n, M) in (ElementClass.NODE_TYPE, ElementClass.TEXT_SPAN)
+                    assert is_node == (off % 2 == 0), (off, k)
 
     def test_canonicalize_idempotent_through_codec(self, vocab, rng):
         for _ in range(20):

@@ -88,6 +88,38 @@ class TestCodecCommands:
         assert "bad.jsonl:3: malformed record" in out
         assert "validate: 1/3 ok" in out
 
+    @pytest.mark.parametrize("key", ["vocab_hash", "m", "traversal"])
+    def test_decode_header_without_key(self, corpus, tmp_path, capsys, key):
+        root, train = corpus
+        seqs = tmp_path / "seqs.txt"
+        assert invoke("encode", "--data", str(train), "--out", str(seqs)) == 0
+        header, *lines = seqs.read_text().splitlines()
+        meta = json.loads(header)
+        del meta[key]
+        seqs.write_text("\n".join([json.dumps(meta), *lines]) + "\n")
+        capsys.readouterr()
+        assert invoke("decode", "--seqs", str(seqs)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {seqs}:1:" in err and repr(key) in err
+
+    def test_decode_fails_one_line_at_a_time(self, corpus, tmp_path, capsys):
+        # a malformed line and an undecodable sequence each fail alone, named by dump line
+        root, train = corpus
+        seqs = tmp_path / "seqs.txt"
+        decoded = tmp_path / "decoded.jsonl"
+        assert invoke("encode", "--data", str(train), "--out", str(seqs)) == 0
+        header, *lines = seqs.read_text().splitlines()
+        lines[1] = "abc 1 2"
+        lines[3] = lines[3].rsplit(" ", 1)[0]  # drops the closing [SEP]
+        seqs.write_text("\n".join([header, *lines]) + "\n")
+        capsys.readouterr()
+        assert invoke("decode", "--seqs", str(seqs), "--out", str(decoded)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith(f"{seqs}:3: malformed sequence line")
+        assert err[1].startswith(f"{seqs}:5: sequence fails structural validation")
+        assert len(decoded.read_text().splitlines()) == 58
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self):

@@ -231,3 +231,14 @@ class TestSequenceDump:
         other = build_vocab(["[TYPE]", "X"], ["[NULL]"])
         with pytest.raises(CorpusError):
             read_sequence_dump(path, other)
+
+    def test_bad_header_and_line_name_the_dump(self, vocab, tmp_path):
+        path = tmp_path / "seqs.txt"
+        path.write_text(json.dumps({"m": 16, "traversal": "bfs"}) + "\n")
+        with pytest.raises(CorpusError, match=r"seqs\.txt:1: .*'vocab_hash'"):
+            read_sequence_dump(path, vocab)
+        write_sequence_dump(path, [], vocab, 16, Traversal.BFS)
+        with open(path, "a") as fh:
+            fh.write("4 27 10\n\nabc 1 2\n")
+        with pytest.raises(CorpusError, match=r"seqs\.txt:4: malformed sequence line"):
+            read_sequence_dump(path, vocab)

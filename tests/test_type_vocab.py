@@ -85,12 +85,6 @@ class TestClassify:
         assert counts[ElementClass.NODE_TYPE] == len(vocab.node_types)
         assert counts[ElementClass.TEXT_SPAN] == n * m
 
-    def test_node_vs_edge_elements(self, vocab):
-        assert ElementClass.NODE_TYPE.is_node_element
-        assert ElementClass.TEXT_SPAN.is_node_element
-        assert ElementClass.REAL_EDGE.is_edge_element
-        assert ElementClass.VIRTUAL_SEP.is_edge_element
-
 
 class TestSegmentIds:
     def test_minimal_vocab_n2(self):
