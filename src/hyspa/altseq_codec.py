@@ -56,14 +56,16 @@ class AltSequence:
         return len(self.items)
 
 
-def _node_index(node: GraphNode, vocab: TypeVocab, n: int, m: int) -> int:
+def _node_index(node: GraphNode, l_e: int, l_p: int, n: int, m: int) -> int:
+    """The item of a node; the encoders read the layout bounds ``l_e``/``l_p``
+    once per graph."""
     if isinstance(node, TypeNode):
-        if not vocab.l_e <= node.type_id < vocab.l_p:
+        if not l_e <= node.type_id < l_p:
             raise SequenceEncodeError(f"unknown node type id {node.type_id}")
         return node.type_id
     if not span_is_legal(node, n, m):
         raise SequenceEncodeError(f"span {node} illegal for n={n}, m={m}")
-    return span_to_index(node, m, vocab.l_p)
+    return span_to_index(node, m, l_p)
 
 
 def encode_bfs(og: OrderedGraph, vocab: TypeVocab, m: int) -> AltSequence:
@@ -71,6 +73,7 @@ def encode_bfs(og: OrderedGraph, vocab: TypeVocab, m: int) -> AltSequence:
     adjacency, emit the parent, all (edge, child) pairs, then [SEP]."""
     items: list[int] = []
     visited: set[GraphNode] = set()
+    l_e, l_p, sep, n = vocab.l_e, vocab.l_p, vocab.sep_index, og.n
     for root in og.roots:
         if root in visited:
             continue
@@ -81,11 +84,11 @@ def encode_bfs(og: OrderedGraph, vocab: TypeVocab, m: int) -> AltSequence:
             children = og.adjacency.get(parent)
             if children is None:
                 continue
-            items.append(_node_index(parent, vocab, og.n, m))
+            items.append(_node_index(parent, l_e, l_p, n, m))
             for edge_id, child in children:
                 items.append(edge_id)
-                items.append(_node_index(child, vocab, og.n, m))
-            items.append(vocab.sep_index)
+                items.append(_node_index(child, l_e, l_p, n, m))
+            items.append(sep)
             for _, child in children:
                 if child not in visited:
                     visited.add(child)
@@ -102,28 +105,29 @@ def encode_dfs(og: OrderedGraph, vocab: TypeVocab, m: int) -> AltSequence:
     """
     items: list[int] = []
     visited: set[GraphNode] = set()
+    l_e, l_p, sep, n = vocab.l_e, vocab.l_p, vocab.sep_index, og.n
 
     def expand(parent: GraphNode) -> None:
         for i, (edge_id, child) in enumerate(og.adjacency[parent]):
             if i > 0:
-                items.append(_node_index(parent, vocab, og.n, m))
+                items.append(_node_index(parent, l_e, l_p, n, m))
             items.append(edge_id)
-            items.append(_node_index(child, vocab, og.n, m))
+            items.append(_node_index(child, l_e, l_p, n, m))
             if child in og.adjacency and child not in visited and og.adjacency[child]:
                 visited.add(child)
                 expand(child)
             else:
-                items.append(vocab.sep_index)
+                items.append(sep)
 
     for root in og.roots:
         if root in visited:
             continue
         visited.add(root)
-        items.append(_node_index(root, vocab, og.n, m))
+        items.append(_node_index(root, l_e, l_p, n, m))
         if og.adjacency.get(root):
             expand(root)
         else:
-            items.append(vocab.sep_index)
+            items.append(sep)
     return AltSequence(tuple(items), Traversal.DFS, vocab, og.n, m)
 
 

@@ -19,8 +19,11 @@ Two forward implementations coexist on purpose:
 * a numpy inference engine (``encode_context``, ``DecodeSession``,
   ``decode_step``, ``decoder_forward``, ``span_head``).  ``encode_context``
   runs once per input and stores each layer's source keys and values
-  head-major, ``(heads, n, d/heads)``.  Every target row then goes through
-  one step kernel, ``decode_step``, which takes B sessions of one input (one
+  head-major, ``(heads, n, d/heads)``.  Its source self-attention takes all
+  heads at once over chunks of query rows, in one score block of bounded
+  size that every chunk and layer reuses, so its transient memory is linear
+  in n.  Every target row then goes through one step kernel,
+  ``decode_step``, which takes B sessions of one input (one
   per live beam hypothesis) and one element each: the projections and the
   FFN are (B, d) GEMMs, the source attention reads the shared caches once
   for all B queries, and the target attention reads the sessions' own
@@ -44,10 +47,14 @@ Two forward implementations coexist on purpose:
 
 Both forms take their softmax and layer-norm forward from
 :mod:`hyspa.numerics` (``softmax``, ``normalize``) and their span-window
-layout from ``numerics.span_windows``.  The traversal embedding keeps two
-forms, pinned to each other by a test: the tape's vectorised
-``_traversal_embedding`` and the engine's ``_traversal_row``, which costs
-about half as much at the one row a decode step needs.
+layout from ``numerics.span_windows``.  The engine's two attention forwards
+scale the queries, not the scores, by 1/sqrt(d), and normalise late: they
+exponentiate the shifted scores in place (``numerics.shifted_exp``, the
+first half of ``softmax``) and divide ``e @ v`` by the row sums.  The
+traversal embedding keeps two forms, pinned to each other by a test: the
+tape's vectorised ``_traversal_embedding`` and the engine's
+``_traversal_row``, which costs about half as much at the one row a decode
+step needs.
 
 The paper-style external embedders are replaced by one trainable lookup table
 covering type names and text tokens; text rows additionally receive the
@@ -506,6 +513,12 @@ def _block_tail(p: dict[str, np.ndarray], i: int, attn: np.ndarray, x: np.ndarra
     return nm.normalize(ffn + x1)[0] * p[f"L{i}.ln2_g"] + p[f"L{i}.ln2_b"]
 
 
+# encode_context's source attention scores a chunk of query rows for all heads
+# at once, in a (heads, rows, n) block of at most 2**18 cells (2 MB): 32 rows at
+# n = 1024 and 8 heads.  One block per call serves every chunk and layer.
+_SCORE_CELLS = 2**18
+
+
 def _head_major(x: np.ndarray, heads: int) -> np.ndarray:
     """(rows, d) -> contiguous (heads, rows, d/heads)."""
     return np.ascontiguousarray(x.reshape(len(x), heads, -1).transpose(1, 0, 2))
@@ -522,7 +535,7 @@ class ContextRep:
     src_k: list[np.ndarray]  # per layer, head-major (heads, n, d_m/heads)
     src_v: list[np.ndarray]
     l_p: int
-    params: dict[str, np.ndarray]  # every parameter's array, plus per layer wqkv / bqkv
+    params: dict[str, np.ndarray]  # every parameter's array, plus per layer wqkv / bqkv, Q scaled by 1/sqrt(d)
 
     @property
     def h_types(self) -> np.ndarray:
@@ -543,22 +556,29 @@ def encode_context(
     """Build H (type rows ++ text rows) and the one-time decoder source caches.
 
     Computed once per input and shared by every decoding hypothesis.  The
-    source self-attention keeps a loop over heads: a (heads, n, n) score
-    tensor would take 64 MB at n=1024.  The keys and values every decode step
-    attends to are stored head-major, so a step reads them with one batched
-    matmul and no per-step copy.  The source rows keep three projection
-    GEMMs: the fused ``wqkv`` of ``ctx.params`` may round differently.
+    keys and values every decode step attends to are stored head-major, so a
+    step reads them with one batched matmul and no per-step copy.  The
+    source self-attention scores all heads of a chunk of query rows at once,
+    into one score block of at most ``_SCORE_CELLS`` cells that every chunk
+    and layer reuses, so its transient memory is linear in n.  Queries are
+    scaled by 1/sqrt(d) before the scores, and ``e @ v`` is divided by the
+    row sums of the exponentiated scores ``e`` (``numerics.shifted_exp``)
+    instead of ``e`` itself.  The last layer's source rows feed no decode
+    step, so that layer stops at its keys and values.  The source rows keep
+    three projection GEMMs: the fused ``wqkv`` of ``ctx.params`` may round
+    differently.
     """
     n = len(tokens)
     if n < 1:
         raise ModelError("empty token list")
     if n > cfg.max_tokens:
         raise ModelError(f"input length {n} exceeds max_tokens={cfg.max_tokens}")
-    d = cfg.d_m
+    d, heads = cfg.d_m, cfg.heads
+    scale = 1.0 / math.sqrt(d)
     np_params = p = {k: v.data for k, v in params.items()}
     for i in range(cfg.layers):  # Q, K and V side by side: one projection GEMM per decode step
-        p[f"L{i}.wqkv"] = np.concatenate([p[f"L{i}.wq"], p[f"L{i}.wk"], p[f"L{i}.wv"]], axis=1)
-        p[f"L{i}.bqkv"] = np.concatenate([p[f"L{i}.bq"], p[f"L{i}.bk"], p[f"L{i}.bv"]])
+        p[f"L{i}.wqkv"] = np.concatenate([p[f"L{i}.wq"] * scale, p[f"L{i}.wk"], p[f"L{i}.wv"]], axis=1)
+        p[f"L{i}.bqkv"] = np.concatenate([p[f"L{i}.bq"] * scale, p[f"L{i}.bk"], p[f"L{i}.bv"]])
     token_ids = token_vocab.ids(tokens)
     seg = np.array(segment_ids(vocab, n), dtype=np.intp)
     H = np_params["embed"][_h_row_ids(vocab, token_ids)] + np_params["meta"][seg]
@@ -568,21 +588,27 @@ def encode_context(
     K = H @ np_params["span_w2"] + np_params["span_b2"]
     span_scores = (K @ q_cls) / math.sqrt(d)
 
-    src = H[vocab.l_p :] + np_params["srctgt"][0]
     src_k, src_v = [], []
-    heads, dh = cfg.heads, d // cfg.heads
-    x = src
+    rows = min(n, max(1, _SCORE_CELLS // (heads * n)))
+    cells = np.empty(heads * rows * n)
+    x = H[vocab.l_p :] + np_params["srctgt"][0]
     for i in range(cfg.layers):
-        k = x @ np_params[f"L{i}.wk"] + np_params[f"L{i}.bk"]
-        v = x @ np_params[f"L{i}.wv"] + np_params[f"L{i}.bv"]
-        src_k.append(_head_major(k, heads))
-        src_v.append(_head_major(v, heads))
-        q = x @ np_params[f"L{i}.wq"] + np_params[f"L{i}.bq"]
-        out = np.empty_like(x)
-        for h in range(heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            out[:, sl] = nm.softmax((q[:, sl] @ k[:, sl].T) / math.sqrt(d)) @ v[:, sl]
-        x = _block_tail(np_params, i, out, x)
+        k = _head_major(x @ np_params[f"L{i}.wk"] + np_params[f"L{i}.bk"], heads)
+        v = _head_major(x @ np_params[f"L{i}.wv"] + np_params[f"L{i}.bv"], heads)
+        src_k.append(k)
+        src_v.append(v)
+        if i + 1 == cfg.layers:
+            break
+        q = ((x @ np_params[f"L{i}.wq"] + np_params[f"L{i}.bq"]) * scale).reshape(n, heads, -1)
+        out = np.empty_like(q)  # (n, heads, dh): the (n, d) layout of the heads side by side
+        for r in range(0, n, rows):
+            chunk = slice(r, min(n, r + rows))
+            e = cells[: heads * (chunk.stop - r) * n].reshape(heads, -1, n)
+            np.matmul(q[chunk].transpose(1, 0, 2), k.transpose(0, 2, 1), out=e)
+            sums = nm.shifted_exp(e)  # (heads, rows, 1)
+            np.matmul(e, v, out=out[chunk].transpose(1, 0, 2))
+            out[chunk] /= sums.transpose(1, 0, 2)
+        x = _block_tail(np_params, i, out.reshape(n, d), x)
     return ContextRep(
         H=H, n=n, span_scores=span_scores,
         src_k=src_k, src_v=src_v, l_p=vocab.l_p, params=np_params,
@@ -678,7 +704,9 @@ def decode_step(sessions: Sequence[DecodeSession], elements: Sequence[int | None
     all been fed the same number of rows.  Per layer, the projections and the
     FFN are (B, d) GEMMs, the source attention reads the shared head-major
     source caches once for all B queries, and the target attention reads the
-    sessions' own caches stacked to (B, heads, t+1, d/heads).  With B = 1
+    sessions' own caches stacked to (B, heads, t+1, d/heads).  The queries
+    come out of ``wqkv`` already scaled by 1/sqrt(d), and the attention
+    output is divided by the row sums of the exponentiated scores.  With B = 1
     every product has the shapes of a single-row step, so a session fed alone
     always gives the same bits.
     """
@@ -702,12 +730,11 @@ def decode_step(sessions: Sequence[DecodeSession], elements: Sequence[int | None
         tgt_v = _stacked([s.tgt_v[i] for s in sessions], t + 1)
         src_scores = ctx.src_k[i] @ q.transpose(1, 2, 0)  # (heads, n, B)
         tgt_scores = tgt_k @ q[..., None]  # (B, heads, t+1, 1)
-        scores = np.concatenate([src_scores.transpose(2, 0, 1), tgt_scores[..., 0]], axis=2)
-        scores /= math.sqrt(d)
-        w = nm.softmax(scores)  # (B, heads, n+t+1)
-        src_out = w.transpose(1, 0, 2)[:, :, :n] @ ctx.src_v[i]  # (heads, B, dh)
-        tgt_out = w[:, :, None, n:] @ tgt_v  # (B, heads, 1, dh)
-        out = (src_out.transpose(1, 0, 2) + tgt_out[:, :, 0]).reshape(B, d)
+        e = np.concatenate([src_scores.transpose(2, 0, 1), tgt_scores[..., 0]], axis=2)
+        sums = nm.shifted_exp(e)  # e: (B, heads, n+t+1), unnormalised weights
+        src_out = e.transpose(1, 0, 2)[:, :, :n] @ ctx.src_v[i]  # (heads, B, dh)
+        tgt_out = e[:, :, None, n:] @ tgt_v  # (B, heads, 1, dh)
+        out = ((src_out.transpose(1, 0, 2) + tgt_out[:, :, 0]) / sums).reshape(B, d)
         x = _block_tail(p, i, out, x)
     for b, s in enumerate(sessions):
         s.last_hidden = x[b]

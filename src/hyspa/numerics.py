@@ -193,17 +193,29 @@ def relu(a) -> Tensor:
     return out
 
 
+def shifted_exp(x: np.ndarray) -> np.ndarray:
+    """Shift each row of ``x`` (its last axis) by the row's maximum and
+    exponentiate, in place; return the row sums, with the last axis kept.
+
+    The numerator and denominator of a stable softmax, apart: ``x / sums`` is
+    the softmax, and NEG_INF slots come out exactly 0.  The engine's
+    attention divides ``x @ v`` by the sums instead of ``x``, which touches
+    d/heads values per row instead of a row of scores.  In place, because a
+    fresh score block costs more than the exponential at n=1024.
+    """
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    return np.add.reduce(x, axis=-1, keepdims=True)
+
+
 def softmax(x: np.ndarray) -> np.ndarray:
     """Stable softmax over the last axis, computed in place in the array ``x``
     and returned; NEG_INF slots come out exactly 0.
 
-    The one softmax of the tape and of the inference engine.  In place,
-    because a fresh (beam, heads, n) array per decode step costs more than
-    the softmax itself at n=1024.
+    The tape's softmax, and the engine's over span windows; the engine's
+    attention normalises late, from ``shifted_exp``.
     """
-    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
-    np.exp(x, out=x)
-    x /= np.add.reduce(x, axis=-1, keepdims=True)
+    x /= shifted_exp(x)
     return x
 
 

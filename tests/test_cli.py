@@ -1,16 +1,30 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from testutil import FIG4_TOKENS
 
+import hyspa
 from hyspa.cli import run
 
 
 def invoke(*argv):
     return run(list(argv))
+
+
+def run_module(*argv):
+    """``python -m hyspa.cli ARGV`` in a child process that imports the
+    same hyspa as the tests, installed or not."""
+    src = str(Path(hyspa.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hyspa.cli", *argv],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture(scope="module")
@@ -123,17 +137,12 @@ class TestCodecCommands:
 
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hyspa.cli", "roundtrip", "--no-such-flag"],
-            capture_output=True,
-        )
+        proc = run_module("roundtrip", "--no-such-flag")
         assert proc.returncode == 2
         assert b"usage" in proc.stderr.lower()
 
     def test_unknown_subcommand_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hyspa.cli", "frobnicate"], capture_output=True
-        )
+        proc = run_module("frobnicate")
         assert proc.returncode == 2
 
     def test_missing_file_exits_1(self, tmp_path):

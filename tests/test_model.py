@@ -83,6 +83,62 @@ class TestEncodeContext:
         with pytest.raises(ModelError, match="even"):
             ModelConfig(d_m=33, layers=1, heads=3)
 
+    # n against a chunk of R = 5 query rows: one short chunk, one full chunk,
+    # a full chunk and a one-row chunk, a ragged last chunk; None keeps the
+    # module's cell budget (two or three chunks at n = 300, ragged).
+    @pytest.mark.parametrize("heads", [4, 8])
+    @pytest.mark.parametrize("n, rows", [(1, 5), (4, 5), (5, 5), (6, 5), (13, 5), (300, None)])
+    def test_chunked_attention_matches_per_head_reference(self, vocab, setup, monkeypatch, heads, n, rows):
+        import math
+
+        from hyspa import model as hm
+
+        _, tv, _, _ = setup
+        cfg = ModelConfig(d_m=32, layers=3, heads=heads, m=16, dropout=0.0)
+        params = init_params(cfg, vocab, tv, seed=4)
+        for i in range(cfg.layers):  # peaked attention weights, not near-uniform ones
+            params[f"L{i}.wq"].data *= 30.0
+            params[f"L{i}.wk"].data *= 30.0
+        if rows is not None:
+            monkeypatch.setattr(hm, "_SCORE_CELLS", heads * rows * n)
+        tokens = tuple(np.random.default_rng(n).choice(tv.tokens, n))
+        ctx = encode_context(tokens, cfg, params, vocab, tv)
+
+        p = {k: v.data for k, v in params.items()}
+        d, dh = cfg.d_m, cfg.d_m // heads
+        x = ctx.H[vocab.l_p :] + p["srctgt"][0]
+        for i in range(cfg.layers):
+            q, k, v = (x @ p[f"L{i}.w{c}"] + p[f"L{i}.b{c}"] for c in "qkv")
+            assert _rel_err(ctx.src_k[i], k.reshape(n, heads, dh).transpose(1, 0, 2)) <= 1e-12
+            assert _rel_err(ctx.src_v[i], v.reshape(n, heads, dh).transpose(1, 0, 2)) <= 1e-12
+            out = np.empty_like(x)
+            for h in range(heads):
+                sl = slice(h * dh, (h + 1) * dh)
+                scores = q[:, sl] @ k[:, sl].T / math.sqrt(d)
+                w = np.exp(scores - scores.max(axis=1, keepdims=True))
+                out[:, sl] = (w / w.sum(axis=1, keepdims=True)) @ v[:, sl]
+            x = hm._block_tail(p, i, out, x)
+
+    def test_transient_memory_is_linear_in_n(self, vocab):
+        import tracemalloc
+
+        from hyspa.model import TokenVocab
+
+        tv = TokenVocab(tokens=("[UNK]", *[f"tok{i}" for i in range(64)]))
+        cfg = ModelConfig(d_m=64, layers=2, heads=8, m=16, dropout=0.0, max_tokens=2048)
+        params = init_params(cfg, vocab, tv, seed=13)
+
+        def peak(n):
+            tokens = [f"tok{i % 64}" for i in range(n)]
+            tracemalloc.start()
+            try:
+                encode_context(tokens, cfg, params, vocab, tv)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(2048) < 2.5 * peak(1024)
+
 
 class TestSpanEncoding:
     def test_type_element_is_exactly_its_row(self, vocab, setup):
