@@ -290,19 +290,39 @@ def greedy_decode(
     return DecodeResult(seq, score, finished, diag)
 
 
-def _top_admissible(logp: np.ndarray, k: int) -> np.ndarray:
-    """The at most ``k`` best admissible slots (logp > NEG_INF/2), best first.
+def _candidates(
+    logps: list[np.ndarray], scores: list[float], k: int, exhausted: list[bool], eos: int
+) -> list[tuple[float, int, int]]:
+    """The continuations one beam step weighs, best first, as (new score,
+    slot, row).
 
-    The order is that of a stable descending argsort (ties go to the lower
-    slot), but only the slots at or above the k-th best value, found with a
-    partition, are sorted: a full sort costs 1-2 ms at n=1024.
+    Row r offers its at most ``k`` best admissible slots (logp > NEG_INF/2),
+    ties going to the lower slot; a row whose hypothesis has used up its
+    budget (``exhausted``) keeps only [EOS] among them.  An offer scores
+    ``scores[r] + logp``, and offers are ordered by (-new score, slot, row).
+    The rows of one width (type-only or full) are taken as one block: one
+    row-wise ``np.partition`` finds each row's k-th best value, and only the
+    few admissible slots at or above it are sorted, in Python (a full sort
+    costs 1-2 ms a row at n=1024).
     """
-    slots = np.flatnonzero(logp > NEG_INF / 2)
-    vals = logp[slots]
-    if len(slots) > k:
-        at_least = vals >= np.partition(vals, len(vals) - k)[len(vals) - k]
-        slots, vals = slots[at_least], vals[at_least]
-    return slots[np.argsort(-vals, kind="stable")[:k]]
+    groups: dict[int, list[int]] = {}
+    for r, logp in enumerate(logps):
+        groups.setdefault(len(logp), []).append(r)
+    offers = []
+    for width, group in groups.items():
+        block = np.array([logps[r] for r in group])
+        kth = max(width - k, 0)
+        floor = np.maximum(np.partition(block, kth, axis=1)[:, kth, None], NEG_INF / 2)
+        at, cols = np.nonzero(block >= floor)
+        rank, last = 0, -1
+        # by row, then best first, then lower slot
+        for a, neg, slot in sorted(zip(at.tolist(), (-block[at, cols]).tolist(), cols.tolist())):
+            rank, last = (rank + 1 if a == last else 0), a
+            r = group[a]
+            if rank < k and -neg > NEG_INF / 2 and (slot == eos or not exhausted[r]):
+                offers.append((-(scores[r] - neg), slot, r))  # scores[r] - neg is scores[r] + logp
+    offers.sort()
+    return [(-neg, slot, r) for neg, slot, r in offers]
 
 
 @dataclass
@@ -327,13 +347,17 @@ def beam_decode(
     and gives the greedy score bitwise: with one live hypothesis every step
     runs the one-row kernels greedy decoding runs.
 
-    Each step scores all live hypotheses with one ``span_head`` call over
-    their last hidden rows (over the type slots alone for a hypothesis whose
-    machine admits no span), and keeps the ``beam`` best continuations that
-    are not [EOS].  The last kept child of each hypothesis takes over its
-    parent's session and constraint machine in place; only its siblings fork
-    (a prefix copy), so beam 1 never forks.  The kept children then advance
-    together in one ``decode_step`` call, one row each.
+    The live hypotheses are the rows of one target cache of ``beam`` rows
+    (see ``model.DecodeSession``).  Each step scores them all with one
+    ``span_head`` call over their last hidden rows (over the type slots alone
+    for a hypothesis whose machine admits no span), takes each row's
+    ``beam+1`` best admissible slots and orders all of them in one selection
+    (``_candidates``), and keeps the ``beam`` best continuations that are not
+    [EOS].  The last kept child of each hypothesis takes over its parent's
+    session and constraint machine in place; only its siblings fork (a
+    handle and a machine copy), so beam 1 never forks.  The kept children
+    then advance together in one ``decode_step`` call, one row each, which
+    first gathers each child's parent row into place.
 
     The search stops once some hypothesis has finished and no live one can
     still beat the best finished score: log-probabilities are <= 0 and no
@@ -348,7 +372,8 @@ def beam_decode(
     traversal = traversal or model.traversal
     n = len(tokens)
     max_len = max_len or default_max_len(n)
-    root_session = model.open_session(tokens, max_len, traversal=traversal)
+    eos = model.vocab.eos_index
+    root_session = model.open_session(tokens, max_len, traversal=traversal, beam=beam)
     live = [
         _Hyp([], 0.0, root_session, GenConstraints(model.vocab, n, model.cfg.m, traversal, max_len))
     ]
@@ -357,32 +382,28 @@ def beam_decode(
     while live and steps <= max_len + 1:
         steps += 1
         logps = _step_logprobs(model, [h.session for h in live], [h.machine for h in live])
-        candidates = []  # (new_score, slot, hyp_pos, hyp)
-        for pos, (hyp, logp) in enumerate(zip(live, logps)):
-            for k in _top_admissible(logp, beam + 1):
-                if k != model.vocab.eos_index and len(hyp.items) >= max_len:
-                    continue  # budget exhausted: only [EOS] may extend
-                candidates.append((hyp.score + float(logp[k]), int(k), pos, hyp))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        kept = []
-        for cand in candidates:
+        kept = []  # (new_score, slot, parent)
+        for new_score, k, pos in _candidates(
+            logps, [h.score for h in live], beam + 1, [len(h.items) >= max_len for h in live], eos
+        ):
             if len(kept) >= beam:
                 break
-            new_score, k, _pos, hyp = cand
-            if k == model.vocab.eos_index:
-                gen_steps = len(hyp.items) + 1
-                done.append((new_score / gen_steps**length_penalty, new_score, hyp.items))
+            if k == eos:
+                items = live[pos].items
+                done.append((new_score / (len(items) + 1) ** length_penalty, new_score, items))
             else:
-                kept.append(cand)
-        last_child = {pos: i for i, (_, _, pos, _) in enumerate(kept)}
-        live = []
-        for i, (new_score, k, pos, hyp) in enumerate(kept):
+                kept.append((new_score, k, pos))
+        last_child = {pos: i for i, (_, _, pos) in enumerate(kept)}
+        children = []
+        for i, (new_score, k, pos) in enumerate(kept):
+            hyp = live[pos]
             if last_child[pos] == i:  # its siblings have forked already
                 session, machine = hyp.session, hyp.machine
             else:
                 session, machine = hyp.session.fork(), hyp.machine.fork()
             machine.push(k)
-            live.append(_Hyp(hyp.items + [k], new_score, session, machine))
+            children.append(_Hyp(hyp.items + [k], new_score, session, machine))
+        live = children
         if done and live:
             best_done = max(d[0] for d in done)
             if max(h.score for h in live) / (max_len + 1) ** length_penalty <= best_done:

@@ -22,28 +22,33 @@ Two forward implementations coexist on purpose:
   head-major, ``(heads, n, d/heads)``.  Its source self-attention takes all
   heads at once over chunks of query rows, in one score block of bounded
   size that every chunk and layer reuses, so its transient memory is linear
-  in n.  Every target row then goes through one step kernel,
-  ``decode_step``, which takes B sessions of one input (one
-  per live beam hypothesis) and one element each: the projections and the
-  FFN are (B, d) GEMMs, the source attention reads the shared caches once
-  for all B queries, and the target attention reads the sessions' own
-  head-major caches stacked to (B, heads, t+1, d/heads).
-  ``DecodeSession.append`` is its one-row call, and cached decoding, full
-  recomputation (``decoder_forward``) and greedy decoding
-  all feed rows through it with the same shapes, so they are bitwise equal.
-  ``span_head`` likewise scores B hidden rows in one call, under the
-  additive mask its caller passes: at decode time the constraint machine's,
-  the only admissibility rule there (the tape's alternating output masks,
-  ``masks.output_masks``, are training-only).  A mask row that covers only
-  the type slots spares its row the text-span scores.
-  ``DecodeSession.fork`` copies only the filled prefix of the target caches,
-  and beam search lets the last child of each hypothesis reuse its parent's
-  session in place (see ``decode_search.beam_decode``).  ``encode_context``
-  also builds the engine's parameter arrays once per input (``ctx.params``),
-  the only weights ``decode_step`` and ``span_head`` read, and
-  ``_block_tail`` (residual, layer norm, FFN, residual, layer norm) is the
-  second half of every decoder layer, for the source rows and for the decode
-  steps alike.
+  in n.  The target caches of all live hypotheses of one input are one
+  array, (layers, beam, 2, heads, max_len+1, d/heads); each
+  ``DecodeSession`` is a handle on one row of it.  Every target row goes
+  through one step kernel, ``decode_step``, which takes the B sessions of
+  the rows 0..B-1 (one per live beam hypothesis) and one element each: it
+  first gathers each session's parent row into place when beam search has
+  reordered them, as fairseq's ``reorder_incremental_state`` does; then
+  the projections and the FFN are (B, d) GEMMs, one slice assignment
+  writes the new keys and values of all B rows, the source attention reads
+  the shared caches once for all B queries, and the target attention reads
+  a (B, heads, t+1, d/heads) view of the cache.  ``DecodeSession.append``
+  is its one-row call, and cached decoding, full recomputation
+  (``decoder_forward``) and greedy decoding all feed rows through it with
+  the same shapes, so they are bitwise equal.  A step's input rows (span
+  attention plus traversal embedding) are memoised in the context, per
+  slot and per annotation.  ``span_head`` likewise scores B hidden rows in
+  one call, under the additive mask its caller passes: at decode time the
+  constraint machine's, the only admissibility rule there (the tape's
+  alternating output masks, ``masks.output_masks``, are training-only).  A
+  mask row that covers only the type slots spares its row the text-span
+  scores.  ``DecodeSession.fork`` copies only the annotator, and beam search
+  lets the last child of each hypothesis reuse its parent's session in
+  place (see ``decode_search.beam_decode``).  ``encode_context`` also
+  builds the engine's parameter arrays once per input (``ctx.params``), the
+  only weights ``decode_step`` and ``span_head`` read, and ``_block_tail``
+  (residual, layer norm, FFN, residual, layer norm) is the second half of
+  every decoder layer, for the source rows and for the decode steps alike.
 
 Both forms take their softmax and layer-norm forward from
 :mod:`hyspa.numerics` (``softmax``, ``normalize``) and their span-window
@@ -526,8 +531,16 @@ def _head_major(x: np.ndarray, heads: int) -> np.ndarray:
 
 @dataclass
 class ContextRep:
-    """Encoded context: the hybrid representation, per-layer source caches, and
-    the parameter arrays every decode step of this input reads."""
+    """Encoded context: the hybrid representation, per-layer source caches, the
+    parameter arrays every decode step of this input reads, and the decoder
+    input rows computed so far.
+
+    ``rows`` memoises ``_span_row`` per slot and ``_traversal_row`` per
+    (traversal, annotation): the hypotheses of one input keep feeding the
+    same slots and annotations, and each entry is computed once by the same
+    code, so a memoised row has the bits of a fresh one.  Entries are shared
+    and never written into.
+    """
 
     H: np.ndarray
     n: int
@@ -536,6 +549,7 @@ class ContextRep:
     src_v: list[np.ndarray]
     l_p: int
     params: dict[str, np.ndarray]  # every parameter's array, plus per layer wqkv / bqkv, Q scaled by 1/sqrt(d)
+    rows: dict = field(default_factory=dict)
 
     @property
     def h_types(self) -> np.ndarray:
@@ -616,10 +630,14 @@ def encode_context(
 
 
 def _span_row(ctx: ContextRep, k: int, m: int) -> np.ndarray:
-    """Span-attention encoding of one hybrid index: softmax over its H window."""
-    h = index_to_hspan(k, m, ctx.l_p, ctx.n)
-    w = nm.softmax(ctx.span_scores[h.lo : h.hi + 1].copy())
-    return w @ ctx.H[h.lo : h.hi + 1]
+    """Span-attention encoding of one hybrid index: softmax over its H window,
+    memoised in ``ctx.rows``."""
+    row = ctx.rows.get(k)
+    if row is None:
+        h = index_to_hspan(k, m, ctx.l_p, ctx.n)
+        w = nm.softmax(ctx.span_scores[h.lo : h.hi + 1].copy())
+        row = ctx.rows[k] = w @ ctx.H[h.lo : h.hi + 1]
+    return row
 
 
 def _traversal_row(
@@ -641,26 +659,33 @@ def _traversal_row(
 
 
 class DecodeSession:
-    """Incremental decoder state for one hypothesis.
+    """Incremental decoder state for one hypothesis: a handle on one row of the
+    target caches that all hypotheses of one input share.
 
     ``append`` encodes one more input element, pushes it through the decoder
     blocks with cached keys/values, and leaves the final hidden row in
     ``last_hidden``.  It is the one-row call of ``decode_step``, which beam
     search calls once per step with the sessions of all live hypotheses.  The
-    session owns its head-major target caches, ``(heads, max_len+1,
-    d/heads)`` per layer; the source caches and the parameter arrays belong to
-    the shared context.  Full recomputation (``decoder_forward``) feeds the
-    elements through the same one-row call one by one, so both give
-    bitwise-equal rows.
+    target caches are one array, ``kv``, of shape (layers, beam, 2, heads,
+    max_len+1, d/heads): the keys and values of every layer for ``beam``
+    hypotheses, head-major.  A session reads and writes the row ``row`` of
+    it; ``beam`` (1 by default) is the most sessions one ``decode_step`` may
+    feed.  The source caches and the parameter arrays belong to the shared
+    context.  Full recomputation (``decoder_forward``) feeds the elements
+    through the same one-row call one by one, so both give bitwise-equal rows.
 
-    ``fork`` gives an independent copy for beam search.  It copies only the
-    annotator and the ``t`` rows of the target caches that are filled (later
-    rows are written before they are read); the rest it shares with its
-    parent, the last hidden row too, which ``decode_step`` rebinds and never
-    writes into.
+    ``fork`` gives a handle for a child hypothesis: it copies the annotator
+    and shares everything else, the cache row too, with its parent.  The
+    next ``decode_step`` that feeds the fork together with the other live
+    hypotheses gathers each one's parent row into its own row, so a fork
+    is independent from that step on; until then, neither it nor its parent
+    may be fed alone.
     """
 
-    def __init__(self, ctx: ContextRep, cfg: ModelConfig, vocab: TypeVocab, traversal: Traversal, max_len: int):
+    def __init__(
+        self, ctx: ContextRep, cfg: ModelConfig, vocab: TypeVocab, traversal: Traversal, max_len: int,
+        beam: int = 1,
+    ):
         self.ctx = ctx
         self.cfg = cfg
         self.vocab = vocab
@@ -668,9 +693,8 @@ class DecodeSession:
         self.max_len = max_len
         self.annotator = make_annotator(traversal, vocab)
         self.t = 0
-        shape = (cfg.heads, max_len + 1, cfg.d_m // cfg.heads)
-        self.tgt_k = [np.empty(shape) for _ in range(cfg.layers)]
-        self.tgt_v = [np.empty(shape) for _ in range(cfg.layers)]
+        self.row = 0
+        self.kv = np.empty((cfg.layers, beam, 2, cfg.heads, max_len + 1, cfg.d_m // cfg.heads))
         self.last_hidden: np.ndarray | None = None
         self.append(None)  # [SOS] context row
 
@@ -678,18 +702,20 @@ class DecodeSession:
         clone = object.__new__(DecodeSession)
         clone.__dict__.update(self.__dict__)
         clone.annotator = self.annotator.copy()
-        clone.tgt_k = [_prefix_copy(a, self.t) for a in self.tgt_k]
-        clone.tgt_v = [_prefix_copy(a, self.t) for a in self.tgt_v]
         return clone
 
     def _input_row(self, k: int | None) -> np.ndarray:
         """Span-attention row of the next input element plus its traversal
-        embedding; None is the [SOS] context row."""
+        embedding; None is the [SOS] context row.  Both parts are memoised in
+        ``ctx.rows``."""
         cfg, ctx = self.cfg, self.ctx
         if k is None:
             return _span_row(ctx, self.vocab.sos_index, cfg.m)
-        ann = self.annotator.push(k)
-        return _span_row(ctx, k, cfg.m) + _traversal_row(ann, self.traversal, cfg.d_m, ctx.params)
+        key = (self.traversal, self.annotator.push(k))
+        trav = ctx.rows.get(key)
+        if trav is None:
+            trav = ctx.rows[key] = _traversal_row(key[1], self.traversal, cfg.d_m, ctx.params)
+        return _span_row(ctx, k, cfg.m) + trav
 
     def append(self, k: int | None) -> None:
         """Feed the next input element (None = the [SOS] context row): the
@@ -700,34 +726,45 @@ class DecodeSession:
 def decode_step(sessions: Sequence[DecodeSession], elements: Sequence[int | None]) -> None:
     """Feed one input element to each session: one decoder step over B rows.
 
-    The sessions share one context (and with it the parameters), and have
-    all been fed the same number of rows.  Per layer, the projections and the
-    FFN are (B, d) GEMMs, the source attention reads the shared head-major
-    source caches once for all B queries, and the target attention reads the
-    sessions' own caches stacked to (B, heads, t+1, d/heads).  The queries
-    come out of ``wqkv`` already scaled by 1/sqrt(d), and the attention
-    output is divided by the row sums of the exponentiated scores.  With B = 1
-    every product has the shapes of a single-row step, so a session fed alone
-    always gives the same bits.
+    The sessions share one context (and with it the parameters) and one
+    target cache ``kv``, and have all been fed the same number of rows, t.
+    Session b becomes row b of the cache.  When the sessions' rows are not
+    already 0..B-1 (beam search kept children of other parents, or forks of
+    one parent), the first t cache rows of every layer are first gathered
+    by parent row in one fancy-index copy, as fairseq's
+    ``reorder_incremental_state`` does.  Per layer, the projections and the
+    FFN are (B, d) GEMMs, one slice assignment writes row t of the keys and
+    values of all B sessions, the source attention reads the shared
+    head-major source caches once for all B queries, and the target
+    attention reads the (B, heads, t+1, d/heads) view of the cache.  The
+    queries come out of ``wqkv`` already scaled by 1/sqrt(d), and the
+    attention output is divided by the row sums of the exponentiated scores.
+    With B = 1 every product has the shapes of a single-row step, so a
+    session fed alone always gives the same bits.
     """
     lead = sessions[0]
-    cfg, ctx, t = lead.cfg, lead.ctx, lead.t
+    cfg, ctx, t, kv = lead.cfg, lead.ctx, lead.t, lead.kv
     p = ctx.params
+    B, d, heads, n = len(sessions), cfg.d_m, cfg.heads, ctx.n
     if t > lead.max_len:
         raise ModelError("decode session exceeded max_len")
-    if any(s.t != t or s.ctx is not ctx for s in sessions):
-        raise ModelError("decode_step needs sessions of one context, all fed the same number of rows")
-    B, d, heads, n = len(sessions), cfg.d_m, cfg.heads, ctx.n
+    if any(s.t != t or s.kv is not kv for s in sessions):
+        raise ModelError("decode_step needs sessions of one cache, all fed the same number of rows")
+    if B > kv.shape[1]:
+        raise ModelError(f"decode_step got {B} sessions for a cache of {kv.shape[1]} rows")
+    parents = [s.row for s in sessions]
+    if parents != list(range(B)):
+        kv[:, :B, :, :, :t] = kv[:, parents, :, :, :t]
+        for b, s in enumerate(sessions):
+            s.row = b
     # np.array stacks a short list of arrays at a fifth of np.stack's overhead
     x = np.array([s._input_row(k) for s, k in zip(sessions, elements)]) + p["srctgt"][1]
     for i in range(cfg.layers):
         qkv = (x @ p[f"L{i}.wqkv"] + p[f"L{i}.bqkv"]).reshape(B, 3, heads, -1)
         q = qkv[:, 0]  # (B, heads, dh)
-        for b, s in enumerate(sessions):
-            s.tgt_k[i][:, t] = qkv[b, 1]
-            s.tgt_v[i][:, t] = qkv[b, 2]
-        tgt_k = _stacked([s.tgt_k[i] for s in sessions], t + 1)  # (B, heads, t+1, dh)
-        tgt_v = _stacked([s.tgt_v[i] for s in sessions], t + 1)
+        cache = kv[i, :B]  # (B, 2, heads, max_len+1, dh)
+        cache[:, :, :, t] = qkv[:, 1:]
+        tgt_k, tgt_v = cache[:, 0, :, : t + 1], cache[:, 1, :, : t + 1]  # (B, heads, t+1, dh)
         src_scores = ctx.src_k[i] @ q.transpose(1, 2, 0)  # (heads, n, B)
         tgt_scores = tgt_k @ q[..., None]  # (B, heads, t+1, 1)
         e = np.concatenate([src_scores.transpose(2, 0, 1), tgt_scores[..., 0]], axis=2)
@@ -739,22 +776,6 @@ def decode_step(sessions: Sequence[DecodeSession], elements: Sequence[int | None
     for b, s in enumerate(sessions):
         s.last_hidden = x[b]
         s.t = t + 1
-
-
-def _stacked(caches: list[np.ndarray], t: int) -> np.ndarray:
-    """The first ``t`` rows of B head-major caches as one (B, heads, t, dh)
-    array: a view of a single cache, which greedy decoding reads at every
-    step, or a stacked copy of several."""
-    if len(caches) == 1:
-        return caches[0][None, :, :t]
-    return np.array([c[:, :t] for c in caches])
-
-
-def _prefix_copy(cache: np.ndarray, t: int) -> np.ndarray:
-    """A new head-major cache holding the first ``t`` rows of ``cache``."""
-    out = np.empty_like(cache)
-    out[:, :t] = cache[:, :t]
-    return out
 
 
 def decoder_forward(
@@ -830,7 +851,9 @@ def span_head(
     full row with every span slot closed.  The products against the type rows
     cover all B rows, those against the text rows all full rows; with one row
     they have the shapes of a single-row head, so a row scored alone always
-    gives the same bits.
+    gives the same bits.  A group of rows (type-only or full) that are
+    consecutive reads its projections and type scores through views, others
+    through copies.
     """
     p, l_p = ctx.params, ctx.l_p
     width = l_p + ctx.n * cfg.m
@@ -844,7 +867,7 @@ def span_head(
     for group in (short, full):
         if not group:
             continue
-        at = slice(None) if len(group) == B else group  # a view when every row is in the group
+        at = slice(group[0], group[-1] + 1) if group[-1] - group[0] < len(group) else group
         block = type_scores[at]
         if group is full:
             block = _with_text_scores(ctx, cfg.m, s[at], e[at], block)
@@ -883,10 +906,11 @@ class ExtractionModel:
     traversal: Traversal = Traversal.BFS
 
     def open_session(
-        self, tokens: Sequence[str], max_len: int, traversal: Traversal | None = None
+        self, tokens: Sequence[str], max_len: int, traversal: Traversal | None = None, beam: int = 1
     ) -> DecodeSession:
+        """Encode ``tokens`` and open a session on a target cache of ``beam`` rows."""
         ctx = encode_context(tokens, self.cfg, self.params, self.vocab, self.token_vocab)
-        return DecodeSession(ctx, self.cfg, self.vocab, traversal or self.traversal, max_len)
+        return DecodeSession(ctx, self.cfg, self.vocab, traversal or self.traversal, max_len, beam)
 
     def save(self, path) -> None:
         meta = {

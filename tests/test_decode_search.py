@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from testutil import fig4_bfs_items, fig4_dfs_items, fig4_graph, fit_exponent, pinned_vocab
@@ -70,7 +70,7 @@ class ScriptedModel:
         self.traversal = traversal
         self.edge_freq = {}
 
-    def open_session(self, tokens, max_len, traversal=None):
+    def open_session(self, tokens, max_len, traversal=None, beam=1):
         return ScriptedSession(self.script, self.vocab, len(tokens), self.cfg.m)
 
 
@@ -283,7 +283,11 @@ class TestBeam:
         assert res.score <= 0.0
 
     def test_top_admissible_matches_stable_argsort(self):
-        from hyspa.decode_search import _top_admissible
+        # one row's offers: its k best admissible slots in stable-argsort order
+        from hyspa.decode_search import _candidates
+
+        def offered_slots(v, k):
+            return np.array([slot for _, slot, _ in _candidates([v], [0.0], k, [False], eos=0)], dtype=int)
 
         rng = np.random.default_rng(0)
         vectors = [
@@ -299,7 +303,37 @@ class TestBeam:
         for v in vectors:
             for k in (1, 2, 3, 6):
                 ref = [i for i in np.argsort(-v, kind="stable")[:k] if v[i] > NEG_INF / 2]
-                assert _top_admissible(v, k).tolist() == ref, (v, k)
+                assert offered_slots(v, k).tolist() == ref, (v, k)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_batched_selection_matches_reference_rule(self, data):
+        # _candidates against the rule written out: each row's k best
+        # admissible slots by a stable descending argsort (ties to the lower
+        # slot), only [EOS] for a row at its budget, then all offers ordered
+        # by (-new score, slot, row); rows of two widths, heavy ties, rows
+        # with every slot closed, and scores so large that distinct
+        # log-probabilities give equal new scores
+        from hyspa.decode_search import _candidates
+
+        l_p = data.draw(st.integers(1, 12))
+        wide = l_p + data.draw(st.integers(1, 40))
+        k = data.draw(st.integers(1, 7))
+        eos = data.draw(st.integers(0, l_p - 1))
+        values = st.sampled_from([0.0, -0.5, -1.0, -1.0, -2.0, -3.25, NEG_INF, NEG_INF]) | st.floats(-30.0, 0.0)
+        rows = data.draw(st.lists(st.sampled_from([l_p, wide]), min_size=1, max_size=6))
+        logps = [np.array(data.draw(st.lists(values, min_size=w, max_size=w))) for w in rows]
+        scores = data.draw(st.lists(st.sampled_from([0.0, -1.0, -7.5, -(2.0**53)]) | st.floats(-60.0, 0.0),
+                                    min_size=len(rows), max_size=len(rows)))
+        exhausted = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+
+        want = []
+        for r, logp in enumerate(logps):
+            for slot in np.argsort(-logp, kind="stable")[:k]:
+                if logp[slot] > NEG_INF / 2 and (slot == eos or not exhausted[r]):
+                    want.append((scores[r] + float(logp[slot]), int(slot), r))
+        want.sort(key=lambda c: (-c[0], c[1], c[2]))
+        assert _candidates(logps, scores, k, exhausted, eos) == want
 
     def test_bad_args_rejected(self, random_model):
         model, ds = random_model

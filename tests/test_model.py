@@ -278,8 +278,10 @@ class TestDecoderForward:
         assert not np.allclose(sess.last_hidden, fork2.last_hidden)
 
     def test_fork_copies_filled_prefix_only(self, vocab, setup):
-        # a session forked at step t and fed the rest must match a fresh
-        # session fed everything, row for row and in every filled cache row
+        # a session forked at step t and fed the rest matches a fresh session
+        # fed everything: the step that feeds the fork beside its parent
+        # gathers the parent's t filled cache rows into the fork's row, bit
+        # for bit, and the rows that follow agree with the fresh session's
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[2]
         items = list(encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m).items)
@@ -289,24 +291,29 @@ class TestDecoderForward:
         for k in items:
             fresh.append(k)
             want.append(fresh.last_hidden.copy())
+        filled = len(items) + 1
         for t in range(len(items)):
-            sess = DecodeSession(ctx, cfg, vocab, Traversal.BFS, max_len=len(items) + 4)
+            sess = DecodeSession(ctx, cfg, vocab, Traversal.BFS, max_len=len(items) + 4, beam=2)
             for k in items[:t]:
                 sess.append(k)
             fork = sess.fork()
-            sess.append(vocab.sep_index)  # the parent moves on; the fork must not see it
+            assert fork.kv is sess.kv and fork.row == sess.row == 0
+            decode_step([sess, fork], [vocab.sep_index, items[t]])  # the parent moves on beside it
+            assert (sess.row, fork.row) == (0, 1)
+            assert np.array_equal(fork.kv[:, 1, :, :, : t + 1], fresh.kv[:, 0, :, :, : t + 1]), t
             got = [fork.last_hidden.copy()]
-            for k in items[t:]:
-                fork.append(k)
+            for k in items[t + 1 :]:
+                fork.append(k)  # alone: the first call gathers row 1 into row 0
                 got.append(fork.last_hidden.copy())
-            assert np.array_equal(np.stack(got), np.stack(want[t:])), t
-            filled = len(items) + 1
-            for a, b in zip(fork.tgt_k + fork.tgt_v, fresh.tgt_k + fresh.tgt_v):
-                assert np.array_equal(a[:, :filled], b[:, :filled]), t
+            assert fork.row == (0 if t + 1 < len(items) else 1)
+            assert _rel_err(np.stack(got), np.stack(want[t + 1 :])) <= 1e-12, t
+            assert _rel_err(fork.kv[:, fork.row, ..., :filled, :], fresh.kv[:, 0, ..., :filled, :]) <= 1e-12, t
 
     def test_batched_step_matches_sessions_stepped_alone(self, vocab, setup):
-        # sessions with different histories fed one element each in one
-        # decode_step give the rows and cache rows each gets when fed alone
+        # sessions with different histories on one cache, fed one element
+        # each per decode_step, give the rows and cache rows each gets when
+        # fed alone; a last step that feeds them in reverse order gathers
+        # every row from another one first
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[2]
         items = list(encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m).items)
@@ -324,16 +331,25 @@ class TestDecoderForward:
         alone = [fed(h) for h in histories]
         for sess, k in zip(alone, nexts):
             sess.append(k)
-        batch = [fed(h) for h in histories]
-        decode_step(batch, nexts)
-        for a, b in zip(alone, batch):
-            assert a.t == b.t == t + 2
-            assert _rel_err(b.last_hidden, a.last_hidden) <= 1e-12
-            for ca, cb in zip(a.tgt_k + a.tgt_v, b.tgt_k + b.tgt_v):
-                assert _rel_err(cb[:, : t + 2], ca[:, : t + 2]) <= 1e-12
+        root = DecodeSession(ctx, cfg, vocab, Traversal.BFS, max_len=t + 4, beam=len(histories))
+        batch = [root] + [root.fork() for _ in histories[1:]]
+        for step in zip(*histories):
+            decode_step(batch, step)
+        decode_step(batch[::-1], nexts[::-1])
+        for b, (a, s) in enumerate(zip(alone, batch)):
+            assert a.t == s.t == t + 2
+            assert s.row == len(batch) - 1 - b
+            assert _rel_err(s.last_hidden, a.last_hidden) <= 1e-12
+            assert _rel_err(s.kv[:, s.row, ..., : t + 2, :], a.kv[:, 0, ..., : t + 2, :]) <= 1e-12
         assert not np.allclose(batch[0].last_hidden, batch[1].last_hidden)
+        ahead, behind = batch[0], batch[0].fork()
+        ahead.append(items[0])
         with pytest.raises(ModelError, match="same number of rows"):
-            decode_step([fed(histories[0]), fed(histories[1][:-1])], nexts[:2])
+            decode_step([ahead, behind], nexts[:2])
+        with pytest.raises(ModelError, match="one cache"):
+            decode_step([alone[0], alone[1]], nexts[:2])
+        with pytest.raises(ModelError, match="cache of 1 rows"):
+            decode_step([alone[0], alone[0].fork()], nexts[:2])
 
 
 def _rel_err(got: np.ndarray, want: np.ndarray) -> float:

@@ -98,9 +98,13 @@ def probe_decode_steps(
     """Time the decode step of ``beam`` live hypotheses of one random input
     per size: one ``_step_logprobs`` call and one ``decode_step`` call.
 
-    The hypotheses are forks of one root.  Each takes its best slot other
-    than [EOS], so the run keeps stepping, and the budget is generous, so
-    length forcing never perturbs the timing.
+    The hypotheses are forks of one root on a target cache of ``beam`` rows.
+    Each takes its best slot other than [EOS], so the run keeps stepping,
+    and the budget is generous, so length forcing never perturbs the
+    timing.  With more than one hypothesis, every step also moves each one
+    up a row (row b continues the hypothesis of row b+1, the last row that
+    of row 0), so the step gathers every cache row from another one, as
+    beam search does when it reorders its hypotheses.
     """
     rows = []
     rng = np.random.default_rng(seed)
@@ -108,12 +112,13 @@ def probe_decode_steps(
     for n in sizes:
         tokens = [vocab_tokens[int(rng.integers(len(vocab_tokens)))] for _ in range(n)]
         max_len = 4 * steps + 64
-        session = model.open_session(tokens, max_len)
+        session = model.open_session(tokens, max_len, beam=beam)
         machine = GenConstraints(model.vocab, n, model.cfg.m, model.traversal, max_len)
-        sessions = [session] + [session.fork() for _ in range(beam - 1)]
-        machines = [machine] + [machine.fork() for _ in range(beam - 1)]
+        hyps = [(session, machine)] + [(session.fork(), machine.fork()) for _ in range(beam - 1)]
 
         def one_step() -> int:
+            nonlocal hyps
+            sessions, machines = zip(*hyps)
             logps = _step_logprobs(model, sessions, machines)
             picks = []
             for logp, hyp_machine in zip(logps, machines):
@@ -123,7 +128,8 @@ def probe_decode_steps(
                     k = int(np.argmax(logp))
                 hyp_machine.push(k)
                 picks.append(k)
-            decode_step(sessions, picks)
+            hyps, picks = hyps[1:] + hyps[:1], picks[1:] + picks[:1]
+            decode_step([s for s, _ in hyps], picks)
             return max(logp.nbytes for logp in logps)
 
         one_step()  # warmup (also primes caches)
