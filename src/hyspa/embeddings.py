@@ -7,12 +7,11 @@ depth-3 path within its level.  DFS sequences get a learned per-level vector
 plus a sinusoidal intra-level connection embedding.
 
 This module annotates positions (``make_annotator``, one ``push`` per item)
-and builds the constant inputs of those embeddings; the learned tables belong
-to the model.  The embedding has two forms there, pinned to each other by a
-test: the training tape's vectorised one over a whole batch
-(``bfs_components`` / ``dfs_components``) and the inference engine's one-row
-form (``model._traversal_row``), which costs about half as much at the one
-row a decode step needs.
+and builds the constant inputs of those embeddings (``bfs_components`` /
+``dfs_components``), the only place a position's level rows, role selector
+and path one-hot are derived; the learned tables belong to the model.  The
+training tape applies them to a whole batch and the inference engine to one
+annotation at a time, with the same formula.
 """
 from __future__ import annotations
 
@@ -141,28 +140,23 @@ def make_annotator(traversal: Traversal, vocab: TypeVocab):
     return BfsAnnotator(vocab) if traversal == Traversal.BFS else DfsAnnotator(vocab)
 
 
-def tree_onehot(path: tuple[int, int, int]) -> np.ndarray:
-    """Concatenated one-hot blocks for the depth-3 path; -1 depths stay zero."""
-    out = np.zeros(3 * TREE_BRANCH_CAP)
-    for depth, branch in enumerate(path):
-        if branch >= 0:
-            out[depth * TREE_BRANCH_CAP + min(branch, TREE_BRANCH_CAP - 1)] = 1.0
-    return out
-
-
 def bfs_components(
     annotations: list[PositionAnnotation], d_m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Constant inputs to the BFS traversal embedding: level sinusoids,
-    parent/child selector rows, tree one-hot rows (as ``tree_onehot``)."""
+    parent/child selector rows, and tree rows holding one one-hot block of
+    ``TREE_BRANCH_CAP`` slots per path depth (-1 depths stay zero)."""
     levels = sinusoidal(np.array([a.level for a in annotations], dtype=np.intp), d_m)
-    roles = np.array([(a.role is Role.PARENT, a.role is Role.CHILD) for a in annotations],
-                     dtype=np.float64).reshape(-1, 2)
-    paths = np.array([a.path for a in annotations], dtype=np.intp).reshape(-1, 3)
+    roles = np.zeros((len(annotations), 2))
     trees = np.zeros((len(annotations), 3 * TREE_BRANCH_CAP))
-    rows, depths = np.nonzero(paths >= 0)
-    cols = depths * TREE_BRANCH_CAP + np.minimum(paths[rows, depths], TREE_BRANCH_CAP - 1)
-    trees[rows, cols] = 1.0
+    for row, a in enumerate(annotations):
+        if a.role is Role.PARENT:
+            roles[row, 0] = 1.0
+        elif a.role is Role.CHILD:
+            roles[row, 1] = 1.0
+        for depth, branch in enumerate(a.path):
+            if branch >= 0:
+                trees[row, depth * TREE_BRANCH_CAP + min(branch, TREE_BRANCH_CAP - 1)] = 1.0
     return levels, roles, trees
 
 

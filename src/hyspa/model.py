@@ -51,15 +51,15 @@ Two forward implementations coexist on purpose:
   every decoder layer, for the source rows and for the decode steps alike.
 
 Both forms take their softmax and layer-norm forward from
-:mod:`hyspa.numerics` (``softmax``, ``normalize``) and their span-window
-layout from ``numerics.span_windows``.  The engine's two attention forwards
-scale the queries, not the scores, by 1/sqrt(d), and normalise late: they
-exponentiate the shifted scores in place (``numerics.shifted_exp``, the
-first half of ``softmax``) and divide ``e @ v`` by the row sums.  The
-traversal embedding keeps two forms, pinned to each other by a test: the
-tape's vectorised ``_traversal_embedding`` and the engine's
-``_traversal_row``, which costs about half as much at the one row a decode
-step needs.
+:mod:`hyspa.numerics` (``softmax``, ``normalize``) and their text-span score
+windows from ``numerics.sliding_windows``.  The engine's two attention
+forwards scale the queries, not the scores, by 1/sqrt(d), and normalise
+late: they exponentiate the shifted scores in place (``numerics.shifted_exp``,
+the first half of ``softmax``) and divide ``e @ v`` by the row sums.  The
+traversal embedding has one formula over the inputs that
+``embeddings.bfs_components`` / ``dfs_components`` build: the tape's
+``_traversal_embedding`` applies it to a whole batch, the engine's
+``_traversal_row`` to one annotation, and both give the same bits.
 
 The paper-style external embedders are replaced by one trainable lookup table
 covering type names and text tokens; text rows additionally receive the
@@ -78,18 +78,16 @@ from . import numerics as nm
 from .altseq_codec import AltSequence, Traversal
 from .embeddings import (
     PositionAnnotation,
-    Role,
     bfs_components,
     dfs_components,
     make_annotator,
     sinusoidal,
-    tree_onehot,
     DFS_LEVEL_TABLE,
     TREE_BRANCH_CAP,
 )
 from .hybrid_index import index_to_hspan
 from .masks import mixed_attention_mask, output_masks, span_attention_mask
-from .numerics import NEG_INF, Tensor
+from .numerics import Tensor
 from .type_vocab import TypeVocab, segment_ids
 
 UNK_TOKEN = "[UNK]"
@@ -640,22 +638,14 @@ def _span_row(ctx: ContextRep, k: int, m: int) -> np.ndarray:
     return row
 
 
-def _traversal_row(
-    ann: PositionAnnotation,
-    traversal: Traversal,
-    d_m: int,
-    np_params: dict[str, np.ndarray],
-) -> np.ndarray:
-    """The traversal embedding of one decoder input: the engine's one-row form
-    of what ``_traversal_embedding`` computes for a whole batch on the tape."""
+def _traversal_row(ann: PositionAnnotation, traversal: Traversal, d_m: int, np_params: dict) -> np.ndarray:
+    """The traversal embedding of one decoder input: the formula of
+    ``_traversal_embedding`` applied to a batch of one annotation."""
     if traversal == Traversal.BFS:
-        row = sinusoidal(ann.level, d_m)
-        if ann.role is Role.PARENT:
-            row = row + np_params["trav_pc"][0]
-        elif ann.role is Role.CHILD:
-            row = row + np_params["trav_pc"][1]
-        return row + tree_onehot(ann.path) @ np_params["trav_tree"]
-    return np_params["dfs_level"][ann.level % DFS_LEVEL_TABLE] + sinusoidal(ann.offset, d_m)
+        levels, roles, trees = bfs_components([ann], d_m)
+        return (levels + roles @ np_params["trav_pc"] + trees @ np_params["trav_tree"])[0]
+    level_ids, conns = dfs_components([ann], d_m)
+    return (np_params["dfs_level"][level_ids] + conns)[0]
 
 
 class DecodeSession:
@@ -671,15 +661,15 @@ class DecodeSession:
     hypotheses, head-major.  A session reads and writes the row ``row`` of
     it; ``beam`` (1 by default) is the most sessions one ``decode_step`` may
     feed.  The source caches and the parameter arrays belong to the shared
-    context.  Full recomputation (``decoder_forward``) feeds the elements
-    through the same one-row call one by one, so both give bitwise-equal rows.
+    context.
 
     ``fork`` gives a handle for a child hypothesis: it copies the annotator
     and shares everything else, the cache row too, with its parent.  The
     next ``decode_step`` that feeds the fork together with the other live
     hypotheses gathers each one's parent row into its own row, so a fork
-    is independent from that step on; until then, neither it nor its parent
-    may be fed alone.
+    is independent from that step on.  Until then, neither it nor its parent
+    may be fed alone: the first one fed advances the shared row's count in
+    ``filled``, and ``decode_step`` then refuses the other.
     """
 
     def __init__(
@@ -695,6 +685,7 @@ class DecodeSession:
         self.t = 0
         self.row = 0
         self.kv = np.empty((cfg.layers, beam, 2, cfg.heads, max_len + 1, cfg.d_m // cfg.heads))
+        self.filled = [0] * beam  # rows of kv written per cache row, shared by every handle on kv
         self.last_hidden: np.ndarray | None = None
         self.append(None)  # [SOS] context row
 
@@ -726,21 +717,22 @@ class DecodeSession:
 def decode_step(sessions: Sequence[DecodeSession], elements: Sequence[int | None]) -> None:
     """Feed one input element to each session: one decoder step over B rows.
 
-    The sessions share one context (and with it the parameters) and one
-    target cache ``kv``, and have all been fed the same number of rows, t.
-    Session b becomes row b of the cache.  When the sessions' rows are not
-    already 0..B-1 (beam search kept children of other parents, or forks of
-    one parent), the first t cache rows of every layer are first gathered
-    by parent row in one fancy-index copy, as fairseq's
+    The sessions share one context (and with it the parameters) and one target
+    cache ``kv``, and have all been fed the same number of rows, t, which each
+    one's cache row must hold (``filled``, checked before any gather).
+    Session b becomes row b of the cache, holding t + 1 rows.  When the
+    sessions' rows are not already 0..B-1 (beam search kept children of other
+    parents, or forks of one parent), the first t cache rows of every layer
+    are first gathered by parent row in one fancy-index copy, as fairseq's
     ``reorder_incremental_state`` does.  Per layer, the projections and the
     FFN are (B, d) GEMMs, one slice assignment writes row t of the keys and
-    values of all B sessions, the source attention reads the shared
-    head-major source caches once for all B queries, and the target
-    attention reads the (B, heads, t+1, d/heads) view of the cache.  The
-    queries come out of ``wqkv`` already scaled by 1/sqrt(d), and the
-    attention output is divided by the row sums of the exponentiated scores.
-    With B = 1 every product has the shapes of a single-row step, so a
-    session fed alone always gives the same bits.
+    values of all B sessions, the source attention reads the shared head-major
+    source caches once for all B queries, and the target attention reads the
+    (B, heads, t+1, d/heads) view of the cache.  The queries come out of
+    ``wqkv`` already scaled by 1/sqrt(d), and the attention output is divided
+    by the row sums of the exponentiated scores.  With B = 1 every product has
+    the shapes of a single-row step, so a session fed alone always gives the
+    same bits.
     """
     lead = sessions[0]
     cfg, ctx, t, kv = lead.cfg, lead.ctx, lead.t, lead.kv
@@ -753,6 +745,10 @@ def decode_step(sessions: Sequence[DecodeSession], elements: Sequence[int | None
     if B > kv.shape[1]:
         raise ModelError(f"decode_step got {B} sessions for a cache of {kv.shape[1]} rows")
     parents = [s.row for s in sessions]
+    for r in parents:
+        if lead.filled[r] != t:
+            raise ModelError(f"cache row {r} holds {lead.filled[r]} rows, not the session's {t}: "
+                             "a session sharing it was fed without this one")
     if parents != list(range(B)):
         kv[:, :B, :, :, :t] = kv[:, parents, :, :, :t]
         for b, s in enumerate(sessions):
@@ -773,6 +769,7 @@ def decode_step(sessions: Sequence[DecodeSession], elements: Sequence[int | None
         tgt_out = e[:, :, None, n:] @ tgt_v  # (B, heads, 1, dh)
         out = ((src_out.transpose(1, 0, 2) + tgt_out[:, :, 0]) / sums).reshape(B, d)
         x = _block_tail(p, i, out, x)
+    lead.filled[:B] = [t + 1] * B
     for b, s in enumerate(sessions):
         s.last_hidden = x[b]
         s.t = t + 1
@@ -786,9 +783,10 @@ def decoder_forward(
     traversal: Traversal = Traversal.BFS,
 ) -> np.ndarray:
     """Final-layer hidden rows of the [SOS] row and of each input element,
-    recomputed from scratch on a fresh session.  Cached decoding runs every
-    row through the same ``DecodeSession.append``, so both give
-    bitwise-identical rows.
+    fed one by one to a fresh one-row session.  Cached decoding runs the same
+    ``DecodeSession.append``, so gate C9 (cached equals full, bitwise) checks
+    that path against itself; the row gather of multi-row steps is checked to
+    1e-12 against one-row feeds, and the engine against the tape to 1e-9.
     """
     session = DecodeSession(ctx, cfg, vocab, traversal, max_len=len(elements) + 1)
     rows = [session.last_hidden.copy()]
@@ -872,7 +870,8 @@ def span_head(
         if group is full:
             block = _with_text_scores(ctx, cfg.m, s[at], e[at], block)
         if mask is not None:
-            block += np.array([mask[b] for b in group])
+            for row, b in zip(block, group):
+                row += mask[b]
         for b, s_row, l_row in zip(group, block, _log_softmax_rows(block, width)):
             scores[b], logp[b] = s_row, l_row
     return scores, logp
@@ -885,8 +884,8 @@ def _with_text_scores(
     same rows of the start and end projections ``s`` and ``e``."""
     ts_vec = (ctx.h_text @ s.T).T
     te_vec = (ctx.h_text @ e.T).T
-    idx, inside = nm.span_windows(ctx.n, m)
-    t_mat = np.where(inside, ts_vec[:, :, None] + te_vec.take(idx, axis=1), NEG_INF)
+    t_mat = nm.sliding_windows(te_vec, m)
+    t_mat += ts_vec[:, :, None]
     return np.concatenate([type_scores, t_mat.reshape(len(s), ctx.n * m)], axis=1)
 
 

@@ -26,7 +26,10 @@ SRC = ROOT / "src" / "hyspa"
 GATE_REFERENCES = {
     "greedy_decode": "the reference beam 1 must equal (tests/test_decode_search.py)",
     "sample_sequence": "draws sequences from the constraint machine alone (C4 mask soundness, C9)",
-    "decoder_forward": "the full recomputation cached decoding must equal bitwise (C9)",
+    "decoder_forward": (
+        "the full recomputation cached decoding must equal bitwise (C9); both run "
+        "DecodeSession.append, so C9 checks that path against itself"
+    ),
 }
 
 

@@ -6,7 +6,14 @@ import pytest
 from testutil import fig4_bfs_items, random_edge_freq, random_graph
 
 from hyspa.altseq_codec import AltSequence, Traversal, encode
-from hyspa.embeddings import Role, make_annotator, sinusoidal, tree_onehot
+from hyspa.embeddings import (
+    TREE_BRANCH_CAP,
+    PositionAnnotation,
+    Role,
+    bfs_components,
+    make_annotator,
+    sinusoidal,
+)
 from hyspa.info_graph import canonicalize
 from hyspa.model import _traversal_row
 
@@ -109,6 +116,25 @@ class TestAnnotateBfs:
 
 
 class TestBfsTraversalEmbed:
+    def test_components_one_hot_layout(self, vocab):
+        # roles select the parent (column 0) or child (column 1) vector; each
+        # present path depth sets one slot of its TREE_BRANCH_CAP-wide block,
+        # and a branch past the cap lands on the block's last slot
+        ann = annotate(bfs_seq(vocab, fig4_bfs_items(vocab)))
+        levels, roles, trees = bfs_components(ann, 16)
+        assert np.array_equal(levels, sinusoidal(np.array([a.level for a in ann]), 16))
+        for a, role, tree in zip(ann, roles, trees):
+            assert role.tolist() == [float(a.role is Role.PARENT), float(a.role is Role.CHILD)]
+            want = np.zeros(3 * TREE_BRANCH_CAP)
+            for depth, branch in enumerate(a.path):
+                if branch >= 0:
+                    want[depth * TREE_BRANCH_CAP + branch] = 1.0
+            assert np.array_equal(tree, want)
+        far = [PositionAnnotation(0, Role.CHILD, (0, TREE_BRANCH_CAP + 5, 0), 2)]
+        assert np.flatnonzero(bfs_components(far, 16)[2][0]).tolist() == [
+            0, 2 * TREE_BRANCH_CAP - 1, 2 * TREE_BRANCH_CAP
+        ]
+
     def test_level_component_shared(self, vocab, rng):
         seq = bfs_seq(vocab, fig4_bfs_items(vocab))
         ann = annotate(seq)
@@ -134,7 +160,7 @@ class TestBfsTraversalEmbed:
         # "He" as parent (pos 0, level 0) vs "He" as child (pos 8, level 1):
         # both level and parent/child components differ
         lvl = np.stack([sinusoidal(a.level, d) for a in ann])
-        role_part = out - lvl - np.stack([tree_onehot(a.path) for a in ann]) @ tree
+        role_part = out - lvl - bfs_components(ann, d)[2] @ tree
         assert np.allclose(role_part[0], pc[0])
         assert np.allclose(role_part[8], pc[1])
 
@@ -148,7 +174,8 @@ class TestBfsTraversalEmbed:
         a2, a4 = ann[2], ann[4]
         assert a2.role is a4.role is Role.CHILD
         assert a2.level == a4.level
-        diff = (tree_onehot(a2.path) - tree_onehot(a4.path)) @ tree
+        trees = bfs_components([a2, a4], d)[2]
+        diff = (trees[0] - trees[1]) @ tree
         out = traversal_rows(ann, Traversal.BFS, d, {"trav_pc": pc, "trav_tree": tree})
         assert np.allclose(out[2] - out[4], diff)
 

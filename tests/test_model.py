@@ -7,6 +7,7 @@ from hyspa import numerics as nm
 from hyspa.altseq_codec import AltSequence, Traversal, encode, encode_bfs
 from hyspa.data_io import synth_generate
 from hyspa.decode_search import GenConstraints, _step_logprobs
+from hyspa.embeddings import make_annotator
 from hyspa.hybrid_index import TextSpan, index_to_hspan, span_to_index
 from hyspa.info_graph import canonicalize
 from hyspa.masks import span_attention_mask
@@ -190,7 +191,7 @@ class TestEncodeHybridSpans:
         # the tape's vectorised traversal features, for BFS and for DFS
         import math
 
-        from hyspa.embeddings import bfs_components, dfs_components, make_annotator
+        from hyspa.embeddings import bfs_components, dfs_components
 
         ds, tv, cfg, params = setup
         for idx, traversal in itertools.product(range(5), (Traversal.BFS, Traversal.DFS)):
@@ -218,6 +219,28 @@ class TestEncodeHybridSpans:
                 level_ids, conns = dfs_components(ann, cfg.d_m)
                 ref = ref + params["dfs_level"].data[level_ids] + conns
             assert np.allclose(rows, ref, atol=1e-10)
+
+    def test_engine_traversal_rows_equal_tape_bitwise(self, vocab, setup):
+        # the engine's one-annotation traversal rows are the tape's rows of a
+        # padded batch of random graphs, bit for bit, under BFS and DFS
+        from testutil import random_graph
+
+        from hyspa.model import _traversal_embedding, _traversal_row
+
+        _, _, cfg, params = setup
+        tables = {k: v.data for k, v in params.items()}
+        rng = np.random.default_rng(14)
+        for traversal in (Traversal.BFS, Traversal.DFS):
+            for _ in range(4):
+                graphs = [random_graph(rng, vocab, n_max=48) for _ in range(5)]
+                seqs = [encode(canonicalize(g, {}, vocab), vocab, cfg.m, traversal) for g in graphs]
+                t_pad = max(len(seq.items) for seq in seqs) + 1
+                tape = _traversal_embedding(seqs, t_pad, cfg, params).data
+                for b, seq in enumerate(seqs):
+                    annotator = make_annotator(traversal, vocab)
+                    rows = [_traversal_row(annotator.push(k), traversal, cfg.d_m, tables) for k in seq.items]
+                    assert np.array_equal(np.stack(rows), tape[b, 1 : len(seq.items) + 1])
+                    assert not tape[b, len(seq.items) + 1 :].any()
 
 
 class TestDecoderForward:
@@ -262,20 +285,43 @@ class TestDecoderForward:
         assert not np.allclose(base[-1], pert[-1])
 
     def test_forked_sessions_are_independent(self, vocab, setup):
+        # a fork fed beside its parent on a 2-row cache gets a row of its own:
+        # the same element gives both the same row, different ones differ
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[1]
         seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
         ctx = encode_context(tokens, cfg, params, vocab, tv)
-        sess = DecodeSession(ctx, cfg, vocab, Traversal.BFS, max_len=32)
+        sess = DecodeSession(ctx, cfg, vocab, Traversal.BFS, max_len=32, beam=2)
         sess.append(seq.items[0])
         fork = sess.fork()
-        fork.append(seq.items[1])
-        sess.append(seq.items[1])
+        decode_step([sess, fork], [seq.items[1], seq.items[1]])
+        assert (sess.row, fork.row) == (0, 1)
         assert np.array_equal(sess.last_hidden, fork.last_hidden)
         fork2 = sess.fork()
-        fork2.append(vocab.sep_index)
-        sess.append(seq.items[2])
+        decode_step([sess, fork2], [seq.items[2], vocab.sep_index])
         assert not np.allclose(sess.last_hidden, fork2.last_hidden)
+        sess.append(seq.items[3])  # alone: row 0 is its own now
+        with pytest.raises(ModelError, match="fed without this one"):
+            fork.append(seq.items[2])  # its row 1 now holds fork2's rows
+
+    def test_feeding_a_session_after_its_fork_raises(self, vocab, setup):
+        # a fork and its parent share a cache row until one step feeds both;
+        # whichever is fed alone first advances that row, and the other one
+        # is refused before it reads rows it did not write
+        ds, tv, cfg, params = setup
+        tokens, g = ds.examples[1]
+        items = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m).items
+        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        for beam, fork_first in itertools.product((1, 2), (True, False)):
+            sess = DecodeSession(ctx, cfg, vocab, Traversal.BFS, max_len=32, beam=beam)
+            sess.append(items[0])
+            fork = sess.fork()
+            first, second = (fork, sess) if fork_first else (sess, fork)
+            first.append(items[1])
+            with pytest.raises(ModelError, match="cache row 0 holds 3 rows, not the session's 2"):
+                second.append(items[1])
+            assert second.t == 2 and first.t == 3
+            first.append(items[2])  # the session that advanced the row goes on
 
     def test_fork_copies_filled_prefix_only(self, vocab, setup):
         # a session forked at step t and fed the rest matches a fresh session
