@@ -331,8 +331,8 @@ def write_sequence_dump(path, seqs, vocab: TypeVocab, m: int, traversal: Travers
 
 def read_dump_header(path, vocab: TypeVocab) -> tuple[int, Traversal]:
     """The (m, traversal) a sequence dump's header line records.  A header that
-    is not a JSON object with ``m``, ``traversal`` and this vocab's
-    ``vocab_hash`` raises CorpusError naming ``path``."""
+    is not a JSON object with an integer ``m`` >= 1, ``traversal`` and this
+    vocab's ``vocab_hash`` raises CorpusError naming ``path``."""
     with open(path) as fh:
         line = fh.readline()
     try:
@@ -342,8 +342,8 @@ def read_dump_header(path, vocab: TypeVocab) -> tuple[int, Traversal]:
         raise CorpusError(f"{path}:1: sequence dump header has no {err} key") from None
     except (TypeError, ValueError) as err:
         raise CorpusError(f"{path}:1: malformed sequence dump header: {err}") from None
-    if not isinstance(m, int):
-        raise CorpusError(f"{path}:1: sequence dump header has a non-integer m: {m!r}")
+    if type(m) is not int or m < 1:  # JSON true is a bool, which isinstance(m, int) admits
+        raise CorpusError(f"{path}:1: sequence dump header's m is not an integer >= 1: {m!r}")
     if vocab_hash != vocab.config_hash():
         raise CorpusError(f"{path}: sequence dump was written with a different vocab")
     return m, traversal

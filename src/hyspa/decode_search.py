@@ -313,7 +313,7 @@ def _candidates(
         block = np.array([logps[r] for r in group])
         kth = max(width - k, 0)
         floor = np.maximum(np.partition(block, kth, axis=1)[:, kth, None], NEG_INF / 2)
-        at, cols = np.nonzero(block >= floor)
+        at, cols = np.divmod(np.flatnonzero(block >= floor), width)
         rank, last = 0, -1
         # by row, then best first, then lower slot
         for a, neg, slot in sorted(zip(at.tolist(), (-block[at, cols]).tolist(), cols.tolist())):

@@ -42,24 +42,26 @@ Two forward implementations coexist on purpose:
   constraint machine's, the only admissibility rule there (the tape's
   alternating output masks, ``masks.output_masks``, are training-only).  A
   mask row that covers only the type slots spares its row the text-span
-  scores.  ``DecodeSession.fork`` copies only the annotator, and beam search
-  lets the last child of each hypothesis reuse its parent's session in
-  place (see ``decode_search.beam_decode``).  ``encode_context`` also
-  builds the engine's parameter arrays once per input (``ctx.params``), the
-  only weights ``decode_step`` and ``span_head`` read, and ``_block_tail``
-  (residual, layer norm, FFN, residual, layer norm) is the second half of
-  every decoder layer, for the source rows and for the decode steps alike.
+  scores; every row is normalised at the full width, with zeros in place
+  of the spared exponentials.  ``DecodeSession.fork`` copies only the
+  annotator, and beam search lets the last child of each hypothesis reuse
+  its parent's session in place (see ``decode_search.beam_decode``).
+  ``encode_context`` also builds the engine's parameter arrays once per
+  input (``ctx.params``), the only weights ``decode_step`` and ``span_head``
+  read, and ``_block_tail`` (residual, layer norm, FFN, residual, layer
+  norm) is the second half of every decoder layer, for the source rows and
+  for the decode steps alike.
 
-Both forms take their softmax and layer-norm forward from
-:mod:`hyspa.numerics` (``softmax``, ``normalize``) and their text-span score
-windows from ``numerics.sliding_windows``.  The engine's two attention
-forwards scale the queries, not the scores, by 1/sqrt(d), and normalise
-late: they exponentiate the shifted scores in place (``numerics.shifted_exp``,
-the first half of ``softmax``) and divide ``e @ v`` by the row sums.  The
-traversal embedding has one formula over the inputs that
-``embeddings.bfs_components`` / ``dfs_components`` build: the tape's
-``_traversal_embedding`` applies it to a whole batch, the engine's
-``_traversal_row`` to one annotation, and both give the same bits.
+Both forms take their softmax, log-softmax and layer-norm forward from
+:mod:`hyspa.numerics` (``softmax``, ``log_probs``, ``normalize``) and their
+text-span score windows from ``numerics.sliding_windows``.  The engine's
+two attention forwards scale the queries, not the scores, by 1/sqrt(d), and
+normalise late: they exponentiate the shifted scores in place
+(``numerics.shifted_exp``, the first half of ``softmax``) and divide
+``e @ v`` by the row sums.  The traversal embedding has one formula over
+the inputs that ``embeddings.bfs_components`` / ``dfs_components`` build:
+the tape's ``_traversal_embedding`` applies it to a whole batch, the
+engine's ``_traversal_row`` to one annotation, and both give the same bits.
 
 The paper-style external embedders are replaced by one trainable lookup table
 covering type names and text tokens; text rows additionally receive the
@@ -69,6 +71,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
@@ -796,44 +799,8 @@ def decoder_forward(
     return np.stack(rows)
 
 
-def _pairwise_prefix(w: int, width: int) -> int:
-    """The prefix of a ``width``-long row over which numpy sums its first ``w``
-    entries with the grouping it uses for the whole row.
-
-    ``np.add.reduce`` sums up to 128 contiguous entries in eight interleaved
-    partial sums and splits a longer block at half its length, rounded down
-    to a multiple of 8, into two blocks it sums apart.  When only the first
-    ``w`` entries are non-zero, every block split off to the right holds
-    zeros, and adding 0.0 changes no bits, so the sum over this prefix equals
-    the sum over the whole row bit for bit.
-    """
-    length = width
-    while length > 128:
-        half = length // 2 - length // 2 % 8
-        if w > half:
-            break
-        length = half
-    return length
-
-
-def _log_softmax_rows(scores: np.ndarray, width: int) -> np.ndarray:
-    """Log-softmax of each row of ``scores`` (B, w), bitwise equal to the first w
-    entries of the log-softmax of that row continued with closed (NEG_INF)
-    slots to ``width``, provided one of its w slots is open: the closed slots
-    change neither the row's maximum nor, with exponential exactly 0, its sum.
-    """
-    w = scores.shape[1]
-    mx = np.maximum.reduce(scores, axis=1, keepdims=True)
-    ex = np.zeros((len(scores), _pairwise_prefix(w, width)))
-    np.exp(scores - mx, out=ex[:, :w])
-    return scores - (mx + np.log(np.add.reduce(ex, axis=1, keepdims=True)))
-
-
 def span_head(
-    hidden: np.ndarray,
-    ctx: ContextRep,
-    cfg: ModelConfig,
-    mask: Sequence[np.ndarray] | None = None,
+    hidden: np.ndarray, ctx: ContextRep, cfg: ModelConfig, mask: Sequence[np.ndarray]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Scores and log-probabilities of B hidden rows, (B, d): two lists of B
     rows over the output slots.
@@ -842,37 +809,33 @@ def span_head(
     cells running past the text sit at NEG_INF, and so do the slots that the
     additive ``mask`` closes; all of them get probability exactly 0.
     ``mask`` holds one row per hidden row, l_p + n*m or only l_p long, and
-    each output row is as long as its mask row (without a mask, full).
-    Decoding passes the constraint machine's masks, which are l_p long when
-    a hypothesis can emit no span, so only full rows pay for the text-span
-    scores.  A type-only row is bitwise equal to the first l_p entries of the
-    full row with every span slot closed.  The products against the type rows
-    cover all B rows, those against the text rows all full rows; with one row
-    they have the shapes of a single-row head, so a row scored alone always
-    gives the same bits.  A group of rows (type-only or full) that are
-    consecutive reads its projections and type scores through views, others
-    through copies.
+    each output row is as long as its mask row.  Decoding passes the
+    constraint machine's masks, which are l_p long when a hypothesis can emit
+    no span, so only full rows pay for the text-span scores.  Every row is
+    normalised by ``numerics.log_probs`` at the full width l_p + n*m, so a
+    type-only row sums its exponentials followed by exact zeros and is
+    bitwise equal to the first l_p entries of the full row with every span
+    slot closed.  The products against the type rows cover all B rows, those
+    against the text rows all full rows; with one row they have the shapes of
+    a single-row head, so a row scored alone always gives the same bits.
     """
     p, l_p = ctx.params, ctx.l_p
     width = l_p + ctx.n * cfg.m
     s = hidden @ p["head_w5"] + p["head_b5"]
     e = hidden @ p["head_w6"] + p["head_b6"]
     type_scores = (ctx.h_types @ s.T).T + (ctx.h_types @ e.T).T
-    B = len(hidden)
-    short = [] if mask is None else [b for b in range(B) if len(mask[b]) == l_p]
-    full = [b for b in range(B) if b not in short]
-    scores, logp = [None] * B, [None] * B
+    short = [b for b, row in enumerate(mask) if len(row) == l_p]
+    full = [b for b, row in enumerate(mask) if len(row) != l_p]
+    scores, logp = [None] * len(hidden), [None] * len(hidden)
     for group in (short, full):
         if not group:
             continue
-        at = slice(group[0], group[-1] + 1) if group[-1] - group[0] < len(group) else group
-        block = type_scores[at]
+        block = type_scores.take(group, axis=0)  # take: a third of a fancy index's cost at one row
         if group is full:
-            block = _with_text_scores(ctx, cfg.m, s[at], e[at], block)
-        if mask is not None:
-            for row, b in zip(block, group):
-                row += mask[b]
-        for b, s_row, l_row in zip(group, block, _log_softmax_rows(block, width)):
+            block = _with_text_scores(ctx, cfg.m, s.take(group, axis=0), e.take(group, axis=0), block)
+        for row, b in zip(block, group):
+            row += mask[b]
+        for b, s_row, l_row in zip(group, block, nm.log_probs(block, width)):
             scores[b], logp[b] = s_row, l_row
     return scores, logp
 
@@ -927,15 +890,19 @@ class ExtractionModel:
     def load(cls, path) -> "ExtractionModel":
         from .type_vocab import build_vocab
 
-        with np.load(path) as blob:
-            if "__meta__" not in blob.files:
-                raise ModelError(f"checkpoint {path}: no __meta__ entry")
-            meta = json.loads(bytes(blob["__meta__"]).decode())
+        try:
+            with np.load(path) as blob:
+                arrays = {k: blob[k] for k in blob.files}
+            meta = json.loads(bytes(arrays.pop("__meta__")).decode())
             params = {
-                k[len("param/") :]: Tensor(blob[k].copy(), requires_grad=True)
-                for k in blob.files
+                k[len("param/") :]: Tensor(v, requires_grad=True)
+                for k, v in arrays.items()
                 if k.startswith("param/")
             }
+        except KeyError:
+            raise ModelError(f"checkpoint {path}: no __meta__ entry") from None
+        except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as err:  # empty, truncated, not .npz
+            raise ModelError(f"checkpoint {path}: cannot be read: {err}") from None
         try:
             cfg = ModelConfig(**meta["cfg"])
             vocab = build_vocab(meta["edge_types"], meta["node_types"])
@@ -944,7 +911,7 @@ class ExtractionModel:
             traversal = Traversal(meta["traversal"])
         except KeyError as err:
             raise ModelError(f"checkpoint {path}: meta has no {err.args[0]!r} entry") from None
-        except (TypeError, ValueError) as err:  # e.g. an unknown config field, a bad traversal
+        except (AttributeError, TypeError, ValueError) as err:  # e.g. an unknown config field
             raise ModelError(f"checkpoint {path}: {err}") from None
         _check_params(params, param_shapes(cfg, vocab, token_vocab), path)
         return cls(cfg, params, vocab, token_vocab, edge_freq, traversal)

@@ -4,6 +4,11 @@ Everything is double precision and CPU-bound by design; the goal is
 verifiability (finite-difference checks, bitwise-reproducible inference), not
 throughput.  Masked scores use a large negative constant instead of -inf so
 arithmetic stays finite while softmax still underflows masked slots to 0.
+
+The forwards the inference engine shares with the tape are plain functions
+on arrays, and the tape ops run them: ``softmax`` (in
+``attention_weights``), ``log_probs`` (in ``log_softmax``), ``normalize``
+(in ``layer_norm``) and ``sliding_windows`` (in ``unfold``).
 """
 from __future__ import annotations
 
@@ -249,11 +254,25 @@ def attention_weights(q, k, mask: np.ndarray, scale: float) -> Tensor:
     return out
 
 
+def log_probs(x: np.ndarray, width: int | None = None) -> np.ndarray:
+    """Log-softmax over the last axis of ``x``: ``x - (max + log sum exp(x - max))``.
+
+    The exponentials are summed over each row zero-padded to ``width``
+    (default: the row's own length).  A row padded so is summed exactly like
+    the same row continued with NEG_INF slots to ``width``, whose
+    exponentials are exact zeros too, so it gets that row's bits.  The
+    tape's ``log_softmax`` and the engine's span head both take it.
+    """
+    w = x.shape[-1]
+    mx = np.maximum.reduce(x, axis=-1, keepdims=True)
+    ex = np.zeros(x.shape[:-1] + (width or w,))
+    np.exp(x - mx, out=ex[..., :w])
+    return x - (mx + np.log(np.add.reduce(ex, axis=-1, keepdims=True)))
+
+
 def log_softmax(a) -> Tensor:
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - lse
+    logp = log_probs(a.data)
     out = Tensor(logp, parents=(a,))
 
     def backward(g):

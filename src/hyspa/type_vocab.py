@@ -138,9 +138,16 @@ def build_vocab(edge_names, node_names) -> TypeVocab:
 
 
 def load_vocab(path) -> TypeVocab:
-    """Read a vocab config file: {"edge_types": [...], "node_types": [...]}."""
-    doc = json.loads(Path(path).read_text())
-    return build_vocab(doc["edge_types"], doc["node_types"])
+    """Read a vocab config file: {"edge_types": [...], "node_types": [...]},
+    two lists of strings; any other content raises VocabError naming it."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as err:  # not JSON, not UTF-8
+        raise VocabError(f"vocab {path}: {err}") from None
+    lists = [doc.get(key) for key in ("edge_types", "node_types")] if isinstance(doc, dict) else [None]
+    if not all(isinstance(v, list) and all(isinstance(x, str) for x in v) for v in lists):
+        raise VocabError(f"vocab {path}: not an object with lists of strings edge_types and node_types")
+    return build_vocab(*lists)
 
 
 def classify(k: int, vocab: TypeVocab, n: int, m: int) -> ElementClass:

@@ -11,6 +11,7 @@ from testutil import (
     fig4_bfs_items,
     fig4_graph,
     fit_exponent,
+    open_mask,
     pinned_vocab,
     probe_decode_steps,
     random_edge_freq,
@@ -196,7 +197,7 @@ def test_c6_span_head_layout():
         n = len(tokens)
         ctx = encode_context(tokens, cfg, params, vocab, token_vocab)
         h = rng.normal(size=cfg.d_m)
-        scores = span_head(h[None], ctx, cfg)[0][0]
+        scores = span_head(h[None], ctx, cfg, open_mask(ctx, cfg))[0][0]
         s = h @ params["head_w5"].data + params["head_b5"].data
         e = h @ params["head_w6"].data + params["head_b6"].data
         ts_score = ctx.h_text @ s
@@ -320,8 +321,8 @@ def test_c9_incremental_equivalence():
             inc.append(sess.last_hidden.copy())
         inc = np.stack(inc)
         equal_rows += int(np.array_equal(full, inc))
-        s_full, _ = span_head(full[-1:], ctx, cfg)
-        s_inc, _ = span_head(inc[-1:], ctx, cfg)
+        s_full, _ = span_head(full[-1:], ctx, cfg, open_mask(ctx, cfg))
+        s_inc, _ = span_head(inc[-1:], ctx, cfg, open_mask(ctx, cfg))
         equal_scores += int(np.array_equal(s_full, s_inc))
     ok = equal_rows == total and equal_scores == total
     report(

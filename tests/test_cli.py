@@ -16,6 +16,17 @@ def invoke(*argv):
     return run(list(argv))
 
 
+def _tiny_checkpoint(path) -> None:
+    """Save an untrained one-layer model with the default vocab to ``path``."""
+    from hyspa.altseq_codec import Traversal
+    from hyspa.data_io import default_vocab
+    from hyspa.model import ExtractionModel, ModelConfig, TokenVocab, init_params
+
+    vocab, token_vocab = default_vocab(), TokenVocab(tokens=("[UNK]", "a"))
+    cfg = ModelConfig(d_m=16, layers=1, heads=2, m=16, dropout=0.0)
+    ExtractionModel(cfg, init_params(cfg, vocab, token_vocab), vocab, token_vocab, {}, Traversal.BFS).save(path)
+
+
 def run_module(*argv):
     """``python -m hyspa.cli ARGV`` in a child process that imports the
     same hyspa as the tests, installed or not."""
@@ -280,19 +291,26 @@ class TestModelCommands:
             invoke("eval", "--model", str(tmp_path / "model.npz"), "--data", str(train), "--traversal", "dfs")
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("damage", ["no meta", "no meta key", "unknown config field", "bad traversal"])
+    @pytest.mark.parametrize("damage", [
+        "no meta", "no meta key", "unknown config field", "bad traversal", "edge_freq list",
+        "empty", "truncated", "text",
+    ])
     def test_malformed_checkpoint_fails_with_message(self, corpus, tmp_path, capsys, damage):
         import numpy as np
 
-        from hyspa.altseq_codec import Traversal
-        from hyspa.data_io import default_vocab
-        from hyspa.model import ExtractionModel, ModelConfig, TokenVocab, init_params
-
         _, train = corpus
-        vocab, token_vocab = default_vocab(), TokenVocab(tokens=("[UNK]", "a"))
-        cfg = ModelConfig(d_m=16, layers=1, heads=2, m=16, dropout=0.0)
         ckpt = tmp_path / "model.npz"
-        ExtractionModel(cfg, init_params(cfg, vocab, token_vocab), vocab, token_vocab, {}, Traversal.BFS).save(ckpt)
+        _tiny_checkpoint(ckpt)
+        sents = tmp_path / "sents.txt"
+        sents.write_text("a a\n")
+        if damage in ("empty", "truncated", "text"):
+            raw = ckpt.read_bytes()
+            ckpt.write_bytes({"empty": b"", "truncated": raw[: len(raw) // 2], "text": b"not a checkpoint\n"}[damage])
+            assert invoke("extract", "--model", str(ckpt), "--input", str(sents)) == 1
+            assert f"error: checkpoint {ckpt}: cannot be read" in capsys.readouterr().err
+            assert invoke("eval", "--model", str(ckpt), "--data", str(train)) == 1
+            assert f"error: checkpoint {ckpt}: cannot be read" in capsys.readouterr().err
+            return
         with np.load(ckpt) as blob:
             arrays = {k: blob[k] for k in blob.files}
         meta = json.loads(bytes(arrays.pop("__meta__")).decode())
@@ -302,8 +320,95 @@ class TestModelCommands:
             meta["cfg"]["width"] = 3
         elif damage == "bad traversal":
             meta["traversal"] = "zigzag"
+        elif damage == "edge_freq list":
+            meta["edge_freq"] = [1]
         if damage != "no meta":
             arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(ckpt, **arrays)
         assert invoke("eval", "--model", str(ckpt), "--data", str(train), "--limit", "1") == 1
         assert f"error: checkpoint {ckpt}" in capsys.readouterr().err
+
+
+# what a malformed file holds, made from a good file's bytes
+MALFORMED = {
+    "empty": lambda good: b"",
+    "binary": lambda good: bytes(range(256)) * 4,
+    "truncated": lambda good: good[: len(good) // 2],
+    "json list": lambda good: b"[1, 2, 3]\n",
+    "json object": lambda good: b'{"a": 1}\n',
+}
+
+# every flag that reads a file: the good file it takes, and a command line with BAD in its place
+FILE_FLAGS = {
+    "roundtrip --data": ("data", ["roundtrip", "--data", "BAD"]),
+    "decode --seqs": ("seqs", ["decode", "--seqs", "BAD"]),
+    "eval --model": ("model", ["eval", "--model", "BAD", "--data", "data"]),
+    "extract --model": ("model", ["extract", "--model", "BAD", "--input", "input"]),
+    "extract --input": ("input", ["extract", "--model", "model", "--input", "BAD"]),
+    "validate --vocab": ("vocab", ["validate", "--vocab", "BAD", "--data", "data"]),
+    "encode --freq-from": ("data", ["encode", "--data", "data", "--freq-from", "BAD"]),
+    "train --dev": ("data", [
+        "train", "--data", "data", "--dev", "BAD", "--steps", "1", "--d-model", "16",
+        "--layers", "1", "--heads", "2", "--out", "out",
+    ]),
+}
+
+# content these flags accept: an empty corpus, and any text as extraction input
+ACCEPTED = {
+    ("roundtrip --data", "empty"), ("encode --freq-from", "empty"), ("train --dev", "empty"),
+    ("extract --input", "empty"), ("extract --input", "truncated"),
+    ("extract --input", "json list"), ("extract --input", "json object"),
+}
+
+
+@pytest.fixture(scope="module")
+def good_files(corpus):
+    from hyspa.data_io import DEFAULT_EDGE_TYPES, DEFAULT_NODE_TYPES
+
+    root, train = corpus
+    files = {"data": train, "seqs": root / "good.seqs", "model": root / "good.npz",
+             "input": root / "good.txt", "vocab": root / "good.vocab.json"}
+    assert invoke("encode", "--data", str(train), "--out", str(files["seqs"])) == 0
+    _tiny_checkpoint(files["model"])
+    files["input"].write_text("[CLS] alice works for acme .\nit rained all day .\n")
+    files["vocab"].write_text(json.dumps(
+        {"edge_types": list(DEFAULT_EDGE_TYPES), "node_types": list(DEFAULT_NODE_TYPES)}
+    ))
+    return files
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("kind", MALFORMED)
+    @pytest.mark.parametrize("flag", FILE_FLAGS)
+    def test_bad_file_fails_with_message(self, good_files, tmp_path, capsys, flag, kind):
+        # a file that cannot be read exits 1 with an error or per-line message, never a traceback
+        good, argv = FILE_FLAGS[flag]
+        bad = tmp_path / "bad"
+        bad.write_bytes(MALFORMED[kind](good_files[good].read_bytes()))
+        paths = {**good_files, "BAD": bad, "out": tmp_path / "out.npz"}
+        code = invoke(*(str(paths.get(arg, arg)) for arg in argv))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if (flag, kind) in ACCEPTED:
+            assert code == 0
+        else:
+            assert code == 1
+            assert "error: " in err or f"{bad}:" in err
+
+    @pytest.mark.parametrize("m", [0, -3, True, 2.0, "2"])
+    def test_decode_header_m_must_be_a_positive_integer(self, good_files, tmp_path, capsys, m):
+        header, rest = good_files["seqs"].read_text().split("\n", 1)
+        seqs = tmp_path / "seqs.txt"
+        seqs.write_text(json.dumps({**json.loads(header), "m": m}) + "\n" + rest)
+        assert invoke("decode", "--seqs", str(seqs)) == 1
+        assert f"error: {seqs}:1: sequence dump header's m is not an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        ["[TYPE]"], {"edge_types": ["[TYPE]"]}, {"edge_types": "[TYPE]", "node_types": "[NULL]"},
+        {"edge_types": ["[TYPE]"], "node_types": [None]},
+    ], ids=["list", "no node_types", "strings", "non-string name"])
+    def test_vocab_must_hold_two_lists_of_strings(self, good_files, tmp_path, capsys, doc):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps(doc))
+        assert invoke("validate", "--vocab", str(vocab), "--data", str(good_files["data"])) == 1
+        assert f"error: vocab {vocab}: not an object with lists of strings" in capsys.readouterr().err

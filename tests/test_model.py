@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from testutil import open_mask
+
 from hyspa import numerics as nm
 from hyspa.altseq_codec import AltSequence, Traversal, encode, encode_bfs
 from hyspa.data_io import synth_generate
@@ -435,6 +437,18 @@ class TestSpanHead:
         assert np.isclose(p[adm].sum(), 1.0)
         assert (p[~adm] == 0.0).all()
 
+    def test_full_rows_equal_tape_log_softmax_bitwise(self, vocab, setup):
+        # the engine's log-probabilities are the tape's log_softmax forward
+        ds, tv, cfg, params = setup
+        tokens = ds.examples[2][0]
+        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        rng = np.random.default_rng(8)
+        hidden = rng.normal(size=(3, cfg.d_m)) * 3
+        mask = np.where(rng.random((3, vocab.l_p + len(tokens) * cfg.m)) < 0.3, NEG_INF, 0.0)
+        scores, logp = span_head(hidden, ctx, cfg, mask)
+        for row, want in zip(logp, nm.log_softmax(np.array(scores)).data):
+            assert np.array_equal(row, want)
+
     def test_flat_slot_layout_matches_double_loop_oracle(self, vocab, setup):
         ds, tv, cfg, params = setup
         tokens = ds.examples[2][0]
@@ -442,7 +456,7 @@ class TestSpanHead:
         ctx = encode_context(tokens, cfg, params, vocab, tv)
         rng = np.random.default_rng(4)
         h = rng.normal(size=cfg.d_m)
-        scores = span_head(h[None], ctx, cfg)[0][0]
+        scores = span_head(h[None], ctx, cfg, open_mask(ctx, cfg))[0][0]
         s = h @ params["head_w5"].data + params["head_b5"].data
         e = h @ params["head_w6"].data + params["head_b6"].data
         ts_score = ctx.h_text @ s
@@ -458,7 +472,7 @@ class TestSpanHead:
         tokens = ds.examples[0][0]
         n = len(tokens)
         ctx = encode_context(tokens, cfg, params, vocab, tv)
-        scores = span_head(np.zeros((1, cfg.d_m)), ctx, cfg)[0][0]
+        scores = span_head(np.zeros((1, cfg.d_m)), ctx, cfg, open_mask(ctx, cfg))[0][0]
         for j in range(n):
             for d in range(cfg.m):
                 if j + d >= n:
@@ -469,7 +483,7 @@ class TestSpanHead:
         _, tv, cfg, params = setup
         ctx = encode_context(("tok",) * n, cfg, params, vocab, tv)
         for h in np.random.default_rng(n).normal(size=(2, cfg.d_m)):
-            row = span_head(h[None], ctx, cfg)[0][0]
+            row = span_head(h[None], ctx, cfg, open_mask(ctx, cfg))[0][0]
             s = h @ params["head_w5"].data + params["head_b5"].data
             e = h @ params["head_w6"].data + params["head_b6"].data
             ts_vec, te_vec = ctx.h_text @ s, ctx.h_text @ e
@@ -493,9 +507,9 @@ class TestSpanHead:
         assert np.exp(logp[vocab.l_p :]).sum() == 0.0
         assert np.exp(logp[vocab.type_edge_index]) == pytest.approx(1.0)
 
-    # l_p + n*m = 67, 387 and 1139: numpy sums the first in one block of at
-    # most 128 entries, and splits the others once or several times
-    @pytest.mark.parametrize("n", [3, 23, 70])
+    # l_p + n*m = 67, 387, 1139 and 16403: numpy sums the first in one block
+    # of at most 128 entries, and splits the others once or many times
+    @pytest.mark.parametrize("n", [3, 23, 70, 1024])
     def test_type_only_rows_bitwise_equal_closed_full_rows(self, vocab, setup, n):
         # a row whose mask covers the type slots alone carries exactly the bits
         # of the full row with every span slot closed, scored alone and in a
@@ -540,7 +554,7 @@ class TestTrainingPath:
             logits = logits.data[0]
             ctx = encode_context(tokens, cfg, params, vocab, tv)
             rows = decoder_forward(ctx, list(seq.items), cfg, vocab, traversal)
-            scores, _ = span_head(rows, ctx, cfg)
+            scores, _ = span_head(rows, ctx, cfg, open_mask(ctx, cfg, len(rows)))
             for i, row in enumerate(scores):
                 adm = logits[i] > NEG_INF / 2
                 assert np.allclose(row[adm], logits[i][adm], atol=1e-9)

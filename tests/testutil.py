@@ -45,6 +45,11 @@ def fig4_dfs_items(vocab: TypeVocab) -> list[int]:
     return [19, t, per, sep, 83, t, gpe, sep, 83, phys, 19, sep]
 
 
+def open_mask(ctx, cfg, rows: int = 1) -> np.ndarray:
+    """``rows`` span-head mask rows that open every output slot."""
+    return np.zeros((rows, ctx.l_p + ctx.n * cfg.m))
+
+
 def random_graph(
     rng: np.random.Generator,
     vocab: TypeVocab,
