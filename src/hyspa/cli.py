@@ -63,6 +63,22 @@ _SHARED_FLAGS = {
 }
 
 
+def _bounded(kind, ok, bound: str):
+    """An argparse type: a ``kind`` value for which ``ok`` holds, else a usage
+    error naming the flag."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+_BEAM = dict(type=_bounded(int, lambda v: v >= 1, "at least 1"), default=1)
+_LENGTH_PENALTY = dict(type=_bounded(float, lambda v: v > 0, "greater than 0"), default=1.0)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hyspa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -118,17 +134,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subcommand("eval", "evaluate a checkpoint on a corpus")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--beam", type=int, default=1)
-    p.add_argument("--length-penalty", type=float, default=1.0)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--beam", **_BEAM)
+    p.add_argument("--length-penalty", **_LENGTH_PENALTY)
+    p.add_argument("--limit", type=_bounded(int, lambda v: v >= 1, "at least 1"), default=None)
 
     p = subcommand("extract", "run end-to-end extraction on raw token lines")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="text file, one whitespace-tokenized sentence per line")
     p.add_argument("--out", help="JSONL output (default: stdout)")
-    p.add_argument("--beam", type=int, default=1)
-    p.add_argument("--length-penalty", type=float, default=1.0)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--beam", **_BEAM)
+    p.add_argument("--length-penalty", **_LENGTH_PENALTY)
+    p.add_argument("--max-len", type=_bounded(int, lambda v: v >= 16, "at least 16"), default=None)
 
     # gradcheck runs without dropout, so finite differences see a deterministic loss
     p = subcommand(
@@ -243,6 +259,8 @@ def _cmd_train(args) -> int:
     vocab = _load_vocab_arg(args)
     traversal = Traversal(args.traversal)
     ds = load_jsonl(args.data, vocab, m=args.m)
+    if not ds.examples:
+        raise CorpusError(f"{args.data}: no training examples")
     dev = load_jsonl(args.dev, vocab, m=args.m) if args.dev else None
     cfg = ModelConfig(
         d_m=args.d_model, layers=args.layers, heads=args.heads,
@@ -288,18 +306,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    """Extract every line; a line that cannot be decoded gets an empty record
-    with a ``diagnostics`` message, and the exit code is 1 if any line failed."""
+    """Extract every non-blank line; a line the model cannot take (a
+    ``ModelError``) gets an empty record with a ``diagnostics`` message, and
+    the exit code is 1 if any line failed."""
     from .decode_search import extract_graph
 
     model = ExtractionModel.load(args.model)
     out = open(args.out, "w") if args.out else sys.stdout
     total = failed = 0
     try:
-        for line in Path(args.input).read_text().splitlines():
+        for _, line in corpus_lines(args.input):
             tokens = line.split()
-            if not tokens:
-                continue
             total += 1
             try:
                 res = extract_graph(
@@ -311,8 +328,6 @@ def _cmd_extract(args) -> int:
                 record = {"tokens": tokens, "entities": [], "relations": [], "diagnostics": f"failed: {err}"}
             else:
                 record = graph_to_record(tokens, res.graph, model.vocab)
-                if res.diagnostics:
-                    record["diagnostics"] = res.diagnostics
             out.write(json.dumps(record) + "\n")
     finally:
         if args.out:

@@ -92,10 +92,19 @@ def graph_to_record(tokens: Sequence[str], g: InfoGraph, vocab: TypeVocab) -> di
     }
 
 
+def _utf8(path, lineno: int, raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise CorpusError(f"{path}:{lineno}: not UTF-8: {err}") from None
+
+
 def corpus_lines(path):
-    """Yield (line number, line) for each non-blank line of a corpus file."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    """Yield (line number, line) for each non-blank line of a UTF-8 file; a
+    line that is not UTF-8 raises CorpusError naming ``path:lineno``."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = _utf8(path, lineno, raw)
             if line.strip():
                 yield lineno, line
 
@@ -333,8 +342,8 @@ def read_dump_header(path, vocab: TypeVocab) -> tuple[int, Traversal]:
     """The (m, traversal) a sequence dump's header line records.  A header that
     is not a JSON object with an integer ``m`` >= 1, ``traversal`` and this
     vocab's ``vocab_hash`` raises CorpusError naming ``path``."""
-    with open(path) as fh:
-        line = fh.readline()
+    with open(path, "rb") as fh:
+        line = _utf8(path, 1, fh.readline())
     try:
         header = json.loads(line)
         vocab_hash, m, traversal = header["vocab_hash"], header["m"], Traversal(header["traversal"])

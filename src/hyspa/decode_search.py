@@ -7,8 +7,11 @@ that decode to a valid information graph: every level parent is a fresh text
 span (or [NULL] as the lone root), every mention is typed through a [TYPE]
 pair before anything else, relation children are text spans, and [EOS] only
 opens once all levels are closed and no mention is left untyped.  Near the
-length budget the machine forces the shortest completion, so any finished
-hypothesis is decodable regardless of the scores that drove it.
+length budget the machine forces the shortest completion, so every run ends
+in [EOS] within ``max_len`` items and decodes to a graph whatever scores
+drove it: decoding has no unfinished result.  ``GenConstraints.push`` checks
+the budget (a ``RuntimeError`` past it is a bug), and a property test drives
+the machine with adversarial choices to hold it.
 
 Most steps admit no text span (a [TYPE] edge, a node type, a relation edge,
 [SEP] or [EOS] comes next).  There the mask covers only the l_p type slots,
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .altseq_codec import AltSequence, SequenceDecodeError, Traversal, decode_sequence
+from .altseq_codec import AltSequence, Traversal, decode_sequence
 from .info_graph import InfoGraph
 from .model import DecodeSession, ExtractionModel, ModelError, decode_step, span_head
 from .numerics import NEG_INF, span_windows
@@ -185,6 +188,8 @@ class GenConstraints:
         if k == voc.eos_index:
             self.phase = _Phase.DONE
             return
+        if self.emitted == self.max_len:  # the budget rule admits only [EOS] here
+            raise RuntimeError(f"item {k} pushed past the budget of {self.max_len} items")
         self.emitted += 1
         ph = self.phase
         bfs = self.traversal == Traversal.BFS
@@ -227,16 +232,16 @@ class GenConstraints:
 class DecodeResult:
     seq: AltSequence
     score: float
-    finished: bool
-    diagnostics: str = ""
 
 
 @dataclass
 class ExtractResult:
+    """A decoded sequence and its graph.  Every decode finishes, so
+    ``finished`` is always True; it stays only because perfbench's
+    ``check_extraction`` still reads it."""
     graph: InfoGraph
     seq: AltSequence
-    finished: bool
-    diagnostics: str = ""
+    finished = True
 
 
 def default_max_len(n: int) -> int:
@@ -271,39 +276,30 @@ def greedy_decode(
     machine = GenConstraints(model.vocab, n, model.cfg.m, traversal, max_len)
     items: list[int] = []
     score = 0.0
-    finished = False
     while True:
         logp = _step_logprobs(model, [session], [machine])[0]
         k = int(np.argmax(logp))
-        if k == model.vocab.eos_index:
-            score += float(logp[k])
-            finished = True
-            break
-        if len(items) >= max_len:  # budget exhausted before [EOS]
-            break
         score += float(logp[k])
+        if k == model.vocab.eos_index:
+            break
         machine.push(k)
         session.append(k)
         items.append(k)
-    seq = AltSequence(tuple(items), traversal, model.vocab, n, model.cfg.m)
-    diag = "" if finished else f"max_len {max_len} reached without [EOS]"
-    return DecodeResult(seq, score, finished, diag)
+    return DecodeResult(AltSequence(tuple(items), traversal, model.vocab, n, model.cfg.m), score)
 
 
-def _candidates(
-    logps: list[np.ndarray], scores: list[float], k: int, exhausted: list[bool], eos: int
-) -> list[tuple[float, int, int]]:
+def _candidates(logps: list[np.ndarray], scores: list[float], k: int) -> list[tuple[float, int, int]]:
     """The continuations one beam step weighs, best first, as (new score,
     slot, row).
 
     Row r offers its at most ``k`` best admissible slots (logp > NEG_INF/2),
-    ties going to the lower slot; a row whose hypothesis has used up its
-    budget (``exhausted``) keeps only [EOS] among them.  An offer scores
-    ``scores[r] + logp``, and offers are ordered by (-new score, slot, row).
-    The rows of one width (type-only or full) are taken as one block: one
-    row-wise ``np.partition`` finds each row's k-th best value, and only the
-    few admissible slots at or above it are sorted, in Python (a full sort
-    costs 1-2 ms a row at n=1024).
+    ties going to the lower slot.  A row at its budget needs no rule of its
+    own: its machine admits only [EOS].  An offer scores ``scores[r] +
+    logp``, and offers are ordered by (-new score, slot, row).  The rows of
+    one width (type-only or full) are taken as one block: one row-wise
+    ``np.partition`` finds each row's k-th best value, and only the few
+    admissible slots at or above it are sorted, in Python (a full sort costs
+    1-2 ms a row at n=1024).
     """
     groups: dict[int, list[int]] = {}
     for r, logp in enumerate(logps):
@@ -319,7 +315,7 @@ def _candidates(
         for a, neg, slot in sorted(zip(at.tolist(), (-block[at, cols]).tolist(), cols.tolist())):
             rank, last = (rank + 1 if a == last else 0), a
             r = group[a]
-            if rank < k and -neg > NEG_INF / 2 and (slot == eos or not exhausted[r]):
+            if rank < k and -neg > NEG_INF / 2:
                 offers.append((-(scores[r] - neg), slot, r))  # scores[r] - neg is scores[r] + logp
     offers.sort()
     return [(-neg, slot, r) for neg, slot, r in offers]
@@ -361,11 +357,13 @@ def beam_decode(
 
     The search stops once some hypothesis has finished and no live one can
     still beat the best finished score: log-probabilities are <= 0 and no
-    hypothesis runs more than max_len+1 steps, so a live raw score s ends at
-    best s / (max_len+1)**penalty, and a hypothesis that finishes later is
-    longer, so it loses a tie.  Only the best finished hypothesis is
-    returned, so stopping there changes no result, and the children of that
-    last step are not fed.
+    hypothesis runs more than max_len+1 steps (its machine admits only [EOS]
+    after max_len items, and ``GenConstraints.push`` checks it), so a live
+    raw score s ends at best s / (max_len+1)**penalty, and a hypothesis that
+    finishes later is longer, so it loses a tie.  Only the best finished
+    hypothesis is returned, so stopping there changes no result, and the
+    children of that last step are not fed.  Otherwise the search ends when
+    every hypothesis has finished, by step max_len+1 at the latest.
     """
     if beam < 1 or length_penalty <= 0:
         raise ValueError("beam must be >= 1 and length_penalty > 0")
@@ -378,14 +376,10 @@ def beam_decode(
         _Hyp([], 0.0, root_session, GenConstraints(model.vocab, n, model.cfg.m, traversal, max_len))
     ]
     done: list[tuple[float, float, list[int]]] = []  # (penalized, raw, items)
-    steps = 0
-    while live and steps <= max_len + 1:
-        steps += 1
+    while live:
         logps = _step_logprobs(model, [h.session for h in live], [h.machine for h in live])
         kept = []  # (new_score, slot, parent)
-        for new_score, k, pos in _candidates(
-            logps, [h.score for h in live], beam + 1, [len(h.items) >= max_len for h in live], eos
-        ):
+        for new_score, k, pos in _candidates(logps, [h.score for h in live], beam + 1):
             if len(kept) >= beam:
                 break
             if k == eos:
@@ -410,23 +404,9 @@ def beam_decode(
                 break
         if live:
             decode_step([h.session for h in live], [h.items[-1] for h in live])
-    if done:
-        done.sort(key=lambda d: (-d[0], len(d[2])))
-        penalized, raw, items = done[0]
-        seq = AltSequence(tuple(items), traversal, model.vocab, n, model.cfg.m)
-        return DecodeResult(seq, raw, True)
-    best = max(live, key=lambda h: h.score) if live else None
-    items = best.items if best else []
-    seq = AltSequence(tuple(items), traversal, model.vocab, n, model.cfg.m)
-    return DecodeResult(seq, best.score if best else 0.0, False, "no finished hypothesis")
-
-
-def salvage_levels(seq: AltSequence) -> AltSequence:
-    """Trim a truncated sequence back to its last complete level."""
-    items = list(seq.items)
-    while items and items[-1] != seq.vocab.sep_index:
-        items.pop()
-    return AltSequence(tuple(items), seq.traversal, seq.vocab, seq.n, seq.m)
+    done.sort(key=lambda d: (-d[0], len(d[2])))
+    _, raw, items = done[0]
+    return DecodeResult(AltSequence(tuple(items), traversal, model.vocab, n, model.cfg.m), raw)
 
 
 def extract_graph(
@@ -437,17 +417,9 @@ def extract_graph(
     max_len: int | None = None,
     traversal: Traversal | None = None,
 ) -> ExtractResult:
-    """Decode a sequence and invert it to a graph, salvaging on truncation."""
-    res = beam_decode(model, tokens, beam, length_penalty, max_len, traversal)
-    seq = res.seq if res.finished else salvage_levels(res.seq)
-    diag = res.diagnostics
-    try:
-        graph = decode_sequence(seq)
-    except SequenceDecodeError as err:
-        graph = InfoGraph((), (), len(tokens), model.cfg.m)
-        diag = f"unsalvageable sequence: {err}"
-        seq = AltSequence((), seq.traversal, seq.vocab, seq.n, seq.m)
-    return ExtractResult(graph, seq, res.finished, diag)
+    """Decode a sequence and invert it to a graph."""
+    seq = beam_decode(model, tokens, beam, length_penalty, max_len, traversal).seq
+    return ExtractResult(decode_sequence(seq), seq)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +451,6 @@ def sample_sequence(
             break
         machine.push(k)
         items.append(k)
-        if len(items) > max_len:
-            raise RuntimeError("sampler failed to terminate within budget")
     return AltSequence(tuple(items), traversal, vocab, n, m)
 
 

@@ -487,7 +487,10 @@ def fit(
     """Run ``steps`` optimizer steps over random batches; returns (step, loss) history.
 
     ``callback(step)`` may return True to stop early (e.g. on a dev metric).
+    An empty ``prepared`` raises ModelError.
     """
+    if not prepared:
+        raise ModelError("fit needs at least one training example")
     rng = np.random.default_rng(seed)
     drop_rng = np.random.default_rng(seed + 1)
     history = []

@@ -175,6 +175,23 @@ class TestUsageErrors:
             invoke(*argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("extract", "--max-len", "0"),
+        ("extract", "--max-len", "15"),
+        ("extract", "--beam", "0"),
+        ("extract", "--length-penalty", "0"),
+        ("eval", "--beam", "0"),
+        ("eval", "--limit", "0"),
+        ("eval", "--length-penalty", "-1"),
+    ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+    def test_out_of_range_decode_flag_is_a_usage_error(self, argv, capsys):
+        # a decode flag out of range fails when parsed, naming the flag
+        source = "--input" if argv[0] == "extract" else "--data"
+        with pytest.raises(SystemExit) as exc:
+            invoke(argv[0], "--model", "m.npz", source, "x.txt", *argv[1:])
+        assert exc.value.code == 2
+        assert f"argument {argv[1]}: must be" in capsys.readouterr().err
+
     def test_every_flag_has_a_reader(self):
         # each subcommand's flags are exactly the args.X names its handler reads
         # (vocab through _load_vocab_arg)
@@ -361,6 +378,21 @@ ACCEPTED = {
 }
 
 
+# every flag that reads a text file, with a command line that passes it BAD
+TEXT_FLAGS = {
+    **{flag: FILE_FLAGS[flag] for flag in (
+        "roundtrip --data", "decode --seqs", "extract --input", "encode --freq-from", "train --dev",
+    )},
+    "train --data": ("data", [
+        "train", "--data", "BAD", "--steps", "1", "--d-model", "16", "--layers", "1", "--heads", "2",
+        "--out", "out",
+    ]),
+    "validate --data": ("data", ["validate", "--data", "BAD"]),
+    "encode --data": ("data", ["encode", "--data", "BAD"]),
+    "eval --data": ("data", ["eval", "--model", "model", "--data", "BAD"]),
+}
+
+
 @pytest.fixture(scope="module")
 def good_files(corpus):
     from hyspa.data_io import DEFAULT_EDGE_TYPES, DEFAULT_NODE_TYPES
@@ -394,6 +426,26 @@ class TestMalformedFiles:
         else:
             assert code == 1
             assert "error: " in err or f"{bad}:" in err
+
+    @pytest.mark.parametrize("flag", TEXT_FLAGS)
+    def test_not_utf8_names_file_and_line(self, good_files, tmp_path, capsys, flag):
+        good, argv = TEXT_FLAGS[flag]
+        lines = good_files[good].read_bytes().split(b"\n")
+        lines[1] = lines[1][:1] + b"\x80" + lines[1][1:]  # one byte no UTF-8 text holds
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\n".join(lines))
+        paths = {**good_files, "BAD": bad, "out": tmp_path / "out.npz"}
+        assert invoke(*(str(paths.get(arg, arg)) for arg in argv)) == 1
+        assert f"error: {bad}:2: not UTF-8" in capsys.readouterr().err
+
+    def test_train_on_empty_corpus_names_the_path(self, tmp_path, capsys):
+        data = tmp_path / "empty.jsonl"
+        data.write_text("\n")
+        argv = TEXT_FLAGS["train --data"][1]
+        paths = {"BAD": data, "out": tmp_path / "out.npz"}
+        assert invoke(*(str(paths.get(arg, arg)) for arg in argv)) == 1
+        assert f"error: {data}: no training examples" in capsys.readouterr().err
+        assert not (tmp_path / "out.npz").exists()
 
     @pytest.mark.parametrize("m", [0, -3, True, 2.0, "2"])
     def test_decode_header_m_must_be_a_positive_integer(self, good_files, tmp_path, capsys, m):

@@ -12,7 +12,6 @@ from hyspa.decode_search import (
     beam_decode,
     extract_graph,
     greedy_decode,
-    salvage_levels,
     sample_sequence,
 )
 from hyspa.hybrid_index import TextSpan
@@ -20,6 +19,7 @@ from hyspa.info_graph import Mention, RelationEdge, canonicalize, graph_equal, m
 from hyspa.masks import output_masks
 from hyspa.model import ExtractionModel, ModelConfig, init_params, prepare_training_data
 from hyspa.numerics import NEG_INF, span_windows
+from hyspa.type_vocab import build_vocab
 
 
 @pytest.fixture(scope="module")
@@ -117,13 +117,11 @@ class TestGreedy:
         model = ScriptedModel(rigged_rows_for(items, vocab, 9, 16), vocab, n=9)
         res = greedy_decode(model, ["tok"] * 9)
         assert list(res.seq.items) == items
-        assert res.finished
 
     def test_random_params_always_valid(self, random_model):
         model, ds = random_model
         for tokens, _ in ds.examples[:6]:
             res = greedy_decode(model, tokens)
-            assert res.finished
             assert validate_sequence(res.seq) is None
             decode_sequence(res.seq)
 
@@ -139,7 +137,6 @@ class TestGreedy:
         model, ds = random_model
         for tokens, _ in ds.examples[:4]:
             res = greedy_decode(model, tokens, traversal=Traversal.DFS)
-            assert res.finished
             assert res.seq.traversal is Traversal.DFS
             assert validate_sequence(res.seq) is None
             decode_sequence(res.seq)
@@ -150,8 +147,8 @@ class TestGreedy:
         items = fig4_bfs_items(vocab)
         model = ScriptedModel(rigged_rows_for(items * 10, vocab, 9, 16), vocab, n=9)
         res = greedy_decode(model, ["tok"] * 9, max_len=16)
-        # forcing guarantees a finished, decodable sequence even at tiny budgets
-        assert res.finished
+        # forcing guarantees a decodable sequence even at tiny budgets
+        assert len(res.seq.items) <= 16
         decode_sequence(res.seq)
 
 
@@ -180,7 +177,6 @@ class TestBeam:
             g = greedy_decode(model, ["t"] * n, max_len=16)
             for beam in (4, 8):
                 b = beam_decode(model, ["t"] * n, beam=beam, length_penalty=1.0, max_len=16)
-                assert g.finished and b.finished
                 assert b.score >= g.score - 1e-9
 
     @pytest.mark.parametrize("seed", range(13, 21))
@@ -222,7 +218,6 @@ class TestBeam:
 
         walk(GenConstraints(tiny, n, m, Traversal.BFS, max_len), 0, 0.0)
         res = beam_decode(model, ["t"] * n, beam=8, length_penalty=1.0, max_len=max_len)
-        assert res.finished
         assert res.score == pytest.approx(best[0][1], abs=1e-9)
         steps_taken = len(res.seq.items) + 1
         assert res.score / steps_taken == pytest.approx(best[0][0], abs=1e-9)
@@ -241,7 +236,7 @@ class TestBeam:
 
             monkeypatch.setattr(cls, "fork", counting)
         for tokens, _ in ds.examples[:3]:
-            assert beam_decode(model, tokens, beam=1).finished
+            beam_decode(model, tokens, beam=1)
         assert forks == []
         beam_decode(model, ds.examples[0][0], beam=3)
         assert {"DecodeSession", "GenConstraints"} <= set(forks)
@@ -265,7 +260,7 @@ class TestBeam:
         for beam in (1, 3):
             for tokens, _ in ds.examples[:3]:
                 calls.clear()
-                assert beam_decode(model, tokens, beam=beam).finished
+                beam_decode(model, tokens, beam=beam)
                 kinds = [kind for kind, _ in calls]
                 assert kinds[::2] == ["head"] * len(kinds[::2])
                 assert kinds[1::2] == ["step"] * len(kinds[1::2])
@@ -287,7 +282,7 @@ class TestBeam:
         from hyspa.decode_search import _candidates
 
         def offered_slots(v, k):
-            return np.array([slot for _, slot, _ in _candidates([v], [0.0], k, [False], eos=0)], dtype=int)
+            return np.array([slot for _, slot, _ in _candidates([v], [0.0], k)], dtype=int)
 
         rng = np.random.default_rng(0)
         vectors = [
@@ -310,8 +305,8 @@ class TestBeam:
     def test_batched_selection_matches_reference_rule(self, data):
         # _candidates against the rule written out: each row's k best
         # admissible slots by a stable descending argsort (ties to the lower
-        # slot), only [EOS] for a row at its budget, then all offers ordered
-        # by (-new score, slot, row); rows of two widths, heavy ties, rows
+        # slot), then all offers ordered by (-new score, slot, row); rows of
+        # two widths, heavy ties, rows
         # with every slot closed, and scores so large that distinct
         # log-probabilities give equal new scores
         from hyspa.decode_search import _candidates
@@ -319,21 +314,19 @@ class TestBeam:
         l_p = data.draw(st.integers(1, 12))
         wide = l_p + data.draw(st.integers(1, 40))
         k = data.draw(st.integers(1, 7))
-        eos = data.draw(st.integers(0, l_p - 1))
         values = st.sampled_from([0.0, -0.5, -1.0, -1.0, -2.0, -3.25, NEG_INF, NEG_INF]) | st.floats(-30.0, 0.0)
         rows = data.draw(st.lists(st.sampled_from([l_p, wide]), min_size=1, max_size=6))
         logps = [np.array(data.draw(st.lists(values, min_size=w, max_size=w))) for w in rows]
         scores = data.draw(st.lists(st.sampled_from([0.0, -1.0, -7.5, -(2.0**53)]) | st.floats(-60.0, 0.0),
                                     min_size=len(rows), max_size=len(rows)))
-        exhausted = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
 
         want = []
         for r, logp in enumerate(logps):
             for slot in np.argsort(-logp, kind="stable")[:k]:
-                if logp[slot] > NEG_INF / 2 and (slot == eos or not exhausted[r]):
+                if logp[slot] > NEG_INF / 2:
                     want.append((scores[r] + float(logp[slot]), int(slot), r))
         want.sort(key=lambda c: (-c[0], c[1], c[2]))
-        assert _candidates(logps, scores, k, exhausted, eos) == want
+        assert _candidates(logps, scores, k) == want
 
     def test_bad_args_rejected(self, random_model):
         model, ds = random_model
@@ -357,14 +350,6 @@ class TestExtract:
         model = ScriptedModel(rigged_rows_for(items, vocab, 9, 16), vocab, n=9)
         res = extract_graph(model, ["tok"] * 9)
         assert res.graph.is_empty
-
-    def test_salvage_trims_to_last_sep(self, vocab):
-        from hyspa.altseq_codec import AltSequence
-
-        items = (*fig4_bfs_items(vocab), 19, vocab.type_edge_index)
-        seq = AltSequence(items, Traversal.BFS, vocab, 9, 16)
-        trimmed = salvage_levels(seq)
-        assert list(trimmed.items) == fig4_bfs_items(vocab)
 
 
 # Exact masks along the Figure 4 walks (n=9, m=16, pinned vocab): [TYPE] is
@@ -448,6 +433,44 @@ def admitted_slots(vocab, items, traversal, max_len):
     return slots
 
 
+def _needed_after(machine: GenConstraints, k: int) -> float:
+    """Items still needed to finish once ``k`` is pushed (-inf for [EOS])."""
+    if k == machine.vocab.eos_index:
+        return -np.inf
+    nxt = machine.fork()
+    nxt.push(k)
+    return nxt._min_to_finish()
+
+
+def _most_needed(machine: GenConstraints, admitted: np.ndarray, rng) -> int:
+    """The admitted slot whose push leaves the most items still needed, ties
+    drawn at random.  That count depends on a span only through whether it
+    is typed, pending or new, so one span of each kind stands for all."""
+    types = [int(k) for k in admitted if k < machine.vocab.l_p]
+    spans = admitted[admitted >= machine.vocab.l_p]
+    typed, pending = np.isin(spans, list(machine.typed)), np.isin(spans, list(machine.pending))
+    kinds = [spans[typed], spans[pending], spans[~typed & ~pending]]
+    slots = types + [int(rng.choice(kind)) for kind in kinds if kind.size]
+    needed = [_needed_after(machine, k) for k in slots]
+    best = [k for k, need in zip(slots, needed) if need == max(needed)]
+    return best[rng.integers(len(best))]
+
+
+def _any_but_eos(machine: GenConstraints, admitted: np.ndarray, rng) -> int:
+    others = admitted[admitted != machine.vocab.eos_index]
+    return int(rng.choice(others)) if others.size else machine.vocab.eos_index
+
+
+# how an adversary picks among the admitted slots; a vocab with no relation
+# type makes DFS close every level on a re-emitted parent
+TINY_VOCAB = build_vocab(["[TYPE]"], ["[NULL]", "A", "B"])
+CHOICE_RULES = {
+    "uniform": lambda machine, admitted, rng: int(rng.choice(admitted)),
+    "any but eos": _any_but_eos,
+    "most needed": _most_needed,
+}
+
+
 class TestConstraintMachine:
     @pytest.mark.parametrize("traversal", [Traversal.BFS, Traversal.DFS], ids=["bfs", "dfs"])
     def test_fig4_admitted_slots(self, vocab, traversal):
@@ -494,6 +517,44 @@ class TestConstraintMachine:
                 s = sample_sequence(vocab, 10, 16, rng, max_len=max_len)
                 assert len(s.items) <= max_len
                 decode_sequence(s)
+
+    @given(
+        n=st.integers(1, 64) | st.sampled_from([256, 1024]),
+        m=st.sampled_from([1, 3, 16]),
+        traversal=st.sampled_from(Traversal),
+        max_len=st.integers(16, 300),
+        choice=st.sampled_from(["uniform", "any but eos", "most needed"]),
+        no_relations=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_run_finishes_within_budget(self, vocab, n, m, traversal, max_len, choice, no_relations, seed):
+        # termination by construction: whatever admitted slot is chosen, a
+        # run reaches [EOS] within max_len items, always has a slot to
+        # choose, and at max_len items admits [EOS] alone
+        vocab = TINY_VOCAB if no_relations else vocab
+        rng = np.random.default_rng(seed)
+        machine = GenConstraints(vocab, n, m, traversal, max_len)
+        items = []
+        while not machine.finished:
+            admitted = np.flatnonzero(machine.mask() == 0.0)
+            assert admitted.size, (items, max_len)
+            if machine.emitted == max_len:
+                assert admitted.tolist() == [vocab.eos_index], (items, max_len)
+            k = CHOICE_RULES[choice](machine, admitted, rng)
+            machine.push(k)
+            if k != vocab.eos_index:
+                items.append(k)
+        assert len(items) <= max_len
+        decode_sequence(AltSequence(tuple(items), traversal, vocab, n, m))
+
+    def test_push_past_budget_raises(self, vocab):
+        machine = GenConstraints(vocab, 9, 16, Traversal.BFS, max_len=16)
+        machine.emitted = 16  # a state the budget rule never reaches
+        with pytest.raises(RuntimeError, match="budget"):
+            machine.push(vocab.null_type_index)
+        machine.push(vocab.eos_index)
+        assert machine.finished
 
 
 VOCAB, M = pinned_vocab(), 16

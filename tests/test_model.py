@@ -21,6 +21,7 @@ from hyspa.model import (
     decode_step,
     decoder_forward,
     encode_context,
+    fit,
     init_params,
     prepare_training_data,
     sequence_logits,
@@ -620,7 +621,6 @@ class TestTrainingPath:
         assert np.isfinite(loss.item())
         model = ExtractionModel(cfg, params, vocab, tv, {}, Traversal.BFS)
         res = greedy_decode(model, tokens)
-        assert res.finished
         decode_sequence(res.seq)
 
     def test_masked_slot_gradients_exactly_zero(self, vocab, setup):
@@ -747,6 +747,11 @@ class TestBatchedTape:
         _, cfg, params = mixed
         with pytest.raises(ModelError, match="empty batch"):
             train_step([], cfg, params, AdamW(params, peak_lr=1e-3, warmup=10))
+
+    def test_fit_on_no_examples_rejected(self, mixed):
+        _, cfg, params = mixed
+        with pytest.raises(ModelError, match="at least one training example"):
+            fit(cfg, params, [], AdamW(params, peak_lr=1e-3, warmup=10), steps=1)
 
     def test_nan_parameter_names_step_and_example(self, vocab, mixed):
         batch, cfg, params = mixed
