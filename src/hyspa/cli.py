@@ -75,7 +75,8 @@ def _bounded(kind, ok, bound: str):
     return parse
 
 
-_BEAM = dict(type=_bounded(int, lambda v: v >= 1, "at least 1"), default=1)
+_POSITIVE = _bounded(int, lambda v: v >= 1, "at least 1")
+_BEAM = dict(type=_POSITIVE, default=1)
 _LENGTH_PENALTY = dict(type=_bounded(float, lambda v: v > 0, "greater than 0"), default=1.0)
 
 
@@ -119,14 +120,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=float, default=0.1)
     p.add_argument("--data", required=True)
     p.add_argument("--dev")
-    p.add_argument("--steps", type=int, default=4000)
-    p.add_argument("--batch-examples", type=int, default=8)
+    p.add_argument("--steps", type=_POSITIVE, default=4000)
+    p.add_argument("--batch-examples", type=_POSITIVE, default=8)
     p.add_argument("--lr", type=float, default=2e-4)
-    p.add_argument("--warmup", type=int, default=2000)
+    p.add_argument("--warmup", type=_POSITIVE, default=2000)
     p.add_argument("--weight-decay", type=float, default=0.01)
     p.add_argument("--label-smoothing", type=float, default=0.1)
     p.add_argument("--clip", type=float, default=0.25)
-    p.add_argument("--eval-every", type=int, default=500)
+    p.add_argument("--eval-every", type=_bounded(int, lambda v: v >= 0, "at least 0"), default=500)
     p.add_argument("--stop-em", type=float, default=None, help="early-stop dev exact match")
     p.add_argument("--out", required=True, help="checkpoint path (.npz)")
 
@@ -136,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--beam", **_BEAM)
     p.add_argument("--length-penalty", **_LENGTH_PENALTY)
-    p.add_argument("--limit", type=_bounded(int, lambda v: v >= 1, "at least 1"), default=None)
+    p.add_argument("--limit", type=_POSITIVE, default=None)
 
     p = subcommand("extract", "run end-to-end extraction on raw token lines")
     p.add_argument("--model", required=True)
@@ -262,6 +263,8 @@ def _cmd_train(args) -> int:
     if not ds.examples:
         raise CorpusError(f"{args.data}: no training examples")
     dev = load_jsonl(args.dev, vocab, m=args.m) if args.dev else None
+    if dev is not None and not dev.examples:
+        raise CorpusError(f"{args.dev}: no dev examples")
     cfg = ModelConfig(
         d_m=args.d_model, layers=args.layers, heads=args.heads,
         m=args.m, dropout=args.dropout,
@@ -272,7 +275,7 @@ def _cmd_train(args) -> int:
     model = ExtractionModel(cfg, params, vocab, token_vocab, dict(ds.edge_freq), traversal)
 
     def callback(step):
-        if dev is None or args.eval_every <= 0 or step % args.eval_every:
+        if dev is None or not args.eval_every or step % args.eval_every:
             return False
         res = evaluate_model(model, dev.examples, beam=1, limit=min(200, len(dev)))
         print(

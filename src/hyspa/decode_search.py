@@ -469,13 +469,15 @@ def evaluate_model(
 
     A record the model cannot take (a ``ModelError``, e.g. an input over
     ``max_tokens``) counts as an empty prediction and is listed under
-    ``failed`` with its index and message.
+    ``failed`` with its index and message.  ``limit`` (>= 1) keeps that many.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     from .altseq_codec import encode
     from .data_io import eval_f1
     from .info_graph import canonicalize
 
-    examples = examples[: limit or len(examples)]
+    examples = examples[:limit]
     preds, failed = [], []
     em_hits = 0
     for i, (tokens, gold) in enumerate(examples):

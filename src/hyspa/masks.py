@@ -1,10 +1,8 @@
-"""Attention and output masks of the training tape: span attention,
-alternating output, mixed attention.  Each is index arithmetic over a whole
-padded batch.
-
-All masks are dense float64 matrices/vectors over {0, NEG_INF}; adding one to
-a score tensor removes the masked slots from the subsequent softmax.  The
-inference engine uses none of them: at decode time the constraint machine
+"""The span-attention mask and the alternating output masks of the training
+tape, by index arithmetic over a whole padded batch: float64 arrays over {0,
+NEG_INF} that, added to scores, remove the masked slots from their softmax.
+The decoder's attention masks are built in ``model.sequence_logits``, and the
+inference engine uses none of these: at decode time the constraint machine
 (``decode_search.GenConstraints``) alone masks the span head.
 """
 from __future__ import annotations
@@ -51,26 +49,3 @@ def output_masks(inputs, n, vocab: TypeVocab) -> tuple[np.ndarray, np.ndarray]:
     open_text = ~after_node & (np.arange(int(n.max())) < n[:, None, None])
     return np.where(open_a, 0.0, NEG_INF), np.where(open_text, 0.0, NEG_INF)
 
-
-def mixed_attention_mask(n, t: int) -> np.ndarray:
-    """The (n+t) x (n+t) mixed-attention mask over [source ; target] rows.
-
-    Row r admits column j iff j < n (any source column) or j <= r (causal,
-    self included).  Target row n+i therefore sees all sources plus targets
-    up to i; source rows see source columns only, which is what lets their
-    representations be computed once and cached during decoding.
-
-    ``n`` may also be an array of source lengths, one per example, whose
-    sources are padded to n_pad = max(n) rows: the masks then have shape
-    n.shape + (n_pad+t, n_pad+t), targets start at row n_pad, and the padded
-    source columns are closed to every row.
-    """
-    n = np.asarray(n)
-    if (n < 1).any() or t < 1:
-        raise ValueError("source and target lengths must be >= 1")
-    n_pad = int(n.max())
-    size = n_pad + t
-    i = np.arange(size)[:, None]
-    j = np.arange(size)[None, :]
-    allowed = (j < n[..., None, None]) | ((j >= n_pad) & (j <= i))
-    return np.where(allowed, 0.0, NEG_INF)

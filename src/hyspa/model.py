@@ -5,17 +5,18 @@ Two forward implementations coexist on purpose:
 
 * an autodiff path (``sequence_logits`` / ``sequence_loss`` /
   ``train_step``) used for training, built on :mod:`hyspa.numerics`.  It
-  takes a batch of examples and builds one tape for it: sources are padded
-  to the batch's largest n and targets to its largest length, every
-  attention and output mask gets a batch axis, and padding sits in the
-  existing NEG_INF masks (padded columns get probability exactly 0) or
-  carries weight 0 in the cross entropy.  ``train_step`` splits a
-  mini-batch into runs of consecutive examples whose padded tape stays
-  small (``_tape_runs``), one tape and one backward pass per run: a
-  mini-batch of sentences is one run, and a long input gets a tape of its
-  own instead of padding the others to its length.  Dropout masks are drawn
-  example by example in the order a per-example forward would draw them,
-  so a batch and its examples one at a time agree to rounding;
+  builds one tape per batch, sources padded to the batch's largest n and
+  targets to its largest length; padding sits in NEG_INF masks (padded
+  columns get probability exactly 0) or carries weight 0 in the cross
+  entropy.  Each decoder layer attends in the engine's two blocks: source
+  rows over the source keys, target rows over the source and then the
+  target keys, causally.  The last layer stops at its source keys and
+  values, and one helper, ``_tape_layer``, serves either row set.
+  ``train_step`` splits a mini-batch into runs of consecutive examples
+  whose padded tape stays small (``_tape_runs``), one backward pass per run,
+  so a long input does not pad the others to its length.  Dropout masks are
+  drawn example by example in the order a per-example forward would draw
+  them, so a batch and its examples one at a time agree to rounding;
 * a numpy inference engine (``encode_context``, ``DecodeSession``,
   ``decode_step``, ``decoder_forward``, ``span_head``).  ``encode_context``
   runs once per input and stores each layer's source keys and values
@@ -89,7 +90,7 @@ from .embeddings import (
     TREE_BRANCH_CAP,
 )
 from .hybrid_index import index_to_hspan
-from .masks import mixed_attention_mask, output_masks, span_attention_mask
+from .masks import output_masks, span_attention_mask
 from .numerics import Tensor
 from .type_vocab import TypeVocab, segment_ids
 
@@ -114,8 +115,8 @@ class ModelConfig:
             raise ModelError(f"d_m={self.d_m} not divisible by heads={self.heads}")
         if self.d_m % 2 != 0:
             raise ModelError(f"d_m={self.d_m} must be even for the sinusoidal position encoding")
-        if self.layers < 0 or self.m < 1:
-            raise ModelError("layers must be >= 0 and m >= 1")
+        if self.layers < 0 or self.m < 1 or not 0.0 <= self.dropout < 1.0:
+            raise ModelError(f"need layers >= 0, m >= 1, 0 <= dropout < 1; got {self.layers}, {self.m}, {self.dropout}")
 
 
 @dataclass(frozen=True)
@@ -250,6 +251,31 @@ def _dropout_keep(
     return keep
 
 
+def _heads(x: Tensor, w: Tensor, b: Tensor, heads: int) -> Tensor:
+    """The projection of (B, rows, d) tape rows, heads split: (B, heads, rows, d/heads)."""
+    y = nm.linear(x, w, b)
+    return nm.transpose(nm.reshape(y, y.shape[:2] + (heads, -1)), (0, 2, 1, 3))
+
+
+def _tape_layer(params: dict[str, Tensor], i: int, x: Tensor, k: Tensor, v: Tensor,
+                mask: np.ndarray, keep: np.ndarray | None) -> Tensor:
+    """Decoder layer ``i`` on the tape for the source or target rows ``x``, (B,
+    rows, d): queries attending over head-major keys ``k`` and values ``v``
+    under ``mask``, then ``_block_tail``'s second half.  ``keep`` holds the
+    rows' dropout multipliers of attention and FFN output, (2, B, rows, d), or None."""
+    q = _heads(x, params[f"L{i}.wq"], params[f"L{i}.bq"], k.shape[1])
+    w = nm.attention_weights(q, k, mask, 1.0 / math.sqrt(x.shape[-1]))
+    attn = nm.reshape(nm.transpose(nm.matmul(w, v), (0, 2, 1, 3)), x.shape)
+    if keep is not None:
+        attn = nm.mul(attn, Tensor(keep[0]))
+    x1 = nm.layer_norm(nm.add(attn, x), params[f"L{i}.ln1_g"], params[f"L{i}.ln1_b"])
+    inner = nm.relu(nm.linear(x1, params[f"L{i}.w3"], params[f"L{i}.b3"]))
+    ffn = nm.linear(inner, params[f"L{i}.w4"], params[f"L{i}.b4"])
+    if keep is not None:
+        ffn = nm.mul(ffn, Tensor(keep[1]))
+    return nm.layer_norm(nm.add(ffn, x1), params[f"L{i}.ln2_g"], params[f"L{i}.ln2_b"])
+
+
 def sequence_logits(
     batch: Sequence[tuple[np.ndarray, AltSequence]],
     cfg: ModelConfig,
@@ -265,8 +291,10 @@ def sequence_logits(
     i of example b scores the element following decoder input i (inputs are
     [SOS] + items); targets are items + [EOS].  Padding rows have target -1.
     Columns past l_p + n_b*m and padded attention columns sit at NEG_INF, so
-    they get probability exactly 0 and no gradient.  A batch of one is not
-    padded.  The batch must share one vocab, traversal and m.
+    they get probability exactly 0 and no gradient.  Per decoder layer, the
+    target rows attend over [source ; target] keys, (B, heads, T, n_pad + T),
+    and the source rows, except in the last layer, over the source keys,
+    (B, heads, n_pad, n_pad).  The batch must share one vocab, traversal and m.
     """
     if not batch:
         raise ModelError("empty batch")
@@ -319,37 +347,26 @@ def sequence_logits(
     att = nm.attention_weights(q, K, m0, 1.0 / math.sqrt(d))
     Hy = nm.add(nm.matmul(att, H), _traversal_embedding(seqs, t_pad, cfg, params))
 
-    # mixed-attention decoder over [source text rows ; target rows]
+    # mixed-attention decoder: padded source columns and future targets closed
     src = nm.add(h_text, nm.getitem(params["srctgt"], slice(0, 1)))
     tgt = nm.add(Hy, nm.getitem(params["srctgt"], slice(1, 2)))
-    x = nm.concat([src, tgt], axis=1)
-    rows = n_pad + t_pad
-    mask = mixed_attention_mask(n, t_pad)[:, None]
-    keep = None
-    if training and cfg.dropout > 0:
-        keep = _dropout_keep(n, t, t_pad, cfg, rng or np.random.default_rng(0))
-    heads, dh = cfg.heads, d // cfg.heads
+    cols, rows = np.arange(n_pad + t_pad), np.arange(t_pad)[:, None]
+    tgt_open = (cols < n[:, None, None]) | ((cols >= n_pad) & (cols <= n_pad + rows))
+    tgt_mask = np.where(tgt_open, 0.0, nm.NEG_INF)[:, None]  # (B, 1, T_pad, n_pad + T_pad)
+    src_mask = tgt_mask[:, :, :1, :n_pad]  # every target row's source columns: (B, 1, 1, n_pad)
+    keep = _dropout_keep(n, t, t_pad, cfg, rng or np.random.default_rng(0)) if training and cfg.dropout else None
     for i in range(cfg.layers):
-        qkv = []
-        for w, bias in (("wq", "bq"), ("wk", "bk"), ("wv", "bv")):
-            proj = nm.linear(x, params[f"L{i}.{w}"], params[f"L{i}.{bias}"])
-            qkv.append(nm.transpose(nm.reshape(proj, (B, rows, heads, dh)), (0, 2, 1, 3)))
-        qh, kh, vh = qkv
-        attn = nm.matmul(nm.attention_weights(qh, kh, mask, 1.0 / math.sqrt(d)), vh)
-        attn = nm.reshape(nm.transpose(attn, (0, 2, 1, 3)), (B, rows, d))
-        if keep is not None:
-            attn = nm.mul(attn, Tensor(keep[i, 0]))
-        x1 = nm.layer_norm(nm.add(attn, x), params[f"L{i}.ln1_g"], params[f"L{i}.ln1_b"])
-        inner = nm.relu(nm.linear(x1, params[f"L{i}.w3"], params[f"L{i}.b3"]))
-        ffn = nm.linear(inner, params[f"L{i}.w4"], params[f"L{i}.b4"])
-        if keep is not None:
-            ffn = nm.mul(ffn, Tensor(keep[i, 1]))
-        x = nm.layer_norm(nm.add(ffn, x1), params[f"L{i}.ln2_g"], params[f"L{i}.ln2_b"])
-    hy_n = nm.getitem(x, (slice(None), slice(n_pad, rows)))
+        wk, wv = ((params[f"L{i}.w{c}"], params[f"L{i}.b{c}"], cfg.heads) for c in "kv")
+        k_src, v_src = _heads(src, *wk), _heads(src, *wv)
+        k, v = nm.concat([k_src, _heads(tgt, *wk)], axis=2), nm.concat([v_src, _heads(tgt, *wv)], axis=2)
+        drop = (None, None) if keep is None else (keep[i, :, :, :n_pad], keep[i, :, :, n_pad:])
+        if i + 1 < cfg.layers:  # the last layer's source rows feed no target row
+            src = _tape_layer(params, i, src, k_src, v_src, src_mask, drop[0])
+        tgt = _tape_layer(params, i, tgt, k, v, tgt_mask, drop[1])
 
     # hybrid span decoding head, batched over positions
-    s_rep = nm.linear(hy_n, params["head_w5"], params["head_b5"])
-    e_rep = nm.linear(hy_n, params["head_w6"], params["head_b6"])
+    s_rep = nm.linear(tgt, params["head_w5"], params["head_b5"])
+    e_rep = nm.linear(tgt, params["head_w6"], params["head_b6"])
     types_t = nm.transpose(h_types, (0, 2, 1))
     text_t = nm.transpose(h_text, (0, 2, 1))
     m_a, m_ap = output_masks(inputs, n, vocab)
@@ -391,10 +408,10 @@ def sequence_loss(
     return nm.label_smoothed_ce(logits, targets, label_smoothing, weights)
 
 
-# A run's tape holds (run, heads, rows, rows) attention weights per layer,
-# rows = n_pad + T_pad.  2**17 cells are about 8 MB of weights per layer at
-# 8 heads: every sentence mini-batch fits in one run, and a long input is a run
-# of its own instead of padding the others to its length.
+# A run's tape holds n_pad**2 + T_pad * (n_pad + T_pad) attention weights per
+# example, head and layer: its source and target blocks.  2**17 cells are about
+# 8 MB of weights per layer at 8 heads: every sentence mini-batch fits in one
+# run, and a long input is a run of its own instead of padding the others.
 _RUN_CELLS = 2**17
 
 
@@ -402,7 +419,7 @@ def _tape_runs(
     batch: Sequence[tuple[np.ndarray, AltSequence]],
 ) -> list[list[tuple[np.ndarray, AltSequence]]]:
     """Split a mini-batch, in order, into runs of consecutive examples whose
-    padded tape, len(run) * (n_pad + T_pad)**2 cells, stays within _RUN_CELLS.
+    padded tape, len(run) times the cells above, stays within _RUN_CELLS.
 
     An example larger than that on its own is a run of one.  Runs keep the
     batch order, so dropout masks are still drawn example by example.
@@ -410,13 +427,13 @@ def _tape_runs(
     runs: list[list[tuple[np.ndarray, AltSequence]]] = []
     n_pad = t_pad = 0
     for example in batch:
-        n, t = example[1].n, len(example[1].items) + 1
-        if runs and (len(runs[-1]) + 1) * (max(n_pad, n) + max(t_pad, t)) ** 2 <= _RUN_CELLS:
+        n, t = max(n_pad, example[1].n), max(t_pad, len(example[1].items) + 1)
+        if runs and (len(runs[-1]) + 1) * (n * n + t * (n + t)) <= _RUN_CELLS:
             runs[-1].append(example)
-            n_pad, t_pad = max(n_pad, n), max(t_pad, t)
         else:
             runs.append([example])
-            n_pad, t_pad = n, t
+            n, t = example[1].n, len(example[1].items) + 1
+        n_pad, t_pad = n, t
     return runs
 
 

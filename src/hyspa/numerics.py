@@ -500,6 +500,8 @@ class AdamW:
         warmup: int = 2000,
         weight_decay: float = 0.01,
     ):
+        if warmup < 1:
+            raise ValueError(f"warmup must be >= 1, got {warmup}")
         self.params = dict(params)
         self.peak_lr = peak_lr
         self.warmup = warmup

@@ -192,6 +192,18 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert f"argument {argv[1]}: must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--steps", "0"), ("--batch-examples", "0"), ("--batch-examples", "-2"),
+        ("--warmup", "0"), ("--eval-every", "-1"),
+    ])
+    def test_out_of_range_train_flag_is_a_usage_error(self, flag, value, capsys):
+        # --steps 0 once saved an untrained checkpoint, --warmup 0 trained at
+        # learning rate 0, and --batch-examples 0 failed naming no flag
+        with pytest.raises(SystemExit) as exc:
+            invoke("train", "--data", "x.jsonl", "--out", "m.npz", flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
     def test_every_flag_has_a_reader(self):
         # each subcommand's flags are exactly the args.X names its handler reads
         # (vocab through _load_vocab_arg)
@@ -372,7 +384,7 @@ FILE_FLAGS = {
 
 # content these flags accept: an empty corpus, and any text as extraction input
 ACCEPTED = {
-    ("roundtrip --data", "empty"), ("encode --freq-from", "empty"), ("train --dev", "empty"),
+    ("roundtrip --data", "empty"), ("encode --freq-from", "empty"),
     ("extract --input", "empty"), ("extract --input", "truncated"),
     ("extract --input", "json list"), ("extract --input", "json object"),
 }
@@ -445,6 +457,15 @@ class TestMalformedFiles:
         paths = {"BAD": data, "out": tmp_path / "out.npz"}
         assert invoke(*(str(paths.get(arg, arg)) for arg in argv)) == 1
         assert f"error: {data}: no training examples" in capsys.readouterr().err
+        assert not (tmp_path / "out.npz").exists()
+
+    def test_train_on_empty_dev_corpus_names_the_path(self, good_files, tmp_path, capsys):
+        # an empty dev corpus once printed "dev em 0.000" at every evaluation
+        dev = tmp_path / "empty.jsonl"
+        dev.write_text("\n")
+        paths = {**good_files, "BAD": dev, "out": tmp_path / "out.npz"}
+        assert invoke(*(str(paths.get(arg, arg)) for arg in FILE_FLAGS["train --dev"][1])) == 1
+        assert f"error: {dev}: no dev examples" in capsys.readouterr().err
         assert not (tmp_path / "out.npz").exists()
 
     @pytest.mark.parametrize("m", [0, -3, True, 2.0, "2"])

@@ -10,6 +10,7 @@ from hyspa.data_io import synth_generate
 from hyspa.decode_search import (
     GenConstraints,
     beam_decode,
+    evaluate_model,
     extract_graph,
     greedy_decode,
     sample_sequence,
@@ -337,6 +338,12 @@ class TestBeam:
 
 
 class TestExtract:
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_evaluate_model_limit_below_one_rejected(self, limit):
+        # limit=0 once evaluated every record
+        with pytest.raises(ValueError, match=f"limit must be >= 1, got {limit}"):
+            evaluate_model(None, [(("tok",), None)], limit=limit)
+
     def test_rigged_fig4_graph(self, vocab, monkeypatch):
         _patch_scripted(monkeypatch)
         items = fig4_bfs_items(vocab)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyspa.masks import mixed_attention_mask, output_masks, span_attention_mask
+from hyspa.masks import output_masks, span_attention_mask
 from hyspa.numerics import NEG_INF
 
 
@@ -77,37 +77,3 @@ class TestAlternatingMasks:
         adm = np.flatnonzero(scores > NEG_INF / 2)
         assert np.isclose(p[adm].sum(), 1.0)
         assert (p[np.setdiff1d(np.arange(p.size), adm)] == 0.0).all()
-
-
-class TestMixedAttentionMask:
-    def test_n2_t1(self):
-        m1 = mixed_attention_mask(2, 1)
-        assert admitted(m1[2]) == {0, 1, 2}
-
-    def test_n1_t2(self):
-        m1 = mixed_attention_mask(1, 2)
-        assert admitted(m1[1]) == {0, 1}
-        assert admitted(m1[2]) == {0, 1, 2}
-
-    def test_matches_brute_force_predicate(self):
-        for n, t in [(1, 1), (2, 3), (4, 2), (3, 5)]:
-            m1 = mixed_attention_mask(n, t)
-            for i in range(n + t):
-                for j in range(n + t):
-                    expected = (j < n) or (j <= i)
-                    assert (m1[i, j] == 0.0) == expected, (n, t, i, j)
-
-    def test_source_rows_see_source_only(self):
-        m1 = mixed_attention_mask(3, 4)
-        for i in range(3):
-            assert admitted(m1[i]) == {0, 1, 2}
-
-    def test_target_causal(self):
-        n, t = 3, 4
-        m1 = mixed_attention_mask(n, t)
-        for i in range(t):
-            assert admitted(m1[n + i]) == set(range(n)) | set(range(n, n + i + 1))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            mixed_attention_mask(0, 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -86,6 +87,11 @@ class TestEncodeContext:
     def test_odd_width_rejected(self):
         with pytest.raises(ModelError, match="even"):
             ModelConfig(d_m=33, layers=1, heads=3)
+
+    @pytest.mark.parametrize("dropout", [-0.2, 1.0, 1.5])
+    def test_dropout_outside_unit_interval_rejected(self, dropout):
+        with pytest.raises(ModelError, match="0 <= dropout < 1"):
+            ModelConfig(d_m=32, layers=1, heads=4, dropout=dropout)
 
     # n against a chunk of R = 5 query rows: one short chunk, one full chunk,
     # a full chunk and a one-row chunk, a ragged last chunk; None keeps the
@@ -546,19 +552,25 @@ class TestSpanHead:
 
 class TestTrainingPath:
     def test_tape_logits_match_inference(self, vocab, setup):
+        # single examples, then a padded batch of examples of different n and
+        # length: each row of each example against its own engine decode
         ds, tv, cfg, params = setup
-        for idx, traversal in itertools.product((0, 3), (Traversal.BFS, Traversal.DFS)):
-            tokens, g = ds.examples[idx]
-            seq = encode(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m, traversal)
-            ids = tv.ids(tokens)
-            logits, _ = sequence_logits([(ids, seq)], cfg, params)
-            logits = logits.data[0]
-            ctx = encode_context(tokens, cfg, params, vocab, tv)
-            rows = decoder_forward(ctx, list(seq.items), cfg, vocab, traversal)
-            scores, _ = span_head(rows, ctx, cfg, open_mask(ctx, cfg, len(rows)))
-            for i, row in enumerate(scores):
-                adm = logits[i] > NEG_INF / 2
-                assert np.allclose(row[adm], logits[i][adm], atol=1e-9)
+        by_n = sorted(range(len(ds.examples)), key=lambda j: len(ds.examples[j][0]))
+        padded = [by_n[len(by_n) // 2], by_n[-1], by_n[0], by_n[1]]
+        for idxs, traversal in itertools.product(([0], [3], padded), (Traversal.BFS, Traversal.DFS)):
+            graphs = [canonicalize(ds.examples[j][1], ds.edge_freq, vocab) for j in idxs]
+            batch = [(tv.ids(ds.examples[j][0]), encode(g, vocab, cfg.m, traversal)) for j, g in zip(idxs, graphs)]
+            if len(idxs) > 1:
+                assert len({len(ids) for ids, _ in batch}) > 2 and len({len(s.items) for _, s in batch}) > 2
+            logits, _ = sequence_logits(batch, cfg, params)
+            for b, (ids, seq) in enumerate(batch):
+                ctx = encode_context(ds.examples[idxs[b]][0], cfg, params, vocab, tv)
+                rows = decoder_forward(ctx, list(seq.items), cfg, vocab, traversal)
+                scores, _ = span_head(rows, ctx, cfg, open_mask(ctx, cfg, len(rows)))
+                for i, row in enumerate(scores):
+                    tape = logits.data[b, i, : len(row)]
+                    adm = tape > NEG_INF / 2
+                    assert adm.any() and np.allclose(row[adm], tape[adm], atol=1e-9)
 
     def test_teacher_forced_product_equals_exp_neg_ce(self, vocab, setup):
         # autoregressive factorization: sum of per-step CE at eps=0 equals -log p(seq)
@@ -707,6 +719,52 @@ class TestBatchedTape:
             assert (logits.data[b, :, vocab.l_p + len(ids) * cfg.m :] < NEG_INF / 2).all()
         assert np.abs(logits.grad[real]).max() > 0.0
 
+    def test_changing_a_last_item_leaves_earlier_rows_bitwise_unchanged(self, vocab, mixed):
+        # a target row sees no later input of its own example and nothing of
+        # another example; the row fed the changed item does change
+        batch, cfg, params = mixed
+        before = sequence_logits(batch, cfg, params)[0].data
+        for b, (ids, seq) in enumerate(batch):
+            other = vocab.sep_index if seq.items[-1] == vocab.type_edge_index else vocab.type_edge_index
+            changed = list(batch)
+            changed[b] = (ids, dataclasses.replace(seq, items=seq.items[:-1] + (other,)))
+            after = sequence_logits(changed, cfg, params)[0].data
+            fed = len(seq.items)  # the row whose input is the last item
+            same = np.ones(after.shape[:2], dtype=bool)
+            same[b, fed:] = False  # that row and the padding rows after it
+            assert np.array_equal(after[same], before[same])
+            assert not np.array_equal(after[b, fed], before[b, fed])
+
+    def test_layers_attend_in_two_blocks_and_the_last_skips_source_rows(self, mixed, monkeypatch):
+        # per layer, the target and source attention blocks; the last layer
+        # projects keys and values of every row but queries and FFN of the
+        # target rows alone
+        batch, cfg, params = mixed
+        B, n_pad, t_pad = len(batch), max(len(ids) for ids, _ in batch), max(len(s.items) for _, s in batch) + 1
+        weights, rows = [], {id(p): [] for p in params.values()}
+        attention_weights, linear = nm.attention_weights, nm.linear
+
+        def record_weights(q, k, mask, scale):
+            out = attention_weights(q, k, mask, scale)
+            weights.append(out.shape)
+            return out
+
+        def record_linear(x, w, bias=None):
+            rows[id(w)].append(x.shape[-2])
+            return linear(x, w, bias)
+
+        monkeypatch.setattr(nm, "attention_weights", record_weights)
+        monkeypatch.setattr(nm, "linear", record_linear)
+        sequence_loss(batch, cfg, params, training=True, rng=np.random.default_rng(0)).backward()
+        tgt, src = (B, cfg.heads, t_pad, n_pad + t_pad), (B, cfg.heads, n_pad, n_pad)
+        assert weights[1:] == [src, tgt] * (cfg.layers - 1) + [tgt]  # weights[0]: span attention
+        both = sorted([n_pad, t_pad])
+        for i in range(cfg.layers):
+            last = i + 1 == cfg.layers
+            for name in ("wk", "wv", "wq", "w3", "w4"):
+                fed = [t_pad] if last and name not in ("wk", "wv") else both
+                assert sorted(rows[id(params[f"L{i}.{name}"])]) == fed, (i, name)
+
     @pytest.mark.parametrize("cells", [0, 1500, 4000, 2**17])
     def test_tape_runs_are_greedy_consecutive_and_within_budget(self, mixed, monkeypatch, cells):
         from hyspa import model as hm
@@ -715,8 +773,9 @@ class TestBatchedTape:
         monkeypatch.setattr(hm, "_RUN_CELLS", cells)
         runs = hm._tape_runs(batch)
 
-        def cost(run):
-            return len(run) * max(s.n + len(s.items) + 1 for _, s in run) ** 2
+        def cost(run):  # a source block of n_pad**2 and a target block of T_pad * (n_pad + T_pad) cells
+            n, t = max(s.n for _, s in run), max(len(s.items) + 1 for _, s in run)
+            return len(run) * (n * n + t * (n + t))
 
         assert [ex for run in runs for ex in run] == batch
         assert all(len(run) == 1 or cost(run) <= cells for run in runs)

@@ -235,6 +235,12 @@ class TestSchedule:
 
 
 class TestAdamW:
+    @pytest.mark.parametrize("warmup", [0, -5])
+    def test_warmup_below_one_rejected(self, warmup):
+        # warmup 0 made every learning rate 0
+        with pytest.raises(ValueError, match=f"warmup must be >= 1, got {warmup}"):
+            AdamW({"p": Tensor(np.zeros(2), requires_grad=True)}, peak_lr=0.1, warmup=warmup)
+
     def test_zero_grad_no_decay_keeps_params(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
         opt = AdamW({"p": p}, peak_lr=0.1, warmup=1, weight_decay=0.0)
