@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -51,24 +52,12 @@ def _load_vocab_arg(args) -> TypeVocab:
     return default_vocab()
 
 
-# flags that several subcommands take; each subcommand takes only those its handler reads
-_SHARED_FLAGS = {
-    "vocab": (["--vocab"], dict(help="vocab config JSON (edge_types/node_types)")),
-    "traversal": (["--traversal"], dict(choices=["bfs", "dfs"], default="bfs")),
-    "m": (["--max-span-len"], dict(type=int, default=16, dest="m")),
-    "seed": (["--seed"], dict(type=int, default=0)),
-    "d_model": (["--d-model"], dict(type=int, default=64)),
-    "layers": (["--layers"], dict(type=int, default=2)),
-    "heads": (["--heads"], dict(type=int, default=8)),
-}
-
-
 def _bounded(kind, ok, bound: str):
-    """An argparse type: a ``kind`` value for which ``ok`` holds, else a usage
-    error naming the flag."""
+    """An argparse type: a ``kind`` value, finite if a float, for which ``ok``
+    holds, else a usage error naming the flag."""
     def parse(text):
         value = kind(text)
-        if not ok(value):
+        if (kind is float and not math.isfinite(value)) or not ok(value):
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
@@ -76,8 +65,22 @@ def _bounded(kind, ok, bound: str):
 
 
 _POSITIVE = _bounded(int, lambda v: v >= 1, "at least 1")
+_NON_NEGATIVE = _bounded(int, lambda v: v >= 0, "at least 0")
+_POSITIVE_FLOAT = _bounded(float, lambda v: v > 0, "finite and greater than 0")
+_FRACTION = _bounded(float, lambda v: 0 <= v < 1, "in [0, 1)")
 _BEAM = dict(type=_POSITIVE, default=1)
-_LENGTH_PENALTY = dict(type=_bounded(float, lambda v: v > 0, "greater than 0"), default=1.0)
+_LENGTH_PENALTY = dict(type=_POSITIVE_FLOAT, default=1.0)
+
+# flags that several subcommands take; each subcommand takes only those its handler reads
+_SHARED_FLAGS = {
+    "vocab": (["--vocab"], dict(help="vocab config JSON (edge_types/node_types)")),
+    "traversal": (["--traversal"], dict(choices=["bfs", "dfs"], default="bfs")),
+    "m": (["--max-span-len"], dict(type=_POSITIVE, default=16, dest="m")),
+    "seed": (["--seed"], dict(type=_NON_NEGATIVE, default=0)),
+    "d_model": (["--d-model"], dict(type=_bounded(int, lambda v: v >= 2, "at least 2"), default=64)),
+    "layers": (["--layers"], dict(type=_NON_NEGATIVE, default=2)),
+    "heads": (["--heads"], dict(type=_POSITIVE, default=8)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = subcommand("synth", "generate a synthetic corpus", "vocab", "m", "seed")
-    p.add_argument("--size", type=int, default=1000)
+    p.add_argument("--size", type=_POSITIVE, default=1000)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest", help="also write a dataset manifest JSON")
 
@@ -117,18 +120,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "train", "train the toy extraction model",
         "vocab", "traversal", "m", "seed", "d_model", "layers", "heads",
     )
-    p.add_argument("--dropout", type=float, default=0.1)
+    p.add_argument("--dropout", type=_FRACTION, default=0.1)
     p.add_argument("--data", required=True)
     p.add_argument("--dev")
     p.add_argument("--steps", type=_POSITIVE, default=4000)
     p.add_argument("--batch-examples", type=_POSITIVE, default=8)
-    p.add_argument("--lr", type=float, default=2e-4)
+    p.add_argument("--lr", type=_POSITIVE_FLOAT, default=2e-4)
     p.add_argument("--warmup", type=_POSITIVE, default=2000)
-    p.add_argument("--weight-decay", type=float, default=0.01)
-    p.add_argument("--label-smoothing", type=float, default=0.1)
-    p.add_argument("--clip", type=float, default=0.25)
-    p.add_argument("--eval-every", type=_bounded(int, lambda v: v >= 0, "at least 0"), default=500)
-    p.add_argument("--stop-em", type=float, default=None, help="early-stop dev exact match")
+    p.add_argument("--weight-decay", type=_bounded(float, lambda v: v >= 0, "finite and at least 0"), default=0.01)
+    p.add_argument("--label-smoothing", type=_FRACTION, default=0.1)
+    p.add_argument("--clip", type=_POSITIVE_FLOAT, default=0.25)
+    p.add_argument("--eval-every", type=_NON_NEGATIVE, default=500)
+    p.add_argument("--stop-em", type=_bounded(float, lambda v: 0 <= v <= 1, "in [0, 1]"), default=None,
+                   help="early-stop dev exact match")
     p.add_argument("--out", required=True, help="checkpoint path (.npz)")
 
     # eval and extract take vocab, traversal and m from the checkpoint
@@ -153,9 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "vocab", "traversal", "m", "seed", "d_model", "layers", "heads",
     )
     p.set_defaults(d_model=32)
-    p.add_argument("--examples", type=int, default=2)
-    p.add_argument("--coords", type=int, default=4)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--examples", type=_POSITIVE, default=2)
+    p.add_argument("--coords", type=_POSITIVE, default=4)
+    p.add_argument("--tolerance", type=_POSITIVE_FLOAT, default=1e-4)
 
     return parser
 

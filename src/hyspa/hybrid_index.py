@@ -3,8 +3,8 @@
 Two coordinate conventions coexist deliberately:
 
 * ``TextSpan`` is end-exclusive in token coordinates (start < end).
-* ``HSpan`` is end-inclusive in rows of the hybrid representation H, which is
-  what the span-attention mask consumes.
+* ``HSpan`` is end-inclusive in rows of the hybrid representation H: the
+  window that a span's attention reads.
 """
 from __future__ import annotations
 

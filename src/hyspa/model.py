@@ -8,10 +8,12 @@ Two forward implementations coexist on purpose:
   builds one tape per batch, sources padded to the batch's largest n and
   targets to its largest length; padding sits in NEG_INF masks (padded
   columns get probability exactly 0) or carries weight 0 in the cross
-  entropy.  Each decoder layer attends in the engine's two blocks: source
-  rows over the source keys, target rows over the source and then the
-  target keys, causally.  The last layer stops at its source keys and
-  values, and one helper, ``_tape_layer``, serves either row set.
+  entropy.  Every tape mask is index arithmetic beside its one use; the
+  span attention admits each input's window [lo, hi] of H.  Each decoder
+  layer attends in the engine's two blocks: source rows over the source
+  keys, target rows over the source and then the target keys, causally.
+  The last layer stops at its source keys and values, and one helper,
+  ``_tape_layer``, serves either row set.
   ``train_step`` splits a mini-batch into runs of consecutive examples
   whose padded tape stays small (``_tape_runs``), one backward pass per run,
   so a long input does not pad the others to its length.  Dropout masks are
@@ -41,7 +43,7 @@ Two forward implementations coexist on purpose:
   slot and per annotation.  ``span_head`` likewise scores B hidden rows in
   one call, under the additive mask its caller passes: at decode time the
   constraint machine's, the only admissibility rule there (the tape's
-  alternating output masks, ``masks.output_masks``, are training-only).  A
+  alternating output masks, ``_output_masks``, are training-only).  A
   mask row that covers only the type slots spares its row the text-span
   scores; every row is normalised at the full width, with zeros in place
   of the spared exponentials.  ``DecodeSession.fork`` copies only the
@@ -90,7 +92,6 @@ from .embeddings import (
     TREE_BRANCH_CAP,
 )
 from .hybrid_index import index_to_hspan
-from .masks import output_masks, span_attention_mask
 from .numerics import Tensor
 from .type_vocab import TypeVocab, segment_ids
 
@@ -111,12 +112,20 @@ class ModelConfig:
     max_tokens: int = 2048
 
     def __post_init__(self):
+        fields = asdict(self)
+        for name, value in fields.items():
+            if name != "dropout" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
+        if (self.d_m < 2 or self.layers < 0 or self.heads < 1 or self.m < 1 or self.max_tokens < 1
+                or not 0.0 <= self.dropout < 1.0):
+            got = ", ".join(f"{name}={value}" for name, value in fields.items())
+            raise ModelError(
+                f"need d_m >= 2, layers >= 0, heads >= 1, m >= 1, 0 <= dropout < 1, max_tokens >= 1; got {got}"
+            )
         if self.d_m % self.heads != 0:
             raise ModelError(f"d_m={self.d_m} not divisible by heads={self.heads}")
         if self.d_m % 2 != 0:
             raise ModelError(f"d_m={self.d_m} must be even for the sinusoidal position encoding")
-        if self.layers < 0 or self.m < 1 or not 0.0 <= self.dropout < 1.0:
-            raise ModelError(f"need layers >= 0, m >= 1, 0 <= dropout < 1; got {self.layers}, {self.m}, {self.dropout}")
 
 
 @dataclass(frozen=True)
@@ -276,6 +285,29 @@ def _tape_layer(params: dict[str, Tensor], i: int, x: Tensor, k: Tensor, v: Tens
     return nm.layer_norm(nm.add(ffn, x1), params[f"L{i}.ln2_g"], params[f"L{i}.ln2_b"])
 
 
+def _output_masks(inputs: np.ndarray, n: np.ndarray, vocab: TypeVocab) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating output masks of the training tape for every decoder input:
+    (B, T, l_p) over the type slots and (B, T, n_pad) over the text positions,
+    for inputs of shape (B, T) and the B examples' text lengths ``n``.
+
+    After a node element (an input ``>= l_e``: a node type or text span) only
+    edge slots open: the real edge types plus [SEP] ([SOS]/[EOS] stay closed
+    so that sampled sequences remain storable).  After an edge element the
+    node slots open: the node types plus the example's own text positions;
+    the [EOS] slot additionally opens after [SEP], the only point at which
+    every traversal level is closed, so training targets (sequence plus
+    [EOS]) are never masked.  Every slot the constraint machine opens at
+    decode time is open here too (``tests/test_decode_search.py::MachineRun``).
+    """
+    after_node = (inputs >= vocab.l_e)[..., None]
+    slots = np.arange(vocab.l_p)
+    edge_slots = (slots < len(vocab.edge_types)) | (slots == vocab.sep_index)
+    open_a = np.where(after_node, edge_slots, slots >= vocab.l_e)
+    open_a |= (inputs == vocab.sep_index)[..., None] & (slots == vocab.eos_index)
+    open_text = ~after_node & (np.arange(int(n.max())) < n[:, None, None])
+    return np.where(open_a, 0.0, nm.NEG_INF), np.where(open_text, 0.0, nm.NEG_INF)
+
+
 def sequence_logits(
     batch: Sequence[tuple[np.ndarray, AltSequence]],
     cfg: ModelConfig,
@@ -343,7 +375,8 @@ def sequence_logits(
     cls_row = nm.getitem(H, (slice(None), slice(l_p, l_p + 1)))
     q = nm.linear(cls_row, params["span_w1"], params["span_b1"])
     K = nm.linear(H, params["span_w2"], params["span_b2"])
-    m0 = span_attention_mask(lo, hi, l_h)
+    h_cols = np.arange(l_h)
+    m0 = np.where((h_cols >= lo[..., None]) & (h_cols <= hi[..., None]), 0.0, nm.NEG_INF)
     att = nm.attention_weights(q, K, m0, 1.0 / math.sqrt(d))
     Hy = nm.add(nm.matmul(att, H), _traversal_embedding(seqs, t_pad, cfg, params))
 
@@ -369,7 +402,7 @@ def sequence_logits(
     e_rep = nm.linear(tgt, params["head_w6"], params["head_b6"])
     types_t = nm.transpose(h_types, (0, 2, 1))
     text_t = nm.transpose(h_text, (0, 2, 1))
-    m_a, m_ap = output_masks(inputs, n, vocab)
+    m_a, m_ap = _output_masks(inputs, n, vocab)
     type_scores = nm.add(nm.add(nm.matmul(s_rep, types_t), nm.matmul(e_rep, types_t)), Tensor(m_a))
     ts_vec = nm.add(nm.matmul(s_rep, text_t), Tensor(m_ap))
     te_vec = nm.add(nm.matmul(e_rep, text_t), Tensor(m_ap))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from testutil import FIG4_TOKENS
 
@@ -195,14 +198,47 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flag, value", [
         ("--steps", "0"), ("--batch-examples", "0"), ("--batch-examples", "-2"),
         ("--warmup", "0"), ("--eval-every", "-1"),
+        ("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
+        ("--clip", "-1"), ("--clip", "0"), ("--weight-decay", "-5"), ("--weight-decay", "nan"),
+        ("--label-smoothing", "1.0"), ("--label-smoothing", "-0.1"), ("--dropout", "1"), ("--dropout", "nan"),
+        ("--stop-em", "1.5"), ("--stop-em", "-0.5"), ("--stop-em", "nan"),
     ])
     def test_out_of_range_train_flag_is_a_usage_error(self, flag, value, capsys):
         # --steps 0 once saved an untrained checkpoint, --warmup 0 trained at
-        # learning rate 0, and --batch-examples 0 failed naming no flag
+        # learning rate 0, --batch-examples 0 failed naming no flag, --lr -1
+        # and --clip -1 trained and saved, and --label-smoothing 1.0 failed
+        # naming no flag
         with pytest.raises(SystemExit) as exc:
             invoke("train", "--data", "x.jsonl", "--out", "m.npz", flag, value)
         assert exc.value.code == 2
         assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--out", "x.jsonl", "--size", "-2"),
+        ("synth", "--out", "x.jsonl", "--size", "0"),
+        ("synth", "--out", "x.jsonl", "--max-span-len", "0"),
+        ("synth", "--out", "x.jsonl", "--seed", "-1"),
+        ("encode", "--data", "x.jsonl", "--max-span-len", "-1"),
+        ("gradcheck", "--examples", "0"),
+        ("gradcheck", "--coords", "0"),
+        ("gradcheck", "--tolerance", "0"),
+        ("gradcheck", "--tolerance", "nan"),
+        ("gradcheck", "--heads", "0"),
+        ("gradcheck", "--d-model", "0"),
+        ("gradcheck", "--layers", "-1"),
+        ("train", "--data", "x.jsonl", "--out", "m.npz", "--heads", "0"),
+        ("train", "--data", "x.jsonl", "--out", "m.npz", "--heads", "-2"),
+        ("train", "--data", "x.jsonl", "--out", "m.npz", "--d-model", "1"),
+        ("train", "--data", "x.jsonl", "--out", "m.npz", "--max-span-len", "0"),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+    def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
+        # --heads 0 once raised ZeroDivisionError, --d-model 0 a numpy reshape
+        # error, --seed -1 numpy's "expected non-negative integer", and synth
+        # --size -2 wrote an empty corpus and exited 0
+        with pytest.raises(SystemExit) as exc:
+            invoke(*argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
 
     def test_every_flag_has_a_reader(self):
         # each subcommand's flags are exactly the args.X names its handler reads
@@ -485,3 +521,60 @@ class TestMalformedFiles:
         vocab.write_text(json.dumps(doc))
         assert invoke("validate", "--vocab", str(vocab), "--data", str(good_files["data"])) == 1
         assert f"error: vocab {vocab}: not an object with lists of strings" in capsys.readouterr().err
+
+
+# what a checkpoint's meta cfg may hold in place of a saved value
+CFG_VALUES = st.one_of(
+    st.integers(-3, 20), st.floats(), st.booleans(), st.none(), st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=2),
+)
+
+
+@st.composite
+def cfg_variants(draw, saved: dict) -> dict:
+    """``saved`` with a few values replaced, sometimes a key dropped, and
+    sometimes an unknown key added."""
+    keys = sorted(saved)
+    cfg = dict(saved)
+    for key in draw(st.sets(st.sampled_from(keys), max_size=3)):
+        cfg[key] = draw(CFG_VALUES)
+    for key in draw(st.sets(st.sampled_from(keys), max_size=1)):
+        del cfg[key]
+    if draw(st.sampled_from([False, False, False, True])):
+        cfg[draw(st.text(max_size=6))] = draw(CFG_VALUES)
+    return cfg
+
+
+class TestCheckpointConfig:
+    @pytest.fixture(scope="class")
+    def write_cfg(self, good_files, tmp_path_factory):
+        """The good checkpoint's saved cfg, and a function that saves the
+        checkpoint with another cfg and returns its path and a sentence file
+        of one token, within every max_tokens >= 1."""
+        import numpy as np
+
+        root = tmp_path_factory.mktemp("cfg")
+        with np.load(good_files["model"]) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+        (root / "one.txt").write_text("a\n")
+
+        def write(cfg):
+            blob = json.dumps({**meta, "cfg": cfg}).encode()
+            np.savez(root / "model.npz", __meta__=np.frombuffer(blob, dtype=np.uint8), **arrays)
+            return root / "model.npz", root / "one.txt"
+        return meta["cfg"], write
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_generated_cfg_loads_or_names_the_checkpoint(self, write_cfg, data):
+        # extract on a checkpoint whose cfg holds any JSON values exits 0 or 1,
+        # never with a traceback, and a failure names the checkpoint
+        saved, write = write_cfg
+        ckpt, sents = write(data.draw(cfg_variants(saved), label="cfg"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = invoke("extract", "--model", str(ckpt), "--input", str(sents), "--out", str(ckpt.parent / "out"))
+        assert code in (0, 1)
+        if code == 1:
+            assert f"error: checkpoint {ckpt}" in err.getvalue()

@@ -17,8 +17,7 @@ from hyspa.decode_search import (
 )
 from hyspa.hybrid_index import TextSpan
 from hyspa.info_graph import Mention, RelationEdge, canonicalize, graph_equal, make_graph, validate_graph
-from hyspa.masks import output_masks
-from hyspa.model import ExtractionModel, ModelConfig, init_params, prepare_training_data
+from hyspa.model import ExtractionModel, ModelConfig, _output_masks, init_params, prepare_training_data
 from hyspa.numerics import NEG_INF, span_windows
 from hyspa.type_vocab import build_vocab
 
@@ -662,7 +661,7 @@ class MachineRun(RuleBasedStateMachine):
             return
         n = self.graph.n
         prev = self.items[-1] if self.items else VOCAB.sos_index
-        m_a, m_ap = (mask[0, 0] for mask in output_masks(np.array([[prev]]), np.array([n]), VOCAB))
+        m_a, m_ap = (mask[0, 0] for mask in _output_masks(np.array([[prev]]), np.array([n]), VOCAB))
         idx, inside = span_windows(n, M)
         spans = np.where(inside, m_ap[:, None] + m_ap.take(idx), NEG_INF).reshape(-1)
         alternating_open = np.concatenate([m_a, spans]) == 0.0

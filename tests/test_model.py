@@ -13,12 +13,12 @@ from hyspa.decode_search import GenConstraints, _step_logprobs
 from hyspa.embeddings import make_annotator
 from hyspa.hybrid_index import TextSpan, index_to_hspan, span_to_index
 from hyspa.info_graph import canonicalize
-from hyspa.masks import span_attention_mask
 from hyspa.model import (
     DecodeSession,
     ExtractionModel,
     ModelConfig,
     ModelError,
+    _output_masks,
     decode_step,
     decoder_forward,
     encode_context,
@@ -93,6 +93,18 @@ class TestEncodeContext:
         with pytest.raises(ModelError, match="0 <= dropout < 1"):
             ModelConfig(d_m=32, layers=1, heads=4, dropout=dropout)
 
+    @pytest.mark.parametrize("size, message", [
+        (dict(heads=0), "heads >= 1"), (dict(heads=-2), "heads >= 1"), (dict(d_m=0), "d_m >= 2"),
+        (dict(max_tokens=0), "max_tokens >= 1"), (dict(d_m=16.0), "d_m must be an integer"),
+        (dict(layers=1.0), "layers must be an integer"), (dict(heads=True), "heads must be an integer"),
+        (dict(m="16"), "m must be an integer"),
+    ])
+    def test_bad_size_rejected_before_use(self, size, message):
+        # heads=0 once raised ZeroDivisionError from d_m % heads, and a float
+        # layers or heads passed the config and failed deep in numpy
+        with pytest.raises(ModelError, match=message):
+            ModelConfig(**size)
+
     # n against a chunk of R = 5 query rows: one short chunk, one full chunk,
     # a full chunk and a one-row chunk, a ragged last chunk; None keeps the
     # module's cell budget (two or three chunks at n = 300, ragged).
@@ -150,6 +162,13 @@ class TestEncodeContext:
         assert peak(2048) < 2.5 * peak(1024)
 
 
+def window_mask(hspans, l_h):
+    """Dense span-attention mask: row r opens exactly the H rows [lo_r, hi_r]."""
+    lo, hi = (np.array([[getattr(h, end)] for h in hspans]) for end in ("lo", "hi"))
+    cols = np.arange(l_h)
+    return np.where((cols >= lo) & (cols <= hi), 0.0, NEG_INF)
+
+
 class TestSpanEncoding:
     def test_type_element_is_exactly_its_row(self, vocab, setup):
         ds, tv, cfg, params = setup
@@ -179,8 +198,7 @@ class TestSpanEncoding:
         n = len(tokens)
         ctx = encode_context(tokens, cfg, params, vocab, tv)
         items = [vocab.sos_index, vocab.l_e, span_to_index(TextSpan(1, 2), cfg.m, vocab.l_p)]
-        hspans = [index_to_hspan(k, cfg.m, vocab.l_p, n) for k in items]
-        m0 = span_attention_mask([h.lo for h in hspans], [h.hi for h in hspans], vocab.l_p + n)
+        m0 = window_mask([index_to_hspan(k, cfg.m, vocab.l_p, n) for k in items], vocab.l_p + n)
         q = ctx.H[vocab.l_p] @ params["span_w1"].data + params["span_b1"].data
         K = ctx.H @ params["span_w2"].data + params["span_b2"].data
         scores = (K @ q) / np.sqrt(cfg.d_m) + m0
@@ -211,8 +229,7 @@ class TestEncodeHybridSpans:
             rows = np.stack([sess._input_row(k) for k in seq.items])
 
             n, l_p = seq.n, vocab.l_p
-            hspans = [index_to_hspan(k, cfg.m, l_p, n) for k in seq.items]
-            m0 = span_attention_mask([h.lo for h in hspans], [h.hi for h in hspans], l_p + n)
+            m0 = window_mask([index_to_hspan(k, cfg.m, l_p, n) for k in seq.items], l_p + n)
             q = ctx.H[l_p] @ params["span_w1"].data + params["span_b1"].data
             K = ctx.H @ params["span_w2"].data + params["span_b2"].data
             att = (K @ q) / math.sqrt(cfg.d_m) + m0
@@ -591,6 +608,21 @@ class TestTrainingPath:
         with pytest.raises(ModelError):
             sequence_loss([(tv.ids(tokens), seq)], cfg, params)
 
+    def test_item_outside_own_text_rejected(self, vocab, setup):
+        # beside a longer example, a span that ends past its own text still
+        # lies inside the padded H, so only the per-example bound catches it
+        ds, tv, cfg, params = setup
+        by_length = sorted((tokens for tokens, _ in ds.examples), key=len)
+        short, long = by_length[0], by_length[-1]
+        n = len(short)
+        assert len(long) > n + 1
+        past_end = vocab.l_p + (n - 1) * cfg.m + 1  # the span (n - 1, n + 1)
+        long_seq = AltSequence((vocab.l_e,), Traversal.BFS, vocab, len(long), cfg.m)
+        for item in (past_end, -1):
+            seq = AltSequence((vocab.l_e, item), Traversal.BFS, vocab, n, cfg.m)
+            with pytest.raises(ModelError, match="outside its hybrid index space"):
+                sequence_logits([(tv.ids(short), seq), (tv.ids(long), long_seq)], cfg, params)
+
     def test_loss_decreases_on_one_example(self, vocab, setup):
         ds, tv, cfg, _ = setup
         params = init_params(cfg, vocab, tv, seed=7)
@@ -649,6 +681,58 @@ class TestTrainingPath:
 
 def _grads(params):
     return {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for k, p in params.items()}
+
+
+def admitted(mask_vec):
+    return set(np.flatnonzero(mask_vec > NEG_INF / 2))
+
+
+def masks_after(k, vocab, n=9):
+    """The tape's output masks for one decoder input ``k``: one example, one row."""
+    m_a, m_ap = _output_masks(np.array([[k]]), np.array([n]), vocab)
+    return m_a[0, 0], m_ap[0, 0]
+
+
+class TestAlternatingMasks:
+    def test_after_text_span_only_edges(self, vocab):
+        m_a, m_ap = masks_after(vocab.l_p, vocab)
+        adm = admitted(m_a)
+        assert adm == set(range(len(vocab.edge_types))) | {vocab.sep_index}
+        assert admitted(m_ap) == set()
+
+    def test_sos_start_admits_nodes_and_spans(self, vocab):
+        m_a, m_ap = masks_after(vocab.sos_index, vocab)
+        assert admitted(m_a) == set(range(vocab.l_e, vocab.l_p))
+        assert admitted(m_ap) == set(range(9))
+
+    def test_eos_opens_only_after_sep(self, vocab):
+        m_a, _ = masks_after(vocab.sep_index, vocab)
+        assert vocab.eos_index in admitted(m_a)
+        m_a, _ = masks_after(vocab.sos_index, vocab)
+        assert vocab.eos_index not in admitted(m_a)
+        m_a, _ = masks_after(vocab.l_p, vocab)
+        assert vocab.eos_index not in admitted(m_a)
+
+    def test_sos_never_admitted(self, vocab):
+        for k in (vocab.l_p, vocab.l_e, vocab.sep_index, vocab.sos_index):
+            m_a, _ = masks_after(k, vocab)
+            assert vocab.sos_index not in admitted(m_a)
+
+    def test_always_at_least_one_admissible(self, vocab):
+        for k in range(vocab.l_p + 9 * 16):
+            if k == vocab.eos_index:
+                continue  # EOS terminates; nothing follows it
+            m_a, m_ap = masks_after(k, vocab)
+            assert admitted(m_a) | admitted(m_ap)
+
+    def test_masked_softmax_sums_to_one_over_admissible(self, vocab, rng):
+        m_a, m_ap = masks_after(vocab.sep_index, vocab)
+        scores = np.concatenate([rng.normal(size=vocab.l_p) + m_a, rng.normal(size=9) + m_ap])
+        p = np.exp(scores - scores.max())
+        p /= p.sum()
+        adm = np.flatnonzero(scores > NEG_INF / 2)
+        assert np.isclose(p[adm].sum(), 1.0)
+        assert (p[np.setdiff1d(np.arange(p.size), adm)] == 0.0).all()
 
 
 class TestBatchedTape:
