@@ -1,17 +1,18 @@
 """Constrained greedy and beam-search generation, plus end-to-end extraction.
 
-Generation runs under a structural constraint machine, the only
-admissibility rule at decode time: its additive mask is the one the span head
-adds to each hypothesis' scores.  It admits only sequence continuations
-that decode to a valid information graph: every level parent is a fresh text
-span (or [NULL] as the lone root), every mention is typed through a [TYPE]
-pair before anything else, relation children are text spans, and [EOS] only
-opens once all levels are closed and no mention is left untyped.  Near the
-length budget the machine forces the shortest completion, so every run ends
-in [EOS] within ``max_len`` items and decodes to a graph whatever scores
-drove it: decoding has no unfinished result.  ``GenConstraints.push`` checks
-the budget (a ``RuntimeError`` past it is a bug), and a property test drives
-the machine with adversarial choices to hold it.
+Generation runs under a structural constraint machine, the one admissibility
+rule of decoding and of the training tape, which walks one along each gold
+sequence: its additive mask is the one the span head adds to each hypothesis'
+scores.  It admits only sequence continuations that decode to a valid
+information graph: every level parent is a fresh text span (or [NULL] as the
+lone root), every mention is typed through a [TYPE] pair before anything
+else, relation children are text spans, and [EOS] only opens once all levels
+are closed and no mention is left untyped.  Near the length budget the
+machine forces the shortest completion, so every run ends in [EOS] within
+``max_len`` items and decodes to a graph whatever scores drove it: decoding
+has no unfinished result.  ``GenConstraints.push`` checks the budget (a
+``RuntimeError`` past it is a bug), and a property test drives the machine
+with adversarial choices to hold it.
 
 Most steps admit no text span (a [TYPE] edge, a node type, a relation edge,
 [SEP] or [EOS] comes next).  There the mask covers only the l_p type slots,

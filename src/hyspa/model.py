@@ -8,10 +8,10 @@ Two forward implementations coexist on purpose:
   builds one tape per batch, sources padded to the batch's largest n and
   targets to its largest length; padding sits in NEG_INF masks (padded
   columns get probability exactly 0) or carries weight 0 in the cross
-  entropy.  Every tape mask is index arithmetic beside its one use; the
-  span attention admits each input's window [lo, hi] of H.  Each decoder
-  layer attends in the engine's two blocks: source rows over the source
-  keys, target rows over the source and then the target keys, causally.
+  entropy.  The output mask is the constraint machine's, as in decoding;
+  every other tape mask is index arithmetic beside its one use.  Each
+  decoder layer attends in the engine's two blocks: source rows over the
+  source keys, target rows over the source and then the target keys, causally.
   The last layer stops at its source keys and values, and one helper,
   ``_tape_layer``, serves either row set.
   ``train_step`` splits a mini-batch into runs of consecutive examples
@@ -41,9 +41,8 @@ Two forward implementations coexist on purpose:
   the same shapes, so they are bitwise equal.  A step's input rows (span
   attention plus traversal embedding) are memoised in the context, per
   slot and per annotation.  ``span_head`` likewise scores B hidden rows in
-  one call, under the additive mask its caller passes: at decode time the
-  constraint machine's, the only admissibility rule there (the tape's
-  alternating output masks, ``_output_masks``, are training-only).  A
+  one call, under the additive mask its caller passes: the constraint
+  machine's, the one admissibility rule of the tape and of decoding.  A
   mask row that covers only the type slots spares its row the text-span
   scores; every row is normalised at the full width, with zeros in place
   of the spared exponentials.  ``DecodeSession.fork`` copies only the
@@ -116,8 +115,9 @@ class ModelConfig:
         for name, value in fields.items():
             if name != "dropout" and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ModelError(f"{name} must be an integer, got {value!r}")
+        number = isinstance(self.dropout, (int, float)) and not isinstance(self.dropout, bool)
         if (self.d_m < 2 or self.layers < 0 or self.heads < 1 or self.m < 1 or self.max_tokens < 1
-                or not 0.0 <= self.dropout < 1.0):
+                or not (number and 0.0 <= self.dropout < 1.0)):
             got = ", ".join(f"{name}={value}" for name, value in fields.items())
             raise ModelError(
                 f"need d_m >= 2, layers >= 0, heads >= 1, m >= 1, 0 <= dropout < 1, max_tokens >= 1; got {got}"
@@ -285,27 +285,25 @@ def _tape_layer(params: dict[str, Tensor], i: int, x: Tensor, k: Tensor, v: Tens
     return nm.layer_norm(nm.add(ffn, x1), params[f"L{i}.ln2_g"], params[f"L{i}.ln2_b"])
 
 
-def _output_masks(inputs: np.ndarray, n: np.ndarray, vocab: TypeVocab) -> tuple[np.ndarray, np.ndarray]:
-    """Alternating output masks of the training tape for every decoder input:
-    (B, T, l_p) over the type slots and (B, T, n_pad) over the text positions,
-    for inputs of shape (B, T) and the B examples' text lengths ``n``.
+def _machine_masks(seqs: Sequence[AltSequence], t_pad: int, width: int) -> np.ndarray:
+    """The tape's output mask, (B, t_pad, width): row i of example b holds the
+    mask of a constraint machine walked along its gold items, before target i,
+    and NEG_INF elsewhere.  A budget of len + 16 items never turns tight on a
+    gold path (``_tight`` leaves ``_min_to_finish() + 6``), so the tape learns
+    the structural rule alone.  A gold item the machine forbids raises ModelError."""
+    from .decode_search import GenConstraints
 
-    After a node element (an input ``>= l_e``: a node type or text span) only
-    edge slots open: the real edge types plus [SEP] ([SOS]/[EOS] stay closed
-    so that sampled sequences remain storable).  After an edge element the
-    node slots open: the node types plus the example's own text positions;
-    the [EOS] slot additionally opens after [SEP], the only point at which
-    every traversal level is closed, so training targets (sequence plus
-    [EOS]) are never masked.  Every slot the constraint machine opens at
-    decode time is open here too (``tests/test_decode_search.py::MachineRun``).
-    """
-    after_node = (inputs >= vocab.l_e)[..., None]
-    slots = np.arange(vocab.l_p)
-    edge_slots = (slots < len(vocab.edge_types)) | (slots == vocab.sep_index)
-    open_a = np.where(after_node, edge_slots, slots >= vocab.l_e)
-    open_a |= (inputs == vocab.sep_index)[..., None] & (slots == vocab.eos_index)
-    open_text = ~after_node & (np.arange(int(n.max())) < n[:, None, None])
-    return np.where(open_a, 0.0, nm.NEG_INF), np.where(open_text, 0.0, nm.NEG_INF)
+    out = np.full((len(seqs), t_pad, width), nm.NEG_INF)
+    for b, seq in enumerate(seqs):
+        eos, end = seq.vocab.eos_index, len(seq.items)
+        machine = GenConstraints(seq.vocab, seq.n, seq.m, seq.traversal, end + 16)
+        for i, k in enumerate((*seq.items, eos)):
+            row = machine.mask()
+            if k >= len(row) or row[k] <= nm.NEG_INF / 2 or (k == eos) != (i == end):
+                raise ModelError(f"example {b} (n={seq.n}): the constraint machine forbids item {k} at offset {i}")
+            out[b, i, : len(row)] = row
+            machine.push(k)
+    return out
 
 
 def sequence_logits(
@@ -322,11 +320,12 @@ def sequence_logits(
     where n_pad and T are the batch's largest n and sequence length + 1.  Row
     i of example b scores the element following decoder input i (inputs are
     [SOS] + items); targets are items + [EOS].  Padding rows have target -1.
-    Columns past l_p + n_b*m and padded attention columns sit at NEG_INF, so
-    they get probability exactly 0 and no gradient.  Per decoder layer, the
-    target rows attend over [source ; target] keys, (B, heads, T, n_pad + T),
-    and the source rows, except in the last layer, over the source keys,
-    (B, heads, n_pad, n_pad).  The batch must share one vocab, traversal and m.
+    Slots the constraint machine closes (``_machine_masks``) and padded
+    attention columns sit at NEG_INF, so they get probability exactly 0 and
+    no gradient.  Per decoder layer, the target rows attend over
+    [source ; target] keys, (B, heads, T, n_pad + T), and the source rows,
+    except in the last layer, over the source keys, (B, heads, n_pad, n_pad).
+    The batch must share one vocab, traversal and m.
     """
     if not batch:
         raise ModelError("empty batch")
@@ -402,13 +401,11 @@ def sequence_logits(
     e_rep = nm.linear(tgt, params["head_w6"], params["head_b6"])
     types_t = nm.transpose(h_types, (0, 2, 1))
     text_t = nm.transpose(h_text, (0, 2, 1))
-    m_a, m_ap = _output_masks(inputs, n, vocab)
-    type_scores = nm.add(nm.add(nm.matmul(s_rep, types_t), nm.matmul(e_rep, types_t)), Tensor(m_a))
-    ts_vec = nm.add(nm.matmul(s_rep, text_t), Tensor(m_ap))
-    te_vec = nm.add(nm.matmul(e_rep, text_t), Tensor(m_ap))
+    type_scores = nm.add(nm.matmul(s_rep, types_t), nm.matmul(e_rep, types_t))
+    ts_vec, te_vec = nm.matmul(s_rep, text_t), nm.matmul(e_rep, text_t)
     t_mat = nm.add(nm.unfold(te_vec, m), nm.reshape(ts_vec, (B, t_pad, n_pad, 1)))
     logits = nm.concat([type_scores, nm.reshape(t_mat, (B, t_pad, n_pad * m))], axis=2)
-    return logits, targets
+    return nm.add(logits, Tensor(_machine_masks(seqs, t_pad, l_p + n_pad * m))), targets
 
 
 def sequence_loss(

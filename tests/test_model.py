@@ -3,22 +3,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from testutil import open_mask
+from testutil import FIG4_TOKENS, open_mask, random_edge_freq, random_graph
 
 from hyspa import numerics as nm
-from hyspa.altseq_codec import AltSequence, Traversal, encode, encode_bfs
+from hyspa.altseq_codec import AltSequence, Traversal, decode_sequence, encode, encode_bfs
 from hyspa.data_io import synth_generate
 from hyspa.decode_search import GenConstraints, _step_logprobs
 from hyspa.embeddings import make_annotator
 from hyspa.hybrid_index import TextSpan, index_to_hspan, span_to_index
-from hyspa.info_graph import canonicalize
+from hyspa.info_graph import canonicalize, graph_equal
 from hyspa.model import (
     DecodeSession,
     ExtractionModel,
     ModelConfig,
     ModelError,
-    _output_masks,
     decode_step,
     decoder_forward,
     encode_context,
@@ -88,7 +88,7 @@ class TestEncodeContext:
         with pytest.raises(ModelError, match="even"):
             ModelConfig(d_m=33, layers=1, heads=3)
 
-    @pytest.mark.parametrize("dropout", [-0.2, 1.0, 1.5])
+    @pytest.mark.parametrize("dropout", [-0.2, 1.0, 1.5, "x", None, [0.1], False, True])
     def test_dropout_outside_unit_interval_rejected(self, dropout):
         with pytest.raises(ModelError, match="0 <= dropout < 1"):
             ModelConfig(d_m=32, layers=1, heads=4, dropout=dropout)
@@ -652,8 +652,7 @@ class TestTrainingPath:
 
     def test_short_text_smaller_than_span_window(self, vocab, setup):
         # n=2 < m=16: codec, loss, and decoding must all stay correct
-        from hyspa.info_graph import Mention, graph_equal, make_graph
-        from hyspa.altseq_codec import decode_sequence
+        from hyspa.info_graph import Mention, make_graph
         from hyspa.decode_search import greedy_decode
 
         ds, tv, cfg, params = setup
@@ -679,60 +678,46 @@ class TestTrainingPath:
         assert (logits.grad[masked] == 0.0).all()
 
 
+class TestOneAdmissibilityRule:
+    """The tape's output mask is the constraint machine's, row for row."""
+
+    @given(seed=st.integers(0, 2**32 - 1), traversal=st.sampled_from(Traversal))
+    @settings(max_examples=25, deadline=None)
+    def test_tape_admits_what_the_machine_admits_along_gold_paths(self, vocab, setup, seed, traversal):
+        # C2-style graphs: n up to 128, up to 20 mentions and 40 relations,
+        # four to a padded tape; the tape's budget is never tight on them
+        _, tv, cfg, params = setup
+        rng = np.random.default_rng(seed)
+        graphs = [random_graph(rng, vocab, n_max=128, m=cfg.m) for _ in range(4)]
+        seqs = [encode(canonicalize(g, random_edge_freq(rng, vocab), vocab), vocab, cfg.m, traversal) for g in graphs]
+        batch = [(rng.integers(0, len(tv), size=seq.n), seq) for seq in seqs]
+        logits, targets = sequence_logits(batch, cfg, params)
+        open_slots = logits.data > NEG_INF / 2
+        for b, (_, seq) in enumerate(batch):
+            machine = GenConstraints(vocab, seq.n, cfg.m, traversal, len(seq.items) + 16)
+            for i, k in enumerate(targets[b, : len(seq.items) + 1]):
+                assert not machine._tight(), (seq.items, i)
+                mask = machine.mask()
+                assert np.array_equal(np.flatnonzero(open_slots[b, i]), np.flatnonzero(mask == 0.0)), (seq.items, i)
+                assert open_slots[b, i, k]
+                machine.push(int(k))
+            assert not open_slots[b, len(seq.items) + 1 :].any()  # padding rows
+
+    def test_gold_item_the_machine_forbids_is_named(self, vocab, setup):
+        # a span that opens a second BFS level decodes, but the machine
+        # closes it through ``parented``
+        ds, tv, cfg, params = setup
+        t, sep, per = vocab.type_edge_index, vocab.sep_index, vocab.index("PER")
+        seq = AltSequence((19, t, per, sep, 19, t, per, sep), Traversal.BFS, vocab, len(FIG4_TOKENS), cfg.m)
+        assert graph_equal(decode_sequence(seq), decode_sequence(dataclasses.replace(seq, items=seq.items[:4])))
+        tokens, g = ds.examples[0]
+        good = (tv.ids(tokens), encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m))
+        with pytest.raises(ModelError, match=r"example 1 \(n=9\): the constraint machine forbids item 19 at offset 4"):
+            sequence_loss([good, (tv.ids(FIG4_TOKENS), seq)], cfg, params)
+
+
 def _grads(params):
     return {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data)) for k, p in params.items()}
-
-
-def admitted(mask_vec):
-    return set(np.flatnonzero(mask_vec > NEG_INF / 2))
-
-
-def masks_after(k, vocab, n=9):
-    """The tape's output masks for one decoder input ``k``: one example, one row."""
-    m_a, m_ap = _output_masks(np.array([[k]]), np.array([n]), vocab)
-    return m_a[0, 0], m_ap[0, 0]
-
-
-class TestAlternatingMasks:
-    def test_after_text_span_only_edges(self, vocab):
-        m_a, m_ap = masks_after(vocab.l_p, vocab)
-        adm = admitted(m_a)
-        assert adm == set(range(len(vocab.edge_types))) | {vocab.sep_index}
-        assert admitted(m_ap) == set()
-
-    def test_sos_start_admits_nodes_and_spans(self, vocab):
-        m_a, m_ap = masks_after(vocab.sos_index, vocab)
-        assert admitted(m_a) == set(range(vocab.l_e, vocab.l_p))
-        assert admitted(m_ap) == set(range(9))
-
-    def test_eos_opens_only_after_sep(self, vocab):
-        m_a, _ = masks_after(vocab.sep_index, vocab)
-        assert vocab.eos_index in admitted(m_a)
-        m_a, _ = masks_after(vocab.sos_index, vocab)
-        assert vocab.eos_index not in admitted(m_a)
-        m_a, _ = masks_after(vocab.l_p, vocab)
-        assert vocab.eos_index not in admitted(m_a)
-
-    def test_sos_never_admitted(self, vocab):
-        for k in (vocab.l_p, vocab.l_e, vocab.sep_index, vocab.sos_index):
-            m_a, _ = masks_after(k, vocab)
-            assert vocab.sos_index not in admitted(m_a)
-
-    def test_always_at_least_one_admissible(self, vocab):
-        for k in range(vocab.l_p + 9 * 16):
-            if k == vocab.eos_index:
-                continue  # EOS terminates; nothing follows it
-            m_a, m_ap = masks_after(k, vocab)
-            assert admitted(m_a) | admitted(m_ap)
-
-    def test_masked_softmax_sums_to_one_over_admissible(self, vocab, rng):
-        m_a, m_ap = masks_after(vocab.sep_index, vocab)
-        scores = np.concatenate([rng.normal(size=vocab.l_p) + m_a, rng.normal(size=9) + m_ap])
-        p = np.exp(scores - scores.max())
-        p /= p.sum()
-        adm = np.flatnonzero(scores > NEG_INF / 2)
-        assert np.isclose(p[adm].sum(), 1.0)
-        assert (p[np.setdiff1d(np.arange(p.size), adm)] == 0.0).all()
 
 
 class TestBatchedTape:
@@ -805,19 +790,28 @@ class TestBatchedTape:
 
     def test_changing_a_last_item_leaves_earlier_rows_bitwise_unchanged(self, vocab, mixed):
         # a target row sees no later input of its own example and nothing of
-        # another example; the row fed the changed item does change
+        # another example; the row fed the changed item does change.  The
+        # changed item is the last node type: the constraint machine admits
+        # any node type there, and no other last item of a whole sequence
         batch, cfg, params = mixed
         before = sequence_logits(batch, cfg, params)[0].data
+        changes = 0
         for b, (ids, seq) in enumerate(batch):
-            other = vocab.sep_index if seq.items[-1] == vocab.type_edge_index else vocab.type_edge_index
+            typed = [i for i, k in enumerate(seq.items) if vocab.l_e <= k < vocab.l_p and k != vocab.null_type_index]
+            if not typed:
+                continue  # [NULL] [SEP], the one sequence of an empty graph
+            at = typed[-1]
+            other = next(k for k in vocab.node_type_indices if k not in (seq.items[at], vocab.null_type_index))
             changed = list(batch)
-            changed[b] = (ids, dataclasses.replace(seq, items=seq.items[:-1] + (other,)))
+            changed[b] = (ids, dataclasses.replace(seq, items=seq.items[:at] + (other,) + seq.items[at + 1 :]))
             after = sequence_logits(changed, cfg, params)[0].data
-            fed = len(seq.items)  # the row whose input is the last item
+            fed = at + 1  # the row whose input is the changed item
             same = np.ones(after.shape[:2], dtype=bool)
-            same[b, fed:] = False  # that row and the padding rows after it
+            same[b, fed:] = False  # that row and the rows after it
             assert np.array_equal(after[same], before[same])
             assert not np.array_equal(after[b, fed], before[b, fed])
+            changes += 1
+        assert changes == 2  # the longest and the middle example; the two shortest are empty graphs
 
     def test_layers_attend_in_two_blocks_and_the_last_skips_source_rows(self, mixed, monkeypatch):
         # per layer, the target and source attention blocks; the last layer
