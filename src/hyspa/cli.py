@@ -219,7 +219,7 @@ def _cmd_decode(args) -> int:
                 print(f"{args.seqs}:{lineno}: {err}", file=sys.stderr)
                 failures += 1
                 continue
-            record = graph_to_record([""] * seq.n, g, vocab)
+            record = graph_to_record((), g, vocab)
             record.pop("tokens")
             record["n"] = seq.n
             out.write(json.dumps(record) + "\n")

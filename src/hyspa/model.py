@@ -40,13 +40,13 @@ Two forward implementations coexist on purpose:
   (``decoder_forward``) and greedy decoding all feed rows through it with
   the same shapes, so they are bitwise equal.  A step's input rows (span
   attention plus traversal embedding) are memoised in the context, per
-  slot and per annotation.  ``span_head`` likewise scores B hidden rows in
+  slot and per position.  ``span_head`` likewise scores B hidden rows in
   one call, under the additive mask its caller passes: the constraint
   machine's, the one admissibility rule of the tape and of decoding.  A
   mask row that covers only the type slots spares its row the text-span
   scores; every row is normalised at the full width, with zeros in place
   of the spared exponentials.  ``DecodeSession.fork`` copies only the
-  annotator, and beam search lets the last child of each hypothesis reuse
+  handle, and beam search lets the last child of each hypothesis reuse
   its parent's session in place (see ``decode_search.beam_decode``).
   ``encode_context`` also builds the engine's parameter arrays once per
   input (``ctx.params``), the only weights ``decode_step`` and ``span_head``
@@ -61,9 +61,11 @@ two attention forwards scale the queries, not the scores, by 1/sqrt(d), and
 normalise late: they exponentiate the shifted scores in place
 (``numerics.shifted_exp``, the first half of ``softmax``) and divide
 ``e @ v`` by the row sums.  The traversal embedding has one formula over
-the inputs that ``embeddings.bfs_components`` / ``dfs_components`` build:
-the tape's ``_traversal_embedding`` applies it to a whole batch, the
-engine's ``_traversal_row`` to one annotation, and both give the same bits.
+the inputs that ``embeddings.bfs_components`` / ``dfs_components`` build
+from positions (level, offset, is [SEP]), which both forms count with
+``embeddings.advance``: the tape's ``_traversal_embedding`` applies it to a
+whole batch, the engine's ``_traversal_row`` to one position, and both give
+the same bits.
 
 The paper-style external embedders are replaced by one trainable lookup table
 covering type names and text tokens; text rows additionally receive the
@@ -81,15 +83,7 @@ import numpy as np
 
 from . import numerics as nm
 from .altseq_codec import AltSequence, Traversal
-from .embeddings import (
-    PositionAnnotation,
-    bfs_components,
-    dfs_components,
-    make_annotator,
-    sinusoidal,
-    DFS_LEVEL_TABLE,
-    TREE_BRANCH_CAP,
-)
+from .embeddings import DFS_LEVEL_TABLE, TREE_BRANCH_CAP, advance, bfs_components, dfs_components, sinusoidal
 from .hybrid_index import index_to_hspan
 from .numerics import Tensor
 from .type_vocab import TypeVocab, segment_ids
@@ -218,11 +212,13 @@ def _traversal_embedding(
 
     Row 1 + i of example b holds item i; the [SOS] row and padding rows are 0.
     """
-    vocab, traversal = seqs[0].vocab, seqs[0].traversal
-    annotations = []
+    sep, traversal = seqs[0].vocab.sep_index, seqs[0].traversal
+    positions = []
     for seq in seqs:
-        annotator = make_annotator(traversal, vocab)
-        annotations += [annotator.push(k) for k in seq.items]
+        level = offset = 0
+        for k in seq.items:
+            positions.append((level, offset, k == sep))
+            level, offset = advance(level, offset, k, sep)
     at = np.concatenate([b * t_pad + 1 + np.arange(len(s.items)) for b, s in enumerate(seqs)])
 
     def placed(rows: np.ndarray) -> np.ndarray:
@@ -231,12 +227,12 @@ def _traversal_embedding(
         return out.reshape((len(seqs), t_pad) + rows.shape[1:])
 
     if traversal == Traversal.BFS:
-        levels, roles, trees = bfs_components(annotations, cfg.d_m)
+        levels, roles, trees = bfs_components(positions, cfg.d_m)
         return nm.add(
             nm.add(Tensor(placed(levels)), nm.linear(Tensor(placed(roles)), params["trav_pc"])),
             nm.linear(Tensor(placed(trees)), params["trav_tree"]),
         )
-    level_ids, conns = dfs_components(annotations, cfg.d_m)
+    level_ids, conns = dfs_components(positions, cfg.d_m)
     levels = nm.take_rows(params["dfs_level"], placed(level_ids))
     is_item = placed(np.ones((len(at), 1)))
     return nm.add(nm.mul(levels, Tensor(is_item)), Tensor(placed(conns)))
@@ -587,8 +583,8 @@ class ContextRep:
     input rows computed so far.
 
     ``rows`` memoises ``_span_row`` per slot and ``_traversal_row`` per
-    (traversal, annotation): the hypotheses of one input keep feeding the
-    same slots and annotations, and each entry is computed once by the same
+    (traversal, position): the hypotheses of one input keep feeding the
+    same slots and positions, and each entry is computed once by the same
     code, so a memoised row has the bits of a fresh one.  Entries are shared
     and never written into.
     """
@@ -691,13 +687,15 @@ def _span_row(ctx: ContextRep, k: int, m: int) -> np.ndarray:
     return row
 
 
-def _traversal_row(ann: PositionAnnotation, traversal: Traversal, d_m: int, np_params: dict) -> np.ndarray:
+def _traversal_row(
+    position: tuple[int, int, bool], traversal: Traversal, d_m: int, np_params: dict
+) -> np.ndarray:
     """The traversal embedding of one decoder input: the formula of
-    ``_traversal_embedding`` applied to a batch of one annotation."""
+    ``_traversal_embedding`` applied to a batch of one position."""
     if traversal == Traversal.BFS:
-        levels, roles, trees = bfs_components([ann], d_m)
+        levels, roles, trees = bfs_components([position], d_m)
         return (levels + roles @ np_params["trav_pc"] + trees @ np_params["trav_tree"])[0]
-    level_ids, conns = dfs_components([ann], d_m)
+    level_ids, conns = dfs_components([position], d_m)
     return (np_params["dfs_level"][level_ids] + conns)[0]
 
 
@@ -716,8 +714,9 @@ class DecodeSession:
     feed.  The source caches and the parameter arrays belong to the shared
     context.
 
-    ``fork`` gives a handle for a child hypothesis: it copies the annotator
-    and shares everything else, the cache row too, with its parent.  The
+    ``fork`` gives a handle for a child hypothesis: a shallow copy of this
+    one.  Its position counters (``level``, ``offset``) are ints of its own;
+    everything else, the cache row too, it shares with its parent.  The
     next ``decode_step`` that feeds the fork together with the other live
     hypotheses gathers each one's parent row into its own row, so a fork
     is independent from that step on.  Until then, neither it nor its parent
@@ -734,7 +733,7 @@ class DecodeSession:
         self.vocab = vocab
         self.traversal = traversal
         self.max_len = max_len
-        self.annotator = make_annotator(traversal, vocab)
+        self.level = self.offset = 0  # position of the next input element
         self.t = 0
         self.row = 0
         self.kv = np.empty((cfg.layers, beam, 2, cfg.heads, max_len + 1, cfg.d_m // cfg.heads))
@@ -745,7 +744,6 @@ class DecodeSession:
     def fork(self) -> "DecodeSession":
         clone = object.__new__(DecodeSession)
         clone.__dict__.update(self.__dict__)
-        clone.annotator = self.annotator.copy()
         return clone
 
     def _input_row(self, k: int | None) -> np.ndarray:
@@ -755,7 +753,9 @@ class DecodeSession:
         cfg, ctx = self.cfg, self.ctx
         if k is None:
             return _span_row(ctx, self.vocab.sos_index, cfg.m)
-        key = (self.traversal, self.annotator.push(k))
+        sep = self.vocab.sep_index
+        key = (self.traversal, (self.level, self.offset, k == sep))
+        self.level, self.offset = advance(self.level, self.offset, k, sep)
         trav = ctx.rows.get(key)
         if trav is None:
             trav = ctx.rows[key] = _traversal_row(key[1], self.traversal, cfg.d_m, ctx.params)
@@ -958,6 +958,9 @@ class ExtractionModel:
             vocab = build_vocab(meta["edge_types"], meta["node_types"])
             token_vocab = TokenVocab(tokens=tuple(meta["tokens"]))
             edge_freq = {int(k): v for k, v in meta["edge_freq"].items()}
+            for value in edge_freq.values():
+                if type(value) is not int:  # JSON true is a bool, which isinstance(value, int) admits
+                    raise TypeError(f"edge_freq value {value!r} is not an integer")
             traversal = Traversal(meta["traversal"])
         except KeyError as err:
             raise ModelError(f"checkpoint {path}: meta has no {err.args[0]!r} entry") from None

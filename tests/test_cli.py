@@ -148,6 +148,21 @@ class TestCodecCommands:
         assert err[1].startswith(f"{seqs}:5: sequence fails structural validation")
         assert len(decoded.read_text().splitlines()) == 58
 
+    def test_decode_huge_n_needs_no_token_list(self, corpus, tmp_path, capsys):
+        # a record of n tokens is written without building n of anything
+        from hyspa.data_io import default_vocab
+
+        root, train = corpus
+        seqs = tmp_path / "seqs.txt"
+        assert invoke("encode", "--data", str(train), "--out", str(seqs)) == 0
+        vocab = default_vocab()
+        header = seqs.read_text().splitlines()[0]
+        seqs.write_text(f"{header}\n{2**62} {vocab.null_type_index} {vocab.sep_index}\n")
+        capsys.readouterr()
+        assert invoke("decode", "--seqs", str(seqs)) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps({"entities": [], "relations": [], "n": 2**62}) + "\n"
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_2(self):
@@ -358,7 +373,7 @@ class TestModelCommands:
 
     @pytest.mark.parametrize("damage", [
         "no meta", "no meta key", "unknown config field", "bad traversal", "edge_freq list",
-        "empty", "truncated", "text",
+        "edge_freq value", "empty", "truncated", "text",
     ])
     def test_malformed_checkpoint_fails_with_message(self, corpus, tmp_path, capsys, damage):
         import numpy as np
@@ -387,11 +402,18 @@ class TestModelCommands:
             meta["traversal"] = "zigzag"
         elif damage == "edge_freq list":
             meta["edge_freq"] = [1]
+        elif damage == "edge_freq value":
+            # eval's first record holds a relation, whose canonical order reads edge_freq
+            assert json.loads(train.read_text().splitlines()[0])["relations"]
+            meta["edge_freq"] = {"1": "x", "2": None}
         if damage != "no meta":
             arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(ckpt, **arrays)
         assert invoke("eval", "--model", str(ckpt), "--data", str(train), "--limit", "1") == 1
-        assert f"error: checkpoint {ckpt}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: checkpoint {ckpt}" in err
+        if damage == "edge_freq value":
+            assert "edge_freq value 'x' is not an integer" in err
 
 
 # what a malformed file holds, made from a good file's bytes

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from testutil import FIG4_TOKENS, open_mask, random_edge_freq, random_graph
+from testutil import FIG4_TOKENS, open_mask, positions, random_edge_freq, random_graph
 
 from hyspa import numerics as nm
 from hyspa.altseq_codec import AltSequence, Traversal, decode_sequence, encode, encode_bfs
 from hyspa.data_io import synth_generate
 from hyspa.decode_search import GenConstraints, _step_logprobs
-from hyspa.embeddings import make_annotator
 from hyspa.hybrid_index import TextSpan, index_to_hspan, span_to_index
 from hyspa.info_graph import canonicalize, graph_equal
 from hyspa.model import (
@@ -236,18 +235,17 @@ class TestEncodeHybridSpans:
             p = np.exp(att - att.max(axis=-1, keepdims=True))
             p /= p.sum(axis=-1, keepdims=True)
             ref = p @ ctx.H
-            annotator = make_annotator(traversal, vocab)
-            ann = [annotator.push(k) for k in seq.items]
+            pos = positions(seq)
             if traversal == Traversal.BFS:
-                levels, roles, trees = bfs_components(ann, cfg.d_m)
+                levels, roles, trees = bfs_components(pos, cfg.d_m)
                 ref = ref + levels + roles @ params["trav_pc"].data + trees @ params["trav_tree"].data
             else:
-                level_ids, conns = dfs_components(ann, cfg.d_m)
+                level_ids, conns = dfs_components(pos, cfg.d_m)
                 ref = ref + params["dfs_level"].data[level_ids] + conns
             assert np.allclose(rows, ref, atol=1e-10)
 
     def test_engine_traversal_rows_equal_tape_bitwise(self, vocab, setup):
-        # the engine's one-annotation traversal rows are the tape's rows of a
+        # the engine's one-position traversal rows are the tape's rows of a
         # padded batch of random graphs, bit for bit, under BFS and DFS
         from testutil import random_graph
 
@@ -263,8 +261,7 @@ class TestEncodeHybridSpans:
                 t_pad = max(len(seq.items) for seq in seqs) + 1
                 tape = _traversal_embedding(seqs, t_pad, cfg, params).data
                 for b, seq in enumerate(seqs):
-                    annotator = make_annotator(traversal, vocab)
-                    rows = [_traversal_row(annotator.push(k), traversal, cfg.d_m, tables) for k in seq.items]
+                    rows = [_traversal_row(p, traversal, cfg.d_m, tables) for p in positions(seq)]
                     assert np.array_equal(np.stack(rows), tape[b, 1 : len(seq.items) + 1])
                     assert not tape[b, len(seq.items) + 1 :].any()
 

@@ -9,6 +9,7 @@ import numpy as np
 
 from hyspa.data_io import DEFAULT_EDGE_TYPES, DEFAULT_NODE_TYPES
 from hyspa.decode_search import GenConstraints, _step_logprobs
+from hyspa.embeddings import advance
 from hyspa.hybrid_index import TextSpan
 from hyspa.info_graph import InfoGraph, Mention, RelationEdge, make_graph
 from hyspa.model import ExtractionModel, decode_step
@@ -43,6 +44,16 @@ def fig4_dfs_items(vocab: TypeVocab) -> list[int]:
     t, sep = vocab.type_edge_index, vocab.sep_index
     per, gpe, phys = vocab.index("PER"), vocab.index("GPE"), vocab.index("PHYS")
     return [19, t, per, sep, 83, t, gpe, sep, 83, phys, 19, sep]
+
+
+def positions(seq):
+    """(level, offset, is [SEP]) of every item, by the position rule."""
+    sep, out = seq.vocab.sep_index, []
+    level = offset = 0
+    for k in seq.items:
+        out.append((level, offset, k == sep))
+        level, offset = advance(level, offset, k, sep)
+    return out
 
 
 def open_mask(ctx, cfg, rows: int = 1) -> np.ndarray:
