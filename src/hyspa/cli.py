@@ -1,7 +1,8 @@
 """Command-line entry point wiring the library into user-facing workflows.
 
 Exit codes: 0 success, 1 assertion/verification failure, 2 usage error.
-Flag values override config-file values override built-in defaults.
+Every setting is a flag or its built-in default; there is no config file.
+The vocabulary comes from --vocab when given, else the built-in one.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from .data_io import (
 )
 from .info_graph import canonicalize, graph_equal
 from .model import (
+    Engine,
     ExtractionModel,
     ModelConfig,
     ModelError,
@@ -315,10 +317,11 @@ def _cmd_eval(args) -> int:
 def _cmd_extract(args) -> int:
     """Extract every non-blank line; a line the model cannot take (a
     ``ModelError``) gets an empty record with a ``diagnostics`` message, and
-    the exit code is 1 if any line failed."""
+    the exit code is 1 if any line failed.  Every line decodes with one engine."""
     from .decode_search import extract_graph
 
     model = ExtractionModel.load(args.model)
+    engine = Engine(model)
     out = open(args.out, "w") if args.out else sys.stdout
     total = failed = 0
     try:
@@ -327,7 +330,7 @@ def _cmd_extract(args) -> int:
             total += 1
             try:
                 res = extract_graph(
-                    model, tokens, beam=args.beam,
+                    engine, tokens, beam=args.beam,
                     length_penalty=args.length_penalty, max_len=args.max_len,
                 )
             except ModelError as err:

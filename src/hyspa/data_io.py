@@ -360,11 +360,13 @@ def read_dump_header(path, vocab: TypeVocab) -> tuple[int, Traversal]:
 
 def parse_sequence_line(path, lineno: int, line: str, vocab: TypeVocab, m: int, traversal: Traversal) -> AltSequence:
     """One dump line, n followed by the items, as a sequence; a line that is not
-    all integers raises CorpusError naming ``path:lineno``."""
+    all integers, or whose n is below 1, raises CorpusError naming ``path:lineno``."""
     try:
         n, *items = map(int, line.split())
     except ValueError as err:
         raise CorpusError(f"{path}:{lineno}: malformed sequence line: {err}") from None
+    if n < 1:
+        raise CorpusError(f"{path}:{lineno}: sequence line's n must be >= 1, got {n}")
     return AltSequence(tuple(items), traversal, vocab, n, m)
 
 

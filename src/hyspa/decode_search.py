@@ -29,7 +29,7 @@ import numpy as np
 
 from .altseq_codec import AltSequence, Traversal, decode_sequence
 from .info_graph import InfoGraph
-from .model import DecodeSession, ExtractionModel, ModelError, decode_step, span_head
+from .model import DecodeSession, Engine, ExtractionModel, ModelError, decode_step, span_head
 from .numerics import NEG_INF, span_windows
 from .type_vocab import TypeVocab, VocabError
 
@@ -249,22 +249,17 @@ def default_max_len(n: int) -> int:
     return max(32, 4 * n + 16)
 
 
-def _step_logprobs(model: ExtractionModel, sessions, machines) -> list[np.ndarray]:
+def _step_logprobs(sessions, machines) -> list[np.ndarray]:
     """Log-probabilities of the next element of B hypotheses of one input:
     one span-head call over their last hidden rows, each row masked by its
     hypothesis' constraint machine and as long as that mask, so l_p long
     when the hypothesis can emit no span and l_p + n*m long otherwise."""
-    _, logp = span_head(
-        np.array([s.last_hidden for s in sessions]),
-        sessions[0].ctx,
-        model.cfg,
-        [machine.mask() for machine in machines],
-    )
-    return logp
+    hidden = np.array([s.last_hidden for s in sessions])
+    return span_head(hidden, sessions[0].ctx, [machine.mask() for machine in machines])[1]
 
 
 def greedy_decode(
-    model: ExtractionModel,
+    model: ExtractionModel | Engine,
     tokens,
     max_len: int | None = None,
     traversal: Traversal | None = None,
@@ -278,7 +273,7 @@ def greedy_decode(
     items: list[int] = []
     score = 0.0
     while True:
-        logp = _step_logprobs(model, [session], [machine])[0]
+        logp = _step_logprobs([session], [machine])[0]
         k = int(np.argmax(logp))
         score += float(logp[k])
         if k == model.vocab.eos_index:
@@ -331,7 +326,7 @@ class _Hyp:
 
 
 def beam_decode(
-    model: ExtractionModel,
+    model: ExtractionModel | Engine,
     tokens,
     beam: int = 1,
     length_penalty: float = 1.0,
@@ -378,7 +373,7 @@ def beam_decode(
     ]
     done: list[tuple[float, float, list[int]]] = []  # (penalized, raw, items)
     while live:
-        logps = _step_logprobs(model, [h.session for h in live], [h.machine for h in live])
+        logps = _step_logprobs([h.session for h in live], [h.machine for h in live])
         kept = []  # (new_score, slot, parent)
         for new_score, k, pos in _candidates(logps, [h.score for h in live], beam + 1):
             if len(kept) >= beam:
@@ -411,7 +406,7 @@ def beam_decode(
 
 
 def extract_graph(
-    model: ExtractionModel,
+    model: ExtractionModel | Engine,
     tokens,
     beam: int = 1,
     length_penalty: float = 1.0,
@@ -471,6 +466,7 @@ def evaluate_model(
     A record the model cannot take (a ``ModelError``, e.g. an input over
     ``max_tokens``) counts as an empty prediction and is listed under
     ``failed`` with its index and message.  ``limit`` (>= 1) keeps that many.
+    Every record decodes with one engine on the model's weights at the call.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
@@ -479,11 +475,12 @@ def evaluate_model(
     from .info_graph import canonicalize
 
     examples = examples[:limit]
+    engine = Engine(model)
     preds, failed = [], []
     em_hits = 0
     for i, (tokens, gold) in enumerate(examples):
         try:
-            res = extract_graph(model, tokens, beam=beam, length_penalty=length_penalty)
+            res = extract_graph(engine, tokens, beam=beam, length_penalty=length_penalty)
         except ModelError as err:
             failed.append({"index": i, "error": str(err)})
             preds.append(InfoGraph((), (), len(tokens), model.cfg.m))

@@ -65,7 +65,6 @@ class OrderedGraph:
     roots: tuple[GraphNode, ...]
     adjacency: dict[GraphNode, tuple[tuple[int, GraphNode], ...]]
     n: int
-    m: int
 
 
 def make_graph(mentions, relations, n: int, m: int) -> InfoGraph:
@@ -127,7 +126,7 @@ def canonicalize(
 
     if not g.mentions:
         null_node = TypeNode(vocab.null_type_index)
-        return OrderedGraph(roots=(null_node,), adjacency={null_node: ()}, n=g.n, m=g.m)
+        return OrderedGraph(roots=(null_node,), adjacency={null_node: ()}, n=g.n)
 
     outgoing: dict[int, list[RelationEdge]] = {i: [] for i in range(len(g.mentions))}
     for rel in g.relations:
@@ -147,7 +146,7 @@ def canonicalize(
         children.extend((r.edge_type, g.mentions[r.tail].span) for r in rels)
         adjacency[mention.span] = tuple(children)
         roots.append(mention.span)
-    return OrderedGraph(roots=tuple(roots), adjacency=adjacency, n=g.n, m=g.m)
+    return OrderedGraph(roots=tuple(roots), adjacency=adjacency, n=g.n)
 
 
 def span_keys(g: InfoGraph) -> tuple[set, Counter]:

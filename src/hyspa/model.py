@@ -38,9 +38,9 @@ Two forward implementations coexist on purpose:
   a (B, heads, t+1, d/heads) view of the cache.  ``DecodeSession.append``
   is its one-row call, and cached decoding, full recomputation
   (``decoder_forward``) and greedy decoding all feed rows through it with
-  the same shapes, so they are bitwise equal.  A step's input rows (span
-  attention plus traversal embedding) are memoised in the context, per
-  slot and per position.  ``span_head`` likewise scores B hidden rows in
+  the same shapes, so they are bitwise equal.  A step's input row is a span
+  row, memoised per slot in the context, plus a traversal row, memoised per
+  position in the ``Engine``.  ``span_head`` likewise scores B hidden rows in
   one call, under the additive mask its caller passes: the constraint
   machine's, the one admissibility rule of the tape and of decoding.  A
   mask row that covers only the type slots spares its row the text-span
@@ -48,11 +48,10 @@ Two forward implementations coexist on purpose:
   of the spared exponentials.  ``DecodeSession.fork`` copies only the
   handle, and beam search lets the last child of each hypothesis reuse
   its parent's session in place (see ``decode_search.beam_decode``).
-  ``encode_context`` also builds the engine's parameter arrays once per
-  input (``ctx.params``), the only weights ``decode_step`` and ``span_head``
-  read, and ``_block_tail`` (residual, layer norm, FFN, residual, layer
-  norm) is the second half of every decoder layer, for the source rows and
-  for the decode steps alike.
+  One ``Engine`` per decoding call holds the weights that ``encode_context``,
+  ``decode_step`` and ``span_head`` read, and ``_block_tail`` (residual,
+  layer norm, FFN, residual, layer norm) is the second half of every decoder
+  layer, for the source rows and for the decode steps alike.
 
 Both forms take their softmax, log-softmax and layer-norm forward from
 :mod:`hyspa.numerics` (``softmax``, ``log_probs``, ``normalize``) and their
@@ -64,8 +63,7 @@ normalise late: they exponentiate the shifted scores in place
 the inputs that ``embeddings.bfs_components`` / ``dfs_components`` build
 from positions (level, offset, is [SEP]), which both forms count with
 ``embeddings.advance``: the tape's ``_traversal_embedding`` applies it to a
-whole batch, the engine's ``_traversal_row`` to one position, and both give
-the same bits.
+whole batch, ``Engine.traversal_row`` to one position, with the same bits.
 
 The paper-style external embedders are replaced by one trainable lookup table
 covering type names and text tokens; text rows additionally receive the
@@ -576,15 +574,54 @@ def _head_major(x: np.ndarray, heads: int) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(len(x), heads, -1).transpose(1, 0, 2))
 
 
+class Engine:
+    """What decoding reads that depends only on the model state: ``cfg``, the
+    vocabularies, the default ``traversal``, each parameter's array plus each
+    layer's fused ``wqkv`` / ``bqkv``, Q scaled by 1/sqrt(d) (``arrays``), and
+    the traversal rows (``traversal_row``).  It stands in for a model in
+    ``extract_graph``.  ``AdamW.step`` updates weights in place, which the fused
+    arrays and the rows do not follow, so an engine serves one decoding call.
+    """
+
+    def __init__(self, model: ExtractionModel):
+        cfg = self.cfg = model.cfg
+        self.vocab, self.token_vocab, self.traversal = model.vocab, model.token_vocab, model.traversal
+        scale = 1.0 / math.sqrt(cfg.d_m)
+        self.arrays = p = {k: v.data for k, v in model.params.items()}
+        for i in range(cfg.layers):  # Q, K and V side by side: one projection GEMM per decode step
+            p[f"L{i}.wqkv"] = np.concatenate([p[f"L{i}.wq"] * scale, p[f"L{i}.wk"], p[f"L{i}.wv"]], axis=1)
+            p[f"L{i}.bqkv"] = np.concatenate([p[f"L{i}.bq"] * scale, p[f"L{i}.bk"], p[f"L{i}.bv"]])
+        self.rows: dict = {}
+
+    def open_session(
+        self, tokens: Sequence[str], max_len: int, traversal: Traversal | None = None, beam: int = 1
+    ) -> DecodeSession:
+        """Encode ``tokens`` and open a session on a target cache of ``beam`` rows."""
+        return DecodeSession(encode_context(tokens, self), traversal or self.traversal, max_len, beam)
+
+    def traversal_row(self, traversal: Traversal, position: tuple[int, int, bool]) -> np.ndarray:
+        """``_traversal_embedding``'s formula applied to one position, memoised:
+        a memoised row has the bits of a fresh one, and is never written into."""
+        row = self.rows.get((traversal, position))
+        if row is None:
+            p = self.arrays
+            if traversal == Traversal.BFS:
+                levels, roles, trees = bfs_components([position], self.cfg.d_m)
+                row = (levels + roles @ p["trav_pc"] + trees @ p["trav_tree"])[0]
+            else:
+                level_ids, conns = dfs_components([position], self.cfg.d_m)
+                row = (p["dfs_level"][level_ids] + conns)[0]
+            self.rows[traversal, position] = row
+        return row
+
+
 @dataclass
 class ContextRep:
     """Encoded context: the hybrid representation, per-layer source caches, the
-    parameter arrays every decode step of this input reads, and the decoder
-    input rows computed so far.
+    engine it was encoded with, and the span rows computed so far.
 
-    ``rows`` memoises ``_span_row`` per slot and ``_traversal_row`` per
-    (traversal, position): the hypotheses of one input keep feeding the
-    same slots and positions, and each entry is computed once by the same
+    ``rows`` memoises ``_span_row`` per slot: the hypotheses of one input
+    keep feeding the same slots, and each entry is computed once by the same
     code, so a memoised row has the bits of a fresh one.  Entries are shared
     and never written into.
     """
@@ -595,7 +632,7 @@ class ContextRep:
     src_k: list[np.ndarray]  # per layer, head-major (heads, n, d_m/heads)
     src_v: list[np.ndarray]
     l_p: int
-    params: dict[str, np.ndarray]  # every parameter's array, plus per layer wqkv / bqkv, Q scaled by 1/sqrt(d)
+    engine: Engine
     rows: dict = field(default_factory=dict)
 
     @property
@@ -607,14 +644,9 @@ class ContextRep:
         return self.H[self.l_p :]
 
 
-def encode_context(
-    tokens: Sequence[str],
-    cfg: ModelConfig,
-    params: dict[str, Tensor],
-    vocab: TypeVocab,
-    token_vocab: TokenVocab,
-) -> ContextRep:
-    """Build H (type rows ++ text rows) and the one-time decoder source caches.
+def encode_context(tokens: Sequence[str], engine: Engine) -> ContextRep:
+    """Build H (type rows ++ text rows) and the one-time decoder source caches,
+    from the weights of ``engine``.
 
     Computed once per input and shared by every decoding hypothesis.  The
     keys and values every decode step attends to are stored head-major, so a
@@ -626,9 +658,9 @@ def encode_context(
     row sums of the exponentiated scores ``e`` (``numerics.shifted_exp``)
     instead of ``e`` itself.  The last layer's source rows feed no decode
     step, so that layer stops at its keys and values.  The source rows keep
-    three projection GEMMs: the fused ``wqkv`` of ``ctx.params`` may round
-    differently.
+    three projection GEMMs: the engine's fused ``wqkv`` may round differently.
     """
+    cfg, vocab, p = engine.cfg, engine.vocab, engine.arrays
     n = len(tokens)
     if n < 1:
         raise ModelError("empty token list")
@@ -636,31 +668,27 @@ def encode_context(
         raise ModelError(f"input length {n} exceeds max_tokens={cfg.max_tokens}")
     d, heads = cfg.d_m, cfg.heads
     scale = 1.0 / math.sqrt(d)
-    np_params = p = {k: v.data for k, v in params.items()}
-    for i in range(cfg.layers):  # Q, K and V side by side: one projection GEMM per decode step
-        p[f"L{i}.wqkv"] = np.concatenate([p[f"L{i}.wq"] * scale, p[f"L{i}.wk"], p[f"L{i}.wv"]], axis=1)
-        p[f"L{i}.bqkv"] = np.concatenate([p[f"L{i}.bq"] * scale, p[f"L{i}.bk"], p[f"L{i}.bv"]])
-    token_ids = token_vocab.ids(tokens)
+    token_ids = engine.token_vocab.ids(tokens)
     seg = np.array(segment_ids(vocab, n), dtype=np.intp)
-    H = np_params["embed"][_h_row_ids(vocab, token_ids)] + np_params["meta"][seg]
+    H = p["embed"][_h_row_ids(vocab, token_ids)] + p["meta"][seg]
     H = H + _position_rows(vocab, n, d)
 
-    q_cls = H[vocab.l_p] @ np_params["span_w1"] + np_params["span_b1"]
-    K = H @ np_params["span_w2"] + np_params["span_b2"]
+    q_cls = H[vocab.l_p] @ p["span_w1"] + p["span_b1"]
+    K = H @ p["span_w2"] + p["span_b2"]
     span_scores = (K @ q_cls) / math.sqrt(d)
 
     src_k, src_v = [], []
     rows = min(n, max(1, _SCORE_CELLS // (heads * n)))
     cells = np.empty(heads * rows * n)
-    x = H[vocab.l_p :] + np_params["srctgt"][0]
+    x = H[vocab.l_p :] + p["srctgt"][0]
     for i in range(cfg.layers):
-        k = _head_major(x @ np_params[f"L{i}.wk"] + np_params[f"L{i}.bk"], heads)
-        v = _head_major(x @ np_params[f"L{i}.wv"] + np_params[f"L{i}.bv"], heads)
+        k = _head_major(x @ p[f"L{i}.wk"] + p[f"L{i}.bk"], heads)
+        v = _head_major(x @ p[f"L{i}.wv"] + p[f"L{i}.bv"], heads)
         src_k.append(k)
         src_v.append(v)
         if i + 1 == cfg.layers:
             break
-        q = ((x @ np_params[f"L{i}.wq"] + np_params[f"L{i}.bq"]) * scale).reshape(n, heads, -1)
+        q = ((x @ p[f"L{i}.wq"] + p[f"L{i}.bq"]) * scale).reshape(n, heads, -1)
         out = np.empty_like(q)  # (n, heads, dh): the (n, d) layout of the heads side by side
         for r in range(0, n, rows):
             chunk = slice(r, min(n, r + rows))
@@ -669,34 +697,22 @@ def encode_context(
             sums = nm.shifted_exp(e)  # (heads, rows, 1)
             np.matmul(e, v, out=out[chunk].transpose(1, 0, 2))
             out[chunk] /= sums.transpose(1, 0, 2)
-        x = _block_tail(np_params, i, out.reshape(n, d), x)
+        x = _block_tail(p, i, out.reshape(n, d), x)
     return ContextRep(
         H=H, n=n, span_scores=span_scores,
-        src_k=src_k, src_v=src_v, l_p=vocab.l_p, params=np_params,
+        src_k=src_k, src_v=src_v, l_p=vocab.l_p, engine=engine,
     )
 
 
-def _span_row(ctx: ContextRep, k: int, m: int) -> np.ndarray:
+def _span_row(ctx: ContextRep, k: int) -> np.ndarray:
     """Span-attention encoding of one hybrid index: softmax over its H window,
     memoised in ``ctx.rows``."""
     row = ctx.rows.get(k)
     if row is None:
-        h = index_to_hspan(k, m, ctx.l_p, ctx.n)
+        h = index_to_hspan(k, ctx.engine.cfg.m, ctx.l_p, ctx.n)
         w = nm.softmax(ctx.span_scores[h.lo : h.hi + 1].copy())
         row = ctx.rows[k] = w @ ctx.H[h.lo : h.hi + 1]
     return row
-
-
-def _traversal_row(
-    position: tuple[int, int, bool], traversal: Traversal, d_m: int, np_params: dict
-) -> np.ndarray:
-    """The traversal embedding of one decoder input: the formula of
-    ``_traversal_embedding`` applied to a batch of one position."""
-    if traversal == Traversal.BFS:
-        levels, roles, trees = bfs_components([position], d_m)
-        return (levels + roles @ np_params["trav_pc"] + trees @ np_params["trav_tree"])[0]
-    level_ids, conns = dfs_components([position], d_m)
-    return (np_params["dfs_level"][level_ids] + conns)[0]
 
 
 class DecodeSession:
@@ -711,8 +727,8 @@ class DecodeSession:
     max_len+1, d/heads): the keys and values of every layer for ``beam``
     hypotheses, head-major.  A session reads and writes the row ``row`` of
     it; ``beam`` (1 by default) is the most sessions one ``decode_step`` may
-    feed.  The source caches and the parameter arrays belong to the shared
-    context.
+    feed.  The source caches belong to the shared context, and the weights to
+    its engine.
 
     ``fork`` gives a handle for a child hypothesis: a shallow copy of this
     one.  Its position counters (``level``, ``offset``) are ints of its own;
@@ -724,13 +740,9 @@ class DecodeSession:
     ``filled``, and ``decode_step`` then refuses the other.
     """
 
-    def __init__(
-        self, ctx: ContextRep, cfg: ModelConfig, vocab: TypeVocab, traversal: Traversal, max_len: int,
-        beam: int = 1,
-    ):
+    def __init__(self, ctx: ContextRep, traversal: Traversal, max_len: int, beam: int = 1):
         self.ctx = ctx
-        self.cfg = cfg
-        self.vocab = vocab
+        self.cfg = cfg = ctx.engine.cfg
         self.traversal = traversal
         self.max_len = max_len
         self.level = self.offset = 0  # position of the next input element
@@ -748,18 +760,14 @@ class DecodeSession:
 
     def _input_row(self, k: int | None) -> np.ndarray:
         """Span-attention row of the next input element plus its traversal
-        embedding; None is the [SOS] context row.  Both parts are memoised in
-        ``ctx.rows``."""
-        cfg, ctx = self.cfg, self.ctx
+        embedding; None is the [SOS] context row.  The context memoises the
+        first part, the engine the second."""
+        ctx, vocab = self.ctx, self.ctx.engine.vocab
         if k is None:
-            return _span_row(ctx, self.vocab.sos_index, cfg.m)
-        sep = self.vocab.sep_index
-        key = (self.traversal, (self.level, self.offset, k == sep))
-        self.level, self.offset = advance(self.level, self.offset, k, sep)
-        trav = ctx.rows.get(key)
-        if trav is None:
-            trav = ctx.rows[key] = _traversal_row(key[1], self.traversal, cfg.d_m, ctx.params)
-        return _span_row(ctx, k, cfg.m) + trav
+            return _span_row(ctx, vocab.sos_index)
+        position = (self.level, self.offset, k == vocab.sep_index)
+        self.level, self.offset = advance(self.level, self.offset, k, vocab.sep_index)
+        return _span_row(ctx, k) + ctx.engine.traversal_row(self.traversal, position)
 
     def append(self, k: int | None) -> None:
         """Feed the next input element (None = the [SOS] context row): the
@@ -770,7 +778,7 @@ class DecodeSession:
 def decode_step(sessions: Sequence[DecodeSession], elements: Sequence[int | None]) -> None:
     """Feed one input element to each session: one decoder step over B rows.
 
-    The sessions share one context (and with it the parameters) and one target
+    The sessions share one context (and with it the engine) and one target
     cache ``kv``, and have all been fed the same number of rows, t, which each
     one's cache row must hold (``filled``, checked before any gather).
     Session b becomes row b of the cache, holding t + 1 rows.  When the
@@ -789,7 +797,7 @@ def decode_step(sessions: Sequence[DecodeSession], elements: Sequence[int | None
     """
     lead = sessions[0]
     cfg, ctx, t, kv = lead.cfg, lead.ctx, lead.t, lead.kv
-    p = ctx.params
+    p = ctx.engine.arrays
     B, d, heads, n = len(sessions), cfg.d_m, cfg.heads, ctx.n
     if t > lead.max_len:
         raise ModelError("decode session exceeded max_len")
@@ -828,20 +836,14 @@ def decode_step(sessions: Sequence[DecodeSession], elements: Sequence[int | None
         s.t = t + 1
 
 
-def decoder_forward(
-    ctx: ContextRep,
-    elements: Sequence[int],
-    cfg: ModelConfig,
-    vocab: TypeVocab,
-    traversal: Traversal = Traversal.BFS,
-) -> np.ndarray:
+def decoder_forward(ctx: ContextRep, elements: Sequence[int], traversal: Traversal = Traversal.BFS) -> np.ndarray:
     """Final-layer hidden rows of the [SOS] row and of each input element,
     fed one by one to a fresh one-row session.  Cached decoding runs the same
     ``DecodeSession.append``, so gate C9 (cached equals full, bitwise) checks
     that path against itself; the row gather of multi-row steps is checked to
     1e-12 against one-row feeds, and the engine against the tape to 1e-9.
     """
-    session = DecodeSession(ctx, cfg, vocab, traversal, max_len=len(elements) + 1)
+    session = DecodeSession(ctx, traversal, max_len=len(elements) + 1)
     rows = [session.last_hidden.copy()]
     for k in elements:
         session.append(k)
@@ -850,7 +852,7 @@ def decoder_forward(
 
 
 def span_head(
-    hidden: np.ndarray, ctx: ContextRep, cfg: ModelConfig, mask: Sequence[np.ndarray]
+    hidden: np.ndarray, ctx: ContextRep, mask: Sequence[np.ndarray]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Scores and log-probabilities of B hidden rows, (B, d): two lists of B
     rows over the output slots.
@@ -869,8 +871,8 @@ def span_head(
     against the text rows all full rows; with one row they have the shapes of
     a single-row head, so a row scored alone always gives the same bits.
     """
-    p, l_p = ctx.params, ctx.l_p
-    width = l_p + ctx.n * cfg.m
+    p, l_p, m = ctx.engine.arrays, ctx.l_p, ctx.engine.cfg.m
+    width = l_p + ctx.n * m
     s = hidden @ p["head_w5"] + p["head_b5"]
     e = hidden @ p["head_w6"] + p["head_b6"]
     type_scores = (ctx.h_types @ s.T).T + (ctx.h_types @ e.T).T
@@ -882,7 +884,7 @@ def span_head(
             continue
         block = type_scores.take(group, axis=0)  # take: a third of a fancy index's cost at one row
         if group is full:
-            block = _with_text_scores(ctx, cfg.m, s.take(group, axis=0), e.take(group, axis=0), block)
+            block = _with_text_scores(ctx, m, s.take(group, axis=0), e.take(group, axis=0), block)
         for row, b in zip(block, group):
             row += mask[b]
         for b, s_row, l_row in zip(group, block, nm.log_probs(block, width)):
@@ -917,12 +919,9 @@ class ExtractionModel:
     edge_freq: dict[int, int] = field(default_factory=dict)
     traversal: Traversal = Traversal.BFS
 
-    def open_session(
-        self, tokens: Sequence[str], max_len: int, traversal: Traversal | None = None, beam: int = 1
-    ) -> DecodeSession:
-        """Encode ``tokens`` and open a session on a target cache of ``beam`` rows."""
-        ctx = encode_context(tokens, self.cfg, self.params, self.vocab, self.token_vocab)
-        return DecodeSession(ctx, self.cfg, self.vocab, traversal or self.traversal, max_len, beam)
+    def open_session(self, *args, **kwargs) -> DecodeSession:
+        """``Engine.open_session`` on a fresh engine: the weights may have changed since the last call."""
+        return Engine(self).open_session(*args, **kwargs)
 
     def save(self, path) -> None:
         meta = {

@@ -11,6 +11,7 @@ from testutil import (
     fig4_bfs_items,
     fig4_graph,
     fit_exponent,
+    make_engine,
     open_mask,
     pinned_vocab,
     probe_decode_steps,
@@ -195,9 +196,9 @@ def test_c6_span_head_layout():
     spans_checked = 0
     for tokens, _ in ds.examples:
         n = len(tokens)
-        ctx = encode_context(tokens, cfg, params, vocab, token_vocab)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, token_vocab))
         h = rng.normal(size=cfg.d_m)
-        scores = span_head(h[None], ctx, cfg, open_mask(ctx, cfg))[0][0]
+        scores = span_head(h[None], ctx, open_mask(ctx, cfg))[0][0]
         s = h @ params["head_w5"].data + params["head_b5"].data
         e = h @ params["head_w6"].data + params["head_b6"].data
         ts_score = ctx.h_text @ s
@@ -312,17 +313,17 @@ def test_c9_incremental_equivalence():
         trv = Traversal.BFS if case % 2 == 0 else Traversal.DFS
         seq = sample_sequence(vocab, n, M, rng, traversal=trv)
         items = list(seq.items)
-        ctx = encode_context(tokens, cfg, params, vocab, token_vocab)
-        full = decoder_forward(ctx, items, cfg, vocab, trv)
-        sess = DecodeSession(ctx, cfg, vocab, trv, max_len=len(items) + 4)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, token_vocab))
+        full = decoder_forward(ctx, items, trv)
+        sess = DecodeSession(ctx, trv, max_len=len(items) + 4)
         inc = [sess.last_hidden.copy()]
         for k in items:
             sess.append(k)
             inc.append(sess.last_hidden.copy())
         inc = np.stack(inc)
         equal_rows += int(np.array_equal(full, inc))
-        s_full, _ = span_head(full[-1:], ctx, cfg, open_mask(ctx, cfg))
-        s_inc, _ = span_head(inc[-1:], ctx, cfg, open_mask(ctx, cfg))
+        s_full, _ = span_head(full[-1:], ctx, open_mask(ctx, cfg))
+        s_inc, _ = span_head(inc[-1:], ctx, open_mask(ctx, cfg))
         equal_scores += int(np.array_equal(s_full, s_inc))
     ok = equal_rows == total and equal_scores == total
     report(

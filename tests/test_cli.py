@@ -137,16 +137,23 @@ class TestCodecCommands:
         decoded = tmp_path / "decoded.jsonl"
         assert invoke("encode", "--data", str(train), "--out", str(seqs)) == 0
         header, *lines = seqs.read_text().splitlines()
+        from hyspa.data_io import default_vocab
+
+        null_root = f"{default_vocab().null_type_index} {default_vocab().sep_index}"
         lines[1] = "abc 1 2"
         lines[3] = lines[3].rsplit(" ", 1)[0]  # drops the closing [SEP]
+        lines[5] = f"-5 {null_root}"  # once blamed on the first item
+        lines[7] = f"0 {null_root}"  # once a graph over no tokens
         seqs.write_text("\n".join([header, *lines]) + "\n")
         capsys.readouterr()
         assert invoke("decode", "--seqs", str(seqs), "--out", str(decoded)) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2
+        assert len(err) == 4
         assert err[0].startswith(f"{seqs}:3: malformed sequence line")
         assert err[1].startswith(f"{seqs}:5: sequence fails structural validation")
-        assert len(decoded.read_text().splitlines()) == 58
+        assert err[2] == f"{seqs}:7: sequence line's n must be >= 1, got -5"
+        assert err[3] == f"{seqs}:9: sequence line's n must be >= 1, got 0"
+        assert len(decoded.read_text().splitlines()) == 56
 
     def test_decode_huge_n_needs_no_token_list(self, corpus, tmp_path, capsys):
         # a record of n tokens is written without building n of anything
@@ -318,10 +325,12 @@ class TestModelCommands:
         assert loaded.traversal is Traversal.DFS
         assert invoke("eval", "--model", str(ckpt), "--data", str(train), "--limit", "5") == 0
 
-    def test_extract_fails_per_line(self, tmp_path, capsys):
+    def test_extract_fails_per_line(self, tmp_path, capsys, monkeypatch):
+        # every line decodes with the one engine the command builds
+        import hyspa.cli
         from hyspa.altseq_codec import Traversal
         from hyspa.data_io import default_vocab
-        from hyspa.model import ExtractionModel, ModelConfig, TokenVocab, init_params
+        from hyspa.model import Engine, ExtractionModel, ModelConfig, TokenVocab, init_params
 
         vocab = default_vocab()
         token_vocab = TokenVocab(tokens=("[UNK]", "a", "b"))
@@ -333,7 +342,11 @@ class TestModelCommands:
         sents = tmp_path / "sents.txt"
         sents.write_text("\n".join(lines) + "\n")
         out = tmp_path / "extracted.jsonl"
+        built = []
+        monkeypatch.setattr(hyspa.cli, "Engine", lambda model: built.append(model) or Engine(model))
+        monkeypatch.setattr(ExtractionModel, "open_session", None)  # no engine per line
         assert invoke("extract", "--model", str(ckpt), "--input", str(sents), "--out", str(out)) == 1
+        assert len(built) == 1
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["tokens"] for r in records] == [line.split() for line in lines]
         assert "max_tokens" in records[1]["diagnostics"]

@@ -17,8 +17,8 @@ from hyspa.decode_search import (
 )
 from hyspa.hybrid_index import TextSpan
 from hyspa.info_graph import Mention, RelationEdge, canonicalize, graph_equal, make_graph, validate_graph
-from hyspa.model import ExtractionModel, ModelConfig, init_params, prepare_training_data
-from hyspa.numerics import NEG_INF
+from hyspa.model import Engine, ExtractionModel, ModelConfig, init_params, prepare_training_data, train_step
+from hyspa.numerics import NEG_INF, AdamW, Tensor
 from hyspa.type_vocab import build_vocab
 
 
@@ -79,7 +79,7 @@ def _patch_scripted(monkeypatch):
     batched decoder step through each session's own append."""
     import hyspa.decode_search as ds_mod
 
-    def fake_step_logprobs(model, sessions, machines):
+    def fake_step_logprobs(sessions, machines):
         assert len(sessions) == len(machines)
         rows = []
         for session, machine in zip(sessions, machines):
@@ -342,6 +342,53 @@ class TestExtract:
         # limit=0 once evaluated every record
         with pytest.raises(ValueError, match=f"limit must be >= 1, got {limit}"):
             evaluate_model(None, [(("tok",), None)], limit=limit)
+
+    def test_evaluate_model_decodes_as_extract_graph_per_input(self, random_model, monkeypatch):
+        # one engine for the whole call, and the items per-input extractions give
+        import hyspa.decode_search as ds_mod
+
+        model, ds = random_model
+        examples = ds.examples[:6]
+        built, decoded = [], []
+
+        class CountingEngine(Engine):
+            def __init__(self, m):
+                built.append(m)
+                super().__init__(m)
+
+        def recording(engine, tokens, **kwargs):
+            res = extract_graph(engine, tokens, **kwargs)
+            decoded.append(res.seq.items)
+            return res
+
+        monkeypatch.setattr(ds_mod, "Engine", CountingEngine)
+        monkeypatch.setattr(ds_mod, "extract_graph", recording)
+        for beam in (1, 5):
+            built.clear(), decoded.clear()
+            evaluate_model(model, examples, beam=beam)
+            assert built == [model]
+            assert decoded == [extract_graph(model, tokens, beam=beam).seq.items for tokens, _ in examples]
+
+    def test_engine_never_serves_stale_weights(self, random_model, tmp_path):
+        # decode, take one optimizer step on the same params, decode again: the
+        # second decode is a freshly loaded checkpoint's, bit for bit, and not
+        # the first one's
+        model, ds = random_model
+        params = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in model.params.items()}
+        live = ExtractionModel(model.cfg, params, model.vocab, model.token_vocab, model.edge_freq, model.traversal)
+        _, prepared = prepare_training_data(ds)
+        inputs = [tokens for tokens, _ in ds.examples[:4]]
+
+        def decode(m):
+            runs = [beam_decode(m, tokens, beam=beam) for beam in (1, 5) for tokens in inputs]
+            return [(r.seq.items, r.score.hex()) for r in runs]
+
+        before = decode(live)
+        train_step(prepared[:4], live.cfg, params, AdamW(params, peak_lr=1e-2, warmup=1))
+        after = decode(live)
+        live.save(tmp_path / "stepped.npz")
+        assert after == decode(ExtractionModel.load(tmp_path / "stepped.npz"))
+        assert all(b[1] != a[1] for b, a in zip(before, after))
 
     def test_rigged_fig4_graph(self, vocab, monkeypatch):
         _patch_scripted(monkeypatch)

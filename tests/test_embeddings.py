@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from testutil import FIG4_TOKENS, fig4_bfs_items, pinned_vocab, positions, random_edge_freq, random_graph
+from testutil import (
+    FIG4_TOKENS,
+    fig4_bfs_items,
+    make_engine,
+    pinned_vocab,
+    positions,
+    random_edge_freq,
+    random_graph,
+)
 
 from hyspa.altseq_codec import AltSequence, Traversal, encode
 from hyspa.embeddings import TREE_BRANCH_CAP, bfs_components, sinusoidal
@@ -14,10 +22,10 @@ from hyspa.model import (
     ModelConfig,
     TokenVocab,
     _traversal_embedding,
-    _traversal_row,
     encode_context,
     init_params,
 )
+from hyspa.numerics import Tensor
 
 
 def bfs_seq(vocab, items, n=9, m=16):
@@ -63,8 +71,11 @@ def expected_role_and_path(offset: int, is_sep: bool) -> tuple[str, tuple[int, i
 
 
 def traversal_rows(pos, traversal, d, tables):
-    """The inference engine's traversal embedding, one row per position."""
-    return np.stack([_traversal_row(p, traversal, d, tables) for p in pos])
+    """The inference engine's traversal embedding, one row per position, from an
+    engine whose only weights are ``tables``."""
+    weights = {k: Tensor(v) for k, v in tables.items()}
+    engine = make_engine(ModelConfig(d_m=d, layers=0, heads=1), weights, pinned_vocab(), TokenVocab(("[UNK]",)))
+    return np.stack([engine.traversal_row(traversal, p) for p in pos])
 
 
 class TestSinusoidal:
@@ -266,21 +277,22 @@ class TestPositionRule:
     def test_tape_rows_equal_engine_rows_bitwise(self, vocab, engine, streams, traversal):
         # (level, offset) is the split-on-[SEP] oracle's in both, the BFS roles
         # and paths are the oracle's, and the engine's memoised row of each
-        # item is the tape's row, bit for bit
+        # item is the tape's row, bit for bit, whether the memo of the one
+        # engine every sequence shares computed it or served it
         cfg, params, token_vocab = engine
         seqs = [AltSequence(tuple(items), traversal, vocab, len(FIG4_TOKENS), cfg.m) for items in streams]
         t_pad = max(len(seq.items) for seq in seqs) + 1
         tape = _traversal_embedding(seqs, t_pad, cfg, params).data
+        shared = make_engine(cfg, params, vocab, token_vocab)
         for b, seq in enumerate(seqs):
             oracle = split_on_sep(seq.items, SEP)
             assert [(level, offset) for level, offset, _ in positions(seq)] == oracle
             _, roles, trees = bfs_components(positions(seq), cfg.d_m)
             for (_, offset), k, r, t in zip(oracle, seq.items, roles, trees):
                 assert (role(r, t), path(t)) == expected_role_and_path(offset, k == SEP)
-            ctx = encode_context(FIG4_TOKENS, cfg, params, vocab, token_vocab)
-            session = DecodeSession(ctx, cfg, vocab, traversal, max_len=len(seq.items) + 1)
+            session = DecodeSession(encode_context(FIG4_TOKENS, shared), traversal, max_len=len(seq.items) + 1)
             for i, ((level, offset), k) in enumerate(zip(oracle, seq.items)):
                 assert (session.level, session.offset) == (level, offset)
                 session._input_row(k)
-                assert np.array_equal(ctx.rows[traversal, (level, offset, k == SEP)], tape[b, 1 + i])
+                assert np.array_equal(shared.rows[traversal, (level, offset, k == SEP)], tape[b, 1 + i])
             assert not tape[b, len(seq.items) + 1 :].any()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from testutil import FIG4_TOKENS, open_mask, positions, random_edge_freq, random_graph
+from testutil import FIG4_TOKENS, make_engine, open_mask, positions, random_edge_freq, random_graph
 
 from hyspa import numerics as nm
 from hyspa.altseq_codec import AltSequence, Traversal, decode_sequence, encode, encode_bfs
@@ -53,14 +53,14 @@ class TestEncodeContext:
     def test_row_count(self, vocab, setup):
         ds, tv, cfg, params = setup
         tokens = ds.examples[0][0]
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         assert ctx.H.shape == (vocab.l_p + len(tokens), cfg.d_m)
 
     def test_meta_type_rows_match_table(self, vocab, setup):
         ds, tv, cfg, params = setup
         tokens = ds.examples[0][0]
         n = len(tokens)
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         seg = segment_ids(vocab, n)
         from hyspa.embeddings import sinusoidal
         from hyspa.model import _h_row_ids
@@ -74,14 +74,14 @@ class TestEncodeContext:
 
     def test_unknown_token_uses_reserved_id(self, vocab, setup):
         _, tv, cfg, params = setup
-        ctx_unk = encode_context(("zzz-not-in-vocab", "."), cfg, params, vocab, tv)
+        ctx_unk = encode_context(("zzz-not-in-vocab", "."), make_engine(cfg, params, vocab, tv))
         assert ctx_unk.H.shape[0] == vocab.l_p + 2
 
     def test_overlength_rejected(self, vocab, setup):
         _, tv, cfg, params = setup
         small = ModelConfig(d_m=32, layers=1, heads=4, m=16, dropout=0.0, max_tokens=4)
         with pytest.raises(ModelError):
-            encode_context(("a",) * 5, small, params, vocab, tv)
+            encode_context(("a",) * 5, make_engine(small, params, vocab, tv))
 
     def test_odd_width_rejected(self):
         with pytest.raises(ModelError, match="even"):
@@ -123,7 +123,7 @@ class TestEncodeContext:
         if rows is not None:
             monkeypatch.setattr(hm, "_SCORE_CELLS", heads * rows * n)
         tokens = tuple(np.random.default_rng(n).choice(tv.tokens, n))
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
 
         p = {k: v.data for k, v in params.items()}
         d, dh = cfg.d_m, cfg.d_m // heads
@@ -153,7 +153,7 @@ class TestEncodeContext:
             tokens = [f"tok{i % 64}" for i in range(n)]
             tracemalloc.start()
             try:
-                encode_context(tokens, cfg, params, vocab, tv)
+                encode_context(tokens, make_engine(cfg, params, vocab, tv))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -172,20 +172,20 @@ class TestSpanEncoding:
     def test_type_element_is_exactly_its_row(self, vocab, setup):
         ds, tv, cfg, params = setup
         tokens = ds.examples[0][0]
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         from hyspa.model import _span_row
 
         for k in (0, vocab.sep_index, vocab.l_e, vocab.l_p - 1):
-            assert np.array_equal(_span_row(ctx, k, cfg.m), ctx.H[k])
+            assert np.array_equal(_span_row(ctx, k), ctx.H[k])
 
     def test_two_token_span_is_convex_combination(self, vocab, setup):
         ds, tv, cfg, params = setup
         tokens = ds.examples[0][0]
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         k = span_to_index(TextSpan(1, 3), cfg.m, vocab.l_p)
         from hyspa.model import _span_row
 
-        row = _span_row(ctx, k, cfg.m)
+        row = _span_row(ctx, k)
         lo, hi = vocab.l_p + 1, vocab.l_p + 2
         w = np.linalg.lstsq(ctx.H[lo : hi + 1].T, row, rcond=None)[0]
         assert np.all(w > 0)
@@ -195,7 +195,7 @@ class TestSpanEncoding:
         ds, tv, cfg, params = setup
         tokens = ds.examples[2][0]
         n = len(tokens)
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         items = [vocab.sos_index, vocab.l_e, span_to_index(TextSpan(1, 2), cfg.m, vocab.l_p)]
         m0 = window_mask([index_to_hspan(k, cfg.m, vocab.l_p, n) for k in items], vocab.l_p + n)
         q = ctx.H[vocab.l_p] @ params["span_w1"].data + params["span_b1"].data
@@ -207,7 +207,7 @@ class TestSpanEncoding:
         from hyspa.model import _span_row
 
         for i, k in enumerate(items):
-            assert np.allclose(_span_row(ctx, k, cfg.m), ref[i], atol=1e-10)
+            assert np.allclose(_span_row(ctx, k), ref[i], atol=1e-10)
 
 
 class TestEncodeHybridSpans:
@@ -223,8 +223,8 @@ class TestEncodeHybridSpans:
         for idx, traversal in itertools.product(range(5), (Traversal.BFS, Traversal.DFS)):
             tokens, g = ds.examples[idx]
             seq = encode(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m, traversal)
-            ctx = encode_context(tokens, cfg, params, vocab, tv)
-            sess = DecodeSession(ctx, cfg, vocab, traversal, max_len=len(seq.items) + 4)
+            ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
+            sess = DecodeSession(ctx, traversal, max_len=len(seq.items) + 4)
             rows = np.stack([sess._input_row(k) for k in seq.items])
 
             n, l_p = seq.n, vocab.l_p
@@ -245,14 +245,13 @@ class TestEncodeHybridSpans:
             assert np.allclose(rows, ref, atol=1e-10)
 
     def test_engine_traversal_rows_equal_tape_bitwise(self, vocab, setup):
-        # the engine's one-position traversal rows are the tape's rows of a
+        # the engine's memoised one-position traversal rows are the tape's rows of a
         # padded batch of random graphs, bit for bit, under BFS and DFS
         from testutil import random_graph
 
-        from hyspa.model import _traversal_embedding, _traversal_row
+        from hyspa.model import _traversal_embedding
 
-        _, _, cfg, params = setup
-        tables = {k: v.data for k, v in params.items()}
+        _, tv, cfg, params = setup
         rng = np.random.default_rng(14)
         for traversal in (Traversal.BFS, Traversal.DFS):
             for _ in range(4):
@@ -261,7 +260,9 @@ class TestEncodeHybridSpans:
                 t_pad = max(len(seq.items) for seq in seqs) + 1
                 tape = _traversal_embedding(seqs, t_pad, cfg, params).data
                 for b, seq in enumerate(seqs):
-                    rows = [_traversal_row(p, traversal, cfg.d_m, tables) for p in positions(seq)]
+                    engine = make_engine(cfg, params, vocab, tv)
+                    rows = [engine.traversal_row(traversal, p) for p in positions(seq)]
+                    assert all(engine.rows[traversal, p] is row for p, row in zip(positions(seq), rows))
                     assert np.array_equal(np.stack(rows), tape[b, 1 : len(seq.items) + 1])
                     assert not tape[b, len(seq.items) + 1 :].any()
 
@@ -273,9 +274,9 @@ class TestDecoderForward:
         for idx in range(5):
             tokens, g = ds.examples[idx]
             seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
-            ctx = encode_context(tokens, cfg, params, vocab, tv)
-            full = decoder_forward(ctx, list(seq.items), cfg, vocab, Traversal.BFS)
-            sess = DecodeSession(ctx, cfg, vocab, Traversal.BFS, max_len=len(seq.items) + 4)
+            ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
+            full = decoder_forward(ctx, list(seq.items), Traversal.BFS)
+            sess = DecodeSession(ctx, Traversal.BFS, max_len=len(seq.items) + 4)
             rows = [sess.last_hidden.copy()]
             for k in seq.items:
                 sess.append(k)
@@ -287,11 +288,11 @@ class TestDecoderForward:
         cfg0 = ModelConfig(d_m=32, layers=0, heads=4, m=16, dropout=0.0)
         params0 = init_params(cfg0, vocab, tv, seed=2)
         tokens = ds.examples[0][0]
-        ctx = encode_context(tokens, cfg0, params0, vocab, tv)
+        ctx = encode_context(tokens, make_engine(cfg0, params0, vocab, tv))
         from hyspa.model import _span_row
 
-        rows = decoder_forward(ctx, [vocab.l_e], cfg0, vocab, Traversal.BFS)
-        expected0 = _span_row(ctx, vocab.sos_index, cfg0.m) + params0["srctgt"].data[1]
+        rows = decoder_forward(ctx, [vocab.l_e], Traversal.BFS)
+        expected0 = _span_row(ctx, vocab.sos_index) + params0["srctgt"].data[1]
         assert np.allclose(rows[0], expected0)
 
     def test_causality_under_perturbation(self, vocab, setup):
@@ -299,11 +300,11 @@ class TestDecoderForward:
         tokens, g = ds.examples[1]
         seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
         items = list(seq.items)
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
-        base = decoder_forward(ctx, items, cfg, vocab, Traversal.BFS)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
+        base = decoder_forward(ctx, items, Traversal.BFS)
         # perturb the last element; earlier rows must not move
         items2 = items[:-1] + [vocab.null_type_index]
-        pert = decoder_forward(ctx, items2, cfg, vocab, Traversal.BFS)
+        pert = decoder_forward(ctx, items2, Traversal.BFS)
         assert np.array_equal(base[: len(items)], pert[: len(items)])
         assert not np.allclose(base[-1], pert[-1])
 
@@ -313,8 +314,8 @@ class TestDecoderForward:
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[1]
         seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
-        sess = DecodeSession(ctx, cfg, vocab, Traversal.BFS, max_len=32, beam=2)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
+        sess = DecodeSession(ctx, Traversal.BFS, max_len=32, beam=2)
         sess.append(seq.items[0])
         fork = sess.fork()
         decode_step([sess, fork], [seq.items[1], seq.items[1]])
@@ -334,9 +335,9 @@ class TestDecoderForward:
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[1]
         items = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m).items
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         for beam, fork_first in itertools.product((1, 2), (True, False)):
-            sess = DecodeSession(ctx, cfg, vocab, Traversal.BFS, max_len=32, beam=beam)
+            sess = DecodeSession(ctx, Traversal.BFS, max_len=32, beam=beam)
             sess.append(items[0])
             fork = sess.fork()
             first, second = (fork, sess) if fork_first else (sess, fork)
@@ -354,15 +355,15 @@ class TestDecoderForward:
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[2]
         items = list(encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m).items)
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
-        fresh = DecodeSession(ctx, cfg, vocab, Traversal.BFS, max_len=len(items) + 4)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
+        fresh = DecodeSession(ctx, Traversal.BFS, max_len=len(items) + 4)
         want = [fresh.last_hidden.copy()]
         for k in items:
             fresh.append(k)
             want.append(fresh.last_hidden.copy())
         filled = len(items) + 1
         for t in range(len(items)):
-            sess = DecodeSession(ctx, cfg, vocab, Traversal.BFS, max_len=len(items) + 4, beam=2)
+            sess = DecodeSession(ctx, Traversal.BFS, max_len=len(items) + 4, beam=2)
             for k in items[:t]:
                 sess.append(k)
             fork = sess.fork()
@@ -386,13 +387,13 @@ class TestDecoderForward:
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[2]
         items = list(encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m).items)
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         t = 6
         histories = [items[:t], items[: t - 1] + [vocab.sep_index], items[1 : t + 1], [vocab.l_p] * t]
         nexts = [items[t], vocab.l_p + cfg.m, vocab.sep_index, vocab.type_edge_index]
 
         def fed(history):
-            sess = DecodeSession(ctx, cfg, vocab, Traversal.BFS, max_len=t + 4)
+            sess = DecodeSession(ctx, Traversal.BFS, max_len=t + 4)
             for k in history:
                 sess.append(k)
             return sess
@@ -400,7 +401,7 @@ class TestDecoderForward:
         alone = [fed(h) for h in histories]
         for sess, k in zip(alone, nexts):
             sess.append(k)
-        root = DecodeSession(ctx, cfg, vocab, Traversal.BFS, max_len=t + 4, beam=len(histories))
+        root = DecodeSession(ctx, Traversal.BFS, max_len=t + 4, beam=len(histories))
         batch = [root] + [root.fork() for _ in histories[1:]]
         for step in zip(*histories):
             decode_step(batch, step)
@@ -431,14 +432,14 @@ class TestSpanHead:
         ds, tv, cfg, params = setup
         tokens = ds.examples[2][0]
         size = vocab.l_p + len(tokens) * cfg.m
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         rng = np.random.default_rng(6)
         hidden = rng.normal(size=(6, cfg.d_m))
         mask = np.where(rng.random((6, size)) < 0.3, NEG_INF, 0.0)
-        scores, logp = span_head(hidden, ctx, cfg, mask)
+        scores, logp = span_head(hidden, ctx, mask)
         assert np.shape(scores) == np.shape(logp) == (6, size)
         for b in range(6):
-            s1, l1 = span_head(hidden[b : b + 1], ctx, cfg, mask[b : b + 1])
+            s1, l1 = span_head(hidden[b : b + 1], ctx, mask[b : b + 1])
             adm = s1[0] > NEG_INF / 2
             assert adm.any()
             assert np.array_equal(scores[b] > NEG_INF / 2, adm)
@@ -449,10 +450,10 @@ class TestSpanHead:
     def test_probabilities_normalize_over_admissible(self, vocab, setup):
         ds, tv, cfg, params = setup
         tokens = ds.examples[0][0]
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         h = np.random.default_rng(3).normal(size=(1, cfg.d_m))
         mask = np.where(np.arange(vocab.l_p + len(tokens) * cfg.m) % 3 == 0, NEG_INF, 0.0)
-        scores, logp = span_head(h, ctx, cfg, mask[None])
+        scores, logp = span_head(h, ctx, mask[None])
         p = np.exp(logp[0])
         adm = scores[0] > NEG_INF / 2
         assert np.isclose(p[adm].sum(), 1.0)
@@ -462,11 +463,11 @@ class TestSpanHead:
         # the engine's log-probabilities are the tape's log_softmax forward
         ds, tv, cfg, params = setup
         tokens = ds.examples[2][0]
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         rng = np.random.default_rng(8)
         hidden = rng.normal(size=(3, cfg.d_m)) * 3
         mask = np.where(rng.random((3, vocab.l_p + len(tokens) * cfg.m)) < 0.3, NEG_INF, 0.0)
-        scores, logp = span_head(hidden, ctx, cfg, mask)
+        scores, logp = span_head(hidden, ctx, mask)
         for row, want in zip(logp, nm.log_softmax(np.array(scores)).data):
             assert np.array_equal(row, want)
 
@@ -474,10 +475,10 @@ class TestSpanHead:
         ds, tv, cfg, params = setup
         tokens = ds.examples[2][0]
         n = len(tokens)
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         rng = np.random.default_rng(4)
         h = rng.normal(size=cfg.d_m)
-        scores = span_head(h[None], ctx, cfg, open_mask(ctx, cfg))[0][0]
+        scores = span_head(h[None], ctx, open_mask(ctx, cfg))[0][0]
         s = h @ params["head_w5"].data + params["head_b5"].data
         e = h @ params["head_w6"].data + params["head_b6"].data
         ts_score = ctx.h_text @ s
@@ -492,8 +493,8 @@ class TestSpanHead:
         ds, tv, cfg, params = setup
         tokens = ds.examples[0][0]
         n = len(tokens)
-        ctx = encode_context(tokens, cfg, params, vocab, tv)
-        scores = span_head(np.zeros((1, cfg.d_m)), ctx, cfg, open_mask(ctx, cfg))[0][0]
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
+        scores = span_head(np.zeros((1, cfg.d_m)), ctx, open_mask(ctx, cfg))[0][0]
         for j in range(n):
             for d in range(cfg.m):
                 if j + d >= n:
@@ -502,9 +503,9 @@ class TestSpanHead:
     @pytest.mark.parametrize("n", [5, 16, 23])  # n < m, n = m, n > m
     def test_window_fill_bitwise_equals_diagonal_loop(self, vocab, setup, n):
         _, tv, cfg, params = setup
-        ctx = encode_context(("tok",) * n, cfg, params, vocab, tv)
+        ctx = encode_context(("tok",) * n, make_engine(cfg, params, vocab, tv))
         for h in np.random.default_rng(n).normal(size=(2, cfg.d_m)):
-            row = span_head(h[None], ctx, cfg, open_mask(ctx, cfg))[0][0]
+            row = span_head(h[None], ctx, open_mask(ctx, cfg))[0][0]
             s = h @ params["head_w5"].data + params["head_b5"].data
             e = h @ params["head_w6"].data + params["head_b6"].data
             ts_vec, te_vec = ctx.h_text @ s, ctx.h_text @ e
@@ -523,7 +524,7 @@ class TestSpanHead:
         machine = GenConstraints(vocab, len(tokens), cfg.m, Traversal.BFS, max_len=32)
         machine.push(vocab.l_p)
         session.append(vocab.l_p)
-        logp = _step_logprobs(model, [session], [machine])[0]
+        logp = _step_logprobs([session], [machine])[0]
         assert len(logp) == vocab.l_p  # a type-only row: no span slot is scored
         assert np.exp(logp[vocab.l_p :]).sum() == 0.0
         assert np.exp(logp[vocab.type_edge_index]) == pytest.approx(1.0)
@@ -538,7 +539,7 @@ class TestSpanHead:
         # (a plain sequential sum) changes the last bits of some rows
         _, tv, cfg, params = setup
         l_p, spans = vocab.l_p, n * cfg.m
-        ctx = encode_context(("tok",) * n, cfg, params, vocab, tv)
+        ctx = encode_context(("tok",) * n, make_engine(cfg, params, vocab, tv))
         rng = np.random.default_rng(n)
         for _ in range(4):
             hidden = rng.normal(size=(5, cfg.d_m)) * 3
@@ -552,8 +553,8 @@ class TestSpanHead:
             mixed = [full[b] if b in (1, 3) else short[b] for b in range(5)]
             dense = [full[b] if b in (1, 3) else closed[b] for b in range(5)]
             for masks, ref in ((short[:1], closed[:1]), (mixed, dense)):
-                got_s, got_l = span_head(hidden[: len(masks)], ctx, cfg, masks)
-                want_s, want_l = span_head(hidden[: len(masks)], ctx, cfg, np.array(ref))
+                got_s, got_l = span_head(hidden[: len(masks)], ctx, masks)
+                want_s, want_l = span_head(hidden[: len(masks)], ctx, np.array(ref))
                 for b, mask in enumerate(masks):
                     assert len(got_s[b]) == len(got_l[b]) == len(mask)
                     if len(mask) == l_p:
@@ -578,9 +579,9 @@ class TestTrainingPath:
                 assert len({len(ids) for ids, _ in batch}) > 2 and len({len(s.items) for _, s in batch}) > 2
             logits, _ = sequence_logits(batch, cfg, params)
             for b, (ids, seq) in enumerate(batch):
-                ctx = encode_context(ds.examples[idxs[b]][0], cfg, params, vocab, tv)
-                rows = decoder_forward(ctx, list(seq.items), cfg, vocab, traversal)
-                scores, _ = span_head(rows, ctx, cfg, open_mask(ctx, cfg, len(rows)))
+                ctx = encode_context(ds.examples[idxs[b]][0], make_engine(cfg, params, vocab, tv))
+                rows = decoder_forward(ctx, list(seq.items), traversal)
+                scores, _ = span_head(rows, ctx, open_mask(ctx, cfg, len(rows)))
                 for i, row in enumerate(scores):
                     tape = logits.data[b, i, : len(row)]
                     adm = tape > NEG_INF / 2

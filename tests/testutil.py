@@ -12,7 +12,7 @@ from hyspa.decode_search import GenConstraints, _step_logprobs
 from hyspa.embeddings import advance
 from hyspa.hybrid_index import TextSpan
 from hyspa.info_graph import InfoGraph, Mention, RelationEdge, make_graph
-from hyspa.model import ExtractionModel, decode_step
+from hyspa.model import Engine, ExtractionModel, decode_step
 from hyspa.numerics import NEG_INF
 from hyspa.type_vocab import TypeVocab, build_vocab
 
@@ -54,6 +54,11 @@ def positions(seq):
         out.append((level, offset, k == sep))
         level, offset = advance(level, offset, k, sep)
     return out
+
+
+def make_engine(cfg, params, vocab, token_vocab) -> Engine:
+    """A decoding engine on these weights, with the BFS traversal by default."""
+    return Engine(ExtractionModel(cfg, params, vocab, token_vocab))
 
 
 def open_mask(ctx, cfg, rows: int = 1) -> np.ndarray:
@@ -135,7 +140,7 @@ def probe_decode_steps(
         def one_step() -> int:
             nonlocal hyps
             sessions, machines = zip(*hyps)
-            logps = _step_logprobs(model, sessions, machines)
+            logps = _step_logprobs(sessions, machines)
             picks = []
             for logp, hyp_machine in zip(logps, machines):
                 k = int(np.argmax(logp))
