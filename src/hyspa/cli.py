@@ -387,6 +387,11 @@ _COMMANDS = {
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "train" and args.stop_em is not None:  # the dev evaluation is what it stops on
+        if not args.dev:
+            parser.error("--stop-em needs --dev: it stops on the dev exact match")
+        if not args.eval_every:
+            parser.error("--stop-em needs --eval-every of at least 1: with 0 the dev set is never evaluated")
     try:
         return _COMMANDS[args.command](args)
     except (OSError, ValueError, FloatingPointError) as err:

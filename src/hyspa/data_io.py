@@ -66,16 +66,36 @@ class Dataset:
 
 
 def record_to_graph(record: dict, vocab: TypeVocab, m: int) -> tuple[tuple[str, ...], InfoGraph]:
-    tokens = tuple(record["tokens"])
+    """A corpus record as (tokens, graph).  ``tokens`` must be a list of
+    strings, and ``start``, ``end``, ``head`` and ``tail`` integers; anything
+    else, a JSON float or bool too, raises TypeError naming the field."""
+    tokens = record["tokens"]
+    if type(tokens) is not list or not _all_strings(tokens):
+        raise TypeError(f"tokens must be a list of strings, got {tokens!r:.60}")
     mentions = [
-        Mention(TextSpan(ent["start"], ent["end"]), vocab.index(ent["type"]))
+        Mention(TextSpan(_integer(ent, "start"), _integer(ent, "end")), vocab.index(ent["type"]))
         for ent in record.get("entities", [])
     ]
     relations = [
-        RelationEdge(rel["head"], rel["tail"], vocab.index(rel["type"]))
+        RelationEdge(_integer(rel, "head"), _integer(rel, "tail"), vocab.index(rel["type"]))
         for rel in record.get("relations", [])
     ]
-    return tokens, make_graph(mentions, relations, n=len(tokens), m=m)
+    return tuple(tokens), make_graph(mentions, relations, n=len(tokens), m=m)
+
+
+def _all_strings(items: list) -> bool:
+    try:
+        "".join(items)  # TypeError at the first item that is not a string, at a fifth of a Python loop's cost
+    except TypeError:
+        return False
+    return True
+
+
+def _integer(item: dict, name: str) -> int:
+    value = item[name]
+    if type(value) is not int:  # JSON true is a bool, which isinstance(value, int) admits
+        raise TypeError(f"{name} must be an integer, got {value!r:.60}")
+    return value
 
 
 def graph_to_record(tokens: Sequence[str], g: InfoGraph, vocab: TypeVocab) -> dict:

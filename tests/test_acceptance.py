@@ -254,6 +254,34 @@ def test_c7_linear_scaling():
     assert ok and beam_ok
 
 
+def test_c7_context_encoding_is_linear():
+    # the source self-attention is local: each source token attends within
+    # the default radius, so encoding an input is linear in n as well
+    vocab = pinned_vocab()
+    token_vocab = TokenVocab(tokens=("[UNK]", *[f"tok{i}" for i in range(64)]))
+    cfg = ModelConfig(d_m=64, layers=2, heads=8, m=M, dropout=0.0, max_tokens=1100)
+    engine = make_engine(cfg, init_params(cfg, vocab, token_vocab, seed=13), vocab, token_vocab)
+    rng = np.random.default_rng(0)
+    ns = (128, 256, 512, 1024)
+    inputs = [[f"tok{int(t)}" for t in rng.integers(0, 64, size=n)] for n in ns]
+    seconds = [float("inf")] * len(ns)
+    for _ in range(5):  # rounds over every size, so a burst of host load hits them alike
+        for j, tokens in enumerate(inputs):
+            t0 = time.perf_counter()
+            encode_context(tokens, engine)
+            seconds[j] = min(seconds[j], time.perf_counter() - t0)
+    exponent = fit_exponent(ns, seconds)
+    ok = exponent < 1.2
+    times = ", ".join(f"n={n}:{t * 1e3:.2f}ms" for n, t in zip(ns, seconds))
+    report(
+        "C7 linear scaling, context encoding",
+        ok,
+        f"time exponent {exponent:.3f} (< 1.2) of encode_context at source radius {cfg.source_radius}, "
+        f"min of 5; [{times}]",
+    )
+    assert ok
+
+
 def test_c8_toy_learning():
     t0 = time.time()
     vocab = pinned_vocab()

@@ -262,6 +262,16 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, needs", [
+        ((), "--dev"), (("--dev", "x.jsonl", "--eval-every", "0"), "--eval-every"),
+    ], ids=["no dev", "eval-every 0"])
+    def test_stop_em_where_it_never_acts_is_a_usage_error(self, extra, needs, capsys):
+        # without a dev evaluation --stop-em was parsed and never read
+        with pytest.raises(SystemExit) as exc:
+            invoke("train", "--data", "x.jsonl", "--out", "m.npz", "--stop-em", "0.5", *extra)
+        assert exc.value.code == 2
+        assert f"error: --stop-em needs {needs}" in capsys.readouterr().err
+
     def test_every_flag_has_a_reader(self):
         # each subcommand's flags are exactly the args.X names its handler reads
         # (vocab through _load_vocab_arg)
@@ -492,7 +502,50 @@ def good_files(corpus):
     return files
 
 
+GOOD_RECORD = '{"tokens": ["a", "b"], "entities": [{"start": 0, "end": 1, "type": "PER"}], "relations": []}'
+
+# records whose fields have the wrong JSON type, and the message naming the field
+MISTYPED = {
+    "float offsets": (
+        '{"tokens": ["a", "b"], "entities": [{"start": 0.0, "end": 1.0, "type": "PER"}], "relations": []}',
+        "start must be an integer, got 0.0",
+    ),
+    "string tokens": ('{"tokens": "John lives", "entities": [], "relations": []}',
+                      "tokens must be a list of strings, got 'John lives'"),
+    "number token": ('{"tokens": ["a", 3], "entities": [], "relations": []}',
+                     "tokens must be a list of strings, got ['a', 3]"),
+    "bool offsets": (
+        '{"tokens": ["a", "b"], "entities": [{"start": false, "end": true, "type": "PER"}], "relations": []}',
+        "start must be an integer, got False",
+    ),
+    "bool relation refs": (
+        '{"tokens": ["a", "b"], "entities": [{"start": 0, "end": 1, "type": "PER"}, '
+        '{"start": 1, "end": 2, "type": "ORG"}], "relations": [{"head": true, "tail": false, "type": "PHYS"}]}',
+        "head must be an integer, got True",
+    ),
+}
+
+
 class TestMalformedFiles:
+    @pytest.mark.parametrize("command", ["validate", "roundtrip", "encode"])
+    @pytest.mark.parametrize("kind", MISTYPED)
+    def test_mistyped_field_is_a_malformed_record(self, tmp_path, capsys, command, kind):
+        # each once passed validate and roundtrip, and float offsets made encode
+        # write a dump line ("2 19.0 0 11 10") that decode refused
+        line, message = MISTYPED[kind]
+        data = tmp_path / "bad.jsonl"
+        data.write_text(f"{GOOD_RECORD}\n{line}\n")
+        out = tmp_path / "seqs.txt"
+        argv = ["encode", "--data", str(data), "--out", str(out)] if command == "encode" else [command, "--data", str(data)]
+        assert invoke(*argv) == 1
+        captured = capsys.readouterr()
+        if command == "validate":
+            assert f"{data}:2: malformed record: {message}" in captured.out
+            assert "validate: 1/2 ok" in captured.out
+        else:
+            assert f"error: {data}:2: malformed record: {message}" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", MALFORMED)
     @pytest.mark.parametrize("flag", FILE_FLAGS)
     def test_bad_file_fails_with_message(self, good_files, tmp_path, capsys, flag, kind):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,8 @@ class TestEncodeContext:
         (dict(max_tokens=0), "max_tokens >= 1"), (dict(d_m=16.0), "d_m must be an integer"),
         (dict(layers=1.0), "layers must be an integer"), (dict(heads=True), "heads must be an integer"),
         (dict(m="16"), "m must be an integer"),
+        *((dict(source_radius=radius), "source_radius must be None or an integer >= 1")
+          for radius in (True, 0, -3, 2.5, "64")),
     ])
     def test_bad_size_rejected_before_use(self, size, message):
         # heads=0 once raised ZeroDivisionError from d_m % heads, and a float
@@ -106,22 +109,28 @@ class TestEncodeContext:
 
     # n against a chunk of R = 5 query rows: one short chunk, one full chunk,
     # a full chunk and a one-row chunk, a ragged last chunk; None keeps the
-    # module's cell budget (two or three chunks at n = 300, ragged).
+    # module's cell budget (two or three chunks at n = 300, ragged).  A source
+    # radius of 2 closes pairs inside a chunk of 5 rows; under a radius of 11
+    # a chunk's keys span several chunks; None is full attention.
     @pytest.mark.parametrize("heads", [4, 8])
-    @pytest.mark.parametrize("n, rows", [(1, 5), (4, 5), (5, 5), (6, 5), (13, 5), (300, None)])
-    def test_chunked_attention_matches_per_head_reference(self, vocab, setup, monkeypatch, heads, n, rows):
+    @pytest.mark.parametrize("n, rows, radius", [
+        pytest.param(n, rows, radius, id=f"{n}-{rows}" + (f"-r{radius}" if radius else ""))
+        for radius in (None, 2, 11) for n, rows in [(1, 5), (4, 5), (5, 5), (6, 5), (13, 5), (300, None)]
+    ])
+    def test_chunked_attention_matches_per_head_reference(self, vocab, setup, monkeypatch, heads, n, rows, radius):
         import math
 
         from hyspa import model as hm
 
         _, tv, _, _ = setup
-        cfg = ModelConfig(d_m=32, layers=3, heads=heads, m=16, dropout=0.0)
+        cfg = ModelConfig(d_m=32, layers=3, heads=heads, m=16, dropout=0.0, source_radius=radius)
         params = init_params(cfg, vocab, tv, seed=4)
         for i in range(cfg.layers):  # peaked attention weights, not near-uniform ones
             params[f"L{i}.wq"].data *= 30.0
             params[f"L{i}.wk"].data *= 30.0
         if rows is not None:
             monkeypatch.setattr(hm, "_SCORE_CELLS", heads * rows * n)
+            monkeypatch.setattr(hm, "_BAND_ROWS", rows)
         tokens = tuple(np.random.default_rng(n).choice(tv.tokens, n))
         ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
 
@@ -133,9 +142,11 @@ class TestEncodeContext:
             assert _rel_err(ctx.src_k[i], k.reshape(n, heads, dh).transpose(1, 0, 2)) <= 1e-12
             assert _rel_err(ctx.src_v[i], v.reshape(n, heads, dh).transpose(1, 0, 2)) <= 1e-12
             out = np.empty_like(x)
+            far = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > (n if radius is None else radius)
             for h in range(heads):
                 sl = slice(h * dh, (h + 1) * dh)
                 scores = q[:, sl] @ k[:, sl].T / math.sqrt(d)
+                scores[far] = -np.inf
                 w = np.exp(scores - scores.max(axis=1, keepdims=True))
                 out[:, sl] = (w / w.sum(axis=1, keepdims=True)) @ v[:, sl]
             x = hm._block_tail(p, i, out, x)
@@ -565,6 +576,24 @@ class TestSpanHead:
                         assert _rel_err(got_l[b][adm], want_l[b][adm]) <= 1e-12
 
 
+def assert_tape_matches_engine(ds, tv, cfg, params, vocab, idxs, traversal):
+    """Tape logits of the examples ``idxs`` on one tape, each row of each
+    example against its own engine decode, to 1e-9."""
+    graphs = [canonicalize(ds.examples[j][1], ds.edge_freq, vocab) for j in idxs]
+    batch = [(tv.ids(ds.examples[j][0]), encode(g, vocab, cfg.m, traversal)) for j, g in zip(idxs, graphs)]
+    if len(idxs) > 1:
+        assert len({len(ids) for ids, _ in batch}) > 2 and len({len(s.items) for _, s in batch}) > 2
+    logits, _ = sequence_logits(batch, cfg, params)
+    for b, (ids, seq) in enumerate(batch):
+        ctx = encode_context(ds.examples[idxs[b]][0], make_engine(cfg, params, vocab, tv))
+        rows = decoder_forward(ctx, list(seq.items), traversal)
+        scores, _ = span_head(rows, ctx, open_mask(ctx, cfg, len(rows)))
+        for i, row in enumerate(scores):
+            tape = logits.data[b, i, : len(row)]
+            adm = tape > NEG_INF / 2
+            assert adm.any() and np.allclose(row[adm], tape[adm], atol=1e-9)
+
+
 class TestTrainingPath:
     def test_tape_logits_match_inference(self, vocab, setup):
         # single examples, then a padded batch of examples of different n and
@@ -573,19 +602,22 @@ class TestTrainingPath:
         by_n = sorted(range(len(ds.examples)), key=lambda j: len(ds.examples[j][0]))
         padded = [by_n[len(by_n) // 2], by_n[-1], by_n[0], by_n[1]]
         for idxs, traversal in itertools.product(([0], [3], padded), (Traversal.BFS, Traversal.DFS)):
-            graphs = [canonicalize(ds.examples[j][1], ds.edge_freq, vocab) for j in idxs]
-            batch = [(tv.ids(ds.examples[j][0]), encode(g, vocab, cfg.m, traversal)) for j, g in zip(idxs, graphs)]
-            if len(idxs) > 1:
-                assert len({len(ids) for ids, _ in batch}) > 2 and len({len(s.items) for _, s in batch}) > 2
-            logits, _ = sequence_logits(batch, cfg, params)
-            for b, (ids, seq) in enumerate(batch):
-                ctx = encode_context(ds.examples[idxs[b]][0], make_engine(cfg, params, vocab, tv))
-                rows = decoder_forward(ctx, list(seq.items), traversal)
-                scores, _ = span_head(rows, ctx, open_mask(ctx, cfg, len(rows)))
-                for i, row in enumerate(scores):
-                    tape = logits.data[b, i, : len(row)]
-                    adm = tape > NEG_INF / 2
-                    assert adm.any() and np.allclose(row[adm], tape[adm], atol=1e-9)
+            assert_tape_matches_engine(ds, tv, cfg, params, vocab, idxs, traversal)
+
+    def test_tape_logits_match_inference_beyond_the_source_radius(self, vocab, setup):
+        # a radius of 2 closes source pairs in every example (n >= 6 > 2 * 2 + 1),
+        # the padded rows and columns of a batch too; peaked weights make a
+        # missing or misplaced band show in the logits
+        ds, tv, cfg, _ = setup
+        cfg = dataclasses.replace(cfg, source_radius=2)
+        params = init_params(cfg, vocab, tv, seed=1)
+        for i in range(cfg.layers):
+            params[f"L{i}.wq"].data *= 30.0
+            params[f"L{i}.wk"].data *= 30.0
+        padded = [6, 0, 2, 12]  # n = 10, 7, 6, 6 and 16, 18, 10, 2 items
+        assert min(len(ds.examples[j][0]) for j in padded) > 2 * cfg.source_radius + 1
+        for idxs, traversal in itertools.product(([6], padded), (Traversal.BFS, Traversal.DFS)):
+            assert_tape_matches_engine(ds, tv, cfg, params, vocab, idxs, traversal)
 
     def test_teacher_forced_product_equals_exp_neg_ce(self, vocab, setup):
         # autoregressive factorization: sum of per-step CE at eps=0 equals -log p(seq)
@@ -931,6 +963,34 @@ class TestCheckpoint:
         tokens = ds.examples[0][0]
         assert greedy_decode(model, tokens).seq.items == greedy_decode(loaded, tokens).seq.items
 
+    @pytest.mark.parametrize("radius", [None, 1, 7])
+    def test_source_radius_round_trips(self, vocab, setup, tmp_path, radius):
+        ds, tv, cfg, params = setup
+        cfg = dataclasses.replace(cfg, source_radius=radius)
+        path = tmp_path / "model.npz"
+        ExtractionModel(cfg, params, vocab, tv, dict(ds.edge_freq), Traversal.BFS).save(path)
+        assert ExtractionModel.load(path).cfg.source_radius == radius
+
+    def test_checkpoint_without_source_radius_loads_full_attention(self, vocab, setup, tmp_path):
+        # a checkpoint saved before the field existed was trained with every
+        # source token attending to every other
+        ds, tv, cfg, params = setup
+        path = tmp_path / "model.npz"
+        ExtractionModel(cfg, params, vocab, tv, dict(ds.edge_freq), Traversal.BFS).save(path)
+        _rewrite_cfg(path, lambda cfg: cfg.pop("source_radius"))
+        loaded = ExtractionModel.load(path)
+        assert loaded.cfg.source_radius is None
+        assert loaded.cfg == dataclasses.replace(cfg, source_radius=None)
+
+    @pytest.mark.parametrize("radius", [True, 0, -3, 2.5, "64"])
+    def test_bad_source_radius_fails_at_load_naming_the_file(self, vocab, setup, tmp_path, radius):
+        ds, tv, cfg, params = setup
+        path = tmp_path / "model.npz"
+        ExtractionModel(cfg, params, vocab, tv, dict(ds.edge_freq), Traversal.BFS).save(path)
+        _rewrite_cfg(path, lambda cfg: cfg.update(source_radius=radius))
+        with pytest.raises(ModelError, match=re.escape(f"checkpoint {path}: source_radius must be None or an integer >= 1")):
+            ExtractionModel.load(path)
+
     @pytest.mark.parametrize(
         "damage, message",
         [("truncate", r"L0\.wq has shape \(32, 31\)"), ("drop", r"L0\.wq \(32, 32\) is missing"),
@@ -951,3 +1011,14 @@ class TestCheckpoint:
         ExtractionModel(cfg, damaged, vocab, tv, dict(ds.edge_freq), Traversal.BFS).save(path)
         with pytest.raises(ModelError, match=message):
             ExtractionModel.load(path)
+
+
+def _rewrite_cfg(path, change) -> None:
+    """Apply ``change`` to the saved meta ``cfg`` of the checkpoint at ``path``, in place."""
+    import json
+
+    with np.load(path) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+    change(meta["cfg"])
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)

@@ -28,11 +28,13 @@ SENTENCE_STEPS = 4
 BATCH = 8
 
 
-def run_steps(dataset: Dataset, traversal: Traversal, batches, seed: int) -> list[str]:
+def run_steps(
+    dataset: Dataset, traversal: Traversal, batches, seed: int, source_radius: int | None = ModelConfig.source_radius
+) -> list[str]:
     """The hex losses of one ``train_step`` per batch of indices, from fresh
     seeded C8 weights, with dropout drawn from a seeded generator."""
     token_vocab, prepared = prepare_training_data(dataset, traversal)
-    cfg = ModelConfig(d_m=64, layers=2, heads=8, m=16, dropout=0.1)
+    cfg = ModelConfig(d_m=64, layers=2, heads=8, m=16, dropout=0.1, source_radius=source_radius)
     params = init_params(cfg, dataset.vocab, token_vocab, seed=seed)
     opt = AdamW(params, peak_lr=1e-3, warmup=200, weight_decay=0.01)
     drop_rng = np.random.default_rng(seed + 1)
@@ -48,9 +50,14 @@ def sentence_losses(traversal: Traversal) -> list[str]:
     return run_steps(train, traversal, [rng.integers(0, len(train), size=BATCH) for _ in range(SENTENCE_STEPS)], 43)
 
 
-def document_losses(traversal: Traversal) -> list[str]:
+def document_losses(traversal: Traversal, source_radius: int | None) -> list[str]:
     """One step on a batch of C2-style graphs (n up to 128, up to 20 mentions
-    and 40 relations; two tape runs) and one more on the same batch."""
+    and 40 relations; two tape runs) and one more on the same batch.
+
+    Inputs this long reach past the default source radius, so the cases state
+    it: ``None`` (full source attention) is the setting the first document
+    literals were recorded under.
+    """
     vocab = default_vocab()
     rng = np.random.default_rng(44)
     examples = []
@@ -60,14 +67,17 @@ def document_losses(traversal: Traversal) -> list[str]:
     dataset = Dataset(examples, vocab, 16)
     dataset.tally_edge_freq()
     batch = np.arange(len(examples))
-    return run_steps(dataset, traversal, [batch, batch], 45)
+    return run_steps(dataset, traversal, [batch, batch], 45, source_radius)
 
 
 def cases():
     yield "sentences-bfs", lambda: sentence_losses(Traversal.BFS)
     yield "sentences-dfs", lambda: sentence_losses(Traversal.DFS)
-    yield "documents-bfs", lambda: document_losses(Traversal.BFS)
-    yield "documents-dfs", lambda: document_losses(Traversal.DFS)
+    yield "documents-bfs", lambda: document_losses(Traversal.BFS, None)
+    yield "documents-dfs", lambda: document_losses(Traversal.DFS, None)
+    radius = ModelConfig.source_radius
+    yield f"documents-bfs-r{radius}", lambda: document_losses(Traversal.BFS, radius)
+    yield f"documents-dfs-r{radius}", lambda: document_losses(Traversal.DFS, radius)
 
 
 # recorded from the annotator objects that ``embeddings.advance`` replaced
@@ -91,6 +101,15 @@ PINNED: dict[str, list[str]] = {
     'documents-dfs': [
         '0x1.a7d4683a3994cp+1',
         '0x1.a79a5c041aa14p+1',
+    ],
+    # recorded at the default source radius, when local source attention came in
+    'documents-bfs-r64': [
+        '0x1.d190da0a09d98p+1',
+        '0x1.d1694b3f047d0p+1',
+    ],
+    'documents-dfs-r64': [
+        '0x1.a7d50a992acc3p+1',
+        '0x1.a79af8333a1e1p+1',
     ],
 }
 
