@@ -13,8 +13,11 @@ node/edge alternation still holds.
 One decoder inverts both.  It reads a sequence as ``node (edge node)*`` in
 which the first node and every node after [SEP] open a level, and the two
 traversals differ in one rule only: a relation's child becomes the current
-parent under DFS and does not under BFS.  Validation and decoding classify
-items by comparing them with the vocabulary's ``l_e``/``l_p`` bounds.
+parent under DFS and does not under BFS.  It walks the (edge, node) pairs
+once, checking each pair's structure and reading it in the same iteration;
+``validate_sequence`` is that walk with the reading switched off, so each
+structure rule is written once.  Items are classified by comparing them with
+the vocabulary's ``l_e``/``l_p`` bounds.
 """
 from __future__ import annotations
 
@@ -34,6 +37,9 @@ class Traversal(str, enum.Enum):
 
 class SequenceEncodeError(ValueError):
     """Raised when a graph cannot be rendered as a sequence (e.g. span > m)."""
+
+
+_INVALID = "sequence fails structural validation"
 
 
 class SequenceDecodeError(ValueError):
@@ -142,90 +148,89 @@ def validate_sequence(s: AltSequence) -> int | None:
 
     Checks alternation, index ranges (including window cells that run past the
     text), absence of stored [SOS]/[EOS], [SEP]-closure of the final level and,
-    under DFS, that every node type is a leaf.  Items are classified by
-    comparison with the layout bounds, which are read once per sequence.
+    under DFS, that every node type is a leaf: this is ``decode_sequence``'s
+    walk with the reading switched off.
+    """
+    try:
+        decode_sequence(s, _read=False)
+    except SequenceDecodeError as err:
+        return err.offset
+    return None
+
+
+def decode_sequence(s: AltSequence, *, _read: bool = True) -> InfoGraph:
+    """Exact inverse of the matching encoder: rebuild the information graph.
+
+    One walk over the (edge, node) pairs serves both traversals.  Each pair is
+    checked (the edge, then the node, then the DFS leaf rule) and read in the
+    same iteration.  The first node and each node after [SEP] open a level: a
+    span, or [NULL] as the lone root.  [TYPE] types the current span; a
+    relation links it to a span child, which becomes the current span under
+    DFS, while BFS keeps the parent.  Mentions are keyed by their span index
+    until the graph is built; index order is span order.
+
+    A structural violation raises SequenceDecodeError at once, at the offset
+    ``validate_sequence`` returns.  The first reading error is held until every
+    item has been checked, and reading stops there.  ``_read=False`` only checks.
     """
     items, vocab, n, m = s.items, s.vocab, s.n, s.m
     if not items:
-        return 0
+        raise SequenceDecodeError(_INVALID, 0)
     l_e, l_p, sos, sep = vocab.l_e, vocab.l_p, vocab.sos_index, vocab.sep_index
-    bound = l_p + n * m
-    dfs = s.traversal == Traversal.DFS
-    for i, k in enumerate(items):
-        if not 0 <= k < bound:
-            return i
-        if i % 2:
-            if k >= sos and k != sep:  # edge slots hold a real edge or [SEP]
-                return i
-        elif k >= l_p:
-            off = k - l_p
-            if off // m + off % m >= n:  # the window's end runs past the text
-                return i
-        elif k < l_e:
-            return i
-        elif dfs and i + 1 < len(items) and items[i + 1] != sep:
-            return i + 1  # node types are DFS leaves: the next edge must close
-    return None if items[-1] == sep else len(items) - 1
-
-
-def _decode(s: AltSequence) -> InfoGraph:
-    """Read a validated sequence as ``node (edge node)*``.
-
-    The first node and each node after [SEP] open a level: a span, or [NULL]
-    as the lone root.  [TYPE] types the current span; a relation links it to a
-    span child, which becomes the current span under DFS, while BFS keeps the
-    parent.  Mentions are keyed by their span index until the graph is built;
-    index order is span order.
-    """
-    items, vocab, m = s.items, s.vocab, s.m
-    l_p, sep, type_edge = vocab.l_p, vocab.sep_index, vocab.type_edge_index
-    null, descend = vocab.null_type_index, s.traversal == Traversal.DFS
+    type_edge, null, dfs = vocab.type_edge_index, vocab.null_type_index, s.traversal == Traversal.DFS
+    last = len(items) - 1
     types: dict[int, int] = {}  # span index -> node type, -1 until typed
     relations: list[tuple[int, int, int]] = []
-    cur, null_root = None, False
+    cur, null_root, held = None, False, None
     for i, edge, k in zip(range(0, len(items), 2), (sep, *items[1::2]), items[::2]):
+        if not 0 <= edge < sos and edge != sep:  # edge slots hold a real edge or [SEP]
+            raise SequenceDecodeError(_INVALID, i - 1)
+        if k >= l_p:
+            off = k - l_p
+            if off // m + off % m >= n:  # past the output space, or the window's end runs past the text
+                raise SequenceDecodeError(_INVALID, i)
+        elif k < l_e:
+            raise SequenceDecodeError(_INVALID, i)
+        elif dfs and i < last and items[i + 1] != sep:
+            raise SequenceDecodeError(_INVALID, i + 1)  # node types are DFS leaves: the next edge must close
+        if not _read:
+            continue
         if edge == sep:
             if k < l_p:
-                if k != null or items[i + 1] != sep:
-                    raise SequenceDecodeError("node-type parent is only legal as a bare [NULL] root", i)
+                if k != null or i == last or items[i + 1] != sep:
+                    held = SequenceDecodeError("node-type parent is only legal as a bare [NULL] root", i)
                 null_root = True
             else:
                 cur = k
                 types.setdefault(k, -1)
         elif edge == type_edge:
             if k >= l_p:
-                raise SequenceDecodeError("[TYPE] child is not a node type", i)
-            if types[cur] not in (-1, k):
-                raise SequenceDecodeError(f"conflicting node types for span {index_to_text_span(cur, m, l_p)}", i)
+                held = SequenceDecodeError("[TYPE] child is not a node type", i)
+            elif types[cur] not in (-1, k):
+                held = SequenceDecodeError(f"conflicting node types for span {index_to_text_span(cur, m, l_p)}", i)
             types[cur] = k
         else:
             if k < l_p:
-                raise SequenceDecodeError("relation child is not a text span", i)
+                held = SequenceDecodeError("relation child is not a text span", i)
             types.setdefault(k, -1)
             relations.append((cur, edge, k))
-            if descend:
+            if dfs:
                 cur = k
+        _read = held is None
+    if items[last] != sep:
+        raise SequenceDecodeError(_INVALID, last)
+    if held is not None:
+        raise held
+    if not _read:
+        return None
     if null_root and len(items) > 2:
         raise SequenceDecodeError("[NULL] root must be the only level", 0)
     order = sorted(types)
     spans = [index_to_text_span(k, m, l_p) for k in order]
     untyped = [(sp.start, sp.end) for sp, k in zip(spans, order) if types[k] == -1]
     if untyped:
-        raise SequenceDecodeError(f"mention(s) with no type assignment: {untyped}", len(items) - 1)
+        raise SequenceDecodeError(f"mention(s) with no type assignment: {untyped}", last)
     index = {k: i for i, k in enumerate(order)}
     mentions = tuple(Mention(sp, types[k]) for sp, k in zip(spans, order))
-    return InfoGraph(mentions, tuple(RelationEdge(index[h], index[t], e) for h, e, t in relations), s.n, m)
+    return InfoGraph(mentions, tuple(RelationEdge(index[h], index[t], e) for h, e, t in relations), n, m)
 
-
-def decode_sequence(s: AltSequence) -> InfoGraph:
-    """Exact inverse of the matching encoder: rebuild the information graph.
-
-    The sequence is validated first; one walk then serves both traversals.
-    [TYPE] children become the parent mention's node type; relation children
-    become head->tail edges.  Raises SequenceDecodeError with a precise offset
-    for any sequence that fails validation or has no graph reading.
-    """
-    bad = validate_sequence(s)
-    if bad is not None:
-        raise SequenceDecodeError("sequence fails structural validation", bad)
-    return _decode(s)

@@ -66,19 +66,25 @@ class Dataset:
 
 
 def record_to_graph(record: dict, vocab: TypeVocab, m: int) -> tuple[tuple[str, ...], InfoGraph]:
-    """A corpus record as (tokens, graph).  ``tokens`` must be a list of
-    strings, and ``start``, ``end``, ``head`` and ``tail`` integers; anything
-    else, a JSON float or bool too, raises TypeError naming the field."""
+    """A corpus record as (tokens, graph).  The record must be an object,
+    ``tokens`` a non-empty list of strings, ``entities`` and ``relations``
+    lists of objects, each ``type`` a string, and ``start``, ``end``, ``head``
+    and ``tail`` integers; anything else, a JSON float or bool too, raises
+    TypeError or ValueError naming the field."""
+    if type(record) is not dict:
+        raise TypeError(f"record must be an object, got {record!r:.60}")
     tokens = record["tokens"]
     if type(tokens) is not list or not _all_strings(tokens):
         raise TypeError(f"tokens must be a list of strings, got {tokens!r:.60}")
+    if not tokens:  # a graph over no text has no sequence: decode refuses n < 1
+        raise ValueError("tokens must hold at least one token, got []")
     mentions = [
-        Mention(TextSpan(_integer(ent, "start"), _integer(ent, "end")), vocab.index(ent["type"]))
-        for ent in record.get("entities", [])
+        Mention(TextSpan(_field(ent, "start"), _field(ent, "end")), vocab.index(_field(ent, "type", str)))
+        for ent in _objects(record, "entities")
     ]
     relations = [
-        RelationEdge(_integer(rel, "head"), _integer(rel, "tail"), vocab.index(rel["type"]))
-        for rel in record.get("relations", [])
+        RelationEdge(_field(rel, "head"), _field(rel, "tail"), vocab.index(_field(rel, "type", str)))
+        for rel in _objects(record, "relations")
     ]
     return tuple(tokens), make_graph(mentions, relations, n=len(tokens), m=m)
 
@@ -91,22 +97,30 @@ def _all_strings(items: list) -> bool:
     return True
 
 
-def _integer(item: dict, name: str) -> int:
+def _objects(record: dict, name: str) -> list:
+    items = record.get(name, [])
+    if type(items) is not list or not all(type(item) is dict for item in items):
+        raise TypeError(f"{name} must be a list of objects, got {items!r:.60}")
+    return items
+
+
+def _field(item: dict, name: str, kind: type = int):
     value = item[name]
-    if type(value) is not int:  # JSON true is a bool, which isinstance(value, int) admits
-        raise TypeError(f"{name} must be an integer, got {value!r:.60}")
+    if type(value) is not kind:  # JSON true is a bool, which isinstance(value, int) admits
+        raise TypeError(f"{name} must be {'an integer' if kind is int else 'a string'}, got {value!r:.60}")
     return value
 
 
 def graph_to_record(tokens: Sequence[str], g: InfoGraph, vocab: TypeVocab) -> dict:
+    names = vocab.names
     return {
         "tokens": list(tokens),
         "entities": [
-            {"start": mn.span.start, "end": mn.span.end, "type": vocab.name(mn.node_type)}
+            {"start": mn.span.start, "end": mn.span.end, "type": names[mn.node_type]}
             for mn in g.mentions
         ],
         "relations": [
-            {"head": r.head, "tail": r.tail, "type": vocab.name(r.edge_type)}
+            {"head": r.head, "tail": r.tail, "type": names[r.edge_type]}
             for r in g.relations
         ],
     }

@@ -2,13 +2,16 @@
 
 The index space is laid out as real edge types, then the three virtual edge
 types, then node types, then text spans.  ``l_e`` and ``l_p`` are the two
-boundaries all other modules key off.
+boundaries all other modules key off.  A ``TypeVocab`` is plain data: its
+names, both bounds and the indices of [SOS], [EOS], [SEP], [TYPE] and [NULL]
+are computed once, when it is built, and read as attributes by the codec, the
+constraint machine and the training tape.
 """
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
@@ -45,29 +48,27 @@ _VIRTUAL_BY_OFFSET = (
 
 @dataclass(frozen=True)
 class TypeVocab:
-    """Immutable ordered layout: edge types ++ virtual edge types ++ node types."""
+    """Immutable ordered layout: edge types ++ virtual edge types ++ node types.
+
+    Equality and hashing read the two name tuples alone.  The layout is
+    computed from them once, when the vocabulary is built, and read as plain
+    attributes: ``names``, the bounds ``l_e`` and ``l_p``, and ``sos_index``,
+    ``eos_index``, ``sep_index``, ``type_edge_index`` and ``null_type_index``.
+    """
 
     edge_types: tuple[str, ...]
     node_types: tuple[str, ...]
     virtual_edge_types: ClassVar[tuple[str, ...]] = VIRTUAL_EDGE_TYPES
-    _index: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        names = list(self.edge_types) + list(self.virtual_edge_types) + list(self.node_types)
-        idx = {name: i for i, name in enumerate(names)}
-        object.__setattr__(self, "_index", idx)
-
-    @property
-    def l_e(self) -> int:
-        return len(self.edge_types) + len(self.virtual_edge_types)
-
-    @property
-    def l_p(self) -> int:
-        return self.l_e + len(self.node_types)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self.edge_types + self.virtual_edge_types + self.node_types
+        names = self.edge_types + self.virtual_edge_types + self.node_types
+        index = {name: i for i, name in enumerate(names)}
+        base = len(self.edge_types)
+        self.__dict__.update(  # frozen: set once, here, and never again
+            names=names, l_e=base + len(self.virtual_edge_types), l_p=len(names), _index=index,
+            sos_index=base, eos_index=base + 1, sep_index=base + 2,
+            type_edge_index=index.get(TYPE_EDGE), null_type_index=index.get(NULL_TYPE),
+        )
 
     def index(self, name: str) -> int:
         try:
@@ -79,26 +80,6 @@ class TypeVocab:
         if not 0 <= k < self.l_p:
             raise VocabError(f"type index {k} outside [0, {self.l_p})")
         return self.names[k]
-
-    @property
-    def sos_index(self) -> int:
-        return len(self.edge_types)
-
-    @property
-    def eos_index(self) -> int:
-        return len(self.edge_types) + 1
-
-    @property
-    def sep_index(self) -> int:
-        return len(self.edge_types) + 2
-
-    @property
-    def type_edge_index(self) -> int:
-        return self.index(TYPE_EDGE)
-
-    @property
-    def null_type_index(self) -> int:
-        return self.index(NULL_TYPE)
 
     @property
     def real_edge_indices(self) -> range:

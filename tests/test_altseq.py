@@ -13,7 +13,8 @@ from hyspa.altseq_codec import (
     encode_bfs,
     validate_sequence,
 )
-from hyspa.info_graph import canonicalize, graph_equal, make_graph
+from hyspa.hybrid_index import index_to_text_span
+from hyspa.info_graph import InfoGraph, Mention, RelationEdge, canonicalize, graph_equal, make_graph
 from hyspa.type_vocab import ElementClass, classify
 
 M = 16
@@ -234,3 +235,122 @@ class TestRoundTrip:
         for trv in Traversal:
             seq = canonical_encode(g, freq, vocab, trv)
             assert graph_equal(decode_sequence(seq), g)
+
+
+# -- the two-walk decoder the one walk replaced, kept as the oracle of its offsets and messages
+
+
+def reference_validate(s):
+    items, vocab, n, m = s.items, s.vocab, s.n, s.m
+    if not items:
+        return 0
+    l_e, l_p, sos, sep = vocab.l_e, vocab.l_p, vocab.sos_index, vocab.sep_index
+    bound = l_p + n * m
+    dfs = s.traversal == Traversal.DFS
+    for i, k in enumerate(items):
+        if not 0 <= k < bound:
+            return i
+        if i % 2:
+            if k >= sos and k != sep:
+                return i
+        elif k >= l_p:
+            off = k - l_p
+            if off // m + off % m >= n:
+                return i
+        elif k < l_e:
+            return i
+        elif dfs and i + 1 < len(items) and items[i + 1] != sep:
+            return i + 1
+    return None if items[-1] == sep else len(items) - 1
+
+
+def reference_decode(s):
+    bad = reference_validate(s)
+    if bad is not None:
+        raise SequenceDecodeError("sequence fails structural validation", bad)
+    items, vocab, m = s.items, s.vocab, s.m
+    l_p, sep, type_edge = vocab.l_p, vocab.sep_index, vocab.type_edge_index
+    null, descend = vocab.null_type_index, s.traversal == Traversal.DFS
+    types, relations = {}, []
+    cur, null_root = None, False
+    for i, edge, k in zip(range(0, len(items), 2), (sep, *items[1::2]), items[::2]):
+        if edge == sep:
+            if k < l_p:
+                if k != null or items[i + 1] != sep:
+                    raise SequenceDecodeError("node-type parent is only legal as a bare [NULL] root", i)
+                null_root = True
+            else:
+                cur = k
+                types.setdefault(k, -1)
+        elif edge == type_edge:
+            if k >= l_p:
+                raise SequenceDecodeError("[TYPE] child is not a node type", i)
+            if types[cur] not in (-1, k):
+                raise SequenceDecodeError(f"conflicting node types for span {index_to_text_span(cur, m, l_p)}", i)
+            types[cur] = k
+        else:
+            if k < l_p:
+                raise SequenceDecodeError("relation child is not a text span", i)
+            types.setdefault(k, -1)
+            relations.append((cur, edge, k))
+            if descend:
+                cur = k
+    if null_root and len(items) > 2:
+        raise SequenceDecodeError("[NULL] root must be the only level", 0)
+    order = sorted(types)
+    spans = [index_to_text_span(k, m, l_p) for k in order]
+    untyped = [(sp.start, sp.end) for sp, k in zip(spans, order) if types[k] == -1]
+    if untyped:
+        raise SequenceDecodeError(f"mention(s) with no type assignment: {untyped}", len(items) - 1)
+    index = {k: i for i, k in enumerate(order)}
+    mentions = tuple(Mention(sp, types[k]) for sp, k in zip(spans, order))
+    return InfoGraph(mentions, tuple(RelationEdge(index[h], index[t], e) for h, e, t in relations), s.n, m)
+
+
+def outcome(decode, seq):
+    """The graph ``decode`` reads, or the type, message and offset it raises."""
+    try:
+        return decode(seq)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "offset", None)
+
+
+MUTATIONS = ("replace", "insert", "delete", "swap", "truncate")
+
+
+class TestOneWalk:
+    @given(seed=st.integers(0, 10_000), traversal=st.sampled_from(list(Traversal)), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_one_walk_matches_the_two_walks(self, seed, traversal, data):
+        # a canonical encoding, then after each of up to four mutations: the one
+        # walk reads the same graph as validate-then-decode, or raises the same
+        # error at the same offset, and validate_sequence returns the same offset
+        vocab = pinned_vocab()
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, vocab, n_max=24, max_mentions=6, max_relations=8, p_empty=0.15)
+        items = list(canonical_encode(g, random_edge_freq(rng, vocab), vocab, traversal).items)
+        top = vocab.l_p + g.n * M + 2
+        special = [vocab.sep_index, vocab.type_edge_index, vocab.null_type_index, vocab.sos_index,
+                   vocab.index("PER"), vocab.index("PHYS")]
+        for step in range(data.draw(st.integers(0, 4), label="mutations") + 1):
+            if step:
+                kind = data.draw(st.sampled_from(MUTATIONS if items else ("insert",)), label="kind")
+                at = data.draw(st.integers(0, max(len(items) - 1, 0)), label="at")
+                # any value in range, or one the sequence or the layout makes likely to read
+                value = st.one_of(st.integers(-2, top), st.sampled_from(items[at % 2::2] or special), st.sampled_from(special))
+                values = data.draw(st.lists(value, min_size=1, max_size=2), label="values")
+                if kind == "replace":
+                    items[at] = values[0]
+                elif kind == "insert":
+                    items[at:at] = values
+                elif kind == "delete":
+                    del items[at]
+                elif kind == "swap":
+                    to = data.draw(st.integers(0, len(items) - 1), label="to")
+                    items[at], items[to] = items[to], items[at]
+                else:
+                    del items[at:]
+            seq = AltSequence(tuple(items), traversal, vocab, g.n, M)
+            old, new = outcome(reference_decode, seq), outcome(decode_sequence, seq)
+            assert graph_equal(new, old) if isinstance(old, InfoGraph) else new == old, (seq.items, step)
+            assert validate_sequence(seq) == reference_validate(seq), (seq.items, step)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,79 @@ class TestCodecCommands:
         assert invoke("decode", "--seqs", str(seqs)) == 0
         out = capsys.readouterr().out
         assert out == json.dumps({"entities": [], "relations": [], "n": 2**62}) + "\n"
+
+
+@st.composite
+def dump_lines(draw, good):
+    """One sequence dump line: a good one, a truncated one, one with mutated
+    items, huge or negative integers, or arbitrary bytes."""
+    line = draw(st.sampled_from(good))
+    kind = draw(st.sampled_from(["good", "truncated", "mutated", "integers", "bytes"]))
+    if kind == "truncated":
+        return line[:draw(st.integers(0, len(line)))]
+    if kind == "mutated":
+        values = line.split()
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(values)))
+            new = str(draw(st.one_of(st.integers(-3, 200), st.integers(-2**70, 2**70)))).encode()
+            values[at:at + draw(st.integers(0, 1))] = [new] * draw(st.integers(0, 1))
+        return b" ".join(values)
+    if kind == "integers":
+        return " ".join(map(str, draw(st.lists(st.integers(-2**70, 2**70), max_size=8)))).encode()
+    if kind == "bytes":
+        return draw(st.binary(max_size=24)).replace(b"\n", b"")
+    return line
+
+
+class TestDecodeDump:
+    @pytest.fixture(scope="class")
+    def dump(self, corpus, tmp_path_factory):
+        """A dump's header and good lines, and the record decode writes for each."""
+        root = tmp_path_factory.mktemp("dump")
+        seqs, decoded = root / "seqs.txt", root / "decoded.jsonl"
+        assert invoke("encode", "--data", str(corpus[1]), "--traversal", "dfs", "--out", str(seqs)) == 0
+        assert invoke("decode", "--seqs", str(seqs), "--out", str(decoded)) == 0
+        header, *good = seqs.read_bytes().splitlines()
+        return root, header, dict(zip(good, decoded.read_text().splitlines()))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_lines_fail_alone(self, dump, data):
+        # decode exits 0 or 1 and never with a traceback, names PATH:LINENO in
+        # every failure, and still writes every good line
+        from hyspa.altseq_codec import SequenceDecodeError, decode_sequence
+        from hyspa.data_io import CorpusError, default_vocab, parse_sequence_line, read_dump_header
+
+        root, header, known = dump
+        lines = data.draw(st.lists(dump_lines(sorted(known)), min_size=1, max_size=8), label="lines")
+        seqs, decoded = root / "fuzz.txt", root / "fuzz.jsonl"
+        seqs.write_bytes(b"\n".join([header, *lines]) + b"\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = invoke("decode", "--seqs", str(seqs), "--out", str(decoded))
+        vocab = default_vocab()
+        m, traversal = read_dump_header(seqs, vocab)
+        expect = {}  # line number -> the record written for it ("" if not known), or None if it fails
+        for lineno, raw in enumerate(lines, start=2):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                expect[lineno] = None  # the file ends at a line that is not UTF-8
+                break
+            if text.strip():
+                try:
+                    decode_sequence(parse_sequence_line(seqs, lineno, text, vocab, m, traversal))
+                    expect[lineno] = known.get(raw, "")
+                except (CorpusError, SequenceDecodeError):
+                    expect[lineno] = None
+        messages = err.getvalue().splitlines()
+        named = [re.match(rf"(error: )?{re.escape(str(seqs))}:(\d+): ", msg) for msg in messages]
+        assert "Traceback" not in err.getvalue() and all(named), messages
+        assert [int(match[2]) for match in named] == [k for k, v in expect.items() if v is None]
+        assert code == (1 if messages else 0)
+        written, want = decoded.read_text().splitlines(), [v for v in expect.values() if v is not None]
+        assert len(written) == len(want)
+        assert all(got == record for got, record in zip(written, want) if record)
 
 
 class TestUsageErrors:
@@ -523,6 +597,14 @@ MISTYPED = {
         '{"start": 1, "end": 2, "type": "ORG"}], "relations": [{"head": true, "tail": false, "type": "PHYS"}]}',
         "head must be an integer, got True",
     ),
+    "empty tokens": ('{"tokens": [], "entities": [], "relations": []}', "tokens must hold at least one token, got []"),
+    "list type": ('{"tokens": ["a", "b"], "entities": [{"start": 0, "end": 1, "type": ["PER"]}], "relations": []}',
+                  "type must be a string, got ['PER']"),
+    "object entities": ('{"tokens": ["a", "b"], "entities": {"start": 0}, "relations": []}',
+                        "entities must be a list of objects, got {'start': 0}"),
+    "list record": ('["a"]', "record must be an object, got ['a']"),
+    "list entity": ('{"tokens": ["a", "b"], "entities": [[0, 1, "PER"]], "relations": []}',
+                    "entities must be a list of objects, got [[0, 1, 'PER']]"),
 }
 
 
@@ -530,8 +612,9 @@ class TestMalformedFiles:
     @pytest.mark.parametrize("command", ["validate", "roundtrip", "encode"])
     @pytest.mark.parametrize("kind", MISTYPED)
     def test_mistyped_field_is_a_malformed_record(self, tmp_path, capsys, command, kind):
-        # each once passed validate and roundtrip, and float offsets made encode
-        # write a dump line ("2 19.0 0 11 10") that decode refused
+        # each once passed validate and roundtrip, or failed there without naming
+        # the field; float offsets and empty tokens made encode write a dump line
+        # ("2 19.0 0 11 10", "0 18 10") that decode refused
         line, message = MISTYPED[kind]
         data = tmp_path / "bad.jsonl"
         data.write_text(f"{GOOD_RECORD}\n{line}\n")

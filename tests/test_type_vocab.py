@@ -1,12 +1,33 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyspa.type_vocab import (
+    NULL_TYPE,
+    TYPE_EDGE,
+    VIRTUAL_EDGE_TYPES,
     ElementClass,
     VocabError,
     build_vocab,
     classify,
     segment_ids,
 )
+
+LAYOUT = ("names", "l_e", "l_p", "sos_index", "eos_index", "sep_index", "type_edge_index", "null_type_index")
+
+
+@st.composite
+def name_lists(draw):
+    """Edge and node name lists that build a vocab: distinct names, [TYPE]
+    somewhere among the edges and [NULL] somewhere among the nodes."""
+    reserved = {TYPE_EDGE, NULL_TYPE, *VIRTUAL_EDGE_TYPES}
+    names = draw(st.lists(st.text(max_size=5).filter(lambda x: x not in reserved), unique=True, max_size=12))
+    cut = draw(st.integers(0, len(names)))
+    edges, nodes = names[:cut], names[cut:]
+    edges.insert(draw(st.integers(0, len(edges))), TYPE_EDGE)
+    nodes.insert(draw(st.integers(0, len(nodes))), NULL_TYPE)
+    return edges, nodes
 
 
 class TestBuildVocab:
@@ -51,6 +72,30 @@ class TestBuildVocab:
     def test_name_clash_with_virtual_rejected(self):
         with pytest.raises(VocabError, match="duplicate"):
             build_vocab(["[TYPE]", "[SEP]"], ["[NULL]"])
+
+
+class TestLayout:
+    @given(lists=name_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_layout_attributes_equal_their_formulas(self, lists):
+        edges, nodes = lists
+        v = build_vocab(edges, nodes)
+        names = (*edges, *VIRTUAL_EDGE_TYPES, *nodes)
+        assert v.names == names
+        assert (v.l_e, v.l_p) == (len(edges) + 3, len(names))
+        assert (v.sos_index, v.eos_index, v.sep_index) == tuple(names.index(x) for x in VIRTUAL_EDGE_TYPES)
+        assert (v.type_edge_index, v.null_type_index) == (edges.index(TYPE_EDGE), v.l_e + nodes.index(NULL_TYPE))
+        assert [v.name(k) for k in range(v.l_p)] == list(names)
+        assert [v.index(x) for x in names] == list(range(v.l_p))
+        for k in (-1, v.l_p):
+            with pytest.raises(VocabError, match=rf"type index {k} outside \[0, {v.l_p}\)"):
+                v.name(k)
+        for attr in LAYOUT:
+            with pytest.raises(FrozenInstanceError):
+                setattr(v, attr, getattr(v, attr))
+        twin = build_vocab(list(edges), list(nodes))
+        assert twin == v and hash(twin) == hash(v)
+        assert all(getattr(twin, attr) == getattr(v, attr) for attr in LAYOUT)
 
 
 class TestClassify:
