@@ -3,7 +3,8 @@
 Both traversals serialize a graph into a flat list of hybrid-span indices in
 which even offsets are node elements (node types or text spans) and odd
 offsets are edge elements (real edges or [SEP]).  [SOS]/[EOS] are never
-stored; they exist only as decoder context and stop signal.
+stored; they exist only as decoder context and stop signal.  The encoders walk
+the items ``canonicalize`` ordered and checked, and copy them as they are.
 
 BFS emits one level per parent: ``parent (edge child)* [SEP]``.  DFS emits
 ``parent edge child`` triples, re-emitting the parent from its second child
@@ -25,18 +26,14 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
-from .hybrid_index import index_to_text_span, span_is_legal, span_to_index
-from .info_graph import GraphNode, InfoGraph, Mention, OrderedGraph, RelationEdge, TypeNode
+from .hybrid_index import index_to_text_span
+from .info_graph import InfoGraph, Mention, OrderedGraph, RelationEdge, SequenceEncodeError
 from .type_vocab import TypeVocab
 
 
 class Traversal(str, enum.Enum):
     BFS = "bfs"
     DFS = "dfs"
-
-
-class SequenceEncodeError(ValueError):
-    """Raised when a graph cannot be rendered as a sequence (e.g. span > m)."""
 
 
 _INVALID = "sequence fails structural validation"
@@ -62,24 +59,12 @@ class AltSequence:
         return len(self.items)
 
 
-def _node_index(node: GraphNode, l_e: int, l_p: int, n: int, m: int) -> int:
-    """The item of a node; the encoders read the layout bounds ``l_e``/``l_p``
-    once per graph."""
-    if isinstance(node, TypeNode):
-        if not l_e <= node.type_id < l_p:
-            raise SequenceEncodeError(f"unknown node type id {node.type_id}")
-        return node.type_id
-    if not span_is_legal(node, n, m):
-        raise SequenceEncodeError(f"span {node} illegal for n={n}, m={m}")
-    return span_to_index(node, m, l_p)
-
-
-def encode_bfs(og: OrderedGraph, vocab: TypeVocab, m: int) -> AltSequence:
+def encode_bfs(og: OrderedGraph, vocab: TypeVocab) -> AltSequence:
     """Breadth-first serialization: per dequeued parent present in the
     adjacency, emit the parent, all (edge, child) pairs, then [SEP]."""
     items: list[int] = []
-    visited: set[GraphNode] = set()
-    l_e, l_p, sep, n = vocab.l_e, vocab.l_p, vocab.sep_index, og.n
+    visited: set[int] = set()
+    sep = vocab.sep_index
     for root in og.roots:
         if root in visited:
             continue
@@ -90,35 +75,34 @@ def encode_bfs(og: OrderedGraph, vocab: TypeVocab, m: int) -> AltSequence:
             children = og.adjacency.get(parent)
             if children is None:
                 continue
-            items.append(_node_index(parent, l_e, l_p, n, m))
-            for edge_id, child in children:
-                items.append(edge_id)
-                items.append(_node_index(child, l_e, l_p, n, m))
+            items.append(parent)
+            for pair in children:
+                items.extend(pair)
             items.append(sep)
             for _, child in children:
                 if child not in visited:
                     visited.add(child)
                     queue.append(child)
-    return AltSequence(tuple(items), Traversal.BFS, vocab, og.n, m)
+    return AltSequence(tuple(items), Traversal.BFS, vocab, og.n, og.m)
 
 
-def encode_dfs(og: OrderedGraph, vocab: TypeVocab, m: int) -> AltSequence:
+def encode_dfs(og: OrderedGraph, vocab: TypeVocab) -> AltSequence:
     """Depth-first serialization with [SEP] after every leaf.
 
-    The parent token is re-emitted for each child after the first; the first
+    The parent item is re-emitted for each child after the first; the first
     child continues directly from the parent's own introduction, which keeps
     the node/edge alternation intact.
     """
     items: list[int] = []
-    visited: set[GraphNode] = set()
-    l_e, l_p, sep, n = vocab.l_e, vocab.l_p, vocab.sep_index, og.n
+    visited: set[int] = set()
+    sep = vocab.sep_index
 
-    def expand(parent: GraphNode) -> None:
+    def expand(parent: int) -> None:
         for i, (edge_id, child) in enumerate(og.adjacency[parent]):
             if i > 0:
-                items.append(_node_index(parent, l_e, l_p, n, m))
+                items.append(parent)
             items.append(edge_id)
-            items.append(_node_index(child, l_e, l_p, n, m))
+            items.append(child)
             if child in og.adjacency and child not in visited and og.adjacency[child]:
                 visited.add(child)
                 expand(child)
@@ -129,18 +113,21 @@ def encode_dfs(og: OrderedGraph, vocab: TypeVocab, m: int) -> AltSequence:
         if root in visited:
             continue
         visited.add(root)
-        items.append(_node_index(root, l_e, l_p, n, m))
+        items.append(root)
         if og.adjacency.get(root):
             expand(root)
         else:
             items.append(sep)
-    return AltSequence(tuple(items), Traversal.DFS, vocab, og.n, m)
+    return AltSequence(tuple(items), Traversal.DFS, vocab, og.n, og.m)
 
 
 def encode(og: OrderedGraph, vocab: TypeVocab, m: int, traversal: Traversal) -> AltSequence:
+    """The ``traversal`` sequence of ``og``; ``m`` must be the one ``og``'s spans were indexed with."""
+    if m != og.m:
+        raise SequenceEncodeError(f"graph ordered for maximum span length {og.m}, encoded with m={m}")
     if traversal == Traversal.BFS:
-        return encode_bfs(og, vocab, m)
-    return encode_dfs(og, vocab, m)
+        return encode_bfs(og, vocab)
+    return encode_dfs(og, vocab)
 
 
 def validate_sequence(s: AltSequence) -> int | None:

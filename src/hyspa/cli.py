@@ -7,6 +7,7 @@ The vocabulary comes from --vocab when given, else the built-in one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -166,6 +167,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path`` opened for writing, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
+
+
 def _cmd_synth(args) -> int:
     vocab = _load_vocab_arg(args)
     ds = synth_generate(args.size, seed=args.seed, vocab=vocab, m=args.m)
@@ -187,12 +198,10 @@ def _cmd_encode(args) -> int:
         encode(canonicalize(g, freq, vocab), vocab, args.m, traversal)
         for _, g in ds.examples
     ]
+    with _output(args.out) as out:
+        write_sequence_dump(out, seqs, vocab, args.m, traversal)
     if args.out:
-        write_sequence_dump(args.out, seqs, vocab, args.m, traversal)
         print(f"wrote {len(seqs)} sequences to {args.out}")
-    else:
-        for seq in seqs:
-            print(" ".join(str(x) for x in (seq.n, *seq.items)))
     return 0
 
 
@@ -204,9 +213,8 @@ def _cmd_decode(args) -> int:
     m, traversal = read_dump_header(args.seqs, vocab)
     if args.traversal and traversal.value != args.traversal:
         raise ValueError(f"--traversal {args.traversal}, but {args.seqs} holds {traversal.value} sequences")
-    out = open(args.out, "w") if args.out else sys.stdout
     failures = 0
-    try:
+    with _output(args.out) as out:
         for lineno, line in corpus_lines(args.seqs):
             if lineno == 1:
                 continue
@@ -225,9 +233,6 @@ def _cmd_decode(args) -> int:
             record.pop("tokens")
             record["n"] = seq.n
             out.write(json.dumps(record) + "\n")
-    finally:
-        if args.out:
-            out.close()
     return 1 if failures else 0
 
 
@@ -322,9 +327,8 @@ def _cmd_extract(args) -> int:
 
     model = ExtractionModel.load(args.model)
     engine = Engine(model)
-    out = open(args.out, "w") if args.out else sys.stdout
     total = failed = 0
-    try:
+    with _output(args.out) as out:
         for _, line in corpus_lines(args.input):
             tokens = line.split()
             total += 1
@@ -339,9 +343,6 @@ def _cmd_extract(args) -> int:
             else:
                 record = graph_to_record(tokens, res.graph, model.vocab)
             out.write(json.dumps(record) + "\n")
-    finally:
-        if args.out:
-            out.close()
     print(f"extract: {failed}/{total} lines failed", file=sys.stderr)
     return 1 if failed else 0
 

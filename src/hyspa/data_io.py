@@ -363,13 +363,13 @@ def eval_f1(pred: Sequence[InfoGraph], gold: Sequence[InfoGraph]) -> F1Result:
 # sequence dumps (CLI-facing)
 # ---------------------------------------------------------------------------
 
-def write_sequence_dump(path, seqs, vocab: TypeVocab, m: int, traversal: Traversal) -> None:
-    """Header line of metadata, then one line per sequence: n followed by items."""
+def write_sequence_dump(out, seqs, vocab: TypeVocab, m: int, traversal: Traversal) -> None:
+    """Write to the open text stream ``out`` a header line of metadata, then one
+    line per sequence: n followed by items."""
     header = {"m": m, "traversal": traversal.value, "vocab_hash": vocab.config_hash()}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for seq in seqs:
-            fh.write(" ".join(str(x) for x in (seq.n, *seq.items)) + "\n")
+    out.write(json.dumps(header) + "\n")
+    for seq in seqs:
+        out.write(" ".join(str(x) for x in (seq.n, *seq.items)) + "\n")
 
 
 def read_dump_header(path, vocab: TypeVocab) -> tuple[int, Traversal]:

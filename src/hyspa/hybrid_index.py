@@ -1,5 +1,9 @@
 """Closed-form bijection between text spans / type ids and hybrid-span indices.
 
+A span's index is ``start*m + (len-1) + l_p``, so index order is (start, end)
+span order.  Whether a span fits a text is a property of the graph that holds
+it, checked by ``info_graph.validate_graph``.
+
 Two coordinate conventions coexist deliberately:
 
 * ``TextSpan`` is end-exclusive in token coordinates (start < end).
@@ -73,16 +77,8 @@ def hspan_to_text_span(h: HSpan, l_p: int) -> TextSpan:
     return TextSpan(h.lo - l_p, h.hi - l_p + 1)
 
 
-def index_to_text_span(k: int, m: int, l_p: int, n: int | None = None) -> TextSpan:
+def index_to_text_span(k: int, m: int, l_p: int) -> TextSpan:
     """Invert a span index k >= l_p to its token span, the same span as
-    hspan_to_text_span(index_to_hspan(k)) without the H-row detour.  When ``n``
-    is given the span must end inside the text."""
+    hspan_to_text_span(index_to_hspan(k)) without the H-row detour."""
     start = (k - l_p) // m
-    span = TextSpan(start, start + (k - l_p) % m + 1)
-    if n is not None and span.end > n:
-        raise SpanError(f"index {k} addresses span {span} beyond text length {n}")
-    return span
-
-
-def span_is_legal(span: TextSpan, n: int, m: int) -> bool:
-    return 0 <= span.start < span.end <= n and span.length <= m
+    return TextSpan(start, start + (k - l_p) % m + 1)

@@ -1,29 +1,24 @@
 """Information-graph data model, deterministic ordering, and graph equality.
 
 A graph holds text-span mentions with node types plus directed typed relation
-edges between them.  ``canonicalize`` produces the ordered adjacency view the
-traversal encoders consume: each relation edge is owned by its head mention,
-the [TYPE] pseudo-edge to the mention's node type always comes first, and all
-orders are fully deterministic.
+edges between them.  ``validate_graph`` is the one definition of a legal
+graph.  ``canonicalize`` checks it, then orders the graph as the sequence items
+the traversal encoders emit: a mention is its span index, a node type its type
+index.  Each relation edge is owned by its head mention, the [TYPE] edge to the
+mention's node type always comes first, and all orders are fully deterministic.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
-from .hybrid_index import TextSpan
+from .hybrid_index import TextSpan, span_to_index
 from .type_vocab import TypeVocab
 
 
-@dataclass(frozen=True)
-class TypeNode:
-    """A node-type token acting as a graph vertex (target of a [TYPE] edge)."""
-
-    type_id: int
-
-
-GraphNode = Union[TextSpan, TypeNode]
+class SequenceEncodeError(ValueError):
+    """Raised when a graph cannot be rendered as a sequence; names the first problem."""
 
 
 @dataclass(frozen=True, order=True)
@@ -55,16 +50,19 @@ class InfoGraph:
 
 @dataclass
 class OrderedGraph:
-    """Ordered adjacency view of an InfoGraph, ready for traversal encoding.
+    """A graph ordered as sequence items, ready for traversal encoding.
 
     ``roots`` lists candidate level parents in emission order; ``adjacency``
-    maps each parent to its ordered (edge_type_id, child) list.  Only nodes
-    with an adjacency entry ever open a traversal level.
+    maps each parent to its ordered (edge, child) pairs.  A mention is its
+    span index and a node type its type index; the [NULL] root of an empty
+    graph is ``vocab.null_type_index``.  Only items with an adjacency entry
+    ever open a traversal level.
     """
 
-    roots: tuple[GraphNode, ...]
-    adjacency: dict[GraphNode, tuple[tuple[int, GraphNode], ...]]
+    roots: tuple[int, ...]
+    adjacency: dict[int, tuple[tuple[int, int], ...]]
     n: int
+    m: int
 
 
 def make_graph(mentions, relations, n: int, m: int) -> InfoGraph:
@@ -112,41 +110,35 @@ def canonicalize(
     edge_freq: Mapping[int, int] | None,
     vocab: TypeVocab,
 ) -> OrderedGraph:
-    """Order the graph for traversal encoding.
+    """Order the graph as sequence items for traversal encoding.
 
-    Roots are mention spans ascending by (start, end).  Per mention, the
-    [TYPE] edge to its node type comes first, then relation edges sorted by
-    descending ``edge_freq`` (ties by edge type id, then by tail span).  An
-    empty graph becomes a single [NULL] root with no children.
+    A graph that ``validate_graph`` refuses raises SequenceEncodeError naming
+    its first problem.  Roots are mention spans ascending by (start, end),
+    which is their index order.  Per mention, the [TYPE] edge to its node type
+    comes first, then relation edges sorted by descending ``edge_freq`` (ties
+    by edge type id, then by tail span).  An empty graph becomes a single
+    [NULL] root with no children.
     """
-    edge_freq = edge_freq or {}
-    spans = [mn.span for mn in g.mentions]
-    if len(set(spans)) != len(spans):
-        raise ValueError("cannot canonicalize a graph with duplicate mention spans")
-
+    problems = validate_graph(g, g.n, g.m, vocab)
+    if problems:
+        raise SequenceEncodeError(problems[0])
     if not g.mentions:
-        null_node = TypeNode(vocab.null_type_index)
-        return OrderedGraph(roots=(null_node,), adjacency={null_node: ()}, n=g.n)
+        null = vocab.null_type_index
+        return OrderedGraph(roots=(null,), adjacency={null: ()}, n=g.n, m=g.m)
 
-    outgoing: dict[int, list[RelationEdge]] = {i: [] for i in range(len(g.mentions))}
+    edge_freq = edge_freq or {}
+    items = [span_to_index(mn.span, g.m, vocab.l_p) for mn in g.mentions]
+    outgoing: list[list[tuple[int, int, int]]] = [[] for _ in items]
     for rel in g.relations:
-        outgoing[rel.head].append(rel)
+        outgoing[rel.head].append((-edge_freq.get(rel.edge_type, 0), rel.edge_type, items[rel.tail]))
 
-    adjacency: dict[GraphNode, tuple[tuple[int, GraphNode], ...]] = {}
-    roots = []
-    for i in sorted(range(len(g.mentions)), key=lambda i: g.mentions[i].span):
-        mention = g.mentions[i]
-        children: list[tuple[int, GraphNode]] = [
-            (vocab.type_edge_index, TypeNode(mention.node_type))
-        ]
-        rels = sorted(
-            outgoing[i],
-            key=lambda r: (-edge_freq.get(r.edge_type, 0), r.edge_type, g.mentions[r.tail].span),
+    adjacency: dict[int, tuple[tuple[int, int], ...]] = {}
+    for i in sorted(range(len(items)), key=items.__getitem__):
+        adjacency[items[i]] = (
+            (vocab.type_edge_index, g.mentions[i].node_type),
+            *((edge, tail) for _, edge, tail in sorted(outgoing[i])),
         )
-        children.extend((r.edge_type, g.mentions[r.tail].span) for r in rels)
-        adjacency[mention.span] = tuple(children)
-        roots.append(mention.span)
-    return OrderedGraph(roots=tuple(roots), adjacency=adjacency, n=g.n)
+    return OrderedGraph(roots=tuple(adjacency), adjacency=adjacency, n=g.n, m=g.m)
 
 
 def span_keys(g: InfoGraph) -> tuple[set, Counter]:

@@ -401,21 +401,21 @@ def span_windows(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return clipped, inside
 
 
-def sliding_windows(v: np.ndarray, m: int, fill: float = NEG_INF) -> np.ndarray:
+def sliding_windows(v: np.ndarray, m: int) -> np.ndarray:
     """The (n, m) windows of the last axis of ``v``: out[..., j, d] = v[..., j+d]
-    for j+d < n, else ``fill``.  The forward of ``unfold``, and the text-span
+    for j+d < n, else NEG_INF.  The forward of ``unfold``, and the text-span
     score block of the decoder's span head."""
     idx, inside = span_windows(v.shape[-1], m)
     out = v.take(idx, axis=-1)
-    np.copyto(out, fill, where=~inside)  # np.where with a broadcast mask is several times slower
+    np.copyto(out, NEG_INF, where=~inside)  # np.where with a broadcast mask is several times slower
     return out
 
 
-def unfold(v, m: int, fill: float = NEG_INF) -> Tensor:
-    """``sliding_windows`` on the tape; the fill cells do not propagate gradient."""
+def unfold(v, m: int) -> Tensor:
+    """``sliding_windows`` on the tape; the NEG_INF cells do not propagate gradient."""
     v = _as_tensor(v)
     n = v.data.shape[-1]
-    out = Tensor(sliding_windows(v.data, m, fill), parents=(v,))
+    out = Tensor(sliding_windows(v.data, m), parents=(v,))
 
     def backward(g):
         gv = np.zeros_like(v.data)

@@ -1,3 +1,7 @@
+import re
+from collections import deque
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +11,14 @@ from testutil import fig4_bfs_items, fig4_dfs_items, pinned_vocab, random_edge_f
 from hyspa.altseq_codec import (
     AltSequence,
     SequenceDecodeError,
+    SequenceEncodeError,
     Traversal,
     decode_sequence,
     encode,
     encode_bfs,
     validate_sequence,
 )
-from hyspa.hybrid_index import index_to_text_span
+from hyspa.hybrid_index import TextSpan, index_to_text_span, span_to_index
 from hyspa.info_graph import InfoGraph, Mention, RelationEdge, canonicalize, graph_equal, make_graph
 from hyspa.type_vocab import ElementClass, classify
 
@@ -221,7 +226,7 @@ class TestRoundTrip:
             g = random_graph(rng, vocab)
             freq = random_edge_freq(rng, vocab)
             og1 = canonicalize(g, freq, vocab)
-            g2 = decode_sequence(encode_bfs(og1, vocab, M))
+            g2 = decode_sequence(encode_bfs(og1, vocab))
             og2 = canonicalize(g2, freq, vocab)
             assert og1 == og2
 
@@ -235,6 +240,153 @@ class TestRoundTrip:
         for trv in Traversal:
             seq = canonical_encode(g, freq, vocab, trv)
             assert graph_equal(decode_sequence(seq), g)
+
+
+def invalid_graphs(vocab):
+    """One case per graph the codec refuses: the graph, and the problem its
+    SequenceEncodeError names."""
+    per, phys = vocab.index("PER"), vocab.index("PHYS")
+
+    def case(name, problem, spans, relations=(), n=8, node_type=per):
+        mentions = tuple(Mention(TextSpan(*sp), node_type) for sp in spans)
+        graph = InfoGraph(mentions, tuple(RelationEdge(*r) for r in relations), n, M)
+        return pytest.param(graph, problem, id=name)
+
+    outside = f"outside [{vocab.l_e}, {vocab.l_p})"
+    return [
+        case("span_past_text", "mention 1: span (6, 9) outside text of length 8", [(0, 1), (6, 9)]),
+        case("span_longer_than_m", "mention 0: span length 17 exceeds maximum 16", [(0, 17)], n=32),
+        case("type_below_l_e", f"mention 0: node type {vocab.l_e - 1} {outside}", [(0, 1)], node_type=vocab.l_e - 1),
+        case("type_at_l_p", f"mention 0: node type {vocab.l_p} {outside}", [(0, 1)], node_type=vocab.l_p),
+        case("dangling_head", "relation 0: dangling head reference 2", [(0, 1), (2, 3)], [(2, 0, phys)]),
+        case("dangling_tail", "relation 1: dangling tail reference 3", [(0, 1), (2, 3)], [(0, 1, phys), (1, 3, phys)]),
+        case("duplicate_spans", "mention 2: duplicate span (2, 3)", [(0, 1), (2, 3), (2, 3)]),
+        case("sep_as_relation", f"relation 0: illegal edge type {vocab.sep_index}", [(0, 1)],
+             [(0, 0, vocab.sep_index)]),
+    ]
+
+
+class TestEncodeErrors:
+    @pytest.mark.parametrize("traversal", list(Traversal))
+    @pytest.mark.parametrize("graph, problem", invalid_graphs(pinned_vocab()))
+    def test_invalid_graph_names_its_problem(self, vocab, traversal, graph, problem):
+        with pytest.raises(SequenceEncodeError, match=re.escape(problem)):
+            canonical_encode(graph, {}, vocab, traversal)
+
+    @pytest.mark.parametrize("traversal", list(Traversal))
+    def test_m_other_than_the_graphs(self, vocab, fig4, traversal):
+        og = canonicalize(fig4, {}, vocab)
+        with pytest.raises(SequenceEncodeError, match="maximum span length 16, encoded with m=17"):
+            encode(og, vocab, M + 1, traversal)
+
+
+# -- the span/type-node ordering and encoders the item encoders replaced, kept as their oracle
+
+
+@dataclass(frozen=True)
+class TypeNode:
+    type_id: int
+
+
+def reference_canonicalize(g, edge_freq, vocab):
+    """(roots, adjacency) over TextSpan and TypeNode nodes."""
+    edge_freq = edge_freq or {}
+    if not g.mentions:
+        null_node = TypeNode(vocab.null_type_index)
+        return (null_node,), {null_node: ()}
+    outgoing = {i: [] for i in range(len(g.mentions))}
+    for rel in g.relations:
+        outgoing[rel.head].append(rel)
+    adjacency, roots = {}, []
+    for i in sorted(range(len(g.mentions)), key=lambda i: g.mentions[i].span):
+        mention = g.mentions[i]
+        children = [(vocab.type_edge_index, TypeNode(mention.node_type))]
+        rels = sorted(
+            outgoing[i],
+            key=lambda r: (-edge_freq.get(r.edge_type, 0), r.edge_type, g.mentions[r.tail].span),
+        )
+        children.extend((r.edge_type, g.mentions[r.tail].span) for r in rels)
+        adjacency[mention.span] = tuple(children)
+        roots.append(mention.span)
+    return tuple(roots), adjacency
+
+
+def reference_item(node, vocab):
+    return node.type_id if isinstance(node, TypeNode) else span_to_index(node, M, vocab.l_p)
+
+
+def reference_encode_bfs(roots, adjacency, vocab):
+    items, visited = [], set()
+    for root in roots:
+        if root in visited:
+            continue
+        visited.add(root)
+        queue = deque([root])
+        while queue:
+            parent = queue.popleft()
+            children = adjacency.get(parent)
+            if children is None:
+                continue
+            items.append(reference_item(parent, vocab))
+            for edge_id, child in children:
+                items.append(edge_id)
+                items.append(reference_item(child, vocab))
+            items.append(vocab.sep_index)
+            for _, child in children:
+                if child not in visited:
+                    visited.add(child)
+                    queue.append(child)
+    return items
+
+
+def reference_encode_dfs(roots, adjacency, vocab):
+    items, visited = [], set()
+
+    def expand(parent):
+        for i, (edge_id, child) in enumerate(adjacency[parent]):
+            if i > 0:
+                items.append(reference_item(parent, vocab))
+            items.append(edge_id)
+            items.append(reference_item(child, vocab))
+            if child in adjacency and child not in visited and adjacency[child]:
+                visited.add(child)
+                expand(child)
+            else:
+                items.append(vocab.sep_index)
+
+    for root in roots:
+        if root in visited:
+            continue
+        visited.add(root)
+        items.append(reference_item(root, vocab))
+        if adjacency.get(root):
+            expand(root)
+        else:
+            items.append(vocab.sep_index)
+    return items
+
+
+class TestItemEncoders:
+    @given(seed=st.integers(0, 10_000), with_freq=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_item_encoders_match_the_node_encoders(self, seed, with_freq):
+        # C2-style graphs, their mentions listed in a random order; without
+        # frequencies every relation ties on it and sorts by type, then tail
+        vocab = pinned_vocab()
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, vocab, n_max=48, max_mentions=10, max_relations=16, p_empty=0.1)
+        perm = rng.permutation(len(g.mentions))
+        at = np.argsort(perm)  # old mention index -> its new position
+        g = InfoGraph(
+            tuple(g.mentions[i] for i in perm),
+            tuple(RelationEdge(int(at[r.head]), int(at[r.tail]), r.edge_type) for r in g.relations),
+            g.n, g.m,
+        )
+        freq = random_edge_freq(rng, vocab) if with_freq else {}
+        roots, adjacency = reference_canonicalize(g, freq, vocab)
+        og = canonicalize(g, freq, vocab)
+        assert list(encode(og, vocab, M, Traversal.BFS).items) == reference_encode_bfs(roots, adjacency, vocab)
+        assert list(encode(og, vocab, M, Traversal.DFS).items) == reference_encode_dfs(roots, adjacency, vocab)
 
 
 # -- the two-walk decoder the one walk replaced, kept as the oracle of its offsets and messages

@@ -94,9 +94,26 @@ class TestCodecCommands:
         data = tmp_path / "fig4.jsonl"
         data.write_text(json.dumps(record) + "\n")
         assert invoke("encode", "--data", str(data)) == 0
-        out = capsys.readouterr().out
-        nums = [int(x) for x in out.split()]
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert json.loads(header)["traversal"] == "bfs"
+        nums = [int(x) for line in lines for x in line.split()]
         assert 19 in nums and 83 in nums and 10 in nums
+
+    @pytest.mark.parametrize("traversal", ["bfs", "dfs"])
+    def test_encode_stdout_decodes_as_the_out_dump(self, corpus, tmp_path, capsys, traversal):
+        # without --out, encode prints the same dump, header included, that decode reads
+        _, train = corpus
+        dump, printed = tmp_path / "seqs.txt", tmp_path / "printed.txt"
+        assert invoke("encode", "--data", str(train), "--traversal", traversal, "--out", str(dump)) == 0
+        capsys.readouterr()
+        assert invoke("encode", "--data", str(train), "--traversal", traversal) == 0
+        printed.write_text(capsys.readouterr().out)
+        assert printed.read_bytes() == dump.read_bytes()
+        records = []
+        for seqs in (dump, printed):
+            assert invoke("decode", "--seqs", str(seqs)) == 0
+            records.append(capsys.readouterr().out.splitlines())
+        assert len(records[0]) == 60 and records[0] == records[1]
 
     def test_manifest_written(self, corpus):
         root, _ = corpus

@@ -218,7 +218,8 @@ class TestSequenceDump:
             for _, g in ds.examples
         ]
         path = tmp_path / "seqs.txt"
-        write_sequence_dump(path, seqs, vocab, 16, Traversal.BFS)
+        with open(path, "w") as fh:
+            write_sequence_dump(fh, seqs, vocab, 16, Traversal.BFS)
         back = read_sequence_dump(path, vocab)
         assert [s.items for s in back] == [s.items for s in seqs]
         assert all(s.n == t.n for s, t in zip(back, seqs))
@@ -227,7 +228,8 @@ class TestSequenceDump:
         from hyspa.type_vocab import build_vocab
 
         path = tmp_path / "seqs.txt"
-        write_sequence_dump(path, [], vocab, 16, Traversal.BFS)
+        with open(path, "w") as fh:
+            write_sequence_dump(fh, [], vocab, 16, Traversal.BFS)
         other = build_vocab(["[TYPE]", "X"], ["[NULL]"])
         with pytest.raises(CorpusError):
             read_sequence_dump(path, other)
@@ -237,8 +239,8 @@ class TestSequenceDump:
         path.write_text(json.dumps({"m": 16, "traversal": "bfs"}) + "\n")
         with pytest.raises(CorpusError, match=r"seqs\.txt:1: .*'vocab_hash'"):
             read_sequence_dump(path, vocab)
-        write_sequence_dump(path, [], vocab, 16, Traversal.BFS)
-        with open(path, "a") as fh:
+        with open(path, "w") as fh:
+            write_sequence_dump(fh, [], vocab, 16, Traversal.BFS)
             fh.write("4 27 10\n\nabc 1 2\n")
         with pytest.raises(CorpusError, match=r"seqs\.txt:4: malformed sequence line"):
             read_sequence_dump(path, vocab)

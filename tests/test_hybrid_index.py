@@ -91,13 +91,19 @@ class TestBijection:
                 assert L_P <= k < L_P + n * M
                 assert k not in seen, f"collision at {k}: {seen[k]} vs {span}"
                 seen[k] = span
-                assert index_to_text_span(k, M, L_P, n) == span
+                assert index_to_text_span(k, M, L_P) == span
 
     def test_output_space_size_linear(self):
+        # the legal spans of a text of n tokens index into [L_P, L_P + n*M): the
+        # lowest is (0, 1) and the highest (n-1, n)
         for n in (16, 32, 64):
-            assert L_P + n * M == L_P + n * M  # size formula by construction
-            top = span_to_index(TextSpan(n - 1, n), M, L_P)
-            assert top < L_P + n * M
+            legal = [
+                span_to_index(TextSpan(s, e), M, L_P)
+                for s in range(n)
+                for e in range(s + 1, min(s + M, n) + 1)
+            ]
+            assert min(legal) == L_P
+            assert max(legal) == span_to_index(TextSpan(n - 1, n), M, L_P) == L_P + (n - 1) * M < L_P + n * M
 
     @given(st.integers(0, 63), st.integers(1, 16))
     def test_roundtrip_property(self, start, length):

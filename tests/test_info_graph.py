@@ -2,11 +2,11 @@ import pytest
 
 from testutil import fig4_graph, random_edge_freq, random_graph
 
-from hyspa.hybrid_index import TextSpan
+from hyspa.hybrid_index import TextSpan, span_to_index
 from hyspa.info_graph import (
     Mention,
     RelationEdge,
-    TypeNode,
+    SequenceEncodeError,
     canonicalize,
     graph_equal,
     make_graph,
@@ -17,23 +17,24 @@ from hyspa.info_graph import (
 class TestCanonicalize:
     def test_fig4_ordering(self, vocab, fig4):
         og = canonicalize(fig4, {}, vocab)
-        he, baghdad = TextSpan(0, 1), TextSpan(4, 5)
+        he, baghdad = 19, 83  # the span indices of (0, 1) and (4, 5) at m=16, l_p=19
+        assert (og.n, og.m) == (fig4.n, fig4.m)
         assert og.roots == (he, baghdad)
-        assert og.adjacency[he] == ((vocab.type_edge_index, TypeNode(vocab.index("PER"))),)
+        assert og.adjacency[he] == ((vocab.type_edge_index, vocab.index("PER")),)
         assert og.adjacency[baghdad] == (
-            (vocab.type_edge_index, TypeNode(vocab.index("GPE"))),
+            (vocab.type_edge_index, vocab.index("GPE")),
             (vocab.index("PHYS"), he),
         )
 
     def test_empty_graph_null_root(self, vocab):
         og = canonicalize(make_graph([], [], n=4, m=16), {}, vocab)
-        null = TypeNode(vocab.null_type_index)
+        null = vocab.null_type_index
         assert og.roots == (null,)
         assert og.adjacency == {null: ()}
 
     def test_relation_order_matches_comparator_oracle(self, vocab, rng):
         # 3 mentions, several relations with distinct frequencies: the adjacency
-        # order must equal an independent comparator sort
+        # order must equal an independent comparator sort over the tail spans
         mentions = [
             Mention(TextSpan(0, 1), vocab.l_e),
             Mention(TextSpan(2, 3), vocab.l_e + 1),
@@ -48,15 +49,18 @@ class TestCanonicalize:
         g = make_graph(mentions, relations, n=8, m=16)
         freq = {vocab.index("PHYS"): 7, vocab.index("ART"): 50}
         og = canonicalize(g, freq, vocab)
-        children = og.adjacency[TextSpan(0, 1)]
-        expected = [(vocab.type_edge_index, TypeNode(vocab.l_e))] + sorted(
-            [
-                (r.edge_type, g.mentions[r.tail].span)
-                for r in g.relations
-                if r.head == 0
-            ],
-            key=lambda pair: (-freq.get(pair[0], 0), pair[0], pair[1]),
-        )
+
+        def item(span):
+            return span_to_index(span, 16, vocab.l_p)
+
+        children = og.adjacency[item(TextSpan(0, 1))]
+        expected = [(vocab.type_edge_index, vocab.l_e)] + [
+            (edge, item(span))
+            for edge, span in sorted(
+                [(r.edge_type, g.mentions[r.tail].span) for r in g.relations if r.head == 0],
+                key=lambda pair: (-freq.get(pair[0], 0), pair[0], pair[1]),
+            )
+        ]
         assert list(children) == expected
 
     def test_unknown_edge_type_treated_as_zero_freq(self, vocab):
@@ -77,7 +81,7 @@ class TestCanonicalize:
             n=4,
             m=16,
         )
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(SequenceEncodeError, match="duplicate span"):
             canonicalize(g, {}, vocab)
 
 

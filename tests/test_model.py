@@ -284,7 +284,7 @@ class TestDecoderForward:
         rng = np.random.default_rng(0)
         for idx in range(5):
             tokens, g = ds.examples[idx]
-            seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
+            seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab)
             ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
             full = decoder_forward(ctx, list(seq.items), Traversal.BFS)
             sess = DecodeSession(ctx, Traversal.BFS, max_len=len(seq.items) + 4)
@@ -309,7 +309,7 @@ class TestDecoderForward:
     def test_causality_under_perturbation(self, vocab, setup):
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[1]
-        seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
+        seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab)
         items = list(seq.items)
         ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         base = decoder_forward(ctx, items, Traversal.BFS)
@@ -324,7 +324,7 @@ class TestDecoderForward:
         # the same element gives both the same row, different ones differ
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[1]
-        seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
+        seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab)
         ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         sess = DecodeSession(ctx, Traversal.BFS, max_len=32, beam=2)
         sess.append(seq.items[0])
@@ -345,7 +345,7 @@ class TestDecoderForward:
         # is refused before it reads rows it did not write
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[1]
-        items = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m).items
+        items = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab).items
         ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         for beam, fork_first in itertools.product((1, 2), (True, False)):
             sess = DecodeSession(ctx, Traversal.BFS, max_len=32, beam=beam)
@@ -365,7 +365,7 @@ class TestDecoderForward:
         # for bit, and the rows that follow agree with the fresh session's
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[2]
-        items = list(encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m).items)
+        items = list(encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab).items)
         ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         fresh = DecodeSession(ctx, Traversal.BFS, max_len=len(items) + 4)
         want = [fresh.last_hidden.copy()]
@@ -397,7 +397,7 @@ class TestDecoderForward:
         # every row from another one first
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[2]
-        items = list(encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m).items)
+        items = list(encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab).items)
         ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         t = 6
         histories = [items[:t], items[: t - 1] + [vocab.sep_index], items[1 : t + 1], [vocab.l_p] * t]
@@ -623,7 +623,7 @@ class TestTrainingPath:
         # autoregressive factorization: sum of per-step CE at eps=0 equals -log p(seq)
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[4]
-        seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
+        seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab)
         ids = tv.ids(tokens)
         loss = sequence_loss([(ids, seq)], cfg, params, label_smoothing=0.0)
         logits, targets = sequence_logits([(ids, seq)], cfg, params)
@@ -657,7 +657,7 @@ class TestTrainingPath:
         ds, tv, cfg, _ = setup
         params = init_params(cfg, vocab, tv, seed=7)
         tokens, g = ds.examples[0]
-        seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
+        seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab)
         batch = [(tv.ids(tokens), seq)]
         opt = AdamW(params, peak_lr=3e-3, warmup=10, weight_decay=0.01)
         first = train_step(batch, cfg, params, opt)
@@ -669,7 +669,7 @@ class TestTrainingPath:
         cfg = ModelConfig(d_m=32, layers=1, heads=4, m=16, dropout=0.5)
         params = init_params(cfg, vocab, tv, seed=8)
         tokens, g = ds.examples[0]
-        seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
+        seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab)
         ids = tv.ids(tokens)
         batch = [(ids, seq)]
         a = sequence_loss(batch, cfg, params).item()
@@ -687,7 +687,7 @@ class TestTrainingPath:
 
         ds, tv, cfg, params = setup
         g = make_graph([Mention(TextSpan(0, 1), vocab.l_e)], [], n=2, m=cfg.m)
-        seq = encode_bfs(canonicalize(g, {}, vocab), vocab, cfg.m)
+        seq = encode_bfs(canonicalize(g, {}, vocab), vocab)
         assert graph_equal(decode_sequence(seq), g)
         tokens = ("[CLS]", "alice")
         loss = sequence_loss([(tv.ids(tokens), seq)], cfg, params)
@@ -699,7 +699,7 @@ class TestTrainingPath:
     def test_masked_slot_gradients_exactly_zero(self, vocab, setup):
         ds, tv, cfg, params = setup
         tokens, g = ds.examples[3]
-        seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m)
+        seq = encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab)
         ids = tv.ids(tokens)
         logits, targets = sequence_logits([(ids, seq)], cfg, params)
         loss = nm.label_smoothed_ce(logits, targets, 0.1)
@@ -741,7 +741,7 @@ class TestOneAdmissibilityRule:
         seq = AltSequence((19, t, per, sep, 19, t, per, sep), Traversal.BFS, vocab, len(FIG4_TOKENS), cfg.m)
         assert graph_equal(decode_sequence(seq), decode_sequence(dataclasses.replace(seq, items=seq.items[:4])))
         tokens, g = ds.examples[0]
-        good = (tv.ids(tokens), encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab, cfg.m))
+        good = (tv.ids(tokens), encode_bfs(canonicalize(g, ds.edge_freq, vocab), vocab))
         with pytest.raises(ModelError, match=r"example 1 \(n=9\): the constraint machine forbids item 19 at offset 4"):
             sequence_loss([good, (tv.ids(FIG4_TOKENS), seq)], cfg, params)
 
