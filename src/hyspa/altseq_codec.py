@@ -213,11 +213,10 @@ def decode_sequence(s: AltSequence, *, _read: bool = True) -> InfoGraph:
     if null_root and len(items) > 2:
         raise SequenceDecodeError("[NULL] root must be the only level", 0)
     order = sorted(types)
-    spans = [index_to_text_span(k, m, l_p) for k in order]
-    untyped = [(sp.start, sp.end) for sp, k in zip(spans, order) if types[k] == -1]
+    mentions = tuple([Mention(index_to_text_span(k, m, l_p), types[k]) for k in order])
+    untyped = [(start, end) for (start, end), node_type in mentions if node_type == -1]
     if untyped:
         raise SequenceDecodeError(f"mention(s) with no type assignment: {untyped}", last)
     index = {k: i for i, k in enumerate(order)}
-    mentions = tuple(Mention(sp, types[k]) for sp, k in zip(spans, order))
-    return InfoGraph(mentions, tuple(RelationEdge(index[h], index[t], e) for h, e, t in relations), n, m)
+    return InfoGraph(mentions, tuple([RelationEdge(index[h], index[t], e) for h, e, t in relations]), n, m)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -86,6 +87,7 @@ _SHARED_FLAGS = {
 }
 
 
+@functools.cache  # no flag has a mutable default and parse_args returns a fresh namespace, so runs share one parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hyspa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

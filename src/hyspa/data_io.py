@@ -149,7 +149,7 @@ def parse_line(path, lineno: int, line: str, vocab: TypeVocab, m: int) -> tuple[
     raises CorpusError naming ``path:lineno``."""
     try:
         tokens, graph = record_to_graph(json.loads(line), vocab, m)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, RecursionError) as err:  # RecursionError: JSON nested too deep
         raise CorpusError(f"{path}:{lineno}: malformed record: {err}") from err
     problems = validate_graph(graph, len(tokens), m, vocab)
     if problems:
@@ -369,7 +369,7 @@ def write_sequence_dump(out, seqs, vocab: TypeVocab, m: int, traversal: Traversa
     header = {"m": m, "traversal": traversal.value, "vocab_hash": vocab.config_hash()}
     out.write(json.dumps(header) + "\n")
     for seq in seqs:
-        out.write(" ".join(str(x) for x in (seq.n, *seq.items)) + "\n")
+        out.write(" ".join(map(str, (seq.n, *seq.items))) + "\n")
 
 
 def read_dump_header(path, vocab: TypeVocab) -> tuple[int, Traversal]:
@@ -383,7 +383,7 @@ def read_dump_header(path, vocab: TypeVocab) -> tuple[int, Traversal]:
         vocab_hash, m, traversal = header["vocab_hash"], header["m"], Traversal(header["traversal"])
     except KeyError as err:
         raise CorpusError(f"{path}:1: sequence dump header has no {err} key") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, RecursionError) as err:  # RecursionError: JSON nested too deep
         raise CorpusError(f"{path}:1: malformed sequence dump header: {err}") from None
     if type(m) is not int or m < 1:  # JSON true is a bool, which isinstance(m, int) admits
         raise CorpusError(f"{path}:1: sequence dump header's m is not an integer >= 1: {m!r}")

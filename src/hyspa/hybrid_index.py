@@ -12,46 +12,46 @@ Two coordinate conventions coexist deliberately:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class SpanError(ValueError):
     """Raised for spans or indices outside their legal ranges."""
 
 
-@dataclass(frozen=True, order=True)
-class TextSpan:
-    """Token span [start, end) over the input text."""
+class TextSpan(NamedTuple("TextSpan", [("start", int), ("end", int)])):
+    """Token span [start, end) over the input text; a tuple, so it orders by
+    (start, end)."""
 
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.start < 0 or self.end <= self.start:
-            raise SpanError(f"bad span ({self.start}, {self.end})")
+    def __new__(cls, start: int, end: int):
+        if start < 0 or end <= start:
+            raise SpanError(f"bad span ({start}, {end})")
+        return tuple.__new__(cls, (start, end))
 
     @property
     def length(self) -> int:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class HSpan:
+class HSpan(NamedTuple("HSpan", [("lo", int), ("hi", int)])):
     """Inclusive row range [lo, hi] into H; type rows have lo == hi < l_p."""
 
-    lo: int
-    hi: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo < 0 or self.hi < self.lo:
-            raise SpanError(f"bad H-span ({self.lo}, {self.hi})")
+    def __new__(cls, lo: int, hi: int):
+        if lo < 0 or hi < lo:
+            raise SpanError(f"bad H-span ({lo}, {hi})")
+        return tuple.__new__(cls, (lo, hi))
 
 
 def span_to_index(span: TextSpan, m: int, l_p: int) -> int:
     """Map a text span to its hybrid index: start*m + (len-1) + l_p."""
-    if span.length > m:
+    start, end = span
+    if end - start > m:
         raise SpanError(f"span {span} longer than maximum span length {m}")
-    return span.start * m + (span.end - span.start - 1) + l_p
+    return start * m + (end - start - 1) + l_p
 
 
 def index_to_hspan(k: int, m: int, l_p: int, n: int | None = None) -> HSpan:

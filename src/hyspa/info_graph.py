@@ -1,17 +1,19 @@
 """Information-graph data model, deterministic ordering, and graph equality.
 
 A graph holds text-span mentions with node types plus directed typed relation
-edges between them.  ``validate_graph`` is the one definition of a legal
-graph.  ``canonicalize`` checks it, then orders the graph as the sequence items
-the traversal encoders emit: a mention is its span index, a node type its type
-index.  Each relation edge is owned by its head mention, the [TYPE] edge to the
-mention's node type always comes first, and all orders are fully deterministic.
+edges between them.  Mentions, relations and graphs are named tuples, so they
+order, compare and hash as tuples of their fields.  ``validate_graph`` is the
+one definition of a legal graph.  ``canonicalize`` checks it, then orders the
+graph as the sequence items the traversal encoders emit: a mention is its span
+index, a node type its type index.  Each relation edge is owned by its head
+mention, the [TYPE] edge to the mention's node type always comes first, and all
+orders are fully deterministic.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .hybrid_index import TextSpan, span_to_index
 from .type_vocab import TypeVocab
@@ -21,14 +23,12 @@ class SequenceEncodeError(ValueError):
     """Raised when a graph cannot be rendered as a sequence; names the first problem."""
 
 
-@dataclass(frozen=True, order=True)
-class Mention:
+class Mention(NamedTuple):
     span: TextSpan
     node_type: int
 
 
-@dataclass(frozen=True, order=True)
-class RelationEdge:
+class RelationEdge(NamedTuple):
     """Directed edge between mentions, referenced by index into the mention list."""
 
     head: int
@@ -36,8 +36,7 @@ class RelationEdge:
     edge_type: int
 
 
-@dataclass(frozen=True)
-class InfoGraph:
+class InfoGraph(NamedTuple):
     mentions: tuple[Mention, ...]
     relations: tuple[RelationEdge, ...]
     n: int
@@ -68,40 +67,37 @@ class OrderedGraph:
 def make_graph(mentions, relations, n: int, m: int) -> InfoGraph:
     """Build an InfoGraph with mentions sorted by span, remapping relation refs."""
     mentions = list(mentions)
-    perm = sorted(range(len(mentions)), key=lambda i: (mentions[i].span, mentions[i].node_type))
+    perm = sorted(range(len(mentions)), key=mentions.__getitem__)  # a mention orders by (span, node type)
     remap = {old: new for new, old in enumerate(perm)}
-    ms = tuple(mentions[i] for i in perm)
     # dangling references pass through untouched; validate_graph reports them
-    rels = tuple(
-        RelationEdge(remap.get(r.head, r.head), remap.get(r.tail, r.tail), r.edge_type)
-        for r in relations
-    )
-    return InfoGraph(ms, rels, n, m)
+    rels = tuple([RelationEdge(remap.get(h, h), remap.get(t, t), e) for h, t, e in relations])
+    return InfoGraph(tuple(map(mentions.__getitem__, perm)), rels, n, m)
 
 
 def validate_graph(g: InfoGraph, n: int, m: int, vocab: TypeVocab) -> list[str]:
     """Return a list of violations (empty list means the graph is valid)."""
     problems = []
     seen_spans = set()
-    for i, mention in enumerate(g.mentions):
-        sp = mention.span
-        if not (0 <= sp.start < sp.end <= n):
-            problems.append(f"mention {i}: span ({sp.start}, {sp.end}) outside text of length {n}")
-        if sp.length > m:
-            problems.append(f"mention {i}: span length {sp.length} exceeds maximum {m}")
-        if sp in seen_spans:
-            problems.append(f"mention {i}: duplicate span ({sp.start}, {sp.end})")
-        seen_spans.add(sp)
-        if not vocab.l_e <= mention.node_type < vocab.l_p:
-            problems.append(
-                f"mention {i}: node type {mention.node_type} outside [{vocab.l_e}, {vocab.l_p})"
-            )
-    for j, rel in enumerate(g.relations):
-        for side, ref in (("head", rel.head), ("tail", rel.tail)):
-            if not 0 <= ref < len(g.mentions):
-                problems.append(f"relation {j}: dangling {side} reference {ref}")
-        if not 0 <= rel.edge_type < len(vocab.edge_types) or rel.edge_type == vocab.type_edge_index:
-            problems.append(f"relation {j}: illegal edge type {rel.edge_type}")
+    l_e, l_p = vocab.l_e, vocab.l_p
+    for i, (span, node_type) in enumerate(g.mentions):
+        start, end = span
+        if not (0 <= start < end <= n):
+            problems.append(f"mention {i}: span ({start}, {end}) outside text of length {n}")
+        if end - start > m:
+            problems.append(f"mention {i}: span length {end - start} exceeds maximum {m}")
+        if span in seen_spans:
+            problems.append(f"mention {i}: duplicate span ({start}, {end})")
+        seen_spans.add(span)
+        if not l_e <= node_type < l_p:
+            problems.append(f"mention {i}: node type {node_type} outside [{l_e}, {l_p})")
+    count, edges, type_edge = len(g.mentions), len(vocab.edge_types), vocab.type_edge_index
+    for j, (head, tail, edge_type) in enumerate(g.relations):
+        if not 0 <= head < count:
+            problems.append(f"relation {j}: dangling head reference {head}")
+        if not 0 <= tail < count:
+            problems.append(f"relation {j}: dangling tail reference {tail}")
+        if not 0 <= edge_type < edges or edge_type == type_edge:
+            problems.append(f"relation {j}: illegal edge type {edge_type}")
     return problems
 
 
@@ -127,36 +123,28 @@ def canonicalize(
         return OrderedGraph(roots=(null,), adjacency={null: ()}, n=g.n, m=g.m)
 
     edge_freq = edge_freq or {}
-    items = [span_to_index(mn.span, g.m, vocab.l_p) for mn in g.mentions]
+    m, l_p, type_edge = g.m, vocab.l_p, vocab.type_edge_index
+    items = [span_to_index(span, m, l_p) for span, _ in g.mentions]
     outgoing: list[list[tuple[int, int, int]]] = [[] for _ in items]
-    for rel in g.relations:
-        outgoing[rel.head].append((-edge_freq.get(rel.edge_type, 0), rel.edge_type, items[rel.tail]))
+    for head, tail, edge_type in g.relations:
+        outgoing[head].append((-edge_freq.get(edge_type, 0), edge_type, items[tail]))
 
     adjacency: dict[int, tuple[tuple[int, int], ...]] = {}
     for i in sorted(range(len(items)), key=items.__getitem__):
         adjacency[items[i]] = (
-            (vocab.type_edge_index, g.mentions[i].node_type),
+            (type_edge, g.mentions[i].node_type),
             *((edge, tail) for _, edge, tail in sorted(outgoing[i])),
         )
     return OrderedGraph(roots=tuple(adjacency), adjacency=adjacency, n=g.n, m=g.m)
 
 
 def span_keys(g: InfoGraph) -> tuple[set, Counter]:
-    """The keys span-level comparison reads: the set of mentions as (start,
-    end, type) and the multiset of relations as (head start, head end, tail
-    start, tail end, type)."""
-    mentions = {(mn.span.start, mn.span.end, mn.node_type) for mn in g.mentions}
-    relations = Counter(
-        (
-            g.mentions[r.head].span.start,
-            g.mentions[r.head].span.end,
-            g.mentions[r.tail].span.start,
-            g.mentions[r.tail].span.end,
-            r.edge_type,
-        )
-        for r in g.relations
-    )
-    return mentions, relations
+    """The keys span-level comparison reads: the set of mentions, each a
+    (span, type) tuple, and the multiset of relations as (head span, tail
+    span, type)."""
+    spans = [mn.span for mn in g.mentions]
+    relations = Counter([(spans[r.head], spans[r.tail], r.edge_type) for r in g.relations])
+    return set(g.mentions), relations
 
 
 def graph_equal(a: InfoGraph, b: InfoGraph) -> bool:

@@ -995,7 +995,8 @@ class ExtractionModel:
             }
         except KeyError:
             raise ModelError(f"checkpoint {path}: no __meta__ entry") from None
-        except (EOFError, TypeError, ValueError, zipfile.BadZipFile) as err:  # empty, truncated, not .npz
+        except (EOFError, TypeError, ValueError, RecursionError, zipfile.BadZipFile) as err:
+            # empty, truncated, not .npz, or meta JSON nested too deep
             raise ModelError(f"checkpoint {path}: cannot be read: {err}") from None
         try:
             # a checkpoint saved before the field existed was trained with full source attention

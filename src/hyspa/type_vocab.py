@@ -123,7 +123,7 @@ def load_vocab(path) -> TypeVocab:
     two lists of strings; any other content raises VocabError naming it."""
     try:
         doc = json.loads(Path(path).read_text())
-    except ValueError as err:  # not JSON, not UTF-8
+    except (ValueError, RecursionError) as err:  # not JSON, not UTF-8, nested too deep
         raise VocabError(f"vocab {path}: {err}") from None
     lists = [doc.get(key) for key in ("edge_types", "node_types")] if isinstance(doc, dict) else [None]
     if not all(isinstance(v, list) and all(isinstance(x, str) for x in v) for v in lists):

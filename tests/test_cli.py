@@ -385,6 +385,34 @@ class TestUsageErrors:
             flags = {action.dest for action in parser._actions if action.dest != "help"}
             assert flags == read, name
 
+    def test_one_parser_serves_every_run(self):
+        import hyspa.cli as cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_a_flag_does_not_carry_into_the_next_run(self, corpus, tmp_path):
+        # runs share one parser: a plain encode after encode --traversal dfs writes BFS
+        _, train = corpus
+        dfs, plain = tmp_path / "dfs.txt", tmp_path / "plain.txt"
+        assert invoke("encode", "--data", str(train), "--traversal", "dfs", "--out", str(dfs)) == 0
+        assert invoke("encode", "--data", str(train), "--out", str(plain)) == 0
+        assert json.loads(dfs.read_text().split("\n", 1)[0])["traversal"] == "dfs"
+        assert json.loads(plain.read_text().split("\n", 1)[0])["traversal"] == "bfs"
+
+    def test_a_usage_error_leaves_the_next_run_unaffected(self, corpus, tmp_path, capsys):
+        _, train = corpus
+        before, after = tmp_path / "before.txt", tmp_path / "after.txt"
+        assert invoke("encode", "--data", str(train), "--out", str(before)) == 0
+        with pytest.raises(SystemExit) as exc:
+            invoke("encode", "--data", str(train), "--max-span-len", "0", "--traversal", "dfs")
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            invoke("encode", "--traversal", "dfs")  # --data missing
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert invoke("encode", "--data", str(train), "--out", str(after)) == 0
+        assert after.read_bytes() == before.read_bytes()
+
 
 class TestModelCommands:
     def test_gradcheck_passes(self):
@@ -594,6 +622,7 @@ def good_files(corpus):
 
 
 GOOD_RECORD = '{"tokens": ["a", "b"], "entities": [{"start": 0, "end": 1, "type": "PER"}], "relations": []}'
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # deeper than json.loads can recurse
 
 # records whose fields have the wrong JSON type, and the message naming the field
 MISTYPED = {
@@ -699,6 +728,39 @@ class TestMalformedFiles:
         seqs.write_text(json.dumps({**json.loads(header), "m": m}) + "\n" + rest)
         assert invoke("decode", "--seqs", str(seqs)) == 1
         assert f"error: {seqs}:1: sequence dump header's m is not an integer >= 1" in capsys.readouterr().err
+
+    def test_deeply_nested_record_fails_alone(self, tmp_path, capsys):
+        # json.loads raises RecursionError on it; validate printed a traceback
+        # and exited 1 without its summary
+        data = tmp_path / "deep.jsonl"
+        data.write_text(f"{GOOD_RECORD}\n{DEEP_JSON}\n{GOOD_RECORD}\n")
+        assert invoke("validate", "--data", str(data)) == 1
+        out = capsys.readouterr().out
+        assert f"{data}:2: malformed record: maximum recursion depth exceeded" in out
+        assert "validate: 2/3 ok" in out
+
+    def test_deeply_nested_vocab_names_the_file(self, good_files, tmp_path, capsys):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(DEEP_JSON)
+        assert invoke("validate", "--vocab", str(vocab), "--data", str(good_files["data"])) == 1
+        assert f"error: vocab {vocab}: maximum recursion depth exceeded" in capsys.readouterr().err
+
+    def test_deeply_nested_dump_header_names_the_dump(self, good_files, tmp_path, capsys):
+        seqs = tmp_path / "seqs.txt"
+        seqs.write_text(DEEP_JSON + "\n" + good_files["seqs"].read_text().split("\n", 1)[1])
+        assert invoke("decode", "--seqs", str(seqs)) == 1
+        assert f"error: {seqs}:1: malformed sequence dump header: maximum recursion depth" in capsys.readouterr().err
+
+    def test_deeply_nested_checkpoint_meta_names_the_checkpoint(self, good_files, tmp_path, capsys):
+        import numpy as np
+
+        ckpt = tmp_path / "model.npz"
+        with np.load(good_files["model"]) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        arrays["__meta__"] = np.frombuffer(DEEP_JSON.encode(), dtype=np.uint8)
+        np.savez(ckpt, **arrays)
+        assert invoke("extract", "--model", str(ckpt), "--input", str(good_files["input"])) == 1
+        assert f"error: checkpoint {ckpt}: cannot be read: maximum recursion depth" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc", [
         ["[TYPE]"], {"edge_types": ["[TYPE]"]}, {"edge_types": "[TYPE]", "node_types": "[NULL]"},

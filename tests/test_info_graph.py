@@ -1,9 +1,13 @@
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from testutil import fig4_graph, random_edge_freq, random_graph
 
-from hyspa.hybrid_index import TextSpan, span_to_index
+from hyspa.hybrid_index import HSpan, SpanError, TextSpan, span_to_index
 from hyspa.info_graph import (
+    InfoGraph,
     Mention,
     RelationEdge,
     SequenceEncodeError,
@@ -167,3 +171,129 @@ class TestValidateGraph:
                     n=g.n, m=g.m,
                 )
                 assert any("illegal edge type" in p for p in validate_graph(bad, g.n, g.m, vocab))
+
+
+# The value types as frozen dataclasses, with the make_graph and validate_graph
+# that read them by attribute: the oracle for the tuple types.
+@dataclass(frozen=True, order=True)
+class DataclassTextSpan:
+    start: int
+    end: int
+
+    def __post_init__(self):
+        if self.start < 0 or self.end <= self.start:
+            raise SpanError(f"bad span ({self.start}, {self.end})")
+
+    @property
+    def length(self) -> int:
+        return self.end - self.start
+
+
+@dataclass(frozen=True, order=True)
+class DataclassMention:
+    span: DataclassTextSpan
+    node_type: int
+
+
+@dataclass(frozen=True, order=True)
+class DataclassRelationEdge:
+    head: int
+    tail: int
+    edge_type: int
+
+
+@dataclass(frozen=True)
+class DataclassInfoGraph:
+    mentions: tuple
+    relations: tuple
+    n: int
+    m: int
+
+
+for _cls in (DataclassTextSpan, DataclassMention, DataclassRelationEdge, DataclassInfoGraph):
+    _cls.__qualname__ = _cls.__name__ = _cls.__name__.removeprefix("Dataclass")  # the repr names the type
+
+
+def dataclass_make_graph(mentions, relations, n, m):
+    mentions = list(mentions)
+    perm = sorted(range(len(mentions)), key=lambda i: (mentions[i].span, mentions[i].node_type))
+    remap = {old: new for new, old in enumerate(perm)}
+    ms = tuple(mentions[i] for i in perm)
+    rels = tuple(
+        DataclassRelationEdge(remap.get(r.head, r.head), remap.get(r.tail, r.tail), r.edge_type)
+        for r in relations
+    )
+    return DataclassInfoGraph(ms, rels, n, m)
+
+
+def dataclass_validate_graph(g, n, m, vocab):
+    problems = []
+    seen_spans = set()
+    for i, mention in enumerate(g.mentions):
+        sp = mention.span
+        if not (0 <= sp.start < sp.end <= n):
+            problems.append(f"mention {i}: span ({sp.start}, {sp.end}) outside text of length {n}")
+        if sp.length > m:
+            problems.append(f"mention {i}: span length {sp.length} exceeds maximum {m}")
+        if sp in seen_spans:
+            problems.append(f"mention {i}: duplicate span ({sp.start}, {sp.end})")
+        seen_spans.add(sp)
+        if not vocab.l_e <= mention.node_type < vocab.l_p:
+            problems.append(
+                f"mention {i}: node type {mention.node_type} outside [{vocab.l_e}, {vocab.l_p})"
+            )
+    for j, rel in enumerate(g.relations):
+        for side, ref in (("head", rel.head), ("tail", rel.tail)):
+            if not 0 <= ref < len(g.mentions):
+                problems.append(f"relation {j}: dangling {side} reference {ref}")
+        if not 0 <= rel.edge_type < len(vocab.edge_types) or rel.edge_type == vocab.type_edge_index:
+            problems.append(f"relation {j}: illegal edge type {rel.edge_type}")
+    return problems
+
+
+# few distinct values, so duplicate spans, equal mentions and dangling references are common
+SPAN_ENDS = st.tuples(st.integers(0, 6), st.integers(1, 5)).map(lambda se: (se[0], se[0] + se[1]))
+MENTIONS = st.lists(st.tuples(SPAN_ENDS, st.integers(8, 20)), max_size=7)
+RELATIONS = st.lists(st.tuples(st.integers(-1, 8), st.integers(-1, 8), st.integers(-1, 9)), max_size=8)
+
+
+class TestTupleTypesKeepDataclassSemantics:
+    @settings(max_examples=150, deadline=None)
+    @given(mentions=MENTIONS, relations=RELATIONS, n=st.integers(1, 9), m=st.integers(1, 4))
+    def test_make_graph_matches_the_dataclass_oracle(self, vocab, mentions, relations, n, m):
+        new = make_graph([Mention(TextSpan(*sp), t) for sp, t in mentions],
+                         [RelationEdge(*r) for r in relations], n, m)
+        old = dataclass_make_graph([DataclassMention(DataclassTextSpan(*sp), t) for sp, t in mentions],
+                                   [DataclassRelationEdge(*r) for r in relations], n, m)
+        assert repr(new) == repr(old)  # same mention order, same remapped relations
+        assert hash(new) == hash(old)
+        for news, olds in ((new.mentions, old.mentions), (new.relations, old.relations)):
+            for a, a_old in zip(news, olds):
+                assert hash(a) == hash(a_old)
+                for b, b_old in zip(news, olds):
+                    assert (a == b, a < b, a <= b) == (a_old == b_old, a_old < b_old, a_old <= b_old)
+        assert validate_graph(new, n, m, vocab) == dataclass_validate_graph(old, n, m, vocab)
+
+    @given(st.integers(-3, 5), st.integers(-3, 5))
+    def test_text_span_refuses_what_the_dataclass_refused(self, start, end):
+        try:
+            old = DataclassTextSpan(start, end)
+        except SpanError as err:
+            with pytest.raises(SpanError) as exc:
+                TextSpan(start, end)
+            assert str(exc.value) == str(err) == f"bad span ({start}, {end})"
+        else:
+            span = TextSpan(start, end)
+            assert (repr(span), hash(span), span.length) == (repr(old), hash(old), old.length)
+
+    def test_fields_cannot_be_assigned(self):
+        span = TextSpan(0, 2)
+        values = [
+            (span, "start"), (HSpan(1, 1), "hi"), (Mention(span, 9), "node_type"),
+            (RelationEdge(0, 0, 1), "tail"), (InfoGraph((), (), 3, 2), "n"),
+        ]
+        for value, name in values:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+        with pytest.raises(AttributeError):  # no instance dict: a value holds its fields only
+            span.extra = 1
