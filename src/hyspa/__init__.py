@@ -10,7 +10,7 @@ from .altseq_codec import (
     encode_dfs,
     validate_sequence,
 )
-from .hybrid_index import HSpan, TextSpan, hspan_to_text_span, index_to_hspan, span_to_index
+from .hybrid_index import TextSpan, span_rows, span_to_index
 from .info_graph import (
     InfoGraph,
     Mention,
@@ -22,15 +22,13 @@ from .info_graph import (
     validate_graph,
 )
 from .model import ExtractionModel, ModelConfig, TokenVocab
-from .type_vocab import ElementClass, TypeVocab, build_vocab, classify, segment_ids
+from .type_vocab import TypeVocab, build_vocab, segment_ids
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AltSequence",
-    "ElementClass",
     "ExtractionModel",
-    "HSpan",
     "InfoGraph",
     "Mention",
     "ModelConfig",
@@ -43,16 +41,14 @@ __all__ = [
     "TypeVocab",
     "build_vocab",
     "canonicalize",
-    "classify",
     "decode_sequence",
     "encode",
     "encode_bfs",
     "encode_dfs",
     "graph_equal",
-    "hspan_to_text_span",
-    "index_to_hspan",
     "make_graph",
     "segment_ids",
+    "span_rows",
     "span_to_index",
     "validate_graph",
     "validate_sequence",

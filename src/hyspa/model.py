@@ -88,7 +88,7 @@ import numpy as np
 from . import numerics as nm
 from .altseq_codec import AltSequence, Traversal
 from .embeddings import DFS_LEVEL_TABLE, TREE_BRANCH_CAP, advance, bfs_components, dfs_components, sinusoidal
-from .hybrid_index import index_to_hspan
+from .hybrid_index import span_rows
 from .numerics import Tensor
 from .type_vocab import TypeVocab, segment_ids
 
@@ -371,10 +371,7 @@ def sequence_logits(
         targets[b, : t[b] - 1] = seq.items
         targets[b, t[b] - 1] = vocab.eos_index
         text_ids[b, : n[b]] = token_ids
-    # inclusive H-row window of each input, as index_to_hspan computes it
-    off = np.maximum(inputs - l_p, 0)
-    lo = np.where(inputs < l_p, inputs, l_p + off // m)
-    hi = lo + off % m
+    lo, hi = span_rows(inputs, m, l_p)  # inclusive H-row window of each input
     if (inputs < 0).any() or (hi >= l_p + n[:, None]).any():
         raise ModelError("a sequence item lies outside its hybrid index space")
 
@@ -754,9 +751,11 @@ def _span_row(ctx: ContextRep, k: int) -> np.ndarray:
     memoised in ``ctx.rows``."""
     row = ctx.rows.get(k)
     if row is None:
-        h = index_to_hspan(k, ctx.engine.cfg.m, ctx.l_p, ctx.n)
-        w = nm.softmax(ctx.span_scores[h.lo : h.hi + 1].copy())
-        row = ctx.rows[k] = w @ ctx.H[h.lo : h.hi + 1]
+        lo, hi = span_rows(k, ctx.engine.cfg.m, ctx.l_p)
+        if k < 0 or hi >= ctx.l_p + ctx.n:
+            raise ModelError(f"slot {k} lies outside the hybrid index space of n={ctx.n}")
+        w = nm.softmax(ctx.span_scores[lo : hi + 1].copy())
+        row = ctx.rows[k] = w @ ctx.H[lo : hi + 1]
     return row
 
 
@@ -1002,6 +1001,8 @@ class ExtractionModel:
             # a checkpoint saved before the field existed was trained with full source attention
             cfg = ModelConfig(**{"source_radius": None, **meta["cfg"]})
             vocab = build_vocab(meta["edge_types"], meta["node_types"])
+            if not isinstance(meta["tokens"], list) or not all(type(t) is str for t in meta["tokens"]):
+                raise TypeError("tokens must be a list of strings")
             token_vocab = TokenVocab(tokens=tuple(meta["tokens"]))
             edge_freq = {int(k): v for k, v in meta["edge_freq"].items()}
             for value in edge_freq.values():
@@ -1018,7 +1019,7 @@ class ExtractionModel:
 
 def _check_params(params: dict[str, Tensor], shapes: dict[str, tuple[int, ...]], path) -> None:
     """ModelError naming the first parameter that is missing, has the wrong
-    shape, or is not part of the configured model."""
+    shape, holds a NaN or an infinity, or is not part of the configured model."""
     for name, shape in shapes.items():
         if name not in params:
             raise ModelError(f"checkpoint {path}: parameter {name} {shape} is missing")
@@ -1027,6 +1028,8 @@ def _check_params(params: dict[str, Tensor], shapes: dict[str, tuple[int, ...]],
                 f"checkpoint {path}: parameter {name} has shape {params[name].data.shape}, "
                 f"the saved config needs {shape}"
             )
+        if not np.isfinite(params[name].data).all():
+            raise ModelError(f"checkpoint {path}: parameter {name} holds non-finite values")
     for name in params:
         if name not in shapes:
             raise ModelError(f"checkpoint {path}: parameter {name} is not part of the saved config")

@@ -1,4 +1,4 @@
-"""Ordered type vocabulary and classification of hybrid-span indices.
+"""Ordered type vocabulary: the type block of the hybrid-span index space.
 
 The index space is laid out as real edge types, then the three virtual edge
 types, then node types, then text spans.  ``l_e`` and ``l_p`` are the two
@@ -9,7 +9,6 @@ constraint machine and the training tape.
 """
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,24 +25,6 @@ VIRTUAL_EDGE_TYPES = (SOS, EOS, SEP)
 
 class VocabError(ValueError):
     """Raised for malformed vocabulary definitions."""
-
-
-class ElementClass(enum.Enum):
-    """Class of one hybrid-span index: which block of the layout it names."""
-
-    REAL_EDGE = "real_edge"
-    VIRTUAL_SOS = "sos"
-    VIRTUAL_EOS = "eos"
-    VIRTUAL_SEP = "sep"
-    NODE_TYPE = "node_type"
-    TEXT_SPAN = "text_span"
-
-
-_VIRTUAL_BY_OFFSET = (
-    ElementClass.VIRTUAL_SOS,
-    ElementClass.VIRTUAL_EOS,
-    ElementClass.VIRTUAL_SEP,
-)
 
 
 @dataclass(frozen=True)
@@ -129,20 +110,6 @@ def load_vocab(path) -> TypeVocab:
     if not all(isinstance(v, list) and all(isinstance(x, str) for x in v) for v in lists):
         raise VocabError(f"vocab {path}: not an object with lists of strings edge_types and node_types")
     return build_vocab(*lists)
-
-
-def classify(k: int, vocab: TypeVocab, n: int, m: int) -> ElementClass:
-    """Classify index ``k`` within the output space [0, l_p + n*m)."""
-    if not 0 <= k < vocab.l_p + n * m:
-        raise VocabError(f"index {k} outside [0, {vocab.l_p + n * m})")
-    n_edges = len(vocab.edge_types)
-    if k < n_edges:
-        return ElementClass.REAL_EDGE
-    if k < vocab.l_e:
-        return _VIRTUAL_BY_OFFSET[k - n_edges]
-    if k < vocab.l_p:
-        return ElementClass.NODE_TYPE
-    return ElementClass.TEXT_SPAN
 
 
 def segment_ids(vocab: TypeVocab, n: int) -> list[int]:

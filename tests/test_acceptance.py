@@ -22,7 +22,7 @@ from testutil import (
 from hyspa.altseq_codec import Traversal, decode_sequence, encode, validate_sequence
 from hyspa.data_io import synth_generate
 from hyspa.decode_search import evaluate_model, sample_sequence
-from hyspa.hybrid_index import TextSpan, index_to_hspan, span_to_index
+from hyspa.hybrid_index import TextSpan, span_rows, span_to_index
 from hyspa.info_graph import canonicalize, graph_equal, validate_graph
 from hyspa.model import (
     DecodeSession,
@@ -115,16 +115,19 @@ def test_c3_index_bijection():
             ok &= vocab.l_p <= k < vocab.l_p + n * M
             ok &= k not in seen
             seen[k] = span
-            h = index_to_hspan(k, M, vocab.l_p, n)
-            ok &= (h.lo - vocab.l_p, h.hi - vocab.l_p + 1) == (span.start, span.end)
+            lo, hi = span_rows(k, M, vocab.l_p)
+            ok &= (lo - vocab.l_p, hi - vocab.l_p + 1) == (span.start, span.end)
     for k in range(vocab.l_p):
-        h = index_to_hspan(k, M, vocab.l_p, n)
-        ok &= (h.lo, h.hi) == (k, k)
+        ok &= span_rows(k, M, vocab.l_p) == (k, k)
+    # the tape's array form row for row equals the engine's int form
+    slots = [*range(vocab.l_p), *seen]
+    los, his = span_rows(np.array(slots), M, vocab.l_p)
+    ok &= [span_rows(k, M, vocab.l_p) for k in slots] == list(zip(los.tolist(), his.tolist()))
     report(
         "C3 index bijection",
         ok,
         f"exhaustive n=64 m=16: {len(seen)} legal spans unique+invertible; "
-        f"g_t identity on all {vocab.l_p} type indices",
+        f"g_t identity on all {vocab.l_p} type indices; array form equals int form",
     )
     assert ok
 

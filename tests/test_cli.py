@@ -515,7 +515,7 @@ class TestModelCommands:
 
     @pytest.mark.parametrize("damage", [
         "no meta", "no meta key", "unknown config field", "bad traversal", "edge_freq list",
-        "edge_freq value", "empty", "truncated", "text",
+        "edge_freq value", "non-string token", "empty", "truncated", "text",
     ])
     def test_malformed_checkpoint_fails_with_message(self, corpus, tmp_path, capsys, damage):
         import numpy as np
@@ -548,6 +548,8 @@ class TestModelCommands:
             # eval's first record holds a relation, whose canonical order reads edge_freq
             assert json.loads(train.read_text().splitlines()[0])["relations"]
             meta["edge_freq"] = {"1": "x", "2": None}
+        elif damage == "non-string token":  # a list once reached the token index unchecked
+            meta["tokens"] = ["[UNK]", ["a"]]
         if damage != "no meta":
             arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(ckpt, **arrays)
@@ -556,6 +558,30 @@ class TestModelCommands:
         assert f"error: checkpoint {ckpt}" in err
         if damage == "edge_freq value":
             assert "edge_freq value 'x' is not an integer" in err
+        if damage == "non-string token":
+            assert "tokens must be a list of strings" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("command", ["extract", "eval"])
+    def test_non_finite_parameter_is_refused(self, corpus, tmp_path, capsys, command, value):
+        # a NaN weight used to reach beam search, where every hypothesis died,
+        # and end in an IndexError with no per-line report
+        import numpy as np
+
+        _, train = corpus
+        ckpt = tmp_path / "model.npz"
+        _tiny_checkpoint(ckpt)
+        with np.load(ckpt) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        arrays["param/head_w5"][0, 0] = value
+        np.savez(ckpt, **arrays)
+        sents = tmp_path / "sents.txt"
+        sents.write_text("a a\n")
+        source = {"extract": ["--input", str(sents)], "eval": ["--data", str(train), "--limit", "1"]}[command]
+        assert invoke(command, "--model", str(ckpt), *source) == 1
+        err = capsys.readouterr().err
+        assert f"error: checkpoint {ckpt}: parameter head_w5 holds non-finite values" in err
+        assert "Traceback" not in err
 
 
 # what a malformed file holds, made from a good file's bytes
@@ -826,5 +852,83 @@ class TestCheckpointConfig:
         with contextlib.redirect_stderr(err):
             code = invoke("extract", "--model", str(ckpt), "--input", str(sents), "--out", str(ckpt.parent / "out"))
         assert code in (0, 1)
+        if code == 1:
+            assert f"error: checkpoint {ckpt}" in err.getvalue()
+
+
+# what one field of a checkpoint's meta JSON may hold in place of its saved value
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def damaged_checkpoint(data, good) -> bytes:
+    """The bytes of a damaged checkpoint, drawn through ``data`` from ``good``
+    (its bytes, its arrays and its meta): arbitrary bytes, a truncated
+    checkpoint, the .npz with one parameter dropped, reshaped or holding a NaN
+    or an infinity, or the .npz with one field of its meta JSON replaced."""
+    import numpy as np
+
+    raw, arrays, meta = good
+    kind = data.draw(st.sampled_from(["bytes", "truncated", "parameter", "meta"]), label="kind")
+    if kind == "bytes":
+        return data.draw(st.binary(max_size=64), label="bytes")
+    if kind == "truncated":
+        return raw[: data.draw(st.integers(0, len(raw) - 1), label="length")]
+    arrays = dict(arrays)
+    if kind == "parameter":
+        name = data.draw(st.sampled_from(sorted(k for k in arrays if k.startswith("param/"))), label="parameter")
+        damage = data.draw(st.sampled_from(["drop", "reshape", "non-finite"]), label="damage")
+        if damage == "drop":
+            del arrays[name]
+        elif damage == "reshape":
+            arrays[name] = arrays[name].reshape(data.draw(st.sampled_from([(-1,), arrays[name].shape + (1,)])))
+        else:
+            arrays[name] = arrays[name].copy()
+            arrays[name].flat[data.draw(st.integers(0, arrays[name].size - 1), label="at")] = data.draw(
+                st.sampled_from([np.nan, np.inf, -np.inf]), label="value"
+            )
+    else:
+        meta = json.loads(json.dumps(meta))  # a copy to mutate
+        fields = [(k,) for k in meta] + [("cfg", k) for k in meta["cfg"]]
+        *path, key = data.draw(st.sampled_from(fields), label="field")
+        (meta[path[0]] if path else meta)[key] = data.draw(JSON_VALUES, label="value")
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    return out.getvalue()
+
+
+class TestCheckpointFile:
+    @pytest.fixture(scope="class")
+    def good(self, good_files):
+        import numpy as np
+
+        with np.load(good_files["model"]) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        return good_files["model"].read_bytes(), arrays, meta
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        """A directory with a sentence file of one token, within every max_tokens >= 1."""
+        root = tmp_path_factory.mktemp("ckpt")
+        (root / "one.txt").write_text("a\n")
+        return root
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_damaged_checkpoint_loads_or_names_the_file(self, good, root, data):
+        # extract --model on a damaged checkpoint exits 0 or 1, never with a
+        # traceback, and a failure names the checkpoint
+        ckpt = root / "model.npz"
+        ckpt.write_bytes(damaged_checkpoint(data, good))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = invoke("extract", "--model", str(ckpt), "--input", str(root / "one.txt"), "--out", str(root / "out"))
+        assert code in (0, 1)
+        assert "Traceback" not in err.getvalue()
         if code == 1:
             assert f"error: checkpoint {ckpt}" in err.getvalue()

@@ -1,15 +1,8 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hyspa.hybrid_index import (
-    HSpan,
-    SpanError,
-    TextSpan,
-    hspan_to_text_span,
-    index_to_hspan,
-    index_to_text_span,
-    span_to_index,
-)
+from hyspa.hybrid_index import SpanError, TextSpan, index_to_text_span, span_rows, span_to_index
 
 L_P = 19
 M = 16
@@ -45,39 +38,46 @@ class TestSpanToIndex:
 
 
 class TestIndexToHSpan:
+    """``span_rows``: a slot's inclusive rows (lo, hi) of H."""
+
     def test_type_identity(self):
-        assert index_to_hspan(10, M, L_P) == HSpan(10, 10)
+        assert span_rows(10, M, L_P) == (10, 10)
 
     def test_baghdad_rows(self):
-        assert index_to_hspan(83, M, L_P) == HSpan(23, 23)
+        assert span_rows(83, M, L_P) == (23, 23)
 
     def test_two_token_rows(self):
-        assert index_to_hspan(52, M, L_P) == HSpan(21, 22)
+        assert span_rows(52, M, L_P) == (21, 22)
 
     def test_identity_for_all_type_indices(self):
         for k in range(L_P):
-            assert index_to_hspan(k, M, L_P) == HSpan(k, k)
+            assert span_rows(k, M, L_P) == (k, k)
 
     def test_out_of_range(self):
-        with pytest.raises(SpanError):
-            index_to_hspan(-1, M, L_P)
-        with pytest.raises(SpanError):
-            index_to_hspan(L_P + 4 * M, M, L_P, n=4)
+        # the callers' check, k < 0 or hi >= L_P + n, refuses exactly the slots
+        # that are neither a type nor a span inside a text of n tokens
+        n = 4
+        for k in range(-M, L_P + (n + 1) * M):
+            start, length = divmod(k - L_P, M)
+            legal = 0 <= k < L_P or k >= L_P and start + length + 1 <= n
+            assert (k < 0 or span_rows(k, M, L_P)[1] >= L_P + n) == (not legal), k
 
 
 class TestHSpanToTextSpan:
+    """A span slot's H rows are its token span shifted by L_P, hi inclusive."""
+
     def test_baghdad(self):
-        assert hspan_to_text_span(HSpan(23, 23), L_P) == TextSpan(4, 5)
+        assert span_rows(83, M, L_P) == (23, 23) and index_to_text_span(83, M, L_P) == TextSpan(4, 5)
 
     def test_he(self):
-        assert hspan_to_text_span(HSpan(19, 19), L_P) == TextSpan(0, 1)
+        assert span_rows(19, M, L_P) == (19, 19) and index_to_text_span(19, M, L_P) == TextSpan(0, 1)
 
     def test_two_token(self):
-        assert hspan_to_text_span(HSpan(21, 22), L_P) == TextSpan(2, 4)
+        assert span_rows(52, M, L_P) == (21, 22) and index_to_text_span(52, M, L_P) == TextSpan(2, 4)
 
     def test_type_rows_rejected(self):
         with pytest.raises(SpanError):
-            hspan_to_text_span(HSpan(5, 5), L_P)
+            index_to_text_span(5, M, L_P)
 
 
 class TestBijection:
@@ -92,6 +92,10 @@ class TestBijection:
                 assert k not in seen, f"collision at {k}: {seen[k]} vs {span}"
                 seen[k] = span
                 assert index_to_text_span(k, M, L_P) == span
+        # the array form, as the training tape calls it, row for row equals the int form
+        slots = np.arange(L_P + n * M)
+        los, his = span_rows(slots, M, L_P)
+        assert [span_rows(k, M, L_P) for k in range(L_P + n * M)] == list(zip(los.tolist(), his.tolist()))
 
     def test_output_space_size_linear(self):
         # the legal spans of a text of n tokens index into [L_P, L_P + n*M): the
@@ -109,4 +113,5 @@ class TestBijection:
     def test_roundtrip_property(self, start, length):
         span = TextSpan(start, start + length)
         k = span_to_index(span, M, L_P)
-        assert hspan_to_text_span(index_to_hspan(k, M, L_P), L_P) == span
+        lo, hi = span_rows(k, M, L_P)
+        assert index_to_text_span(k, M, L_P) == span == TextSpan(lo - L_P, hi - L_P + 1)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from testutil import fig4_graph, random_edge_freq, random_graph
 
-from hyspa.hybrid_index import HSpan, SpanError, TextSpan, span_to_index
+from hyspa.hybrid_index import SpanError, TextSpan, span_to_index
 from hyspa.info_graph import (
     InfoGraph,
     Mention,
@@ -284,12 +284,12 @@ class TestTupleTypesKeepDataclassSemantics:
             assert str(exc.value) == str(err) == f"bad span ({start}, {end})"
         else:
             span = TextSpan(start, end)
-            assert (repr(span), hash(span), span.length) == (repr(old), hash(old), old.length)
+            assert (repr(span), hash(span)) == (repr(old), hash(old))
 
     def test_fields_cannot_be_assigned(self):
         span = TextSpan(0, 2)
         values = [
-            (span, "start"), (HSpan(1, 1), "hi"), (Mention(span, 9), "node_type"),
+            (span, "start"), (Mention(span, 9), "node_type"),
             (RelationEdge(0, 0, 1), "tail"), (InfoGraph((), (), 3, 2), "n"),
         ]
         for value, name in values:

@@ -12,7 +12,7 @@ from hyspa import numerics as nm
 from hyspa.altseq_codec import AltSequence, Traversal, decode_sequence, encode, encode_bfs
 from hyspa.data_io import synth_generate
 from hyspa.decode_search import GenConstraints, _step_logprobs
-from hyspa.hybrid_index import TextSpan, index_to_hspan, span_to_index
+from hyspa.hybrid_index import TextSpan, span_rows, span_to_index
 from hyspa.info_graph import canonicalize, graph_equal
 from hyspa.model import (
     DecodeSession,
@@ -172,9 +172,9 @@ class TestEncodeContext:
         assert peak(2048) < 2.5 * peak(1024)
 
 
-def window_mask(hspans, l_h):
+def window_mask(rows, l_h):
     """Dense span-attention mask: row r opens exactly the H rows [lo_r, hi_r]."""
-    lo, hi = (np.array([[getattr(h, end)] for h in hspans]) for end in ("lo", "hi"))
+    lo, hi = (np.array([[r[end]] for r in rows]) for end in (0, 1))
     cols = np.arange(l_h)
     return np.where((cols >= lo) & (cols <= hi), 0.0, NEG_INF)
 
@@ -208,7 +208,7 @@ class TestSpanEncoding:
         n = len(tokens)
         ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
         items = [vocab.sos_index, vocab.l_e, span_to_index(TextSpan(1, 2), cfg.m, vocab.l_p)]
-        m0 = window_mask([index_to_hspan(k, cfg.m, vocab.l_p, n) for k in items], vocab.l_p + n)
+        m0 = window_mask([span_rows(k, cfg.m, vocab.l_p) for k in items], vocab.l_p + n)
         q = ctx.H[vocab.l_p] @ params["span_w1"].data + params["span_b1"].data
         K = ctx.H @ params["span_w2"].data + params["span_b2"].data
         scores = (K @ q) / np.sqrt(cfg.d_m) + m0
@@ -219,6 +219,20 @@ class TestSpanEncoding:
 
         for i, k in enumerate(items):
             assert np.allclose(_span_row(ctx, k), ref[i], atol=1e-10)
+
+    def test_slot_outside_the_text_rejected(self, vocab, setup):
+        # below 0, a span that ends past the text, and the first slot past the space
+        ds, tv, cfg, params = setup
+        tokens = ds.examples[0][0]
+        n = len(tokens)
+        ctx = encode_context(tokens, make_engine(cfg, params, vocab, tv))
+        from hyspa.model import _span_row
+
+        slots = (-1, vocab.l_p + (n - 1) * cfg.m + 1, vocab.l_p + n * cfg.m)
+        for k in slots:
+            with pytest.raises(ModelError, match=rf"slot {k} lies outside the hybrid index space of n={n}"):
+                _span_row(ctx, k)
+        assert not set(slots) & set(ctx.rows)
 
 
 class TestEncodeHybridSpans:
@@ -239,7 +253,7 @@ class TestEncodeHybridSpans:
             rows = np.stack([sess._input_row(k) for k in seq.items])
 
             n, l_p = seq.n, vocab.l_p
-            m0 = window_mask([index_to_hspan(k, cfg.m, l_p, n) for k in seq.items], l_p + n)
+            m0 = window_mask([span_rows(k, cfg.m, l_p) for k in seq.items], l_p + n)
             q = ctx.H[l_p] @ params["span_w1"].data + params["span_b1"].data
             K = ctx.H @ params["span_w2"].data + params["span_b2"].data
             att = (K @ q) / math.sqrt(cfg.d_m) + m0

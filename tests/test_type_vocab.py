@@ -3,14 +3,13 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hyspa.hybrid_index import TextSpan, index_to_text_span
 from hyspa.type_vocab import (
     NULL_TYPE,
     TYPE_EDGE,
     VIRTUAL_EDGE_TYPES,
-    ElementClass,
     VocabError,
     build_vocab,
-    classify,
     segment_ids,
 )
 
@@ -99,36 +98,28 @@ class TestLayout:
 
 
 class TestClassify:
+    """The bounds alone classify an index into its block: real edges, the
+    virtual edges, node types, then text spans."""
+
     def test_sep_index_is_virtual(self, vocab):
-        assert classify(10, vocab, n=9, m=16) is ElementClass.VIRTUAL_SEP
+        assert vocab.sep_index == 10
+        assert len(vocab.edge_types) <= vocab.sep_index < vocab.l_e
 
     def test_first_span_index(self, vocab):
-        cls = classify(vocab.l_p, vocab, n=9, m=16)
-        assert cls is ElementClass.TEXT_SPAN
+        assert index_to_text_span(vocab.l_p, 16, vocab.l_p) == TextSpan(0, 1)
 
     def test_first_node_type_at_l_e(self, vocab):
-        assert classify(vocab.l_e, vocab, n=9, m=16) is ElementClass.NODE_TYPE
-
-    def test_out_of_range(self, vocab):
-        with pytest.raises(VocabError):
-            classify(vocab.l_p + 9 * 16, vocab, n=9, m=16)
-        with pytest.raises(VocabError):
-            classify(-1, vocab, n=9, m=16)
+        assert vocab.name(vocab.l_e) == vocab.node_types[0]
+        assert vocab.node_type_indices[0] == vocab.l_e
 
     def test_partition_is_total_and_boundaries_exact(self, vocab):
         n, m = 7, 4
-        counts = {cls: 0 for cls in ElementClass}
-        for k in range(vocab.l_p + n * m):
-            counts[classify(k, vocab, n, m)] += 1
-        assert counts[ElementClass.REAL_EDGE] == len(vocab.edge_types)
-        virt = (
-            counts[ElementClass.VIRTUAL_SOS]
-            + counts[ElementClass.VIRTUAL_EOS]
-            + counts[ElementClass.VIRTUAL_SEP]
-        )
-        assert virt == 3
-        assert counts[ElementClass.NODE_TYPE] == len(vocab.node_types)
-        assert counts[ElementClass.TEXT_SPAN] == n * m
+        assert list(vocab.real_edge_indices) == list(range(len(vocab.edge_types)))
+        assert vocab.names[len(vocab.edge_types) : vocab.l_e] == VIRTUAL_EDGE_TYPES
+        assert [vocab.sos_index, vocab.eos_index, vocab.sep_index] == list(range(len(vocab.edge_types), vocab.l_e))
+        assert vocab.names[vocab.l_e : vocab.l_p] == vocab.node_types
+        spans = [index_to_text_span(k, m, vocab.l_p) for k in range(vocab.l_p, vocab.l_p + n * m)]
+        assert len(set(spans)) == n * m and min(spans) == TextSpan(0, 1)
 
 
 class TestSegmentIds:
@@ -144,16 +135,11 @@ class TestSegmentIds:
         with pytest.raises(VocabError):
             segment_ids(vocab, 0)
 
-    def test_monotone_and_consistent_with_classify(self, vocab):
-        n, m = 5, 3
+    def test_monotone_and_consistent_with_the_bounds(self, vocab):
+        n = 5
         ids = segment_ids(vocab, n)
         assert ids == sorted(ids)
-        by_class = {
-            ElementClass.REAL_EDGE: 0,
-            ElementClass.VIRTUAL_SOS: 1,
-            ElementClass.VIRTUAL_EOS: 1,
-            ElementClass.VIRTUAL_SEP: 1,
-            ElementClass.NODE_TYPE: 2,
-        }
+        n_edges = len(vocab.edge_types)
         for k in range(vocab.l_p):
-            assert ids[k] == by_class[classify(k, vocab, n, m)]
+            assert ids[k] == (0 if k < n_edges else 1 if k < vocab.l_e else 2)
+        assert ids[vocab.l_p :] == [3] * n
