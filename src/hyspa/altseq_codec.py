@@ -60,27 +60,26 @@ class AltSequence:
 
 
 def encode_bfs(og: OrderedGraph, vocab: TypeVocab) -> AltSequence:
-    """Breadth-first serialization: per dequeued parent present in the
-    adjacency, emit the parent, all (edge, child) pairs, then [SEP]."""
+    """Breadth-first serialization: per dequeued parent, emit the parent, all
+    (edge, child) pairs, then [SEP].  Only relation children are queued; a
+    [TYPE] child never opens a level."""
     items: list[int] = []
     visited: set[int] = set()
-    sep = vocab.sep_index
-    for root in og.roots:
+    sep, type_edge = vocab.sep_index, vocab.type_edge_index
+    for root in og.adjacency:
         if root in visited:
             continue
         visited.add(root)
         queue = deque([root])
         while queue:
             parent = queue.popleft()
-            children = og.adjacency.get(parent)
-            if children is None:
-                continue
+            children = og.adjacency[parent]
             items.append(parent)
             for pair in children:
                 items.extend(pair)
             items.append(sep)
-            for _, child in children:
-                if child not in visited:
+            for edge, child in children:
+                if edge != type_edge and child not in visited:
                     visited.add(child)
                     queue.append(child)
     return AltSequence(tuple(items), Traversal.BFS, vocab, og.n, og.m)
@@ -109,12 +108,12 @@ def encode_dfs(og: OrderedGraph, vocab: TypeVocab) -> AltSequence:
             else:
                 items.append(sep)
 
-    for root in og.roots:
+    for root in og.adjacency:
         if root in visited:
             continue
         visited.add(root)
         items.append(root)
-        if og.adjacency.get(root):
+        if og.adjacency[root]:
             expand(root)
         else:
             items.append(sep)

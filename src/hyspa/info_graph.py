@@ -51,14 +51,13 @@ class InfoGraph(NamedTuple):
 class OrderedGraph:
     """A graph ordered as sequence items, ready for traversal encoding.
 
-    ``roots`` lists candidate level parents in emission order; ``adjacency``
-    maps each parent to its ordered (edge, child) pairs.  A mention is its
+    ``adjacency`` maps each parent to its ordered (edge, child) pairs; its
+    keys, in their order, are the candidate level roots.  A mention is its
     span index and a node type its type index; the [NULL] root of an empty
     graph is ``vocab.null_type_index``.  Only items with an adjacency entry
     ever open a traversal level.
     """
 
-    roots: tuple[int, ...]
     adjacency: dict[int, tuple[tuple[int, int], ...]]
     n: int
     m: int
@@ -120,7 +119,7 @@ def canonicalize(
         raise SequenceEncodeError(problems[0])
     if not g.mentions:
         null = vocab.null_type_index
-        return OrderedGraph(roots=(null,), adjacency={null: ()}, n=g.n, m=g.m)
+        return OrderedGraph(adjacency={null: ()}, n=g.n, m=g.m)
 
     edge_freq = edge_freq or {}
     m, l_p, type_edge = g.m, vocab.l_p, vocab.type_edge_index
@@ -135,7 +134,7 @@ def canonicalize(
             (type_edge, g.mentions[i].node_type),
             *((edge, tail) for _, edge, tail in sorted(outgoing[i])),
         )
-    return OrderedGraph(roots=tuple(adjacency), adjacency=adjacency, n=g.n, m=g.m)
+    return OrderedGraph(adjacency=adjacency, n=g.n, m=g.m)
 
 
 def span_keys(g: InfoGraph) -> tuple[set, Counter]:

@@ -276,21 +276,14 @@ def _dropout_keep(
     return keep
 
 
-def _heads(x: Tensor, w: Tensor, b: Tensor, heads: int) -> Tensor:
-    """The projection of (B, rows, d) tape rows, heads split: (B, heads, rows, d/heads)."""
-    y = nm.linear(x, w, b)
-    return nm.transpose(nm.reshape(y, y.shape[:2] + (heads, -1)), (0, 2, 1, 3))
-
-
 def _tape_layer(params: dict[str, Tensor], i: int, x: Tensor, k: Tensor, v: Tensor,
-                mask: np.ndarray, keep: np.ndarray | None) -> Tensor:
+                mask: np.ndarray, keep: np.ndarray | None, heads: int) -> Tensor:
     """Decoder layer ``i`` on the tape for the source or target rows ``x``, (B,
-    rows, d): queries attending over head-major keys ``k`` and values ``v``
-    under ``mask``, then ``_block_tail``'s second half.  ``keep`` holds the
-    rows' dropout multipliers of attention and FFN output, (2, B, rows, d), or None."""
-    q = _heads(x, params[f"L{i}.wq"], params[f"L{i}.bq"], k.shape[1])
-    w = nm.attention_weights(q, k, mask, 1.0 / math.sqrt(x.shape[-1]))
-    attn = nm.reshape(nm.transpose(nm.matmul(w, v), (0, 2, 1, 3)), x.shape)
+    rows, d): queries attending over key rows ``k`` and value rows ``v`` under
+    ``mask``, then ``_block_tail``'s second half.  ``keep`` holds the rows'
+    dropout multipliers of attention and FFN output, (2, B, rows, d), or None."""
+    q = nm.linear(x, params[f"L{i}.wq"], params[f"L{i}.bq"])
+    attn = nm.attention(q, k, v, mask, heads, 1.0 / math.sqrt(x.shape[-1]))
     if keep is not None:
         attn = nm.mul(attn, Tensor(keep[0]))
     x1 = nm.layer_norm(nm.add(attn, x), params[f"L{i}.ln1_g"], params[f"L{i}.ln1_b"])
@@ -389,8 +382,8 @@ def sequence_logits(
     K = nm.linear(H, params["span_w2"], params["span_b2"])
     h_cols = np.arange(l_h)
     m0 = np.where((h_cols >= lo[..., None]) & (h_cols <= hi[..., None]), 0.0, nm.NEG_INF)
-    att = nm.attention_weights(q, K, m0, 1.0 / math.sqrt(d))
-    Hy = nm.add(nm.matmul(att, H), _traversal_embedding(seqs, t_pad, cfg, params))
+    span = nm.attention(q, K, H, m0[:, None], 1, 1.0 / math.sqrt(d))
+    Hy = nm.add(span, _traversal_embedding(seqs, t_pad, cfg, params))
 
     # mixed-attention decoder: padded source columns and future targets closed
     src = nm.add(h_text, nm.getitem(params["srctgt"], slice(0, 1)))
@@ -403,13 +396,13 @@ def sequence_logits(
         src_mask = src_mask + _band(n_pad, n_pad, cfg.source_radius, 0)
     keep = _dropout_keep(n, t, t_pad, cfg, rng or np.random.default_rng(0)) if training and cfg.dropout else None
     for i in range(cfg.layers):
-        wk, wv = ((params[f"L{i}.w{c}"], params[f"L{i}.b{c}"], cfg.heads) for c in "kv")
-        k_src, v_src = _heads(src, *wk), _heads(src, *wv)
-        k, v = nm.concat([k_src, _heads(tgt, *wk)], axis=2), nm.concat([v_src, _heads(tgt, *wv)], axis=2)
+        wk, wv = ((params[f"L{i}.w{c}"], params[f"L{i}.b{c}"]) for c in "kv")
+        k_src, v_src = nm.linear(src, *wk), nm.linear(src, *wv)
+        k, v = nm.concat([k_src, nm.linear(tgt, *wk)], axis=1), nm.concat([v_src, nm.linear(tgt, *wv)], axis=1)
         drop = (None, None) if keep is None else (keep[i, :, :, :n_pad], keep[i, :, :, n_pad:])
         if i + 1 < cfg.layers:  # the last layer's source rows feed no target row
-            src = _tape_layer(params, i, src, k_src, v_src, src_mask, drop[0])
-        tgt = _tape_layer(params, i, tgt, k, v, tgt_mask, drop[1])
+            src = _tape_layer(params, i, src, k_src, v_src, src_mask, drop[0], cfg.heads)
+        tgt = _tape_layer(params, i, tgt, k, v, tgt_mask, drop[1], cfg.heads)
 
     # hybrid span decoding head, batched over positions
     s_rep = nm.linear(tgt, params["head_w5"], params["head_b5"])

@@ -6,9 +6,9 @@ throughput.  Masked scores use a large negative constant instead of -inf so
 arithmetic stays finite while softmax still underflows masked slots to 0.
 
 The forwards the inference engine shares with the tape are plain functions
-on arrays, and the tape ops run them: ``softmax`` (in
-``attention_weights``), ``log_probs`` (in ``log_softmax``), ``normalize``
-(in ``layer_norm``) and ``sliding_windows`` (in ``unfold``).
+on arrays, and the tape ops run them: ``softmax`` (in the multi-head
+``attention``), ``log_probs`` (in ``log_softmax``), ``normalize`` (in
+``layer_norm``) and ``sliding_windows`` (in ``unfold``).
 """
 from __future__ import annotations
 
@@ -224,31 +224,40 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The gradient at softmax's input, given its output ``p`` and the gradient ``g`` at ``p``."""
-    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+def attention(q, k, v, mask: np.ndarray, heads: int, scale: float) -> Tensor:
+    """Multi-head softmax(scale * q @ k^T + mask) @ v, as one tape node.
 
-
-def attention_weights(q, k, mask: np.ndarray, scale: float) -> Tensor:
-    """softmax(scale * q @ k^T + mask) over the last axis, as one tape node.
-
-    ``q`` is (..., r, e) and ``k`` (..., c, e); the constant ``mask`` may
-    broadcast the (..., r, c) scores to more rows.  Only the weights are kept
-    for the backward pass, not the raw, scaled and masked scores, which at
-    (batch, heads, rows, rows) are the largest arrays of a decoder layer.
+    ``q`` is (B, r, d) rows and ``k``, ``v`` are (B, c, d) rows; the op splits
+    them into ``heads`` blocks of columns.  The constant ``mask``, (B, 1 or
+    heads, r', c), may broadcast the scores to r' >= r rows, and the output
+    is (B, r', d).  Only the weights are kept for the backward pass, not the
+    raw, scaled and masked scores: at (B, heads, rows, rows) they are the
+    largest arrays of a decoder layer.
     """
-    q, k = _as_tensor(q), _as_tensor(k)
-    raw = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+
+    def split(x):  # (B, rows, d) -> (B, heads, rows, d/heads)
+        return x.reshape(x.shape[:2] + (heads, -1)).transpose(0, 2, 1, 3)
+
+    def merge(x):  # the inverse of split
+        return x.transpose(0, 2, 1, 3).reshape(len(x), x.shape[2], -1)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    raw = np.matmul(qh, np.swapaxes(kh, -1, -2))
     shape = raw.shape
     p = softmax(raw * scale + mask)
-    out = Tensor(p, parents=(q, k))
+    out = Tensor(merge(np.matmul(p, vh)), parents=(q, k, v))
 
     def backward(g):
-        gs = _unbroadcast(_softmax_grad(p, g), shape) * scale
+        g = split(g)
+        gp = np.matmul(g, np.swapaxes(vh, -1, -2))
+        if v.requires_grad:
+            _accumulate(v, merge(np.matmul(np.swapaxes(p, -1, -2), g)))
+        gs = _unbroadcast(p * (gp - (gp * p).sum(axis=-1, keepdims=True)), shape) * scale
         if q.requires_grad:
-            _accumulate(q, np.matmul(gs, k.data))
+            _accumulate(q, merge(np.matmul(gs, kh)))
         if k.requires_grad:
-            _accumulate(k, np.matmul(np.swapaxes(gs, -1, -2), q.data))
+            _accumulate(k, merge(np.matmul(np.swapaxes(gs, -1, -2), qh)))
 
     out._backward = backward
     return out

@@ -23,7 +23,7 @@ class TestCanonicalize:
         og = canonicalize(fig4, {}, vocab)
         he, baghdad = 19, 83  # the span indices of (0, 1) and (4, 5) at m=16, l_p=19
         assert (og.n, og.m) == (fig4.n, fig4.m)
-        assert og.roots == (he, baghdad)
+        assert tuple(og.adjacency) == (he, baghdad)
         assert og.adjacency[he] == ((vocab.type_edge_index, vocab.index("PER")),)
         assert og.adjacency[baghdad] == (
             (vocab.type_edge_index, vocab.index("GPE")),
@@ -33,7 +33,6 @@ class TestCanonicalize:
     def test_empty_graph_null_root(self, vocab):
         og = canonicalize(make_graph([], [], n=4, m=16), {}, vocab)
         null = vocab.null_type_index
-        assert og.roots == (null,)
         assert og.adjacency == {null: ()}
 
     def test_relation_order_matches_comparator_oracle(self, vocab, rng):
@@ -70,7 +69,7 @@ class TestCanonicalize:
     def test_unknown_edge_type_treated_as_zero_freq(self, vocab):
         g = fig4_graph(vocab)
         og = canonicalize(g, {999: 5}, vocab)  # irrelevant key, no error
-        assert len(og.roots) == 2
+        assert len(og.adjacency) == 2
 
     def test_deterministic(self, vocab, rng):
         for _ in range(20):

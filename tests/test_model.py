@@ -864,18 +864,17 @@ class TestBatchedTape:
         batch, cfg, params = mixed
         B, n_pad, t_pad = len(batch), max(len(ids) for ids, _ in batch), max(len(s.items) for _, s in batch) + 1
         weights, rows = [], {id(p): [] for p in params.values()}
-        attention_weights, linear = nm.attention_weights, nm.linear
+        attention, linear = nm.attention, nm.linear
 
-        def record_weights(q, k, mask, scale):
-            out = attention_weights(q, k, mask, scale)
-            weights.append(out.shape)
-            return out
+        def record_weights(q, k, v, mask, heads, scale):  # the shape of the op's score block
+            weights.append(np.broadcast_shapes((len(q.data), heads, q.shape[1], k.shape[1]), mask.shape))
+            return attention(q, k, v, mask, heads, scale)
 
         def record_linear(x, w, bias=None):
             rows[id(w)].append(x.shape[-2])
             return linear(x, w, bias)
 
-        monkeypatch.setattr(nm, "attention_weights", record_weights)
+        monkeypatch.setattr(nm, "attention", record_weights)
         monkeypatch.setattr(nm, "linear", record_linear)
         sequence_loss(batch, cfg, params, training=True, rng=np.random.default_rng(0)).backward()
         tgt, src = (B, cfg.heads, t_pad, n_pad + t_pad), (B, cfg.heads, n_pad, n_pad)
@@ -923,6 +922,27 @@ class TestBatchedTape:
         assert runs_loss == pytest.approx(one_loss, abs=1e-12)
         largest = max(np.abs(g).max() for g in one.values())
         assert max(np.abs(runs[k] - g).max() for k, g in one.items()) / largest < 1e-12
+
+    def test_c8_train_step_creates_a_pinned_number_of_tensors(self, vocab, monkeypatch):
+        # every Tensor one C8-recipe step on one tape run creates, constants
+        # included: a change that splits the tape into more nodes fails here
+        from hyspa import model as hm
+
+        tv, prepared = prepare_training_data(synth_generate(40, seed=21))
+        batch = prepared[:8]
+        assert len(hm._tape_runs(batch)) == 1
+        cfg = ModelConfig(d_m=64, layers=2, heads=8, m=16, dropout=0.1)
+        params = init_params(cfg, vocab, tv, seed=0)
+        opt = AdamW(params, peak_lr=1e-3, warmup=200, weight_decay=0.01)
+        created, init = itertools.count(), nm.Tensor.__init__
+
+        def counting_init(t, *args, **kwargs):
+            next(created)
+            init(t, *args, **kwargs)
+
+        monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
+        train_step(batch, cfg, params, opt, label_smoothing=0.1, clip=0.25, rng=np.random.default_rng(0))
+        assert next(created) == 94
 
     def test_empty_batch_rejected(self, mixed):
         _, cfg, params = mixed

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyspa import numerics as nm
 from hyspa.numerics import NEG_INF, AdamW, Tensor, finite_diff_check, inv_sqrt_lr
@@ -27,11 +28,11 @@ class TestPrimitiveGradients:
         _check_op(lambda: nm.sum_all(nm.matmul(a, b)), {"a": a, "b": b})
 
     def test_softmax(self, rng):
-        # attention weights against identity keys are the softmax of the queries
-        x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        # attention against identity keys and values is the softmax of the queries
+        x = Tensor(rng.normal(size=(1, 4, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(6,)))
-        eye = Tensor(np.eye(6))
-        _check_op(lambda: nm.sum_all(nm.mul(nm.attention_weights(x, eye, 0.0, 1.0), w)), {"x": x})
+        eye = Tensor(np.eye(6)[None])
+        _check_op(lambda: nm.sum_all(nm.mul(nm.attention(x, eye, eye, 0.0, 1, 1.0), w)), {"x": x})
 
     def test_log_softmax(self, rng):
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
@@ -77,18 +78,20 @@ class TestPrimitiveGradients:
         _check_op(lambda: nm.sum_all(nm.mul(nm.linear(x, w), g)), {"x": x, "w": w})
 
     def test_attention_weights(self, rng):
-        # one query row per batch, broadcast over three mask rows with closed cells
+        # one query row per batch, broadcast over three mask rows with closed
+        # cells; identity values return the weights themselves
         q = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
         k = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
-        mask = np.where(rng.random((2, 3, 5)) < 0.3, NEG_INF, 0.0)
+        eye = Tensor(np.broadcast_to(np.eye(5), (2, 5, 5)))
+        mask = np.where(rng.random((2, 1, 3, 5)) < 0.3, NEG_INF, 0.0)
         mask[..., 0] = 0.0
         w = Tensor(rng.normal(size=(2, 3, 5)))
-        p = nm.attention_weights(q, k, mask, 0.5).data
-        scores = 0.5 * (q.data @ np.swapaxes(k.data, 1, 2)) + mask
+        p = nm.attention(q, k, eye, mask, 1, 0.5).data
+        scores = 0.5 * (q.data @ np.swapaxes(k.data, 1, 2)) + mask[:, 0]
         ref = np.exp(scores - scores.max(axis=-1, keepdims=True))
         assert np.allclose(p, ref / ref.sum(axis=-1, keepdims=True), atol=1e-15)
-        assert (p[mask < 0] == 0.0).all()
-        _check_op(lambda: nm.sum_all(nm.mul(nm.attention_weights(q, k, mask, 0.5), w)), {"q": q, "k": k})
+        assert (p[mask[:, 0] < 0] == 0.0).all()
+        _check_op(lambda: nm.sum_all(nm.mul(nm.attention(q, k, eye, mask, 1, 0.5), w)), {"q": q, "k": k})
 
     def test_unfold_batched(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 7)), requires_grad=True)
@@ -115,15 +118,57 @@ class TestPrimitiveGradients:
         assert x.grad is not None and h.grad is not None
 
     def test_attention_composite(self, rng):
-        q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        k = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        v = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 4)))
+        q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+        v = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, 4)))
 
         def build():
-            return nm.sum_all(nm.mul(nm.matmul(nm.attention_weights(q, k, 0.0, 0.5), v), w))
+            return nm.sum_all(nm.mul(nm.attention(q, k, v, 0.0, 2, 0.5), w))
 
         _check_op(build, {"q": q, "k": k, "v": v})
+
+
+def _attention_reference(q, k, v, mask, heads, scale):
+    """Multi-head attention head by head and example by example, in plain numpy."""
+    B, rows, c = mask.shape[0], max(q.shape[1], mask.shape[2]), k.shape[1]
+    e, f = q.shape[2] // heads, v.shape[2] // heads
+    out = np.zeros((B, rows, v.shape[2]))
+    for b in range(B):
+        for h in range(heads):
+            scores = scale * q[b, :, h * e : (h + 1) * e] @ k[b, :, h * e : (h + 1) * e].T
+            scores = np.broadcast_to(scores + mask[b, min(h, mask.shape[1] - 1)], (rows, c))
+            ex = np.exp(scores - scores.max(axis=1, keepdims=True))
+            out[b, :, h * f : (h + 1) * f] = ex / ex.sum(axis=1, keepdims=True) @ v[b, :, h * f : (h + 1) * f]
+    return out
+
+
+class TestAttention:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        B=st.integers(1, 3), heads=st.integers(1, 3), width=st.integers(1, 3), rows=st.integers(1, 4),
+        cols=st.integers(1, 5), span=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_a_per_head_loop_and_finite_differences(self, B, heads, width, rows, cols, span, seed):
+        # span=True is the span attention's shape: one query row per example,
+        # broadcast over the mask's rows; columns past each example's length
+        # are NEG_INF padding, and random cells are closed besides
+        rng = np.random.default_rng(seed)
+        d = heads * width
+        q = Tensor(rng.normal(size=(B, 1 if span else rows, d)), requires_grad=True)
+        k = Tensor(rng.normal(size=(B, cols, d)), requires_grad=True)
+        v = Tensor(rng.normal(size=(B, cols, d)), requires_grad=True)
+        lengths = rng.integers(1, cols + 1, size=B)
+        closed = (np.arange(cols) >= lengths[:, None, None, None]) | (rng.random((B, 1, rows, cols)) < 0.3)
+        closed[..., 0] = False
+        mask = np.where(closed, NEG_INF, 0.0)
+        scale = 1.0 / math.sqrt(width)
+        out = nm.attention(q, k, v, mask, heads, scale)
+        assert out.shape == (B, rows, d)
+        ref = _attention_reference(q.data, k.data, v.data, mask, heads, scale)
+        assert np.abs(out.data - ref).max() <= 1e-12
+        w = Tensor(rng.normal(size=(B, rows, d)))
+        _check_op(lambda: nm.sum_all(nm.mul(nm.attention(q, k, v, mask, heads, scale), w)), {"q": q, "k": k, "v": v})
 
 
 class TestSoftmaxLayerNormInvariants:
@@ -131,7 +176,8 @@ class TestSoftmaxLayerNormInvariants:
         x = rng.normal(size=(8, 10))
         mask = np.zeros(10)
         mask[3] = NEG_INF
-        p = nm.attention_weights(Tensor(x), Tensor(np.eye(10)), mask, 1.0).data
+        eye = Tensor(np.eye(10)[None])
+        p = nm.attention(Tensor(x[None]), eye, eye, mask, 1, 1.0).data[0]
         assert np.allclose(p.sum(axis=-1), 1.0)
         assert (p >= 0).all()
         assert (p[:, 3] == 0.0).all()
