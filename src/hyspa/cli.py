@@ -1,6 +1,11 @@
 """Command-line entry point wiring the library into user-facing workflows.
 
-Exit codes: 0 success, 1 assertion/verification failure, 2 usage error.
+Exit codes: 0 success; 1 when a check fails, a file cannot be used, or any
+record or line of an input file is bad; 2 usage error.  A bad record fails
+alone: ``validate``, ``encode``, ``decode``, ``roundtrip``, ``eval`` and
+``extract`` report it as ``PATH:LINENO: ...`` and go on with the good ones,
+while ``train --data``, ``train --dev`` and ``encode --freq-from``, which fit
+to the whole corpus, stop with the first.
 Every setting is a flag or its built-in default; there is no config file.
 The vocabulary comes from --vocab when given, else the built-in one.
 """
@@ -26,17 +31,18 @@ from .altseq_codec import (
 )
 from .data_io import (
     CorpusError,
-    corpus_lines,
     default_vocab,
     graph_to_record,
     load_jsonl,
-    parse_line,
     parse_sequence_line,
     read_dump_header,
+    read_records,
     save_jsonl,
+    split_records,
     synth_generate,
     write_sequence_dump,
 )
+from .decode_search import evaluate_model, extract_graph
 from .info_graph import canonicalize, graph_equal
 from .model import (
     Engine,
@@ -46,6 +52,7 @@ from .model import (
     init_params,
     fit,
     prepare_training_data,
+    sequence_loss,
 )
 from .type_vocab import TypeVocab, load_vocab
 
@@ -105,8 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="also write a dataset manifest JSON")
 
     p = subcommand("encode", "encode a corpus into alternating sequences", "vocab", "traversal", "m")
-    p.add_argument("--data", required=True)
-    p.add_argument("--freq-from", help="corpus supplying edge frequencies (default: --data)")
+    p.add_argument("--data", required=True, help="JSONL corpus; the dump holds its good records, in order")
+    p.add_argument("--freq-from", help="edge-frequency corpus (default: --data); strict: any bad record fails")
     p.add_argument("--out", help="sequence dump path (default: stdout)")
 
     # traversal and m come from the dump's header
@@ -126,8 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "vocab", "traversal", "m", "seed", "d_model", "layers", "heads",
     )
     p.add_argument("--dropout", type=_FRACTION, default=0.1)
-    p.add_argument("--data", required=True)
-    p.add_argument("--dev")
+    p.add_argument("--data", required=True, help="JSONL corpus; strict: its first bad record fails the command")
+    p.add_argument("--dev", help="JSONL dev corpus; strict, as --data")
     p.add_argument("--steps", type=_POSITIVE, default=4000)
     p.add_argument("--batch-examples", type=_POSITIVE, default=8)
     p.add_argument("--lr", type=_POSITIVE_FLOAT, default=2e-4)
@@ -189,12 +196,22 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _report(errors, file=None) -> int:
+    """Print each (line number, CorpusError) of bad records to ``file`` (default stderr); their count."""
+    for _, err in errors:
+        print(err, file=file or sys.stderr)
+    return len(errors)
+
+
+def _failed(tokens, err) -> dict:
+    """The empty record ``extract`` writes for a line that failed."""
+    return {"tokens": tokens, "entities": [], "relations": [], "diagnostics": f"failed: {err}"}
+
+
 def _cmd_encode(args) -> int:
     vocab = _load_vocab_arg(args)
     ds = load_jsonl(args.data, vocab, m=args.m)
-    freq = ds.edge_freq
-    if args.freq_from:
-        freq = load_jsonl(args.freq_from, vocab, m=args.m).edge_freq
+    freq = load_jsonl(args.freq_from, vocab, m=args.m).strict().edge_freq if args.freq_from else ds.edge_freq
     traversal = Traversal(args.traversal)
     seqs = [
         encode(canonicalize(g, freq, vocab), vocab, args.m, traversal)
@@ -204,7 +221,7 @@ def _cmd_encode(args) -> int:
         write_sequence_dump(out, seqs, vocab, args.m, traversal)
     if args.out:
         print(f"wrote {len(seqs)} sequences to {args.out}")
-    return 0
+    return 1 if _report(ds.errors) else 0
 
 
 def _cmd_decode(args) -> int:
@@ -215,27 +232,19 @@ def _cmd_decode(args) -> int:
     m, traversal = read_dump_header(args.seqs, vocab)
     if args.traversal and traversal.value != args.traversal:
         raise ValueError(f"--traversal {args.traversal}, but {args.seqs} holds {traversal.value} sequences")
-    failures = 0
+
+    def decode(path, lineno, line):
+        seq = parse_sequence_line(path, lineno, line, vocab, m, traversal)
+        try:
+            record = graph_to_record((), decode_sequence(seq), vocab)
+        except SequenceDecodeError as err:
+            raise CorpusError(f"{path}:{lineno}: {err}") from None
+        return json.dumps({"entities": record["entities"], "relations": record["relations"], "n": seq.n}) + "\n"
+
+    records, errors = split_records(args.seqs, decode, skip=1)
     with _output(args.out) as out:
-        for lineno, line in corpus_lines(args.seqs):
-            if lineno == 1:
-                continue
-            try:
-                seq = parse_sequence_line(args.seqs, lineno, line, vocab, m, traversal)
-                g = decode_sequence(seq)
-            except CorpusError as err:
-                print(err, file=sys.stderr)
-                failures += 1
-                continue
-            except SequenceDecodeError as err:
-                print(f"{args.seqs}:{lineno}: {err}", file=sys.stderr)
-                failures += 1
-                continue
-            record = graph_to_record((), g, vocab)
-            record.pop("tokens")
-            record["n"] = seq.n
-            out.write(json.dumps(record) + "\n")
-    return 1 if failures else 0
+        out.writelines(records)
+    return 1 if _report(errors) else 0
 
 
 def _cmd_roundtrip(args) -> int:
@@ -248,34 +257,25 @@ def _cmd_roundtrip(args) -> int:
         seq = encode(canonicalize(g, ds.edge_freq, vocab), vocab, args.m, traversal)
         bad += validate_sequence(seq) is not None or not graph_equal(g, decode_sequence(seq))
     print(f"roundtrip {args.traversal}: {len(ds) - bad}/{len(ds)} ok")
-    return 1 if bad else 0
+    return 1 if _report(ds.errors) or bad else 0
 
 
 def _cmd_validate(args) -> int:
-    """Report every malformed record and invalid graph, one line each with its
-    line number; the exit code is 1 if any record is bad."""
-    vocab = _load_vocab_arg(args)
-    total = bad = 0
-    for lineno, line in corpus_lines(args.data):
-        total += 1
-        try:
-            parse_line(args.data, lineno, line, vocab, args.m)
-        except CorpusError as err:
-            print(err)
-            bad += 1
-    print(f"validate: {total - bad}/{total} ok")
+    """Report every bad record (malformed, an invalid graph, or not UTF-8), one
+    line each with its line number; the exit code is 1 if any record is bad."""
+    ds = load_jsonl(args.data, _load_vocab_arg(args), m=args.m)
+    bad = _report(ds.errors, file=sys.stdout)
+    print(f"validate: {len(ds)}/{len(ds) + bad} ok")
     return 1 if bad else 0
 
 
 def _cmd_train(args) -> int:
-    from .decode_search import evaluate_model
-
     vocab = _load_vocab_arg(args)
     traversal = Traversal(args.traversal)
-    ds = load_jsonl(args.data, vocab, m=args.m)
+    ds = load_jsonl(args.data, vocab, m=args.m).strict()
     if not ds.examples:
         raise CorpusError(f"{args.data}: no training examples")
-    dev = load_jsonl(args.dev, vocab, m=args.m) if args.dev else None
+    dev = load_jsonl(args.dev, vocab, m=args.m).strict() if args.dev else None
     if dev is not None and not dev.examples:
         raise CorpusError(f"{args.dev}: no dev examples")
     cfg = ModelConfig(
@@ -308,51 +308,57 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    """Print the metrics as JSON; a record that fails counts as an empty
-    prediction under ``failed``, and the exit code is 1 if any record failed."""
-    from .decode_search import evaluate_model
-
+    """Print the metrics of the good records as JSON.  A bad record is reported
+    and listed under ``failed`` by its line; a record the model cannot take
+    counts as an empty prediction and is listed there by its index among the
+    good records.  The exit code is 1 if anything failed; with no good record
+    the command fails."""
     model = ExtractionModel.load(args.model)
     ds = load_jsonl(args.data, model.vocab, m=model.cfg.m)
+    _report(ds.errors)
+    if not ds.examples:
+        raise CorpusError(f"{args.data}: no examples")
     res = evaluate_model(
         model, ds.examples, beam=args.beam, length_penalty=args.length_penalty, limit=args.limit
     )
+    res["failed"] = [{"line": lineno, "error": str(err)} for lineno, err in ds.errors] + res["failed"]
     print(json.dumps(res, indent=2))
     return 1 if res["failed"] else 0
 
 
 def _cmd_extract(args) -> int:
-    """Extract every non-blank line; a line the model cannot take (a
-    ``ModelError``) gets an empty record with a ``diagnostics`` message, and
-    the exit code is 1 if any line failed.  Every line decodes with one engine."""
-    from .decode_search import extract_graph
-
+    """Extract every non-blank line.  A line that is not UTF-8 is reported as
+    ``PATH:LINENO: ...``; it and a line the model cannot take (a
+    ``ModelError``) each get an empty record with a ``diagnostics`` message,
+    so the output keeps one record per line, and the exit code is 1 if any
+    line failed.  Every line decodes with one engine."""
     model = ExtractionModel.load(args.model)
     engine = Engine(model)
+
+    def extract(path, lineno, line):
+        tokens = line.split()
+        try:
+            res = extract_graph(
+                engine, tokens, beam=args.beam, length_penalty=args.length_penalty, max_len=args.max_len
+            )
+        except ModelError as err:
+            return _failed(tokens, err)
+        return graph_to_record(tokens, res.graph, model.vocab)
+
     total = failed = 0
     with _output(args.out) as out:
-        for _, line in corpus_lines(args.input):
-            tokens = line.split()
+        for _, record in read_records(args.input, extract):
+            if isinstance(record, CorpusError):
+                print(record, file=sys.stderr)
+                record = _failed([], record)
             total += 1
-            try:
-                res = extract_graph(
-                    engine, tokens, beam=args.beam,
-                    length_penalty=args.length_penalty, max_len=args.max_len,
-                )
-            except ModelError as err:
-                failed += 1
-                record = {"tokens": tokens, "entities": [], "relations": [], "diagnostics": f"failed: {err}"}
-            else:
-                record = graph_to_record(tokens, res.graph, model.vocab)
+            failed += "diagnostics" in record
             out.write(json.dumps(record) + "\n")
     print(f"extract: {failed}/{total} lines failed", file=sys.stderr)
     return 1 if failed else 0
 
 
 def _cmd_gradcheck(args) -> int:
-    from .model import sequence_loss
-    from .numerics import finite_diff_check
-
     vocab = _load_vocab_arg(args)
     traversal = Traversal(args.traversal)
     ds = synth_generate(max(args.examples, 2), seed=args.seed, vocab=vocab, m=args.m)
@@ -363,7 +369,7 @@ def _cmd_gradcheck(args) -> int:
     params = init_params(cfg, vocab, token_vocab, seed=args.seed)
     batch = prepared[: args.examples]
 
-    report = finite_diff_check(
+    report = nm.finite_diff_check(
         lambda: sequence_loss(batch, cfg, params), params,
         coords_per_tensor=args.coords, rng=np.random.default_rng(args.seed),
     )

@@ -9,10 +9,12 @@ The JSONL corpus format, one record per line:
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,19 +40,32 @@ class CorpusError(ValueError):
 
 @dataclass
 class Dataset:
+    """Good records as (tokens, graph) examples; ``errors`` holds the
+    (line number, CorpusError) of each bad record of the file they came from.
+    ``edge_freq`` counts the relation types of the examples, tallied when the
+    dataset is made."""
+
     examples: list[tuple[tuple[str, ...], InfoGraph]]
     vocab: TypeVocab
     m: int
-    edge_freq: Counter = field(default_factory=Counter)
+    errors: list[tuple[int, CorpusError]] = field(default_factory=list)
+    edge_freq: Counter = field(init=False)
+
+    def __post_init__(self):
+        self.tally_edge_freq()
 
     def __len__(self):
         return len(self.examples)
 
-    def tally_edge_freq(self) -> Counter:
-        self.edge_freq = Counter(
-            rel.edge_type for _, g in self.examples for rel in g.relations
-        )
-        return self.edge_freq
+    def strict(self) -> "Dataset":
+        """This dataset, if it has no bad record; else the first one's CorpusError is raised."""
+        if self.errors:
+            raise self.errors[0][1]
+        return self
+
+    def tally_edge_freq(self) -> None:
+        """Count ``edge_freq`` again from the examples, as after a change to them."""
+        self.edge_freq = Counter(rel.edge_type for _, g in self.examples for rel in g.relations)
 
     def manifest(self) -> dict:
         n_rel = sum(len(g.relations) for _, g in self.examples)
@@ -133,14 +148,32 @@ def _utf8(path, lineno: int, raw: bytes) -> str:
         raise CorpusError(f"{path}:{lineno}: not UTF-8: {err}") from None
 
 
-def corpus_lines(path):
-    """Yield (line number, line) for each non-blank line of a UTF-8 file; a
-    line that is not UTF-8 raises CorpusError naming ``path:lineno``."""
+def read_records(path, parse: Callable, skip: int = 0) -> Iterator[tuple[int, object]]:
+    """Yield (line number, record) for each non-blank line of ``path`` after
+    its first ``skip`` lines: the record is ``parse(path, lineno, line)``, or
+    the CorpusError naming ``path:lineno`` when the line is not UTF-8 or
+    ``parse`` raises one.  A bad line fails alone: the walk never stops early.
+    Every corpus line, dump sequence line and extraction input line is read here."""
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = _utf8(path, lineno, raw)
-            if line.strip():
-                yield lineno, line
+        for lineno, raw in enumerate(itertools.islice(fh, skip, None), start=skip + 1):
+            try:
+                line = _utf8(path, lineno, raw)
+                if line.strip():
+                    yield lineno, parse(path, lineno, line)
+            except CorpusError as err:
+                yield lineno, err
+
+
+def split_records(path, parse: Callable, skip: int = 0) -> tuple[list, list[tuple[int, CorpusError]]]:
+    """The good records of ``read_records(path, parse, skip)``, in order, and
+    the (line number, CorpusError) of each bad one."""
+    good, bad = [], []
+    for lineno, record in read_records(path, parse, skip):
+        if isinstance(record, CorpusError):
+            bad.append((lineno, record))
+        else:
+            good.append(record)
+    return good, bad
 
 
 def parse_line(path, lineno: int, line: str, vocab: TypeVocab, m: int) -> tuple[tuple[str, ...], InfoGraph]:
@@ -158,11 +191,11 @@ def parse_line(path, lineno: int, line: str, vocab: TypeVocab, m: int) -> tuple[
 
 
 def load_jsonl(path, vocab: TypeVocab, m: int = 16) -> Dataset:
-    """Parse and validate a JSONL corpus; the first bad line raises CorpusError with its number."""
-    examples = [parse_line(path, lineno, line, vocab, m) for lineno, line in corpus_lines(path)]
-    ds = Dataset(examples, vocab, m)
-    ds.tally_edge_freq()
-    return ds
+    """Parse and validate a JSONL corpus: the good records as examples, and
+    beside them, under ``errors``, each bad line's number and CorpusError.
+    The edge frequencies are those of the good records."""
+    examples, errors = split_records(path, functools.partial(parse_line, vocab=vocab, m=m))
+    return Dataset(examples, vocab, m, errors)
 
 
 def save_jsonl(dataset: Dataset, path) -> None:
@@ -306,9 +339,7 @@ def synth_generate(
         ]
         graph = make_graph(mentions, relations, n=len(tokens), m=m)
         examples.append((tuple(tokens), graph))
-    ds = Dataset(examples, vocab, m)
-    ds.tally_edge_freq()
-    return ds
+    return Dataset(examples, vocab, m)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +436,10 @@ def parse_sequence_line(path, lineno: int, line: str, vocab: TypeVocab, m: int, 
 
 
 def read_sequence_dump(path, vocab: TypeVocab) -> list[AltSequence]:
-    """Every sequence of a dump; a bad header or sequence line raises CorpusError."""
+    """Every sequence of a dump; a bad header or the first bad sequence line raises CorpusError."""
     m, traversal = read_dump_header(path, vocab)
-    return [
-        parse_sequence_line(path, lineno, line, vocab, m, traversal)
-        for lineno, line in corpus_lines(path)
-        if lineno > 1
-    ]
+    parse = functools.partial(parse_sequence_line, vocab=vocab, m=m, traversal=traversal)
+    seqs, errors = split_records(path, parse, skip=1)
+    if errors:
+        raise errors[0][1]
+    return seqs

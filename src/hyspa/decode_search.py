@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .altseq_codec import AltSequence, Traversal, decode_sequence
-from .info_graph import InfoGraph
+from .altseq_codec import AltSequence, Traversal, decode_sequence, encode
+from .data_io import eval_f1
+from .info_graph import InfoGraph, canonicalize
 from .model import DecodeSession, Engine, ExtractionModel, ModelError, decode_step, span_head
 from .numerics import NEG_INF, span_windows
 from .type_vocab import TypeVocab, VocabError
@@ -470,10 +471,6 @@ def evaluate_model(
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    from .altseq_codec import encode
-    from .data_io import eval_f1
-    from .info_graph import canonicalize
-
     examples = examples[:limit]
     engine = Engine(model)
     preds, failed = [], []

@@ -86,11 +86,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .altseq_codec import AltSequence, Traversal
+from .altseq_codec import AltSequence, Traversal, encode
 from .embeddings import DFS_LEVEL_TABLE, TREE_BRANCH_CAP, advance, bfs_components, dfs_components, sinusoidal
 from .hybrid_index import span_rows
+from .info_graph import canonicalize
 from .numerics import Tensor
-from .type_vocab import TypeVocab, segment_ids
+from .type_vocab import TypeVocab, build_vocab, segment_ids
 
 UNK_TOKEN = "[UNK]"
 
@@ -132,7 +133,16 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TokenVocab:
+    """Text tokens in embedding-row order: [UNK] first, then each other token
+    once, as ``build`` makes them; any other list raises ModelError."""
+
     tokens: tuple[str, ...]
+
+    def __post_init__(self):
+        index = {t: i for i, t in enumerate(self.tokens)}
+        if self.tokens[:1] != (UNK_TOKEN,) or len(index) != len(self.tokens):
+            raise ModelError(f"tokens must be {UNK_TOKEN} followed by distinct tokens, got {list(self.tokens)!r:.60}")
+        self.__dict__["_index"] = index  # frozen: set once, here, and never again
 
     @classmethod
     def build(cls, corpus: Iterable[Sequence[str]]) -> "TokenVocab":
@@ -143,13 +153,7 @@ class TokenVocab:
         return len(self.tokens)
 
     def ids(self, tokens: Sequence[str]) -> np.ndarray:
-        index = self._index()
-        return np.array([index.get(t, 0) for t in tokens], dtype=np.intp)
-
-    def _index(self) -> dict[str, int]:
-        if not hasattr(self, "_cache"):
-            object.__setattr__(self, "_cache", {t: i for i, t in enumerate(self.tokens)})
-        return getattr(self, "_cache")
+        return np.array([self._index.get(t, 0) for t in tokens], dtype=np.intp)
 
 
 def param_shapes(cfg: ModelConfig, vocab: TypeVocab, token_vocab: TokenVocab) -> dict[str, tuple[int, ...]]:
@@ -513,9 +517,6 @@ def train_step(
 
 def prepare_training_data(dataset, traversal: Traversal = Traversal.BFS):
     """Pre-encode a dataset once: (token_ids, canonical target sequence) pairs."""
-    from .altseq_codec import encode
-    from .info_graph import canonicalize
-
     token_vocab = TokenVocab.build([t for t, _ in dataset.examples])
     prepared = []
     for tokens, graph in dataset.examples:
@@ -974,8 +975,6 @@ class ExtractionModel:
 
     @classmethod
     def load(cls, path) -> "ExtractionModel":
-        from .type_vocab import build_vocab
-
         try:
             with np.load(path) as blob:
                 arrays = {k: blob[k] for k in blob.files}

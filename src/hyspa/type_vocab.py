@@ -9,6 +9,7 @@ constraint machine and the training tape.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,8 +72,6 @@ class TypeVocab:
         return range(self.l_e, self.l_p)
 
     def config_hash(self) -> str:
-        import hashlib
-
         blob = json.dumps({"edge_types": self.edge_types, "node_types": self.node_types})
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -16,6 +16,15 @@ import hyspa
 from hyspa.cli import run
 
 
+# token lists a checkpoint may not hold: an empty one once loaded and then
+# failed in numpy, and with [UNK] second every unknown token read the row of "a"
+TOKEN_LISTS = {
+    "empty token list": [],
+    "[UNK] not first": ["a", "[UNK]"],
+    "repeated token": ["[UNK]", "a", "a"],
+}
+
+
 def invoke(*argv):
     return run(list(argv))
 
@@ -244,8 +253,8 @@ class TestDecodeDump:
             try:
                 text = raw.decode("utf-8")
             except UnicodeDecodeError:
-                expect[lineno] = None  # the file ends at a line that is not UTF-8
-                break
+                expect[lineno] = None  # fails alone, and the lines after it still decode
+                continue
             if text.strip():
                 try:
                     decode_sequence(parse_sequence_line(seqs, lineno, text, vocab, m, traversal))
@@ -515,7 +524,7 @@ class TestModelCommands:
 
     @pytest.mark.parametrize("damage", [
         "no meta", "no meta key", "unknown config field", "bad traversal", "edge_freq list",
-        "edge_freq value", "non-string token", "empty", "truncated", "text",
+        "edge_freq value", "non-string token", "empty", "truncated", "text", *TOKEN_LISTS,
     ])
     def test_malformed_checkpoint_fails_with_message(self, corpus, tmp_path, capsys, damage):
         import numpy as np
@@ -550,6 +559,8 @@ class TestModelCommands:
             meta["edge_freq"] = {"1": "x", "2": None}
         elif damage == "non-string token":  # a list once reached the token index unchecked
             meta["tokens"] = ["[UNK]", ["a"]]
+        elif damage in TOKEN_LISTS:
+            meta["tokens"] = TOKEN_LISTS[damage]
         if damage != "no meta":
             arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(ckpt, **arrays)
@@ -560,6 +571,12 @@ class TestModelCommands:
             assert "edge_freq value 'x' is not an integer" in err
         if damage == "non-string token":
             assert "tokens must be a list of strings" in err
+        if damage in TOKEN_LISTS:
+            assert f"error: checkpoint {ckpt}: tokens must be [UNK] followed by distinct tokens" in err
+            assert invoke("extract", "--model", str(ckpt), "--input", str(sents)) == 1
+            err = capsys.readouterr().err
+            assert f"error: checkpoint {ckpt}: tokens must be [UNK] followed by distinct tokens" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     @pytest.mark.parametrize("command", ["extract", "eval"])
@@ -647,6 +664,73 @@ def good_files(corpus):
     return files
 
 
+@pytest.fixture(scope="module")
+def small_files(good_files, tmp_path_factory):
+    """The good files, with a corpus of the first six records and their dump:
+    inputs small enough to run a command on many times."""
+    root = tmp_path_factory.mktemp("small")
+    files = {**good_files, "data": root / "small.jsonl", "seqs": root / "small.seqs"}
+    files["data"].write_bytes(b"".join(good_files["data"].read_bytes().splitlines(keepends=True)[:6]))
+    assert invoke("encode", "--data", str(files["data"]), "--out", str(files["seqs"])) == 0
+    return files
+
+
+# the flags that fit something to the whole corpus, so that its first bad record fails the command
+STRICT_FLAGS = {"train --data", "train --dev", "encode --freq-from"}
+
+
+def run_captured(argv) -> tuple[int, str, str]:
+    """Exit code, standard output and standard error of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = invoke(*argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def written_for_good_lines(flag, out, path):
+    """What a lenient command printed for the good lines of ``path``: its
+    standard output without its reports and records of bad lines."""
+    command = flag.split()[0]
+    if command == "validate":
+        return re.fullmatch(r"validate: (\d+)/\d+ ok", out.splitlines()[-1])[1]
+    if command == "eval" and out:
+        res = json.loads(out)
+        return {**res, "failed": [f for f in res["failed"] if "line" not in f]}
+    if command == "extract":
+        bad = f"failed: {path}:"
+        return [line for line in out.splitlines() if not json.loads(line).get("diagnostics", "").startswith(bad)]
+    return out
+
+
+def check_fails_alone(flag, paths, bad_lines) -> tuple[str, str]:
+    """Run ``flag``'s command with paths["BAD"], whose bad lines are
+    ``bad_lines``, and check the per-record contract.  A strict flag fails at
+    the first bad line, names it and writes nothing.  A lenient one reports
+    each bad line once as PATH:LINE and writes for the good lines what a run
+    on paths["GOOD"], the good lines alone, writes.  Returns what the run on
+    paths["BAD"] printed to standard output and to standard error."""
+    argv = TEXT_FLAGS[flag][1]
+    bad = paths["BAD"]
+    code, out, err = run_captured([str(paths.get(arg, arg)) for arg in argv])
+    assert code in (0, 1) and "Traceback" not in err
+    if flag in STRICT_FLAGS:
+        if bad_lines:
+            assert code == 1
+            assert err.startswith(f"error: {bad}:{bad_lines[0]}: ") and err.count("\n") == 1, err
+            assert out == "" and not paths["out"].exists()
+        return out, err
+    reports = out if flag.startswith("validate") else err
+    assert [int(m[1]) for m in re.finditer(rf"^{re.escape(str(bad))}:(\d+): ", reports, re.M)] == bad_lines, reports
+    others = [line for line in err.splitlines() if not line.startswith(f"{bad}:")]
+    assert all(re.fullmatch(rf"extract: {len(bad_lines)}/\d+ lines failed|error: {re.escape(str(bad))}: no examples", line)
+               for line in others), err
+    clean = {**paths, "BAD": paths["GOOD"]}
+    clean_code, clean_out, _ = run_captured([str(clean.get(arg, arg)) for arg in argv])
+    assert code == (1 if bad_lines else clean_code)
+    assert written_for_good_lines(flag, out, bad) == written_for_good_lines(flag, clean_out, paths["GOOD"])
+    return out, err
+
+
 GOOD_RECORD = '{"tokens": ["a", "b"], "entities": [{"start": 0, "end": 1, "type": "PER"}], "relations": []}'
 DEEP_JSON = "[" * 100_000 + "]" * 100_000  # deeper than json.loads can recurse
 
@@ -687,19 +771,28 @@ class TestMalformedFiles:
         # each once passed validate and roundtrip, or failed there without naming
         # the field; float offsets and empty tokens made encode write a dump line
         # ("2 19.0 0 11 10", "0 18 10") that decode refused
+        # now the bad record fails alone: encode and roundtrip report it and
+        # write for the good record what a run on it alone writes
         line, message = MISTYPED[kind]
-        data = tmp_path / "bad.jsonl"
+        data, good = tmp_path / "bad.jsonl", tmp_path / "good.jsonl"
         data.write_text(f"{GOOD_RECORD}\n{line}\n")
-        out = tmp_path / "seqs.txt"
-        argv = ["encode", "--data", str(data), "--out", str(out)] if command == "encode" else [command, "--data", str(data)]
-        assert invoke(*argv) == 1
+        good.write_text(f"{GOOD_RECORD}\n")
+        out, clean = tmp_path / "seqs.txt", tmp_path / "clean.txt"
+
+        def argv(path, dump):
+            return ["encode", "--data", str(path), "--out", str(dump)] if command == "encode" else [command, "--data", str(path)]
+
+        assert invoke(*argv(data, out)) == 1
         captured = capsys.readouterr()
         if command == "validate":
             assert f"{data}:2: malformed record: {message}" in captured.out
             assert "validate: 1/2 ok" in captured.out
-        else:
-            assert f"error: {data}:2: malformed record: {message}" in captured.err
-        assert not out.exists()
+            assert not out.exists()
+            return
+        assert captured.err == f"{data}:2: malformed record: {message}\n"
+        assert invoke(*argv(good, clean)) == 0
+        assert captured.out.replace(str(out), "OUT") == capsys.readouterr().out.replace(str(clean), "OUT")
+        assert command == "roundtrip" or out.read_bytes() == clean.read_bytes()
 
     @pytest.mark.parametrize("kind", MALFORMED)
     @pytest.mark.parametrize("flag", FILE_FLAGS)
@@ -710,24 +803,39 @@ class TestMalformedFiles:
         bad.write_bytes(MALFORMED[kind](good_files[good].read_bytes()))
         paths = {**good_files, "BAD": bad, "out": tmp_path / "out.npz"}
         code = invoke(*(str(paths.get(arg, arg)) for arg in argv))
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert "Traceback" not in err
         if (flag, kind) in ACCEPTED:
             assert code == 0
         else:
             assert code == 1
             assert "error: " in err or f"{bad}:" in err
+        if (flag, kind) == ("extract --input", "binary"):
+            # a line that is not UTF-8 no longer ends the file: each is reported
+            # once and gets an empty record, so the output keeps one record per line
+            lines = [(n, raw) for n, raw in enumerate(bad.read_bytes().split(b"\n"), start=1) if raw.strip()]
+            not_utf8 = [n for n, raw in lines if not raw.isascii()]
+            records = [json.loads(line) for line in captured.out.splitlines()]
+            assert len(records) == len(lines) == 5 and len(not_utf8) == 4
+            assert [n for (n, _), r in zip(lines, records) if "diagnostics" in r] == not_utf8
+            for n in not_utf8:
+                assert err.count(f"{bad}:{n}: not UTF-8: ") == 1
+            assert f"extract: 4/5 lines failed" in err
 
     @pytest.mark.parametrize("flag", TEXT_FLAGS)
-    def test_not_utf8_names_file_and_line(self, good_files, tmp_path, capsys, flag):
-        good, argv = TEXT_FLAGS[flag]
-        lines = good_files[good].read_bytes().split(b"\n")
+    def test_not_utf8_names_file_and_line(self, small_files, tmp_path, flag):
+        # a strict flag fails with "error: PATH:2: not UTF-8"; a lenient one
+        # reports the line as "PATH:2: not UTF-8", goes on with the others and exits 1
+        lines = small_files[TEXT_FLAGS[flag][0]].read_bytes().split(b"\n")
+        paths = {**small_files, "GOOD": tmp_path / "good", "BAD": tmp_path / "bad", "out": tmp_path / "out.npz"}
+        paths["GOOD"].write_bytes(b"\n".join(lines[:1] + lines[2:]))
         lines[1] = lines[1][:1] + b"\x80" + lines[1][1:]  # one byte no UTF-8 text holds
-        bad = tmp_path / "bad"
-        bad.write_bytes(b"\n".join(lines))
-        paths = {**good_files, "BAD": bad, "out": tmp_path / "out.npz"}
-        assert invoke(*(str(paths.get(arg, arg)) for arg in argv)) == 1
-        assert f"error: {bad}:2: not UTF-8" in capsys.readouterr().err
+        paths["BAD"].write_bytes(b"\n".join(lines))
+        out, err = check_fails_alone(flag, paths, [2])
+        reports = out if flag.startswith("validate") else err
+        assert reports.count(f"{paths['BAD']}:2: not UTF-8: ") == 1
+        assert (f"error: {paths['BAD']}:2:" in err) == (flag in STRICT_FLAGS)
 
     def test_train_on_empty_corpus_names_the_path(self, tmp_path, capsys):
         data = tmp_path / "empty.jsonl"
@@ -746,6 +854,20 @@ class TestMalformedFiles:
         assert invoke(*(str(paths.get(arg, arg)) for arg in FILE_FLAGS["train --dev"][1])) == 1
         assert f"error: {dev}: no dev examples" in capsys.readouterr().err
         assert not (tmp_path / "out.npz").exists()
+
+    @pytest.mark.parametrize("content", [b"", b"\n", b'{"tokens": 5}\n\xff\n'], ids=["empty", "blank", "only bad records"])
+    def test_eval_with_no_good_record_fails(self, good_files, tmp_path, capsys, content):
+        # eval once printed exact_match 0.0 over count 0 and exited 0
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(content)
+        assert invoke("eval", "--model", str(good_files["model"]), "--data", str(data)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        *reports, last = captured.err.splitlines()
+        assert last == f"error: {data}: no examples"
+        assert [line.split(": ")[:2] for line in reports] == (
+            [[f"{data}:1", "malformed record"], [f"{data}:2", "not UTF-8"]] if content.strip() else []
+        )
 
     @pytest.mark.parametrize("m", [0, -3, True, 2.0, "2"])
     def test_decode_header_m_must_be_a_positive_integer(self, good_files, tmp_path, capsys, m):
@@ -797,6 +919,62 @@ class TestMalformedFiles:
         vocab.write_text(json.dumps(doc))
         assert invoke("validate", "--vocab", str(vocab), "--data", str(good_files["data"])) == 1
         assert f"error: vocab {vocab}: not an object with lists of strings" in capsys.readouterr().err
+
+
+# bad lines for each kind of file, put at its start, in its middle and at its
+# end: for a corpus malformed JSON, an invalid graph and bytes that are not
+# UTF-8; for a dump a malformed line, a sequence with no graph reading and
+# bytes that are not UTF-8; for extraction input, where any text is a
+# sentence, three lines that are not UTF-8
+BAD_LINES = {
+    "data": (
+        b'{"tokens": ',
+        b'{"tokens": ["a"], "entities": [{"start": 0, "end": 5, "type": "PER"}], "relations": []}',
+        b'{"tokens": ["\xff"], "entities": [], "relations": []}',
+    ),
+    "seqs": (b"abc 1 2", b"4 19", b"4 19 \xff 10"),
+    "input": (b"\xff a", b"b \xfe c", b"\x80"),
+}
+REPORTS = {
+    "data": ["malformed record", "invalid graph", "not UTF-8"],
+    "seqs": ["malformed sequence line", "sequence fails structural validation", "not UTF-8"],
+    "input": ["not UTF-8"] * 3,
+}
+
+
+class TestRecordsFailAlone:
+    @pytest.mark.parametrize("flag", TEXT_FLAGS)
+    def test_bad_records_at_start_middle_and_end(self, small_files, tmp_path, flag):
+        # a lenient command reports each bad record once and writes for the good
+        # ones what a clean run writes; a strict one names the first and writes nothing
+        kind = TEXT_FLAGS[flag][0]
+        lines = small_files[kind].read_bytes().splitlines()
+        header, good = (lines[:1], lines[1:]) if kind == "seqs" else ([], lines)
+        half = len(good) // 2
+        first, middle, last = BAD_LINES[kind]
+        body = [first, *good[:half], middle, *good[half:], last]
+        start = len(header) + 1
+        bad_lines = [start, start + half + 1, start + len(body) - 1]
+        paths = {**small_files, "GOOD": tmp_path / "good", "BAD": tmp_path / "bad", "out": tmp_path / "out.npz"}
+        paths["GOOD"].write_bytes(b"".join(line + b"\n" for line in header + good))
+        paths["BAD"].write_bytes(b"".join(line + b"\n" for line in header + body))
+        out, err = check_fails_alone(flag, paths, bad_lines)
+        bad = paths["BAD"]
+        if flag in STRICT_FLAGS:
+            assert err.startswith(f"error: {bad}:{start}: {REPORTS[kind][0]}: ")
+            return
+        reports = [line for line in (out if flag.startswith("validate") else err).splitlines()
+                   if line.startswith(f"{bad}:")]
+        assert len(reports) == 3
+        assert all(line.startswith(f"{bad}:{n}: {what}") for line, n, what in zip(reports, bad_lines, REPORTS[kind]))
+        if flag == "eval --data":
+            failed = [f for f in json.loads(out)["failed"] if "line" in f]
+            assert [(f["line"], f["error"]) for f in failed] == list(zip(bad_lines, reports))
+        if flag == "extract --input":
+            records = [json.loads(line) for line in out.splitlines()]
+            assert [n for n, r in enumerate(records, start=1) if "diagnostics" in r] == bad_lines
+            assert all(records[n - 1] == {"tokens": [], "entities": [], "relations": [], "diagnostics": f"failed: {report}"}
+                       for n, report in zip(bad_lines, reports))
 
 
 # what a checkpoint's meta cfg may hold in place of a saved value
@@ -932,3 +1110,56 @@ class TestCheckpointFile:
         assert "Traceback" not in err.getvalue()
         if code == 1:
             assert f"error: checkpoint {ckpt}" in err.getvalue()
+
+
+@st.composite
+def damaged_lines(draw, good: list, records: bool) -> list:
+    """``good`` with one to three lines replaced by arbitrary bytes, a
+    truncated line, or valid JSON of the wrong shape: any JSON value, or, for
+    a file of ``records``, a record with one field replaced by one."""
+    lines = list(good)
+    for at in draw(st.sets(st.integers(0, len(lines) - 1), min_size=1, max_size=3)):
+        kind = draw(st.sampled_from(["bytes", "truncated", "json"]))
+        if kind == "bytes":
+            lines[at] = draw(st.binary(max_size=24)).replace(b"\n", b"")
+        elif kind == "truncated":
+            lines[at] = lines[at][: draw(st.integers(0, len(lines[at]) - 1))]
+        elif records and draw(st.booleans()):
+            field = draw(st.sampled_from(["tokens", "entities", "relations"]))
+            lines[at] = json.dumps({**json.loads(lines[at]), field: draw(JSON_VALUES)}).encode()
+        else:
+            lines[at] = json.dumps(draw(JSON_VALUES)).encode()
+    return lines
+
+
+class TestCorpusFlags:
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("flags")
+
+    @pytest.mark.parametrize("flag", [flag for flag in TEXT_FLAGS if flag != "decode --seqs"])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_generated_lines_fail_alone(self, small_files, root, flag, data):
+        # every corpus flag and extract --input, on a good file with some lines
+        # damaged: the per-record contract of check_fails_alone holds
+        from hyspa.data_io import CorpusError, default_vocab, parse_line
+
+        kind = TEXT_FLAGS[flag][0]
+        lines = data.draw(damaged_lines(small_files[kind].read_bytes().splitlines(), kind == "data"), label="lines")
+        paths = {**small_files, "GOOD": root / "good", "BAD": root / "bad", "out": root / "out.npz"}
+        paths["out"].unlink(missing_ok=True)
+        bad_lines, good = [], []
+        for lineno, raw in enumerate(lines, start=1):
+            try:
+                text = raw.decode("utf-8")
+                if kind == "data" and text.strip():
+                    parse_line(paths["BAD"], lineno, text, default_vocab(), 16)
+            except (UnicodeDecodeError, CorpusError):
+                bad_lines.append(lineno)
+                continue
+            if text.strip():
+                good.append(raw)
+        paths["BAD"].write_bytes(b"".join(line + b"\n" for line in lines))
+        paths["GOOD"].write_bytes(b"".join(line + b"\n" for line in good))
+        check_fails_alone(flag, paths, bad_lines)

@@ -53,6 +53,7 @@ class TestJsonl:
         assert list(seq.items) == [vocab.null_type_index, vocab.sep_index]
 
     def test_malformed_line_reports_number(self, vocab, tmp_path):
+        # the bad line fails alone: its error sits beside the good records, and strict() raises it
         path = tmp_path / "bad.jsonl"
         for line in (
             '{"tokens": }',
@@ -60,16 +61,38 @@ class TestJsonl:
             '{"tokens": ["a", "b"], "entities": [{"start": "0", "end": 1, "type": "PER"}]}',
             '["a", "b"]',
         ):
-            path.write_text('{"tokens": ["a"]}\n' + line + "\n")
+            path.write_text('{"tokens": ["a"]}\n' + line + '\n{"tokens": ["b"]}\n')
+            ds = load_jsonl(path, vocab)
+            assert [tokens for tokens, _ in ds.examples] == [("a",), ("b",)]
+            assert [lineno for lineno, _ in ds.errors] == [2]
+            assert isinstance(ds.errors[0][1], CorpusError)
+            assert str(ds.errors[0][1]).startswith(f"{path}:2: malformed record")
             with pytest.raises(CorpusError, match="bad.jsonl:2: malformed record"):
-                load_jsonl(path, vocab)
+                ds.strict()
 
     def test_unknown_type_name_reports_line(self, vocab, tmp_path):
         rec = {"tokens": ["a"], "entities": [{"start": 0, "end": 1, "type": "NOPE"}], "relations": []}
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(rec) + "\n")
-        with pytest.raises(CorpusError, match="bad.jsonl:1"):
-            load_jsonl(path, vocab)
+        ds = load_jsonl(path, vocab)
+        assert ds.examples == [] and [lineno for lineno, _ in ds.errors] == [1]
+        with pytest.raises(CorpusError, match="bad.jsonl:1: malformed record: unknown type name: 'NOPE'"):
+            ds.strict()
+
+    def test_every_bad_line_fails_alone(self, vocab, tmp_path):
+        # a line that is not UTF-8 no longer ends the walk; the edge frequencies are the good records'
+        good = synth_generate(6, seed=9, vocab=vocab)
+        save_jsonl(good, tmp_path / "good.jsonl")
+        lines = (tmp_path / "good.jsonl").read_bytes().splitlines()
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\n".join([b"\xff{", *lines[:3], b"", b"[1]", *lines[3:], b'{"tokens": 5}']) + b"\n")
+        ds = load_jsonl(path, vocab)
+        assert [lineno for lineno, _ in ds.errors] == [1, 6, 10]
+        assert [str(err).split(": ")[1] for _, err in ds.errors] == ["not UTF-8", "malformed record", "malformed record"]
+        assert all(str(err).startswith(f"{path}:{lineno}: ") for lineno, err in ds.errors)
+        assert [tokens for tokens, _ in ds.examples] == [tokens for tokens, _ in good.examples]
+        assert ds.edge_freq == good.edge_freq
+        assert load_jsonl(tmp_path / "good.jsonl", vocab).strict().errors == []
 
     def test_save_load_identity(self, vocab, tmp_path):
         ds = synth_generate(60, seed=21, vocab=vocab)
@@ -243,4 +266,13 @@ class TestSequenceDump:
             write_sequence_dump(fh, [], vocab, 16, Traversal.BFS)
             fh.write("4 27 10\n\nabc 1 2\n")
         with pytest.raises(CorpusError, match=r"seqs\.txt:4: malformed sequence line"):
+            read_sequence_dump(path, vocab)
+
+    def test_strict_after_a_line_that_is_not_utf8(self, vocab, tmp_path):
+        # the dump reader stays strict: the first bad line raises, whatever comes after it
+        path = tmp_path / "seqs.txt"
+        with open(path, "wb") as fh:
+            fh.write(json.dumps({"m": 16, "traversal": "bfs", "vocab_hash": vocab.config_hash()}).encode() + b"\n")
+            fh.write(b"4 27 10\n4 \xff\nabc\n")
+        with pytest.raises(CorpusError, match=r"seqs\.txt:3: not UTF-8"):
             read_sequence_dump(path, vocab)
