@@ -1,4 +1,5 @@
-"""Invertible mapping between ordered graphs and alternating sequences.
+"""Invertible mapping between ordered graphs and alternating sequences, and
+the constraint machine that admits their prefixes.
 
 Both traversals serialize a graph into a flat list of hybrid-span indices in
 which even offsets are node elements (node types or text spans) and odd
@@ -19,6 +20,24 @@ once, checking each pair's structure and reading it in the same iteration;
 ``validate_sequence`` is that walk with the reading switched off, so each
 structure rule is written once.  Items are classified by comparing them with
 the vocabulary's ``l_e``/``l_p`` bounds.
+
+The constraint machine (``GenConstraints``) defines the prefixes a decoder
+may grow: the one admissibility rule of decoding and of the training tape,
+which walks one along each gold sequence.  Its additive mask admits only
+continuations that decode to a valid information graph: every level parent
+is a fresh text span (or [NULL] as the lone root), every mention is typed
+through a [TYPE] pair before anything else, relation children are text
+spans, and [EOS] only opens once all levels are closed and no mention is
+left untyped.  Near the length budget the machine forces the shortest
+completion, so every run ends in [EOS] within ``max_len`` items and decodes
+to a graph whatever scores drove it.  ``GenConstraints.push`` checks the
+budget (a ``RuntimeError`` past it is a bug), and a property test drives the
+machine with adversarial choices to hold it.
+
+Most steps admit no text span (a [TYPE] edge, a node type, a relation edge,
+[SEP] or [EOS] comes next).  There the mask covers only the l_p type slots;
+type slots come first in every row, so a slot index means the same in a
+short row as in a full one.
 """
 from __future__ import annotations
 
@@ -26,9 +45,12 @@ import enum
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .hybrid_index import index_to_text_span
 from .info_graph import InfoGraph, Mention, OrderedGraph, RelationEdge, SequenceEncodeError
-from .type_vocab import TypeVocab
+from .numerics import NEG_INF, span_windows
+from .type_vocab import TypeVocab, VocabError
 
 
 class Traversal(str, enum.Enum):
@@ -219,3 +241,225 @@ def decode_sequence(s: AltSequence, *, _read: bool = True) -> InfoGraph:
     index = {k: i for i, k in enumerate(order)}
     return InfoGraph(mentions, tuple([RelationEdge(index[h], index[t], e) for h, e, t in relations]), n, m)
 
+
+# ---------------------------------------------------------------------------
+# the constraint machine
+# ---------------------------------------------------------------------------
+
+class _Phase:
+    PARENT = "parent"          # expecting a level parent (start or after [SEP])
+    AFTER_PARENT = "after_parent"  # untyped node emitted; [TYPE] edge forced
+    TYPE_VALUE = "type_value"  # [TYPE] emitted; node-type slot open
+    AFTER_CHILD = "after_child"    # BFS: relation edges or [SEP]
+    REL_EDGE = "rel_edge"      # DFS: re-emitted parent; relation edge forced
+    REL_VALUE = "rel_value"    # relation emitted; span slot open
+    SEP = "sep"                # [NULL] root, or in DFS a leaf, emitted; [SEP] forced
+    DONE = "done"
+
+
+# the phase that follows each forced emission
+_FORCED = {
+    _Phase.AFTER_PARENT: _Phase.TYPE_VALUE,
+    _Phase.REL_EDGE: _Phase.REL_VALUE,
+    _Phase.SEP: _Phase.PARENT,
+}
+
+# the fewest items that still finish a run once something is emitted, as
+# (base, per pending mention) in each live phase: BFS types a pending
+# mention at a level of its own (span, [TYPE], type, [SEP]); in AFTER_PARENT
+# and TYPE_VALUE the current parent is one of the pending mentions
+_FINISH = {
+    Traversal.BFS: {
+        _Phase.PARENT: (0, 4),
+        _Phase.AFTER_PARENT: (-1, 4),
+        _Phase.TYPE_VALUE: (-2, 4),
+        _Phase.AFTER_CHILD: (1, 4),
+        _Phase.REL_VALUE: (2, 4),
+        _Phase.SEP: (1, 0),
+    },
+    Traversal.DFS: {
+        _Phase.PARENT: (0, 0),
+        _Phase.AFTER_PARENT: (3, 0),
+        _Phase.TYPE_VALUE: (2, 0),
+        _Phase.REL_EDGE: (3, 0),
+        _Phase.REL_VALUE: (2, 0),
+        _Phase.SEP: (1, 0),
+    },
+}
+
+
+class GenConstraints:
+    """Structural admissibility for one growing hypothesis (BFS or DFS)."""
+
+    def __init__(self, vocab: TypeVocab, n: int, m: int, traversal: Traversal, max_len: int):
+        if max_len < 16:
+            raise ValueError("max_len must be at least 16")
+        self.vocab = vocab
+        self.traversal = traversal
+        self.max_len = max_len
+        self.size = vocab.l_p + n * m
+        # additive mask over the n*m span slots: windows past the text are closed
+        inside = span_windows(n, m)[1]
+        self._legal = np.where(inside, 0.0, NEG_INF).reshape(-1)
+        self._n_legal = int(inside.sum())
+        self._rel_edges = [e for e in vocab.real_edge_indices if e != vocab.type_edge_index]
+        # the slots each fixed-slot phase opens, whatever the state
+        self._fixed = {
+            _Phase.AFTER_PARENT: [vocab.type_edge_index],
+            _Phase.TYPE_VALUE: slice(vocab.l_e, vocab.l_p),
+            _Phase.REL_EDGE: self._rel_edges,
+            _Phase.SEP: [vocab.sep_index],
+        }
+        self.phase = _Phase.PARENT
+        self.emitted = 0  # items pushed, [EOS] aside
+        self.null_used = False
+        self.typed: set[int] = set()     # span indices with an assigned type
+        self.pending: set[int] = set()   # span indices seen but not yet typed
+        self.cur: int | None = None      # the node the next [TYPE] pair types
+
+    @property
+    def finished(self) -> bool:
+        return self.phase == _Phase.DONE
+
+    def fork(self) -> "GenConstraints":
+        clone = object.__new__(GenConstraints)
+        clone.__dict__.update(self.__dict__)
+        clone.typed = set(self.typed)
+        clone.pending = set(self.pending)
+        return clone
+
+    # -- budget ------------------------------------------------------------
+    def _min_to_finish(self) -> int:
+        if not self.emitted:
+            return 2  # a [NULL] root and its [SEP]
+        base, per_pending = _FINISH[self.traversal][self.phase]
+        return base + per_pending * len(self.pending)
+
+    def _tight(self) -> bool:
+        return self.max_len - self.emitted <= self._min_to_finish() + 6
+
+    # -- admissibility -----------------------------------------------------
+    def mask(self) -> np.ndarray:
+        """Additive mask for the next emission: over the l_p type slots alone
+        when no span slot is admitted, else over all l_p + n*m output slots."""
+        ph = self.phase
+        if ph == _Phase.DONE:
+            raise RuntimeError("hypothesis already finished")
+        voc = self.vocab
+        v = np.full(voc.l_p, NEG_INF)
+        if ph in self._fixed:
+            v[self._fixed[ph]] = 0.0
+            return v
+        if ph == _Phase.AFTER_CHILD:
+            v[voc.sep_index] = 0.0
+            if not self._tight():
+                v[self._rel_edges] = 0.0
+            return v
+        if ph == _Phase.REL_VALUE:
+            return self._open_spans(v, self.typed | self.pending) if self._tight() else self._open_legal(v, ())
+        # PARENT; before the first emission the budget cannot be tight (max_len >= 16)
+        if self.null_used:
+            v[voc.eos_index] = 0.0
+            return v
+        if not self.emitted:
+            v[voc.null_type_index] = 0.0
+            return self._open_legal(v, ())
+        if not self.pending:
+            v[voc.eos_index] = 0.0
+        if self._tight():
+            # budget is short: [EOS], or only untyped mentions may open levels
+            return self._open_spans(v, self.pending)
+        # a BFS span opens one level and is typed on it, so the typed spans are
+        # the ones that opened a level; under DFS a typed parent is re-emitted,
+        # unless there is no relation type for it to emit
+        return self._open_legal(v, self.typed if self.traversal == Traversal.BFS or not self._rel_edges else ())
+
+    def _open_spans(self, types: np.ndarray, spans) -> np.ndarray:
+        """``types`` followed by the span slots, only the slots ``spans`` open."""
+        if not spans:
+            return types
+        v = np.concatenate([types, np.full(self.size - len(types), NEG_INF)])
+        v[list(spans)] = 0.0
+        return v
+
+    def _open_legal(self, types: np.ndarray, closed) -> np.ndarray:
+        """``types`` followed by the span slots, every window inside the text
+        open except the slots ``closed`` (admitted spans, so inside)."""
+        if len(closed) == self._n_legal:
+            return types
+        v = np.concatenate([types, self._legal])
+        v[list(closed)] = NEG_INF
+        return v
+
+    # -- transitions ---------------------------------------------------------
+    def push(self, k: int) -> None:
+        voc = self.vocab
+        if not 0 <= k < self.size:
+            raise VocabError(f"index {k} outside [0, {self.size})")
+        if k == voc.eos_index:
+            self.phase = _Phase.DONE
+            return
+        if self.emitted == self.max_len:  # the budget rule admits only [EOS] here
+            raise RuntimeError(f"item {k} pushed past the budget of {self.max_len} items")
+        self.emitted += 1
+        ph = self.phase
+        bfs = self.traversal == Traversal.BFS
+        if ph in _FORCED:
+            self.phase = _FORCED[ph]
+        elif ph == _Phase.TYPE_VALUE:
+            self.typed.add(self.cur)
+            self.pending.discard(self.cur)
+            self.phase = _Phase.AFTER_CHILD if bfs else _Phase.SEP
+        elif ph == _Phase.AFTER_CHILD:
+            self.phase = _Phase.PARENT if k == voc.sep_index else _Phase.REL_VALUE
+        elif ph == _Phase.PARENT and k < voc.l_p:  # the [NULL] root
+            self.null_used = True
+            self.phase = _Phase.SEP
+        elif ph in (_Phase.PARENT, _Phase.REL_VALUE):  # a span: level parent or relation child
+            typed = k in self.typed
+            if not typed:
+                self.pending.add(k)
+            if ph == _Phase.PARENT:
+                self.cur = k
+                self.phase = _Phase.REL_EDGE if typed and not bfs else _Phase.AFTER_PARENT
+            elif bfs:
+                self.phase = _Phase.AFTER_CHILD
+            elif typed:
+                self.phase = _Phase.SEP
+            else:
+                self.cur = k
+                self.phase = _Phase.AFTER_PARENT
+        else:
+            raise RuntimeError(f"push in unexpected phase {ph}")
+
+
+# ---------------------------------------------------------------------------
+# mask-constrained sampling (no model required)
+# ---------------------------------------------------------------------------
+
+def sample_sequence(
+    vocab: TypeVocab,
+    n: int,
+    m: int,
+    rng: np.random.Generator,
+    traversal: Traversal = Traversal.BFS,
+    max_len: int = 160,
+) -> AltSequence:
+    """Draw a sequence from uniformly random logits under the masks.
+
+    Each step takes the argmax of fresh uniform logits plus the admissibility
+    mask, i.e. a uniform draw over the admitted slots.  A logit is drawn for
+    every output slot even when the mask covers only the type slots, so the
+    draws do not depend on the mask's length.
+    """
+    machine = GenConstraints(vocab, n, m, traversal, max_len)
+    items: list[int] = []
+    while True:
+        logits = rng.random(machine.size)
+        mask = machine.mask()
+        k = int(np.argmax(logits[: len(mask)] + mask))
+        if k == vocab.eos_index:
+            break
+        machine.push(k)
+        items.append(k)
+    return AltSequence(tuple(items), traversal, vocab, n, m)

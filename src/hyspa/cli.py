@@ -270,6 +270,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if Path(args.out).is_dir() or not Path(args.out).parent.is_dir():  # fail before the first step, not at the save
+        raise OSError(f"--out {args.out}: is a directory, or its directory does not exist")
     vocab = _load_vocab_arg(args)
     traversal = Traversal(args.traversal)
     ds = load_jsonl(args.data, vocab, m=args.m).strict()

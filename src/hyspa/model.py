@@ -86,7 +86,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import numerics as nm
-from .altseq_codec import AltSequence, Traversal, encode
+from .altseq_codec import AltSequence, GenConstraints, Traversal, encode
 from .embeddings import DFS_LEVEL_TABLE, TREE_BRANCH_CAP, advance, bfs_components, dfs_components, sinusoidal
 from .hybrid_index import span_rows
 from .info_graph import canonicalize
@@ -304,8 +304,6 @@ def _machine_masks(seqs: Sequence[AltSequence], t_pad: int, width: int) -> np.nd
     and NEG_INF elsewhere.  A budget of len + 16 items never turns tight on a
     gold path (``_tight`` leaves ``_min_to_finish() + 6``), so the tape learns
     the structural rule alone.  A gold item the machine forbids raises ModelError."""
-    from .decode_search import GenConstraints
-
     out = np.full((len(seqs), t_pad, width), nm.NEG_INF)
     for b, seq in enumerate(seqs):
         eos, end = seq.vocab.eos_index, len(seq.items)
@@ -962,6 +960,7 @@ class ExtractionModel:
         return Engine(self).open_session(*args, **kwargs)
 
     def save(self, path) -> None:
+        """Write the checkpoint to exactly ``path`` (``np.savez`` given a name adds ``.npz``)."""
         meta = {
             "cfg": asdict(self.cfg),
             "edge_types": list(self.vocab.edge_types),
@@ -971,7 +970,8 @@ class ExtractionModel:
             "traversal": self.traversal.value,
         }
         arrays = {f"param/{k}": v.data for k, v in self.params.items()}
-        np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        with open(path, "wb") as fh:
+            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
     @classmethod
     def load(cls, path) -> "ExtractionModel":

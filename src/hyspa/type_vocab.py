@@ -83,8 +83,6 @@ def build_vocab(edge_names, node_names) -> TypeVocab:
     """
     edge_names = tuple(edge_names)
     node_names = tuple(node_names)
-    if not edge_names or not node_names:
-        raise VocabError("edge and node type lists must be non-empty")
     all_names = list(edge_names) + list(VIRTUAL_EDGE_TYPES) + list(node_names)
     seen = set()
     for name in all_names:
@@ -100,15 +98,16 @@ def build_vocab(edge_names, node_names) -> TypeVocab:
 
 def load_vocab(path) -> TypeVocab:
     """Read a vocab config file: {"edge_types": [...], "node_types": [...]},
-    two lists of strings; any other content raises VocabError naming it."""
+    two lists of strings that ``build_vocab`` accepts; any other content
+    raises VocabError naming the file."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (ValueError, RecursionError) as err:  # not JSON, not UTF-8, nested too deep
+        lists = [doc.get(key) for key in ("edge_types", "node_types")] if isinstance(doc, dict) else [None]
+        if not all(isinstance(v, list) and all(isinstance(x, str) for x in v) for v in lists):
+            raise VocabError("not an object with lists of strings edge_types and node_types")
+        return build_vocab(*lists)
+    except (ValueError, RecursionError) as err:  # not JSON, not UTF-8, nested too deep, or no vocabulary
         raise VocabError(f"vocab {path}: {err}") from None
-    lists = [doc.get(key) for key in ("edge_types", "node_types")] if isinstance(doc, dict) else [None]
-    if not all(isinstance(v, list) and all(isinstance(x, str) for x in v) for v in lists):
-        raise VocabError(f"vocab {path}: not an object with lists of strings edge_types and node_types")
-    return build_vocab(*lists)
 
 
 def segment_ids(vocab: TypeVocab, n: int) -> list[int]:

@@ -19,9 +19,9 @@ from testutil import (
     random_graph,
 )
 
-from hyspa.altseq_codec import Traversal, decode_sequence, encode, validate_sequence
+from hyspa.altseq_codec import Traversal, decode_sequence, encode, sample_sequence, validate_sequence
 from hyspa.data_io import synth_generate
-from hyspa.decode_search import evaluate_model, sample_sequence
+from hyspa.decode_search import evaluate_model
 from hyspa.hybrid_index import TextSpan, span_rows, span_to_index
 from hyspa.info_graph import canonicalize, graph_equal, validate_graph
 from hyspa.model import (

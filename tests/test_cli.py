@@ -423,6 +423,10 @@ class TestUsageErrors:
         assert after.read_bytes() == before.read_bytes()
 
 
+# a train command line of one small step, to which --data and --out are added
+TRAIN_ONE_STEP = ("train", "--steps", "1", "--d-model", "16", "--layers", "1", "--heads", "2", "--eval-every", "0")
+
+
 class TestModelCommands:
     def test_gradcheck_passes(self):
         assert invoke("gradcheck", "--examples", "2", "--coords", "2", "--seed", "1") == 0
@@ -462,6 +466,29 @@ class TestModelCommands:
         loaded = ExtractionModel.load(ckpt)
         assert loaded.traversal is Traversal.DFS
         assert invoke("eval", "--model", str(ckpt), "--data", str(train), "--limit", "5") == 0
+
+    def test_train_writes_exactly_out(self, corpus, tmp_path, capsys):
+        # np.savez appended .npz: "--out model" wrote model.npz, printed
+        # "saved checkpoint to model", and "eval --model model" then failed
+        _, train = corpus
+        ckpt = tmp_path / "model"
+        assert invoke(*TRAIN_ONE_STEP, "--data", str(train), "--out", str(ckpt)) == 0
+        assert f"saved checkpoint to {ckpt}\n" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == [ckpt]
+        assert invoke("eval", "--model", str(ckpt), "--data", str(train), "--limit", "1") == 0
+
+    @pytest.mark.parametrize("out", ["nodir/model.npz", "adir"])
+    def test_train_out_that_is_no_file_path_fails_before_training(self, corpus, tmp_path, capsys, monkeypatch, out):
+        # both once ran every step and failed only when they saved
+        import hyspa.cli
+
+        _, train = corpus
+        (tmp_path / "adir").mkdir()
+        monkeypatch.setattr(hyspa.cli, "fit", lambda *args, **kwargs: pytest.fail("trained"))
+        out = tmp_path / out
+        assert invoke(*TRAIN_ONE_STEP, "--data", str(train), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: --out {out}: is a directory, or its directory does not exist\n"
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "adir"]
 
     def test_extract_fails_per_line(self, tmp_path, capsys, monkeypatch):
         # every line decodes with the one engine the command builds
@@ -920,6 +947,20 @@ class TestMalformedFiles:
         assert invoke("validate", "--vocab", str(vocab), "--data", str(good_files["data"])) == 1
         assert f"error: vocab {vocab}: not an object with lists of strings" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"edge_types": ["[TYPE]", "[TYPE]"], "node_types": ["[NULL]"]}, "duplicate type name: '[TYPE]'"),
+        ({"edge_types": ["[SEP]", "[TYPE]"], "node_types": ["[NULL]"]}, "duplicate type name: '[SEP]'"),
+        ({"edge_types": ["R"], "node_types": ["[NULL]"]}, "edge types must include [TYPE]"),
+        ({"edge_types": ["[TYPE]"], "node_types": ["X"]}, "node types must include [NULL]"),
+        ({"edge_types": [], "node_types": ["[NULL]"]}, "edge types must include [TYPE]"),
+    ], ids=["duplicate", "virtual name", "no [TYPE]", "no [NULL]", "empty list"])
+    def test_vocab_build_errors_name_the_file(self, good_files, tmp_path, capsys, doc, message):
+        # these printed "error: duplicate type name: '[TYPE]'" and the like, with no path
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps(doc))
+        assert invoke("validate", "--vocab", str(vocab), "--data", str(good_files["data"])) == 1
+        assert capsys.readouterr().err == f"error: vocab {vocab}: {message}\n"
+
 
 # bad lines for each kind of file, put at its start, in its middle and at its
 # end: for a corpus malformed JSON, an invalid graph and bytes that are not
@@ -1163,3 +1204,73 @@ class TestCorpusFlags:
         paths["BAD"].write_bytes(b"".join(line + b"\n" for line in lines))
         paths["GOOD"].write_bytes(b"".join(line + b"\n" for line in good))
         check_fails_alone(flag, paths, bad_lines)
+
+
+@st.composite
+def damaged_vocab(draw, good: dict) -> bytes:
+    """The bytes of a vocab file that is no vocabulary, drawn from ``good``, a
+    valid vocab document: arbitrary bytes, ``good``'s JSON truncated, any JSON
+    value (its object keys are too short to be edge_types or node_types), or
+    ``good`` with a name repeated, without [TYPE] or [NULL], or with an empty list."""
+    kind = draw(st.sampled_from(["bytes", "truncated", "json", "content"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=64))
+    text = json.dumps(good).encode()
+    if kind == "truncated":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "json":
+        return json.dumps(draw(JSON_VALUES)).encode()
+    doc = {key: list(names) for key, names in good.items()}
+    damage = draw(st.sampled_from(["repeat", "[TYPE]", "[NULL]", "empty"]))
+    if damage == "repeat":
+        names = draw(st.sampled_from(sorted(doc)))
+        name = draw(st.sampled_from([*good["edge_types"], *good["node_types"], "[SOS]", "[EOS]", "[SEP]"]))
+        doc[names].insert(draw(st.integers(0, len(doc[names]))), name)
+    elif damage == "empty":
+        doc[draw(st.sampled_from(sorted(doc)))] = []
+    else:
+        doc["edge_types" if damage == "[TYPE]" else "node_types"].remove(damage)
+    return json.dumps(doc).encode()
+
+
+# every command that takes --vocab, with a command line to which --vocab BAD is added
+VOCAB_COMMANDS = {
+    "synth": ["synth", "--size", "2", "--out", "out"],
+    "encode": ["encode", "--data", "data", "--out", "out"],
+    "decode": ["decode", "--seqs", "seqs", "--out", "out"],
+    "roundtrip": ["roundtrip", "--data", "data"],
+    "validate": ["validate", "--data", "data"],
+    "train": [*TRAIN_ONE_STEP, "--data", "data", "--out", "out"],
+    "gradcheck": ["gradcheck", "--examples", "1", "--coords", "1", "--d-model", "8", "--layers", "1", "--heads", "2"],
+}
+
+
+class TestVocabFile:
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("vocab")
+
+    def test_every_command_that_takes_vocab_is_listed(self):
+        import argparse
+
+        import hyspa.cli as cli
+
+        sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        takes = {name for name, parser in sub.choices.items() if any(a.dest == "vocab" for a in parser._actions)}
+        assert takes == set(VOCAB_COMMANDS)
+
+    @pytest.mark.parametrize("command", VOCAB_COMMANDS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_damaged_vocab_names_the_file(self, small_files, root, command, data):
+        # every command on a vocab file that holds no vocabulary exits 1, never
+        # with a traceback, with one error line naming the file, and writes nothing
+        good = json.loads(small_files["vocab"].read_text())
+        paths = {**small_files, "BAD": root / "vocab.json", "out": root / "out"}
+        paths["BAD"].write_bytes(data.draw(damaged_vocab(good), label="vocab"))
+        paths["out"].unlink(missing_ok=True)
+        argv = [*VOCAB_COMMANDS[command], "--vocab", "BAD"]
+        code, out, err = run_captured([str(paths.get(arg, arg)) for arg in argv])
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith(f"error: vocab {paths['BAD']}: ") and err.count("\n") == 1, err
+        assert out == "" and not paths["out"].exists()

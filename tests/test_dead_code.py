@@ -10,7 +10,9 @@ of its own.  Only the gate references below are exempt.
 
 Every name a module of ``src/hyspa/`` or ``tests/`` imports is read in that
 module.  The re-exports in ``hyspa.__all__`` count as read, and
-``from __future__`` imports are exempt.
+``from __future__`` imports are exempt.  Every import in ``src/hyspa/`` is at
+module level, so an import cycle between its modules fails at import time
+instead of hiding inside a function.
 """
 import ast
 import io
@@ -102,3 +104,16 @@ def test_no_unused_imports():
         if names:
             unused[str(path.relative_to(ROOT))] = names
     assert unused == {}, f"imported but never used: {unused}"
+
+
+def test_every_import_is_at_module_level():
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))}
+        nested += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert nested == [], f"imports below module level: {nested}"

@@ -5,16 +5,17 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition,
 
 from testutil import fig4_bfs_items, fig4_dfs_items, fig4_graph, fit_exponent, pinned_vocab
 
-from hyspa.altseq_codec import AltSequence, Traversal, decode_sequence, encode, validate_sequence
-from hyspa.data_io import synth_generate
-from hyspa.decode_search import (
+from hyspa.altseq_codec import (
+    AltSequence,
     GenConstraints,
-    beam_decode,
-    evaluate_model,
-    extract_graph,
-    greedy_decode,
+    Traversal,
+    decode_sequence,
+    encode,
     sample_sequence,
+    validate_sequence,
 )
+from hyspa.data_io import synth_generate
+from hyspa.decode_search import beam_decode, evaluate_model, extract_graph, greedy_decode
 from hyspa.hybrid_index import TextSpan
 from hyspa.info_graph import Mention, RelationEdge, canonicalize, graph_equal, make_graph, validate_graph
 from hyspa.model import Engine, ExtractionModel, ModelConfig, init_params, prepare_training_data, train_step

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from testutil import FIG4_TOKENS, make_engine, open_mask, positions, random_edge_freq, random_graph
 
 from hyspa import numerics as nm
-from hyspa.altseq_codec import AltSequence, Traversal, decode_sequence, encode, encode_bfs
+from hyspa.altseq_codec import AltSequence, GenConstraints, Traversal, decode_sequence, encode, encode_bfs
 from hyspa.data_io import synth_generate
-from hyspa.decode_search import GenConstraints, _step_logprobs
+from hyspa.decode_search import _step_logprobs
 from hyspa.hybrid_index import TextSpan, span_rows, span_to_index
 from hyspa.info_graph import canonicalize, graph_equal
 from hyspa.model import (
@@ -749,7 +749,7 @@ class TestOneAdmissibilityRule:
 
     def test_gold_item_the_machine_forbids_is_named(self, vocab, setup):
         # a span that opens a second BFS level decodes, but the machine
-        # closes it through ``parented``
+        # closes it: a BFS span opens one level and is typed on it
         ds, tv, cfg, params = setup
         t, sep, per = vocab.type_edge_index, vocab.sep_index, vocab.index("PER")
         seq = AltSequence((19, t, per, sep, 19, t, per, sep), Traversal.BFS, vocab, len(FIG4_TOKENS), cfg.m)

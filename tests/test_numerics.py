@@ -129,18 +129,29 @@ class TestPrimitiveGradients:
         _check_op(build, {"q": q, "k": k, "v": v})
 
 
-def _attention_reference(q, k, v, mask, heads, scale):
-    """Multi-head attention head by head and example by example, in plain numpy."""
+def _attention_reference(q, k, v, mask, heads, scale, g):
+    """Multi-head attention head by head and example by example, in plain
+    numpy, and the gradients of sum(attention * g) with respect to q, k and v
+    from the softmax's closed-form backward."""
     B, rows, c = mask.shape[0], max(q.shape[1], mask.shape[2]), k.shape[1]
     e, f = q.shape[2] // heads, v.shape[2] // heads
     out = np.zeros((B, rows, v.shape[2]))
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
     for b in range(B):
         for h in range(heads):
-            scores = scale * q[b, :, h * e : (h + 1) * e] @ k[b, :, h * e : (h + 1) * e].T
+            qk, vo = slice(h * e, (h + 1) * e), slice(h * f, (h + 1) * f)
+            scores = scale * q[b, :, qk] @ k[b, :, qk].T
             scores = np.broadcast_to(scores + mask[b, min(h, mask.shape[1] - 1)], (rows, c))
             ex = np.exp(scores - scores.max(axis=1, keepdims=True))
-            out[b, :, h * f : (h + 1) * f] = ex / ex.sum(axis=1, keepdims=True) @ v[b, :, h * f : (h + 1) * f]
-    return out
+            p = ex / ex.sum(axis=1, keepdims=True)
+            out[b, :, vo] = p @ v[b, :, vo]
+            dv[b, :, vo] = p.T @ g[b, :, vo]
+            dp = g[b, :, vo] @ v[b, :, vo].T
+            ds = scale * p * (dp - (dp * p).sum(axis=1, keepdims=True))
+            dq_rows = ds @ k[b, :, qk]  # one query row broadcast over the mask's rows gets their sum
+            dq[b, :, qk] = dq_rows if q.shape[1] == rows else dq_rows.sum(axis=0)
+            dk[b, :, qk] = ds.T @ np.broadcast_to(q[b, :, qk], (rows, e))
+    return out, (dq, dk, dv)
 
 
 class TestAttention:
@@ -149,10 +160,13 @@ class TestAttention:
         B=st.integers(1, 3), heads=st.integers(1, 3), width=st.integers(1, 3), rows=st.integers(1, 4),
         cols=st.integers(1, 5), span=st.booleans(), seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_a_per_head_loop_and_finite_differences(self, B, heads, width, rows, cols, span, seed):
+    def test_matches_a_per_head_loop_forward_and_backward(self, B, heads, width, rows, cols, span, seed):
         # span=True is the span attention's shape: one query row per example,
         # broadcast over the mask's rows; columns past each example's length
-        # are NEG_INF padding, and random cells are closed besides
+        # are NEG_INF padding, and random cells are closed besides.  The
+        # gradients are checked at every coordinate against the loop's exact
+        # backward: central differences carry ~1e-11 of rounding, which fails
+        # the 1e-6 relative bound on gradients near its 1e-5 floor
         rng = np.random.default_rng(seed)
         d = heads * width
         q = Tensor(rng.normal(size=(B, 1 if span else rows, d)), requires_grad=True)
@@ -163,12 +177,15 @@ class TestAttention:
         closed[..., 0] = False
         mask = np.where(closed, NEG_INF, 0.0)
         scale = 1.0 / math.sqrt(width)
+        w = rng.normal(size=(B, rows, d))
         out = nm.attention(q, k, v, mask, heads, scale)
         assert out.shape == (B, rows, d)
-        ref = _attention_reference(q.data, k.data, v.data, mask, heads, scale)
+        ref, ref_grads = _attention_reference(q.data, k.data, v.data, mask, heads, scale, w)
         assert np.abs(out.data - ref).max() <= 1e-12
-        w = Tensor(rng.normal(size=(B, rows, d)))
-        _check_op(lambda: nm.sum_all(nm.mul(nm.attention(q, k, v, mask, heads, scale), w)), {"q": q, "k": k, "v": v})
+        nm.sum_all(nm.mul(out, Tensor(w))).backward()
+        for name, t, want in zip("qkv", (q, k, v), ref_grads):
+            rel = np.abs(t.grad - want) / np.maximum(np.maximum(np.abs(t.grad), np.abs(want)), 1e-5)
+            assert rel.max() < 1e-6, (name, np.unravel_index(rel.argmax(), rel.shape), rel.max())
 
 
 class TestSoftmaxLayerNormInvariants:

@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hyspa.altseq_codec import GenConstraints
 from hyspa.data_io import DEFAULT_EDGE_TYPES, DEFAULT_NODE_TYPES
-from hyspa.decode_search import GenConstraints, _step_logprobs
+from hyspa.decode_search import _step_logprobs
 from hyspa.embeddings import advance
 from hyspa.hybrid_index import TextSpan
 from hyspa.info_graph import InfoGraph, Mention, RelationEdge, make_graph
