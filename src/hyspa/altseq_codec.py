@@ -112,33 +112,33 @@ def encode_dfs(og: OrderedGraph, vocab: TypeVocab) -> AltSequence:
 
     The parent item is re-emitted for each child after the first; the first
     child continues directly from the parent's own introduction, which keeps
-    the node/edge alternation intact.
+    the node/edge alternation intact.  The walk keeps its own stack of
+    (parent, pairs still to emit), so a chain of any length fits.
     """
     items: list[int] = []
     visited: set[int] = set()
-    sep = vocab.sep_index
-
-    def expand(parent: int) -> None:
-        for i, (edge_id, child) in enumerate(og.adjacency[parent]):
-            if i > 0:
-                items.append(parent)
-            items.append(edge_id)
-            items.append(child)
-            if child in og.adjacency and child not in visited and og.adjacency[child]:
-                visited.add(child)
-                expand(child)
-            else:
-                items.append(sep)
-
-    for root in og.adjacency:
+    sep, adjacency = vocab.sep_index, og.adjacency
+    for root, pairs in adjacency.items():
         if root in visited:
             continue
         visited.add(root)
         items.append(root)
-        if og.adjacency[root]:
-            expand(root)
-        else:
+        if not pairs:
             items.append(sep)
+        stack = [(root, enumerate(pairs))]
+        while stack:
+            parent, pending = stack[-1]
+            for i, (edge_id, child) in pending:
+                if i > 0:
+                    items.append(parent)
+                items += (edge_id, child)
+                if child not in visited and adjacency.get(child):
+                    visited.add(child)
+                    stack.append((child, enumerate(adjacency[child])))
+                    break
+                items.append(sep)
+            else:
+                stack.pop()
     return AltSequence(tuple(items), Traversal.DFS, vocab, og.n, og.m)
 
 
@@ -316,10 +316,6 @@ class GenConstraints:
         self.typed: set[int] = set()     # span indices with an assigned type
         self.pending: set[int] = set()   # span indices seen but not yet typed
         self.cur: int | None = None      # the node the next [TYPE] pair types
-
-    @property
-    def finished(self) -> bool:
-        return self.phase == _Phase.DONE
 
     def fork(self) -> "GenConstraints":
         clone = object.__new__(GenConstraints)

@@ -308,8 +308,12 @@ def synth_generate(
     """Reproducible synthetic corpus: same seed, same bytes.
 
     Every sentence starts with the reserved ``CLS_TOKEN``; entity spans use
-    verbatim token coordinates (so they never start at position 0).
+    verbatim token coordinates (so they never start at position 0).  An
+    ``m`` below the longest surface of ``ENTITY_POOL`` raises ValueError.
     """
+    longest = max((surface for pool in ENTITY_POOL.values() for surface in pool), key=len)
+    if m < len(longest):
+        raise ValueError(f"maximum span length {m} is below the {len(longest)}-token surface {' '.join(longest)!r}")
     vocab = vocab or default_vocab()
     rng = np.random.default_rng(seed)
     examples = []

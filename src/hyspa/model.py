@@ -15,8 +15,8 @@ Two forward implementations coexist on purpose:
   The last layer stops at its source keys and values, and one helper,
   ``_tape_layer``, serves either row set.  Source rows attend locally: row
   i to row j only when |i - j| <= ``cfg.source_radius`` (``_band``; None
-  opens every pair), a mask added only when the padded batch is longer
-  than radius + 1, so sentence batches keep their bits.
+  opens every pair).  The band is added to every batch: a radius that
+  covers the input closes nothing, and adding its zeros keeps every bit.
   ``train_step`` splits a mini-batch into runs of consecutive examples
   whose padded tape stays small (``_tape_runs``), one backward pass per run,
   so a long input does not pad the others to its length.  Dropout masks are
@@ -28,8 +28,8 @@ Two forward implementations coexist on purpose:
   head-major, ``(heads, n, d/heads)``.  Its source self-attention takes all
   heads at once over chunks of query rows, in one score block of bounded
   size that every chunk and layer reuses, so its transient memory is linear
-  in n.  Under the source radius a chunk scores only the keys within the
-  radius of its rows, so its time is linear in n too.  The decode steps and
+  in n.  A chunk scores only the keys within the source radius of its
+  rows, so its time is linear in n too.  The decode steps and
   the span head still read all n source rows.  The target caches of all
   live hypotheses of one input are one array, (layers, beam, 2, heads,
   max_len+1, d/heads); each ``DecodeSession`` is a handle on one row of
@@ -213,11 +213,6 @@ def _position_rows(vocab: TypeVocab, n: int, d: int) -> np.ndarray:
     return out
 
 
-def _banded(cfg: ModelConfig, n: int) -> bool:
-    """Whether some two of n source positions lie farther apart than ``cfg.source_radius``."""
-    return cfg.source_radius is not None and n > cfg.source_radius + 1
-
-
 def _band(rows: int, cols: int, radius: int, first: int) -> np.ndarray:
     """Additive (rows, cols) mask of the local source attention: query position
     i and key position first + j are open when at most ``radius`` apart."""
@@ -393,9 +388,8 @@ def sequence_logits(
     cols, rows = np.arange(n_pad + t_pad), np.arange(t_pad)[:, None]
     tgt_open = (cols < n[:, None, None]) | ((cols >= n_pad) & (cols <= n_pad + rows))
     tgt_mask = np.where(tgt_open, 0.0, nm.NEG_INF)[:, None]  # (B, 1, T_pad, n_pad + T_pad)
-    src_mask = tgt_mask[:, :, :1, :n_pad]  # every target row's source columns: (B, 1, 1, n_pad)
-    if _banded(cfg, n_pad):  # source rows farther apart than the radius: (B, 1, n_pad, n_pad)
-        src_mask = src_mask + _band(n_pad, n_pad, cfg.source_radius, 0)
+    # source rows over source keys, (B, 1, n_pad, n_pad): padding and pairs farther apart than the radius closed
+    src_mask = tgt_mask[:, :, :1, :n_pad] + _band(n_pad, n_pad, cfg.source_radius or n_pad, 0)
     keep = _dropout_keep(n, t, t_pad, cfg, rng or np.random.default_rng(0)) if training and cfg.dropout else None
     for i in range(cfg.layers):
         wk, wv = ((params[f"L{i}.w{c}"], params[f"L{i}.b{c}"]) for c in "kv")
@@ -579,9 +573,9 @@ def _block_tail(p: dict[str, np.ndarray], i: int, attn: np.ndarray, x: np.ndarra
 # encode_context's source attention scores a chunk of query rows for all heads
 # at once, in a (heads, rows, keys) block of at most 2**18 cells (2 MB): 32 rows
 # at n = 1024 and 8 heads.  One block per call serves every chunk and layer.
-# Under a source radius R a chunk's keys are its rows widened by R each way,
-# and a chunk holds at most _BAND_ROWS rows: by timeit at n = 1024, one BLAS
-# thread and R in 16..128, chunks of 16 to 32 rows beat chunks of 64 or more.
+# A chunk's keys are its rows widened by the source radius R each way, and a
+# chunk holds at most _BAND_ROWS rows: by timeit at n = 1024, one BLAS thread
+# and R in 16..128, chunks of 16 to 32 rows beat chunks of 64 or more.
 _SCORE_CELLS = 2**18
 _BAND_ROWS = 32
 
@@ -670,13 +664,12 @@ def encode_context(tokens: Sequence[str], engine: Engine) -> ContextRep:
     step reads them with one batched matmul and no per-step copy.  The
     source self-attention scores all heads of a chunk of query rows at once,
     into one score block of at most ``_SCORE_CELLS`` cells that every chunk
-    and layer reuses, so its transient memory is linear in n.  When some two
-    source positions lie farther apart than ``cfg.source_radius``, a chunk of
-    at most ``_BAND_ROWS`` rows [r0, r1) scores only the keys in [r0 - R,
-    r1 + R) within the text, and one band template built per call
-    (``_band``) closes the pairs farther apart than R, so the time and the
-    block are linear in n.  Otherwise every chunk scores all n keys, and an
-    input of at most R + 1 tokens keeps the bits of full attention.  Queries
+    and layer reuses, so its transient memory is linear in n.  A chunk of at
+    most ``_BAND_ROWS`` rows [r0, r1) scores only the keys in [r0 - R, r1 + R)
+    within the text, R = ``cfg.source_radius`` (None: n), and one band
+    template built per call (``_band``) closes the pairs farther apart than
+    R, so the time and the block are linear in n.  A radius that covers the
+    input closes nothing: its band adds zeros, which keep every bit.  Queries
     are scaled by 1/sqrt(d) before the scores, and ``e @ v`` is divided by
     the row sums of the exponentiated scores ``e`` (``numerics.shifted_exp``)
     instead of ``e`` itself.  The last layer's source rows feed no decode
@@ -701,15 +694,10 @@ def encode_context(tokens: Sequence[str], engine: Engine) -> ContextRep:
     span_scores = (K @ q_cls) / math.sqrt(d)
 
     src_k, src_v = [], []
-    banded = _banded(cfg, n)
-    radius = cfg.source_radius if banded else n  # n: every chunk scores every key
-    if banded:  # a chunk scores only the keys within the radius of its rows
-        width = min(n, _BAND_ROWS + 2 * radius)
-        rows = min(_BAND_ROWS, max(1, _SCORE_CELLS // (heads * width)))
-        band = _band(rows, rows + 2 * radius, radius, -radius)  # a chunk's rows against keys from r - radius
-    else:
-        width = n
-        rows = min(n, max(1, _SCORE_CELLS // (heads * n)))
+    radius = min(cfg.source_radius or n, n)  # a chunk scores only the keys within the radius of its rows
+    width = min(n, _BAND_ROWS + 2 * radius)
+    rows = min(n, _BAND_ROWS, max(1, _SCORE_CELLS // (heads * width)))
+    band = _band(rows, rows + 2 * radius, radius, -radius)  # a chunk's rows against keys from r - radius
     cells = np.empty(heads * rows * width)
     x = H[vocab.l_p :] + p["srctgt"][0]
     for i in range(cfg.layers):
@@ -726,8 +714,7 @@ def encode_context(tokens: Sequence[str], engine: Engine) -> ContextRep:
             keys = slice(max(0, r - radius), min(n, chunk.stop + radius))
             e = cells[: heads * (chunk.stop - r) * (keys.stop - keys.start)].reshape(heads, chunk.stop - r, -1)
             np.matmul(q[chunk].transpose(1, 0, 2), k[:, keys].transpose(0, 2, 1), out=e)
-            if banded:
-                e += band[: chunk.stop - r, keys.start - r + radius : keys.stop - r + radius]
+            e += band[: chunk.stop - r, keys.start - r + radius : keys.stop - r + radius]
             sums = nm.shifted_exp(e)  # (heads, rows, 1)
             np.matmul(e, v[:, keys], out=out[chunk].transpose(1, 0, 2))
             out[chunk] /= sums.transpose(1, 0, 2)

@@ -1,4 +1,5 @@
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -82,6 +83,20 @@ class TestEncodeDfs:
         ]
         g = make_graph(mentions, rels, n=6, m=M)
         seq = canonical_encode(g, {}, vocab, Traversal.DFS)
+        assert validate_sequence(seq) is None
+        assert graph_equal(decode_sequence(seq), g)
+
+
+class TestLongChain:
+    @pytest.mark.parametrize("traversal", list(Traversal))
+    def test_chain_longer_than_the_recursion_limit(self, vocab, traversal):
+        # one-token mentions, each related to the next: DFS goes one level
+        # deeper per mention, so a recursive walk would overflow the stack
+        n = sys.getrecursionlimit() + 200
+        mentions = [Mention(TextSpan(i, i + 1), vocab.l_e) for i in range(n)]
+        rels = [RelationEdge(i, i + 1, vocab.index("PHYS")) for i in range(n - 1)]
+        g = make_graph(mentions, rels, n=n, m=M)
+        seq = canonical_encode(g, {}, vocab, traversal)
         assert validate_sequence(seq) is None
         assert graph_equal(decode_sequence(seq), g)
 

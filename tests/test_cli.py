@@ -124,6 +124,44 @@ class TestCodecCommands:
             records.append(capsys.readouterr().out.splitlines())
         assert len(records[0]) == 60 and records[0] == records[1]
 
+    def test_dfs_chain_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        # a chain of one-token mentions between two good lines: DFS descends
+        # once per mention, and every line is encoded, the chain too
+        n = sys.getrecursionlimit() + 200
+        chain = {
+            "tokens": [f"w{i}" for i in range(n)],
+            "entities": [{"start": i, "end": i + 1, "type": "PER"} for i in range(n)],
+            "relations": [{"head": i, "tail": i + 1, "type": "PHYS"} for i in range(n - 1)],
+        }
+        good = {"tokens": ["a", "b"], "entities": [{"start": 0, "end": 1, "type": "PER"}], "relations": []}
+        data, dump = tmp_path / "chain.jsonl", tmp_path / "seqs.txt"
+        data.write_text("".join(json.dumps(record) + "\n" for record in (good, chain, good)))
+        assert invoke("encode", "--data", str(data), "--traversal", "dfs", "--out", str(dump)) == 0
+        header, *lines = dump.read_text().splitlines()
+        assert json.loads(header)["traversal"] == "dfs" and len(lines) == 3
+        capsys.readouterr()
+        assert invoke("roundtrip", "--data", str(data), "--traversal", "dfs") == 0
+        assert "3/3 ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_synth_refuses_a_span_length_below_its_surfaces(self, tmp_path, capsys, m):
+        # the entity pool's longest surface, "the red cross", is 3 tokens
+        out, manifest = tmp_path / "synth.jsonl", tmp_path / "manifest.json"
+        assert invoke("synth", "--size", "200", "--seed", "1", "--max-span-len", str(m),
+                      "--out", str(out), "--manifest", str(manifest)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: maximum span length {m} is below the 3-token surface 'the red cross'\n"
+        assert not out.exists() and not manifest.exists()
+
+    def test_synth_at_its_longest_surface_validates(self, tmp_path, capsys):
+        out, manifest = tmp_path / "synth.jsonl", tmp_path / "manifest.json"
+        assert invoke("synth", "--size", "200", "--seed", "1", "--max-span-len", "3",
+                      "--out", str(out), "--manifest", str(manifest)) == 0
+        assert json.loads(manifest.read_text())["max_span_length"] == 3
+        capsys.readouterr()
+        assert invoke("validate", "--data", str(out), "--max-span-len", "3") == 0
+        assert "validate: 200/200 ok" in capsys.readouterr().out
+
     def test_manifest_written(self, corpus):
         root, _ = corpus
         man = json.loads((root / "manifest.json").read_text())

@@ -147,6 +147,18 @@ class TestSynth:
                 assert validate_sequence(seq) is None
                 assert graph_equal(decode_sequence(seq), g)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_span_length_below_the_longest_surface_refused(self, vocab, m):
+        with pytest.raises(ValueError, match=f"maximum span length {m} is below the 3-token surface 'the red cross'"):
+            synth_generate(10, seed=1, vocab=vocab, m=m)
+
+    def test_span_length_at_the_longest_surface_validates(self, vocab):
+        ds = synth_generate(500, seed=1, vocab=vocab, m=3)
+        assert ds.m == 3
+        assert any(max(mn.span.end - mn.span.start for mn in g.mentions) == 3 for _, g in ds.examples if g.mentions)
+        for tokens, g in ds.examples:
+            assert validate_graph(g, len(tokens), 3, vocab) == []
+
     def test_includes_empty_and_multi_relation(self, vocab):
         ds = synth_generate(500, seed=3, vocab=vocab)
         empties = sum(g.is_empty for _, g in ds.examples)

@@ -9,6 +9,7 @@ from hyspa.altseq_codec import (
     AltSequence,
     GenConstraints,
     Traversal,
+    _Phase,
     decode_sequence,
     encode,
     sample_sequence,
@@ -483,7 +484,7 @@ def admitted_slots(vocab, items, traversal, max_len):
             {int(s) for s in open_slots if s >= vocab.l_p},
         ))
         machine.push(k)
-    assert machine.finished
+    assert machine.phase == _Phase.DONE
     return slots
 
 
@@ -590,7 +591,7 @@ class TestConstraintMachine:
         rng = np.random.default_rng(seed)
         machine = GenConstraints(vocab, n, m, traversal, max_len)
         items = []
-        while not machine.finished:
+        while machine.phase != _Phase.DONE:
             admitted = np.flatnonzero(machine.mask() == 0.0)
             assert admitted.size, (items, max_len)
             if machine.emitted == max_len:
@@ -608,7 +609,7 @@ class TestConstraintMachine:
         with pytest.raises(RuntimeError, match="budget"):
             machine.push(vocab.null_type_index)
         machine.push(vocab.eos_index)
-        assert machine.finished
+        assert machine.phase == _Phase.DONE
 
 
 VOCAB, M = pinned_vocab(), 16
@@ -683,26 +684,26 @@ class MachineRun(RuleBasedStateMachine):
         if k != VOCAB.eos_index:
             self.items.append(k)
 
-    @precondition(lambda self: self.on_path and not self.machine.finished)
+    @precondition(lambda self: self.on_path and self.machine.phase != _Phase.DONE)
     @rule()
     def follow_canonical(self):
         k = self._canonical_next()
         assert k in self._admitted(), (self.machine.traversal, self.canonical, self.max_len, k)
         self._push(k)
 
-    @precondition(lambda self: not self.machine.finished)
+    @precondition(lambda self: self.machine.phase != _Phase.DONE)
     @rule(data=st.data())
     def emit_admitted(self, data):
         self._push(data.draw(st.sampled_from(self._admitted().tolist())))
 
-    @precondition(lambda self: self.machine.finished)
+    @precondition(lambda self: self.machine.phase == _Phase.DONE)
     @rule(**runs)
     def next_run(self, graph, traversal, slack, order):
         self._check_finished()
         self.start(graph, traversal, slack, order)
 
     def teardown(self):
-        while not self.machine.finished:
+        while self.machine.phase != _Phase.DONE:
             self._push(int(self._admitted()[0]))
         self._check_finished()
 

@@ -13,7 +13,7 @@ from hyspa.altseq_codec import AltSequence, GenConstraints, Traversal, decode_se
 from hyspa.data_io import synth_generate
 from hyspa.decode_search import _step_logprobs
 from hyspa.hybrid_index import TextSpan, span_rows, span_to_index
-from hyspa.info_graph import canonicalize, graph_equal
+from hyspa.info_graph import Mention, canonicalize, graph_equal, make_graph
 from hyspa.model import (
     DecodeSession,
     ExtractionModel,
@@ -720,6 +720,49 @@ class TestTrainingPath:
         loss.backward()
         masked = logits.data <= NEG_INF / 2
         assert (logits.grad[masked] == 0.0).all()
+
+
+def _one_mention_example(rng, vocab, tv, n, m):
+    """n random tokens and the BFS sequence of a graph with one typed one-token mention."""
+    start = int(rng.integers(n))
+    graph = make_graph([Mention(TextSpan(start, start + 1), vocab.index("PER"))], [], n=n, m=m)
+    seq = encode(canonicalize(graph, random_edge_freq(rng, vocab), vocab), vocab, m, Traversal.BFS)
+    return rng.integers(len(tv), size=n), seq
+
+
+class TestRadiusThatCoversTheInput:
+    # Both paths add the source band to every input: a radius that covers the
+    # input closes nothing, and adding its zeros keeps every bit of None's
+    # full attention.
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_engine_keeps_every_bit(self, vocab, setup, n, seed):
+        _, tv, cfg, params = setup
+        ids, seq = _one_mention_example(np.random.default_rng(seed), vocab, tv, n, cfg.m)
+        tokens = [tv.tokens[i] for i in ids]
+
+        def arrays(radius):
+            ctx = encode_context(tokens, make_engine(dataclasses.replace(cfg, source_radius=radius), params, vocab, tv))
+            return [*ctx.src_k, *ctx.src_v, decoder_forward(ctx, list(seq.items))]
+
+        want = arrays(None)
+        for radius in (max(1, n - 1), n, 3 * n):
+            assert all(np.array_equal(got, w) for got, w in zip(arrays(radius), want, strict=True)), radius
+
+    @settings(max_examples=30, deadline=None)
+    @given(ns=st.lists(st.integers(1, 40), min_size=2, max_size=4), seed=st.integers(0, 2**32 - 1))
+    def test_tape_keeps_every_bit(self, vocab, setup, ns, seed):
+        _, tv, cfg, params = setup
+        rng = np.random.default_rng(seed)
+        batch = [_one_mention_example(rng, vocab, tv, n, cfg.m) for n in ns]
+        n_pad = max(ns)
+
+        def logits(radius):
+            return sequence_logits(batch, dataclasses.replace(cfg, source_radius=radius), params)[0].data
+
+        want = logits(None)
+        for radius in (max(1, n_pad - 1), n_pad, 3 * n_pad):
+            assert np.array_equal(logits(radius), want), radius
 
 
 class TestOneAdmissibilityRule:
