@@ -13,13 +13,18 @@ Two forward implementations coexist on purpose:
   decoder layer attends in the engine's two blocks: source rows over the
   source keys, target rows over the source and then the target keys, causally.
   The last layer stops at its source keys and values, and one helper,
-  ``_tape_layer``, serves either row set.  Source rows attend locally: row
-  i to row j only when |i - j| <= ``cfg.source_radius`` (``_band``; None
-  opens every pair).  The band is added to every batch: a radius that
-  covers the input closes nothing, and adding its zeros keeps every bit.
-  ``train_step`` splits a mini-batch into runs of consecutive examples
-  whose padded tape stays small (``_tape_runs``), one backward pass per run,
-  so a long input does not pad the others to its length.  Dropout masks are
+  ``_tape_layer``, serves either row set with three tape nodes: the query
+  projection, ``numerics.attention`` and the block tail (``_tape_tail``).
+  The tail node runs the engine's forward, ``_block_tail``, on the stacked
+  rows; its backward runs the backward expressions of the ops it replaced,
+  in their order (``numerics.layer_norm_grads``, ``numerics.linear_grads``),
+  so it keeps their bits.  Source rows attend locally: row i to row j only
+  when |i - j| <= ``cfg.source_radius`` (``_band``; None opens every pair).
+  The band is added to every batch: a radius that covers the input closes
+  nothing, and adding its zeros keeps every bit.  ``train_step`` splits a
+  mini-batch into runs of consecutive examples whose padded tape stays
+  small (``_tape_runs``), one backward pass per run, so a long input does
+  not pad the others to its length.  Dropout masks are
   drawn example by example in the order a per-example forward would draw
   them, so a batch and its examples one at a time agree to rounding;
 * a numpy inference engine (``encode_context``, ``DecodeSession``,
@@ -55,13 +60,14 @@ Two forward implementations coexist on purpose:
   handle, and beam search lets the last child of each hypothesis reuse
   its parent's session in place (see ``decode_search.beam_decode``).
   One ``Engine`` per decoding call holds the weights that ``encode_context``,
-  ``decode_step`` and ``span_head`` read, and ``_block_tail`` (residual,
-  layer norm, FFN, residual, layer norm) is the second half of every decoder
-  layer, for the source rows and for the decode steps alike.
+  ``decode_step`` and ``span_head`` read.
 
-Both forms take their softmax, log-softmax and layer-norm forward from
-:mod:`hyspa.numerics` (``softmax``, ``log_probs``, ``normalize``) and their
-text-span score windows from ``numerics.sliding_windows``.  The engine's
+Both forms run the second half of every decoder layer (residual, layer
+norm, FFN, residual, layer norm) through one forward, ``_block_tail``: the
+engine for the source rows and the decode steps, the tape for both row sets
+with their dropout multipliers.  Both take their softmax and log-softmax
+from :mod:`hyspa.numerics` (``softmax``, ``log_probs``) and their text-span
+score windows from ``numerics.sliding_windows``.  The engine's
 two attention forwards scale the queries, not the scores, by 1/sqrt(d), and
 normalise late: they exponentiate the shifted scores in place
 (``numerics.shifted_exp``, the first half of ``softmax``) and divide
@@ -220,6 +226,27 @@ def _band(rows: int, cols: int, radius: int, first: int) -> np.ndarray:
     return np.where(np.abs(gap) <= radius, 0.0, nm.NEG_INF)
 
 
+_TAIL = ("ln1_g", "ln1_b", "w3", "b3", "w4", "b4", "ln2_g", "ln2_b")  # a layer's block-tail weights, in order
+
+
+def _block_tail(attn: np.ndarray, x: np.ndarray, w: list, keep: np.ndarray | None = None) -> tuple:
+    """The second half of a decoder layer on (rows, d) arrays: residual, layer
+    norm, FFN, residual, layer norm, with the layer's weights ``w`` named in
+    ``_TAIL``.  ``keep`` holds the dropout multipliers of the attention and
+    FFN outputs, (2, rows, d), or None.  Returns the output rows and what the
+    tape's backward reads: each layer norm's ``normalize`` output and std,
+    the first layer norm's output and the FFN's inner rows after the ReLU.
+    The one forward of the tail for ``encode_context``, ``decode_step`` and
+    the tape."""
+    ln1_g, ln1_b, w3, b3, w4, b4, ln2_g, ln2_b = w
+    xhat1, std1 = nm.normalize((attn if keep is None else attn * keep[0]) + x)
+    x1 = xhat1 * ln1_g + ln1_b
+    inner = np.maximum(x1 @ w3 + b3, 0.0)
+    ffn = inner @ w4 + b4
+    xhat2, std2 = nm.normalize((ffn if keep is None else ffn * keep[1]) + x1)
+    return xhat2 * ln2_g + ln2_b, (xhat1, std1, x1, inner, xhat2, std2)
+
+
 # ---------------------------------------------------------------------------
 # training path (autodiff, one padded tape per batch)
 # ---------------------------------------------------------------------------
@@ -279,18 +306,40 @@ def _tape_layer(params: dict[str, Tensor], i: int, x: Tensor, k: Tensor, v: Tens
                 mask: np.ndarray, keep: np.ndarray | None, heads: int) -> Tensor:
     """Decoder layer ``i`` on the tape for the source or target rows ``x``, (B,
     rows, d): queries attending over key rows ``k`` and value rows ``v`` under
-    ``mask``, then ``_block_tail``'s second half.  ``keep`` holds the rows'
-    dropout multipliers of attention and FFN output, (2, B, rows, d), or None."""
+    ``mask``, then the block tail as one node (``_tape_tail``).  ``keep`` holds
+    the rows' dropout multipliers of attention and FFN output, (2, B, rows, d),
+    or None."""
     q = nm.linear(x, params[f"L{i}.wq"], params[f"L{i}.bq"])
     attn = nm.attention(q, k, v, mask, heads, 1.0 / math.sqrt(x.shape[-1]))
-    if keep is not None:
-        attn = nm.mul(attn, Tensor(keep[0]))
-    x1 = nm.layer_norm(nm.add(attn, x), params[f"L{i}.ln1_g"], params[f"L{i}.ln1_b"])
-    inner = nm.relu(nm.linear(x1, params[f"L{i}.w3"], params[f"L{i}.b3"]))
-    ffn = nm.linear(inner, params[f"L{i}.w4"], params[f"L{i}.b4"])
-    if keep is not None:
-        ffn = nm.mul(ffn, Tensor(keep[1]))
-    return nm.layer_norm(nm.add(ffn, x1), params[f"L{i}.ln2_g"], params[f"L{i}.ln2_b"])
+    return _tape_tail(attn, x, [params[f"L{i}.{name}"] for name in _TAIL], keep)
+
+
+def _tape_tail(attn: Tensor, x: Tensor, w: list[Tensor], keep: np.ndarray | None) -> Tensor:
+    """``_block_tail`` on the tape, one node over the (B, rows, d) attention
+    output ``attn``, the layer input ``x`` and the tail weights ``w`` named
+    in ``_TAIL``; ``keep`` holds the dropout multipliers, (2, B, rows, d), or
+    None.  The forward runs on the B * rows stacked rows.  The backward runs
+    the backward expressions of the ops the tail is made of (dropout
+    multiply, residual add, layer norm, linear, ReLU) in the order the tape
+    ran them as separate nodes, so it gives their bits."""
+    shape, d, parents = x.shape, x.shape[-1], (attn, x, *w)
+    keep = None if keep is None else keep.reshape(2, -1, d)
+    ln1_g, _, w3, _, w4, _, ln2_g, _ = ws = [t.data for t in w]
+    y, (xhat1, std1, x1, inner, xhat2, std2) = _block_tail(attn.data.reshape(-1, d), x.data.reshape(-1, d), ws, keep)
+
+    def backward(g):
+        g2, g_ln2_g, g_ln2_b = nm.layer_norm_grads(g.reshape(-1, d), xhat2, std2, ln2_g)
+        g_ffn = g2 if keep is None else g2 * keep[1]
+        g_w4, g_b4 = nm.linear_grads(inner, g_ffn)
+        g_inner = (g_ffn @ w4.T) * (inner > 0.0)  # ReLU: inner > 0 exactly where its input is
+        g_w3, g_b3 = nm.linear_grads(x1, g_inner)
+        g1, g_ln1_g, g_ln1_b = nm.layer_norm_grads(g2 + g_inner @ w3.T, xhat1, std1, ln1_g)
+        g_attn = g1 if keep is None else g1 * keep[0]
+        grads = (g_attn.reshape(shape), g1.reshape(shape), g_ln1_g, g_ln1_b, g_w3, g_b3, g_w4, g_b4, g_ln2_g, g_ln2_b)
+        for t, gt in zip(parents, grads):
+            nm.accumulate(t, gt)
+
+    return Tensor(y.reshape(shape), parents=parents, backward=backward)
 
 
 def _machine_masks(seqs: Sequence[AltSequence], t_pad: int, width: int) -> np.ndarray:
@@ -561,15 +610,6 @@ def fit(
 # inference engine (deterministic numpy, one step kernel for B target rows)
 # ---------------------------------------------------------------------------
 
-def _block_tail(p: dict[str, np.ndarray], i: int, attn: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The second half of decoder layer ``i`` on numpy rows: residual, layer
-    norm, FFN, residual, layer norm."""
-    x1 = nm.normalize(attn + x)[0] * p[f"L{i}.ln1_g"] + p[f"L{i}.ln1_b"]
-    inner = np.maximum(x1 @ p[f"L{i}.w3"] + p[f"L{i}.b3"], 0.0)
-    ffn = inner @ p[f"L{i}.w4"] + p[f"L{i}.b4"]
-    return nm.normalize(ffn + x1)[0] * p[f"L{i}.ln2_g"] + p[f"L{i}.ln2_b"]
-
-
 # encode_context's source attention scores a chunk of query rows for all heads
 # at once, in a (heads, rows, keys) block of at most 2**18 cells (2 MB): 32 rows
 # at n = 1024 and 8 heads.  One block per call serves every chunk and layer.
@@ -588,8 +628,9 @@ def _head_major(x: np.ndarray, heads: int) -> np.ndarray:
 class Engine:
     """What decoding reads that depends only on the model state: ``cfg``, the
     vocabularies, the default ``traversal``, each parameter's array plus each
-    layer's fused ``wqkv`` / ``bqkv``, Q scaled by 1/sqrt(d) (``arrays``), and
-    the traversal rows (``traversal_row``).  It stands in for a model in
+    layer's fused ``wqkv`` / ``bqkv``, Q scaled by 1/sqrt(d) (``arrays``), each
+    layer's block-tail weights (``tails``, in ``_TAIL`` order), and the
+    traversal rows (``traversal_row``).  It stands in for a model in
     ``extract_graph``.  ``AdamW.step`` updates weights in place, which the fused
     arrays and the rows do not follow, so an engine serves one decoding call.
     """
@@ -602,6 +643,7 @@ class Engine:
         for i in range(cfg.layers):  # Q, K and V side by side: one projection GEMM per decode step
             p[f"L{i}.wqkv"] = np.concatenate([p[f"L{i}.wq"] * scale, p[f"L{i}.wk"], p[f"L{i}.wv"]], axis=1)
             p[f"L{i}.bqkv"] = np.concatenate([p[f"L{i}.bq"] * scale, p[f"L{i}.bk"], p[f"L{i}.bv"]])
+        self.tails = [[p[f"L{i}.{name}"] for name in _TAIL] for i in range(cfg.layers)]
         self.rows: dict = {}
 
     def open_session(
@@ -718,7 +760,7 @@ def encode_context(tokens: Sequence[str], engine: Engine) -> ContextRep:
             sums = nm.shifted_exp(e)  # (heads, rows, 1)
             np.matmul(e, v[:, keys], out=out[chunk].transpose(1, 0, 2))
             out[chunk] /= sums.transpose(1, 0, 2)
-        x = _block_tail(p, i, out.reshape(n, d), x)
+        x = _block_tail(out.reshape(n, d), x, engine.tails[i])[0]
     return ContextRep(
         H=H, n=n, span_scores=span_scores,
         src_k=src_k, src_v=src_v, l_p=vocab.l_p, engine=engine,
@@ -852,7 +894,7 @@ def decode_step(sessions: Sequence[DecodeSession], elements: Sequence[int | None
         src_out = e.transpose(1, 0, 2)[:, :, :n] @ ctx.src_v[i]  # (heads, B, dh)
         tgt_out = e[:, :, None, n:] @ tgt_v  # (B, heads, 1, dh)
         out = ((src_out.transpose(1, 0, 2) + tgt_out[:, :, 0]) / sums).reshape(B, d)
-        x = _block_tail(p, i, out, x)
+        x = _block_tail(out, x, ctx.engine.tails[i])[0]
     lead.filled[:B] = [t + 1] * B
     for b, s in enumerate(sessions):
         s.last_hidden = x[b]

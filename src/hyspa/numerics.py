@@ -7,8 +7,11 @@ arithmetic stays finite while softmax still underflows masked slots to 0.
 
 The forwards the inference engine shares with the tape are plain functions
 on arrays, and the tape ops run them: ``softmax`` (in the multi-head
-``attention``), ``log_probs`` (in ``log_softmax``), ``normalize`` (in
-``layer_norm``) and ``sliding_windows`` (in ``unfold``).
+``attention``), ``log_probs`` (in ``log_softmax``) and ``sliding_windows``
+(in ``unfold``).  ``normalize`` is layer norm's forward, which the decoder
+block's tail (``model._block_tail``) runs on the tape and in the engine;
+its backward is ``layer_norm_grads``.  ``linear_grads`` is the weight and
+bias backward of ``linear`` and of that tail.
 """
 from __future__ import annotations
 
@@ -87,9 +90,11 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``.  The first gradient is stored as a copy:
-    ``add`` hands the same array to both parents, and views must not alias."""
+def accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``: every backward, also one written outside
+    this module, hands its parents their gradients through it.  The first
+    gradient is stored as a copy: ``add`` hands the same array to both
+    parents, and views must not alias."""
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -120,9 +125,9 @@ def add(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
+            accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+            accumulate(b, _unbroadcast(g, b.data.shape))
 
     out._backward = backward
     return out
@@ -134,9 +139,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+            accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+            accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     out._backward = backward
     return out
@@ -153,9 +158,9 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+            accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
         if b.requires_grad:
-            _accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+            accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     out._backward = backward
     return out
@@ -181,21 +186,18 @@ def linear(x, w, bias=None) -> Tensor:
     def backward(g):
         g = g.reshape(-1, n)
         if x.requires_grad:
-            _accumulate(x, (g @ w.data.T).reshape(x.data.shape))
-        if w.requires_grad:
-            _accumulate(w, rows.T @ g)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=0))
+            accumulate(x, (g @ w.data.T).reshape(x.data.shape))
+        for t, gt in zip(parents[1:], linear_grads(rows, g)):  # w, and bias if given
+            accumulate(t, gt)
 
     out._backward = backward
     return out
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0.0), parents=(a,))
-    out._backward = lambda g: _accumulate(a, g * (a.data > 0.0))
-    return out
+def linear_grads(rows: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients of w and bias in ``rows @ w + bias`` for the output
+    gradient ``g``, both 2-D: ``rows.T @ g`` and the sum of g over rows."""
+    return rows.T @ g, g.sum(axis=0)
 
 
 def shifted_exp(x: np.ndarray) -> np.ndarray:
@@ -252,12 +254,12 @@ def attention(q, k, v, mask: np.ndarray, heads: int, scale: float) -> Tensor:
         g = split(g)
         gp = np.matmul(g, np.swapaxes(vh, -1, -2))
         if v.requires_grad:
-            _accumulate(v, merge(np.matmul(np.swapaxes(p, -1, -2), g)))
+            accumulate(v, merge(np.matmul(np.swapaxes(p, -1, -2), g)))
         gs = _unbroadcast(p * (gp - (gp * p).sum(axis=-1, keepdims=True)), shape) * scale
         if q.requires_grad:
-            _accumulate(q, merge(np.matmul(gs, kh)))
+            accumulate(q, merge(np.matmul(gs, kh)))
         if k.requires_grad:
-            _accumulate(k, merge(np.matmul(np.swapaxes(gs, -1, -2), qh)))
+            accumulate(k, merge(np.matmul(np.swapaxes(gs, -1, -2), qh)))
 
     out._backward = backward
     return out
@@ -286,7 +288,7 @@ def log_softmax(a) -> Tensor:
 
     def backward(g):
         p = np.exp(logp)
-        _accumulate(a, g - p * g.sum(axis=-1, keepdims=True))
+        accumulate(a, g - p * g.sum(axis=-1, keepdims=True))
 
     out._backward = backward
     return out
@@ -307,24 +309,14 @@ def normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xc / std, std
 
 
-def layer_norm(x, gamma, beta) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    d = x.data.shape[-1]
-    xhat, std = normalize(x.data)
-    out = Tensor(xhat * gamma.data + beta.data, parents=(x, gamma, beta))
-
-    def backward(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        _accumulate(beta, g.sum(axis=reduce_axes))
-        _accumulate(gamma, (g * xhat).sum(axis=reduce_axes))
-        gx = g * gamma.data
-        gxm = np.add.reduce(gx, axis=-1, keepdims=True) / d
-        gxxm = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
-        _accumulate(x, (gx - gxm - xhat * gxxm) / std)
-
-    out._backward = backward
-    return out
+def layer_norm_grads(g: np.ndarray, xhat: np.ndarray, std: np.ndarray, gamma: np.ndarray) -> tuple:
+    """The backward of layer norm, ``xhat * gamma + beta`` over (rows, d)
+    arrays, for the output gradient ``g``: the gradients of its input, of
+    gamma and of beta.  ``xhat`` and ``std`` are what ``normalize`` returned."""
+    gx = g * gamma
+    gxm = np.add.reduce(gx, axis=-1, keepdims=True) / len(gamma)
+    gxxm = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / len(gamma)
+    return (gx - gxm - xhat * gxxm) / std, (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
 def take_rows(table, ids) -> Tensor:
@@ -352,7 +344,7 @@ def concat(parts: Sequence, axis: int) -> Tensor:
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[(slice(None),) * (axis % g.ndim) + (slice(lo, hi),)])
+            accumulate(p, g[(slice(None),) * (axis % g.ndim) + (slice(lo, hi),)])
 
     out._backward = backward
     return out
@@ -366,7 +358,7 @@ def getitem(a, index) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[index] = g
-        _accumulate(a, full)
+        accumulate(a, full)
 
     out._backward = backward
     return out
@@ -375,7 +367,7 @@ def getitem(a, index) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.reshape(shape), parents=(a,))
-    out._backward = lambda g: _accumulate(a, g.reshape(a.data.shape))
+    out._backward = lambda g: accumulate(a, g.reshape(a.data.shape))
     return out
 
 
@@ -384,14 +376,14 @@ def transpose(a, axes) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
     out = Tensor(np.transpose(a.data, axes), parents=(a,))
-    out._backward = lambda g: _accumulate(a, np.transpose(g, inverse))
+    out._backward = lambda g: accumulate(a, np.transpose(g, inverse))
     return out
 
 
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.sum(), parents=(a,))
-    out._backward = lambda g: _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+    out._backward = lambda g: accumulate(a, np.broadcast_to(g, a.data.shape).copy())
     return out
 
 
@@ -430,7 +422,7 @@ def unfold(v, m: int) -> Tensor:
         gv = np.zeros_like(v.data)
         for d in range(min(m, n)):  # diagonal d: cell (j, d) reads v[j + d]
             gv[..., d:] += g[..., : n - d, d]
-        _accumulate(v, gv)
+        accumulate(v, gv)
 
     out._backward = backward
     return out

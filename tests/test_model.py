@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from testutil import FIG4_TOKENS, make_engine, open_mask, positions, random_edge_freq, random_graph
+from testutil import (
+    FIG4_TOKENS, layer_norm, make_engine, open_mask, positions, random_edge_freq, random_graph, relu, tail_inputs,
+)
 
 from hyspa import numerics as nm
 from hyspa.altseq_codec import AltSequence, GenConstraints, Traversal, decode_sequence, encode, encode_bfs
@@ -108,10 +110,11 @@ class TestEncodeContext:
             ModelConfig(**size)
 
     # n against a chunk of R = 5 query rows: one short chunk, one full chunk,
-    # a full chunk and a one-row chunk, a ragged last chunk; None keeps the
-    # module's cell budget (two or three chunks at n = 300, ragged).  A source
-    # radius of 2 closes pairs inside a chunk of 5 rows; under a radius of 11
-    # a chunk's keys span several chunks; None is full attention.
+    # a full chunk and a one-row chunk, a ragged last chunk; rows None keeps
+    # the module's chunks of at most _BAND_ROWS = 32 rows (ten chunks at
+    # n = 300, the last one ragged, at every radius).  A source radius of 2
+    # closes pairs inside a chunk of 5 rows; under a radius of 11 a chunk's
+    # keys span several chunks; None is full attention.
     @pytest.mark.parametrize("heads", [4, 8])
     @pytest.mark.parametrize("n, rows, radius", [
         pytest.param(n, rows, radius, id=f"{n}-{rows}" + (f"-r{radius}" if radius else ""))
@@ -149,7 +152,7 @@ class TestEncodeContext:
                 scores[far] = -np.inf
                 w = np.exp(scores - scores.max(axis=1, keepdims=True))
                 out[:, sl] = (w / w.sum(axis=1, keepdims=True)) @ v[:, sl]
-            x = hm._block_tail(p, i, out, x)
+            x = hm._block_tail(out, x, [p[f"L{i}.{name}"] for name in hm._TAIL])[0]
 
     def test_transient_memory_is_linear_in_n(self, vocab):
         import tracemalloc
@@ -765,6 +768,40 @@ class TestRadiusThatCoversTheInput:
             assert np.array_equal(logits(radius), want), radius
 
 
+def _composed_tail(attn, x, w, keep):
+    """The block tail composed of separate tape ops, the reference of its one node."""
+    ln1_g, ln1_b, w3, b3, w4, b4, ln2_g, ln2_b = w
+    if keep is not None:
+        attn = nm.mul(attn, nm.Tensor(keep[0]))
+    x1 = layer_norm(nm.add(attn, x), ln1_g, ln1_b)
+    ffn = nm.linear(relu(nm.linear(x1, w3, b3)), w4, b4)
+    if keep is not None:
+        ffn = nm.mul(ffn, nm.Tensor(keep[1]))
+    return layer_norm(nm.add(ffn, x1), ln2_g, ln2_b)
+
+
+class TestTapeTail:
+    @settings(max_examples=40, deadline=None)
+    @given(B=st.integers(1, 4), rows=st.integers(1, 9), half_d=st.integers(1, 12), dropout=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_node_equals_the_composed_ops_bitwise(self, B, rows, half_d, dropout, seed):
+        # the one node against the ops it replaced, forward and every gradient
+        from hyspa import model as hm
+
+        rng = np.random.default_rng(seed)
+        attn, x, w, keep = tail_inputs(rng, B, rows, 2 * half_d, dropout)
+        g = nm.Tensor(rng.normal(size=x.shape))
+        results = []
+        for tail in (hm._tape_tail, _composed_tail):
+            for t in (attn, x, *w):
+                t.grad = None
+            out = tail(attn, x, w, keep)
+            nm.sum_all(nm.mul(out, g)).backward()
+            results.append([out.data] + [t.grad for t in (attn, x, *w)])
+        for k, (got, want) in enumerate(zip(*results, strict=True)):
+            assert got.shape == want.shape and np.array_equal(got, want), k
+
+
 class TestOneAdmissibilityRule:
     """The tape's output mask is the constraint machine's, row for row."""
 
@@ -904,10 +941,12 @@ class TestBatchedTape:
         # per layer, the target and source attention blocks; the last layer
         # projects keys and values of every row but queries and FFN of the
         # target rows alone
+        from hyspa import model as hm
+
         batch, cfg, params = mixed
         B, n_pad, t_pad = len(batch), max(len(ids) for ids, _ in batch), max(len(s.items) for _, s in batch) + 1
         weights, rows = [], {id(p): [] for p in params.values()}
-        attention, linear = nm.attention, nm.linear
+        attention, linear, tape_tail = nm.attention, nm.linear, hm._tape_tail
 
         def record_weights(q, k, v, mask, heads, scale):  # the shape of the op's score block
             weights.append(np.broadcast_shapes((len(q.data), heads, q.shape[1], k.shape[1]), mask.shape))
@@ -917,8 +956,14 @@ class TestBatchedTape:
             rows[id(w)].append(x.shape[-2])
             return linear(x, w, bias)
 
+        def record_tail(attn, x, w, keep):  # the tail node runs the FFN (w3, w4) on its rows
+            for t in w:
+                rows[id(t)].append(x.shape[-2])
+            return tape_tail(attn, x, w, keep)
+
         monkeypatch.setattr(nm, "attention", record_weights)
         monkeypatch.setattr(nm, "linear", record_linear)
+        monkeypatch.setattr(hm, "_tape_tail", record_tail)
         sequence_loss(batch, cfg, params, training=True, rng=np.random.default_rng(0)).backward()
         tgt, src = (B, cfg.heads, t_pad, n_pad + t_pad), (B, cfg.heads, n_pad, n_pad)
         assert weights[1:] == [src, tgt] * (cfg.layers - 1) + [tgt]  # weights[0]: span attention
@@ -985,7 +1030,7 @@ class TestBatchedTape:
 
         monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
         train_step(batch, cfg, params, opt, label_smoothing=0.1, clip=0.25, rng=np.random.default_rng(0))
-        assert next(created) == 94
+        assert next(created) == 64
 
     def test_empty_batch_rejected(self, mixed):
         _, cfg, params = mixed

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from testutil import tail_inputs
+
 from hyspa import numerics as nm
+from hyspa.model import _tape_tail
 from hyspa.numerics import NEG_INF, AdamW, Tensor, finite_diff_check, inv_sqrt_lr
 
 
@@ -20,7 +23,7 @@ class TestPrimitiveGradients:
     def test_matmul(self, rng):
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        _check_op(lambda: nm.sum_all(nm.relu(nm.matmul(a, b))), {"a": a, "b": b})
+        _check_op(lambda: nm.sum_all(nm.log_softmax(nm.matmul(a, b))), {"a": a, "b": b})
 
     def test_batched_matmul(self, rng):
         a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
@@ -39,14 +42,16 @@ class TestPrimitiveGradients:
         w = Tensor(rng.normal(size=(5,)))
         _check_op(lambda: nm.sum_all(nm.mul(nm.log_softmax(x), w)), {"x": x})
 
-    def test_layer_norm(self, rng):
-        x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-        g = Tensor(rng.normal(size=(8,)) + 1.0, requires_grad=True)
-        b = Tensor(rng.normal(size=(8,)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 8)))
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_block_tail(self, rng, dropout):
+        # the decoder block's tail as the tape runs it, one node: two layer
+        # norms, the FFN and both residuals; with dropout, the padding rows
+        # of each example carry zero multipliers, as on the tape
+        attn, x, w, keep = tail_inputs(rng, 2, 3, 4, dropout)
+        out = Tensor(rng.normal(size=(2, 3, 4)))
         _check_op(
-            lambda: nm.sum_all(nm.mul(nm.layer_norm(x, g, b), w)),
-            {"x": x, "g": g, "b": b},
+            lambda: nm.sum_all(nm.mul(_tape_tail(attn, x, w, keep), out)),
+            {"attn": attn, "x": x, **{f"w{k}": t for k, t in enumerate(w)}},
         )
 
     def test_unfold(self, rng):
@@ -111,7 +116,7 @@ class TestPrimitiveGradients:
 
     def test_backward_releases_the_graph(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        h = nm.relu(nm.matmul(x, Tensor(rng.normal(size=(4, 2)))))
+        h = nm.log_softmax(nm.matmul(x, Tensor(rng.normal(size=(4, 2)))))
         loss = nm.sum_all(h)
         loss.backward()
         assert loss._parents == () and h._parents == () and h._backward is None
@@ -200,8 +205,7 @@ class TestSoftmaxLayerNormInvariants:
         assert (p[:, 3] == 0.0).all()
 
     def test_layer_norm_moments(self, rng):
-        x = Tensor(rng.normal(size=(16, 32)) * 3 + 1)
-        out = nm.layer_norm(x, Tensor(np.ones(32)), Tensor(np.zeros(32))).data
+        out = nm.normalize(rng.normal(size=(16, 32)) * 3 + 1)[0]
         assert np.abs(out.mean(axis=-1)).max() < 1e-10
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-10
 

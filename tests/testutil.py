@@ -1,5 +1,6 @@
 """Shared fixtures: the pinned example configuration, random graph
-generation, and the decode-step probe of criterion C7."""
+generation, the decode-step probe of criterion C7, and the tape ops the
+decoder block's tail node is checked against."""
 from __future__ import annotations
 
 import time
@@ -7,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from hyspa import numerics as nm
 from hyspa.altseq_codec import GenConstraints
 from hyspa.data_io import DEFAULT_EDGE_TYPES, DEFAULT_NODE_TYPES
 from hyspa.decode_search import _step_logprobs
@@ -14,7 +16,7 @@ from hyspa.embeddings import advance
 from hyspa.hybrid_index import TextSpan
 from hyspa.info_graph import InfoGraph, Mention, RelationEdge, make_graph
 from hyspa.model import Engine, ExtractionModel, decode_step
-from hyspa.numerics import NEG_INF
+from hyspa.numerics import NEG_INF, Tensor
 from hyspa.type_vocab import TypeVocab, build_vocab
 
 
@@ -170,3 +172,51 @@ def fit_exponent(xs, ys) -> float:
     lx, ly = np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float))
     slope, _ = np.polyfit(lx, ly, 1)
     return float(slope)
+
+
+# Layer norm and ReLU as separate tape ops: with ``numerics`` ops they compose
+# the decoder block's tail, the reference that its one tape node
+# (``model._tape_tail``) must equal bit for bit, forward and backward.
+
+def layer_norm(x, gamma, beta) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine."""
+    x, gamma, beta = nm._as_tensor(x), nm._as_tensor(gamma), nm._as_tensor(beta)
+    d = x.data.shape[-1]
+    xhat, std = nm.normalize(x.data)
+    out = Tensor(xhat * gamma.data + beta.data, parents=(x, gamma, beta))
+
+    def backward(g):
+        reduce_axes = tuple(range(g.ndim - 1))
+        nm.accumulate(beta, g.sum(axis=reduce_axes))
+        nm.accumulate(gamma, (g * xhat).sum(axis=reduce_axes))
+        gx = g * gamma.data
+        gxm = np.add.reduce(gx, axis=-1, keepdims=True) / d
+        gxxm = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
+        nm.accumulate(x, (gx - gxm - xhat * gxxm) / std)
+
+    out._backward = backward
+    return out
+
+
+def relu(a) -> Tensor:
+    a = nm._as_tensor(a)
+    out = Tensor(np.maximum(a.data, 0.0), parents=(a,))
+    out._backward = lambda g: nm.accumulate(a, g * (a.data > 0.0))
+    return out
+
+
+def tail_inputs(rng: np.random.Generator, B: int, rows: int, d: int, dropout: bool):
+    """Random leaves of one block tail: the (B, rows, d) attention output and
+    layer input, the eight weights in ``model._TAIL`` order (gains near 1),
+    and dropout multipliers, (2, B, rows, d), or None.  Each example keeps a
+    random number of real rows; the rest are padding, whose multipliers are
+    0, as the tape pads."""
+    attn, x = (Tensor(rng.normal(size=(B, rows, d)), requires_grad=True) for _ in range(2))
+    shapes = [(d,), (d,), (d, 4 * d), (4 * d,), (4 * d, d), (d,), (d,), (d,)]
+    w = [Tensor(rng.normal(size=s) * (0.5 if len(s) == 2 else 0.1) + (1.0 if k in (0, 6) else 0.0),
+                requires_grad=True) for k, s in enumerate(shapes)]
+    if not dropout:
+        return attn, x, w, None
+    keep = (rng.random((2, B, rows, d)) >= 0.1) / 0.9
+    keep[:, np.arange(rows) >= rng.integers(1, rows + 1, size=B)[:, None]] = 0.0
+    return attn, x, w, keep
