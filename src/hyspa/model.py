@@ -18,10 +18,11 @@ Two forward implementations coexist on purpose:
   The tail node runs the engine's forward, ``_block_tail``, on the stacked
   rows; its backward runs the backward expressions of the ops it replaced,
   in their order (``numerics.layer_norm_grads``, ``numerics.linear_grads``),
-  so it keeps their bits.  Source rows attend locally: row i to row j only
-  when |i - j| <= ``cfg.source_radius`` (``_band``; None opens every pair).
-  The band is added to every batch: a radius that covers the input closes
-  nothing, and adding its zeros keeps every bit.  ``train_step`` splits a
+  so it keeps their bits; so does the span head's one node (``_tape_head``).
+  Source rows attend locally: row i to row j only when |i - j| <=
+  ``cfg.source_radius`` (``_band``; None opens every pair).  The band is
+  added to every batch: a radius that covers the input closes nothing, and
+  adding its zeros keeps every bit.  ``train_step`` splits a
   mini-batch into runs of consecutive examples whose padded tape stays
   small (``_tape_runs``), one backward pass per run, so a long input does
   not pad the others to its length.  Dropout masks are
@@ -65,9 +66,12 @@ Two forward implementations coexist on purpose:
 Both forms run the second half of every decoder layer (residual, layer
 norm, FFN, residual, layer norm) through one forward, ``_block_tail``: the
 engine for the source rows and the decode steps, the tape for both row sets
-with their dropout multipliers.  Both take their softmax and log-softmax
-from :mod:`hyspa.numerics` (``softmax``, ``log_probs``) and their text-span
-score windows from ``numerics.sliding_windows``.  The engine's
+with their dropout multipliers.  Both score the span head through two
+forwards, ``_type_scores`` and ``_text_scores`` (whose windows are
+``numerics.sliding_windows``): ``span_head`` for B decode rows, and the
+tape's one head node, ``_tape_head``, for every target row of a batch.
+Both take their softmax and log-softmax from :mod:`hyspa.numerics`
+(``softmax``, ``log_probs``).  The engine's
 two attention forwards scale the queries, not the scores, by 1/sqrt(d), and
 normalise late: they exponentiate the shifted scores in place
 (``numerics.shifted_exp``, the first half of ``softmax``) and divide
@@ -247,6 +251,27 @@ def _block_tail(attn: np.ndarray, x: np.ndarray, w: list, keep: np.ndarray | Non
     return xhat2 * ln2_g + ln2_b, (xhat1, std1, x1, inner, xhat2, std2)
 
 
+def _type_scores(s: np.ndarray, e: np.ndarray, h_types: np.ndarray) -> np.ndarray:
+    """The span head's type scores: the start rows ``s`` and end rows ``e``,
+    (..., rows, d), each against the type rows of H, (..., l_p, d), summed.
+    The one forward of the type scores for ``span_head`` and the tape."""
+    h = np.swapaxes(h_types, -1, -2)
+    return s @ h + e @ h
+
+
+def _text_scores(s: np.ndarray, e: np.ndarray, h_text: np.ndarray, m: int) -> np.ndarray:
+    """The span head's n*m text-span scores of the start rows ``s`` and end
+    rows ``e``, (..., rows, d), against the text rows of H, (..., n, d): cell
+    (j, k) is span (j, j+k+1), the end score of token j+k
+    (``numerics.sliding_windows``, NEG_INF past the text) plus the start
+    score of token j.  The one forward of the text scores for ``span_head``
+    and the tape."""
+    h = np.swapaxes(h_text, -1, -2)
+    t = nm.sliding_windows(e @ h, m)
+    t += (s @ h)[..., None]
+    return t.reshape(t.shape[:-2] + (-1,))
+
+
 # ---------------------------------------------------------------------------
 # training path (autodiff, one padded tape per batch)
 # ---------------------------------------------------------------------------
@@ -340,6 +365,36 @@ def _tape_tail(attn: Tensor, x: Tensor, w: list[Tensor], keep: np.ndarray | None
             nm.accumulate(t, gt)
 
     return Tensor(y.reshape(shape), parents=parents, backward=backward)
+
+
+def _tape_head(s_rep: Tensor, e_rep: Tensor, h_types: Tensor, h_text: Tensor, m: int) -> Tensor:
+    """The span head's scores on the tape, one node over the start and end
+    rows ``s_rep``, ``e_rep``, (B, T, d), and the type and text rows of H,
+    (B, l_p, d) and (B, n, d): (B, T, l_p + n*m), the type scores
+    (``_type_scores``) followed by the text-span scores (``_text_scores``).
+    The backward runs the backward expressions of the ops the head is made
+    of (concatenation, the start scores' broadcast over the m cells, the
+    window gather, the four products) in the order the tape ran them as
+    separate nodes, so it gives their bits."""
+    parents = (s_rep, e_rep, h_types, h_text)
+    s, e, ht, hx = (t.data for t in parents)
+    l_p, n = ht.shape[-2], hx.shape[-2]
+    y = np.concatenate([_type_scores(s, e, ht), _text_scores(s, e, hx, m)], axis=-1)
+
+    def backward(g):
+        # both parts contiguous, as the concatenation's backward handed them on
+        g_type, g_text = g[..., :l_p].copy(), g[..., l_p:].reshape(g.shape[:-1] + (n, m))
+        g_ts = g_text.sum(axis=-1)
+        g_te = np.zeros_like(g_ts)
+        for k in range(min(m, n)):  # diagonal k: cell (j, k) reads the end score of token j + k
+            g_te[..., k:] += g_text[..., : n - k, k]
+        st, et = np.swapaxes(s, -1, -2), np.swapaxes(e, -1, -2)
+        grads = (g_type @ ht + g_ts @ hx, g_type @ ht + g_te @ hx,
+                 np.swapaxes(st @ g_type + et @ g_type, -1, -2), np.swapaxes(st @ g_ts + et @ g_te, -1, -2))
+        for t, gt in zip(parents, grads):
+            nm.accumulate(t, gt)
+
+    return Tensor(y, parents=parents, backward=backward)
 
 
 def _machine_masks(seqs: Sequence[AltSequence], t_pad: int, width: int) -> np.ndarray:
@@ -452,12 +507,7 @@ def sequence_logits(
     # hybrid span decoding head, batched over positions
     s_rep = nm.linear(tgt, params["head_w5"], params["head_b5"])
     e_rep = nm.linear(tgt, params["head_w6"], params["head_b6"])
-    types_t = nm.transpose(h_types, (0, 2, 1))
-    text_t = nm.transpose(h_text, (0, 2, 1))
-    type_scores = nm.add(nm.matmul(s_rep, types_t), nm.matmul(e_rep, types_t))
-    ts_vec, te_vec = nm.matmul(s_rep, text_t), nm.matmul(e_rep, text_t)
-    t_mat = nm.add(nm.unfold(te_vec, m), nm.reshape(ts_vec, (B, t_pad, n_pad, 1)))
-    logits = nm.concat([type_scores, nm.reshape(t_mat, (B, t_pad, n_pad * m))], axis=2)
+    logits = _tape_head(s_rep, e_rep, h_types, h_text, m)
     return nm.add(logits, Tensor(_machine_masks(seqs, t_pad, l_p + n_pad * m))), targets
 
 
@@ -932,15 +982,16 @@ def span_head(
     normalised by ``numerics.log_probs`` at the full width l_p + n*m, so a
     type-only row sums its exponentials followed by exact zeros and is
     bitwise equal to the first l_p entries of the full row with every span
-    slot closed.  The products against the type rows cover all B rows, those
-    against the text rows all full rows; with one row they have the shapes of
-    a single-row head, so a row scored alone always gives the same bits.
+    slot closed.  The scores come from ``_type_scores`` for all B rows and
+    from ``_text_scores`` for the full rows, the forwards the tape's head
+    node (``_tape_head``) runs; with one row they have the shapes of a
+    single-row head, so a row scored alone always gives the same bits.
     """
     p, l_p, m = ctx.engine.arrays, ctx.l_p, ctx.engine.cfg.m
     width = l_p + ctx.n * m
     s = hidden @ p["head_w5"] + p["head_b5"]
     e = hidden @ p["head_w6"] + p["head_b6"]
-    type_scores = (ctx.h_types @ s.T).T + (ctx.h_types @ e.T).T
+    type_scores = _type_scores(s, e, ctx.h_types)
     short = [b for b, row in enumerate(mask) if len(row) == l_p]
     full = [b for b, row in enumerate(mask) if len(row) != l_p]
     scores, logp = [None] * len(hidden), [None] * len(hidden)
@@ -949,24 +1000,13 @@ def span_head(
             continue
         block = type_scores.take(group, axis=0)  # take: a third of a fancy index's cost at one row
         if group is full:
-            block = _with_text_scores(ctx, m, s.take(group, axis=0), e.take(group, axis=0), block)
+            text = _text_scores(s.take(group, axis=0), e.take(group, axis=0), ctx.h_text, m)
+            block = np.concatenate([block, text], axis=1)
         for row, b in zip(block, group):
             row += mask[b]
         for b, s_row, l_row in zip(group, block, nm.log_probs(block, width)):
             scores[b], logp[b] = s_row, l_row
     return scores, logp
-
-
-def _with_text_scores(
-    ctx: ContextRep, m: int, s: np.ndarray, e: np.ndarray, type_scores: np.ndarray
-) -> np.ndarray:
-    """The rows of ``type_scores`` followed by the n*m text-span scores of the
-    same rows of the start and end projections ``s`` and ``e``."""
-    ts_vec = (ctx.h_text @ s.T).T
-    te_vec = (ctx.h_text @ e.T).T
-    t_mat = nm.sliding_windows(te_vec, m)
-    t_mat += ts_vec[:, :, None]
-    return np.concatenate([type_scores, t_mat.reshape(len(s), ctx.n * m)], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ arithmetic stays finite while softmax still underflows masked slots to 0.
 
 The forwards the inference engine shares with the tape are plain functions
 on arrays, and the tape ops run them: ``softmax`` (in the multi-head
-``attention``), ``log_probs`` (in ``log_softmax``) and ``sliding_windows``
-(in ``unfold``).  ``normalize`` is layer norm's forward, which the decoder
-block's tail (``model._block_tail``) runs on the tape and in the engine;
-its backward is ``layer_norm_grads``.  ``linear_grads`` is the weight and
-bias backward of ``linear`` and of that tail.
+``attention``) and ``log_probs`` (in ``log_softmax``).  ``sliding_windows``
+is the span head's score window, which ``model._text_scores`` runs on the
+tape and in the engine.  ``normalize`` is layer norm's forward, which the
+decoder block's tail (``model._block_tail``) runs on the tape and in the
+engine; its backward is ``layer_norm_grads``.  ``linear_grads`` is the
+weight and bias backward of ``linear`` and of that tail.
 """
 from __future__ import annotations
 
@@ -142,25 +143,6 @@ def mul(a, b) -> Tensor:
             accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product: 2-D, or batched with equal batch dims (a batch of rows
-    times one matrix is ``linear``)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim > 2 or b.ndim > 2:
-        if a.data.shape[:-2] != b.data.shape[:-2]:
-            raise ValueError(f"batch dims differ: {a.data.shape} vs {b.data.shape}")
-    out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        if b.requires_grad:
-            accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     out._backward = backward
     return out
@@ -364,22 +346,6 @@ def getitem(a, index) -> Tensor:
     return out
 
 
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data.reshape(shape), parents=(a,))
-    out._backward = lambda g: accumulate(a, g.reshape(a.data.shape))
-    return out
-
-
-def transpose(a, axes) -> Tensor:
-    a = _as_tensor(a)
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    out = Tensor(np.transpose(a.data, axes), parents=(a,))
-    out._backward = lambda g: accumulate(a, np.transpose(g, inverse))
-    return out
-
-
 def sum_all(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(a.data.sum(), parents=(a,))
@@ -404,27 +370,11 @@ def span_windows(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def sliding_windows(v: np.ndarray, m: int) -> np.ndarray:
     """The (n, m) windows of the last axis of ``v``: out[..., j, d] = v[..., j+d]
-    for j+d < n, else NEG_INF.  The forward of ``unfold``, and the text-span
-    score block of the decoder's span head."""
+    for j+d < n, else NEG_INF.  The text-span score block of the decoder's
+    span head (``model._text_scores``), on the tape and in the engine."""
     idx, inside = span_windows(v.shape[-1], m)
     out = v.take(idx, axis=-1)
     np.copyto(out, NEG_INF, where=~inside)  # np.where with a broadcast mask is several times slower
-    return out
-
-
-def unfold(v, m: int) -> Tensor:
-    """``sliding_windows`` on the tape; the NEG_INF cells do not propagate gradient."""
-    v = _as_tensor(v)
-    n = v.data.shape[-1]
-    out = Tensor(sliding_windows(v.data, m), parents=(v,))
-
-    def backward(g):
-        gv = np.zeros_like(v.data)
-        for d in range(min(m, n)):  # diagonal d: cell (j, d) reads v[j + d]
-            gv[..., d:] += g[..., : n - d, d]
-        accumulate(v, gv)
-
-    out._backward = backward
     return out
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from testutil import tail_inputs
+from testutil import head_inputs, tail_inputs
 
 from hyspa import numerics as nm
-from hyspa.model import _tape_tail
+from hyspa.model import _tape_head, _tape_tail
 from hyspa.numerics import NEG_INF, AdamW, Tensor, finite_diff_check, inv_sqrt_lr
 
 
@@ -20,16 +20,6 @@ def _check_op(build, params, tol=1e-6):
 
 
 class TestPrimitiveGradients:
-    def test_matmul(self, rng):
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        _check_op(lambda: nm.sum_all(nm.log_softmax(nm.matmul(a, b))), {"a": a, "b": b})
-
-    def test_batched_matmul(self, rng):
-        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-        _check_op(lambda: nm.sum_all(nm.matmul(a, b)), {"a": a, "b": b})
-
     def test_softmax(self, rng):
         # attention against identity keys and values is the softmax of the queries
         x = Tensor(rng.normal(size=(1, 4, 6)), requires_grad=True)
@@ -54,16 +44,19 @@ class TestPrimitiveGradients:
             {"attn": attn, "x": x, **{f"w{k}": t for k, t in enumerate(w)}},
         )
 
-    def test_unfold(self, rng):
-        # closed cells hold NEG_INF; their zero weights keep the loss finite
-        x = Tensor(rng.normal(size=(3, 7)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 7, 4)) * nm.span_windows(7, 4)[1])
-
-        def build():
-            u = nm.unfold(x, 4)
-            return nm.sum_all(nm.mul(u, w))
-
-        _check_op(build, {"x": x})
+    @pytest.mark.parametrize("n, m", [(3, 5), (4, 4), (7, 4)])
+    def test_span_head(self, rng, n, m):
+        # the span head as the tape runs it, one node: type scores and text
+        # windows, with windows that run past the text (n < m), whose last
+        # one ends at the text's end (n = m), and that stay inside it;
+        # the closed cells hold NEG_INF, and their zero weights keep the loss finite
+        s, e, h_types, h_text = head_inputs(rng, 2, 3, n, 4, 6)
+        w = rng.normal(size=(2, 3, 4 + n * m))
+        w[..., 4:] *= nm.span_windows(n, m)[1].reshape(-1)
+        _check_op(
+            lambda: nm.sum_all(nm.mul(_tape_head(s, e, h_types, h_text, m), Tensor(w))),
+            {"s": s, "e": e, "h_types": h_types, "h_text": h_text},
+        )
 
     def test_take_rows(self, rng):
         t = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
@@ -98,11 +91,6 @@ class TestPrimitiveGradients:
         assert (p[mask[:, 0] < 0] == 0.0).all()
         _check_op(lambda: nm.sum_all(nm.mul(nm.attention(q, k, eye, mask, 1, 0.5), w)), {"q": q, "k": k})
 
-    def test_unfold_batched(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 7)), requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 3, 7, 4)) * nm.span_windows(7, 4)[1])
-        _check_op(lambda: nm.sum_all(nm.mul(nm.unfold(x, 4), w)), {"x": x})
-
     def test_first_gradient_is_not_aliased(self, rng):
         # add hands one array to both parents; a later += into one must not reach the other
         a = Tensor(rng.normal(size=3), requires_grad=True)
@@ -116,7 +104,7 @@ class TestPrimitiveGradients:
 
     def test_backward_releases_the_graph(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        h = nm.log_softmax(nm.matmul(x, Tensor(rng.normal(size=(4, 2)))))
+        h = nm.log_softmax(nm.linear(x, Tensor(rng.normal(size=(4, 2)))))
         loss = nm.sum_all(h)
         loss.backward()
         assert loss._parents == () and h._parents == () and h._backward is None
@@ -211,22 +199,24 @@ class TestSoftmaxLayerNormInvariants:
 
 
 class TestUnfold:
+    """The span head's score window, ``sliding_windows``."""
+
     def test_documented_example(self):
-        out = nm.unfold(Tensor(np.array([10.0, 20.0, 30.0])), 2).data
+        out = nm.sliding_windows(np.array([10.0, 20.0, 30.0]), 2)
         assert out[0].tolist() == [10.0, 20.0]
         assert out[1].tolist() == [20.0, 30.0]
         assert out[2, 0] == 30.0
         assert out[2, 1] == NEG_INF
 
     def test_single_element(self):
-        out = nm.unfold(Tensor(np.array([5.0])), 1).data
+        out = nm.sliding_windows(np.array([5.0]), 1)
         assert out.tolist() == [[5.0]]
 
     def test_matches_double_loop_oracle(self, rng):
         n, m = 9, 4
         ts = rng.normal(size=n)
         te = rng.normal(size=n)
-        flat = (nm.unfold(Tensor(te), m).data + ts[:, None]).reshape(-1)
+        flat = (nm.sliding_windows(te, m) + ts[:, None]).reshape(-1)
         for j in range(n):
             for d in range(m):
                 expected = ts[j] + te[j + d] if j + d < n else None

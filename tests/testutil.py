@@ -1,6 +1,6 @@
 """Shared fixtures: the pinned example configuration, random graph
 generation, the decode-step probe of criterion C7, and the tape ops the
-decoder block's tail node is checked against."""
+decoder block's tail node and the span head's node are checked against."""
 from __future__ import annotations
 
 import time
@@ -220,3 +220,65 @@ def tail_inputs(rng: np.random.Generator, B: int, rows: int, d: int, dropout: bo
     keep = (rng.random((2, B, rows, d)) >= 0.1) / 0.9
     keep[:, np.arange(rows) >= rng.integers(1, rows + 1, size=B)[:, None]] = 0.0
     return attn, x, w, keep
+
+
+# Matrix product, transpose, reshape and window gather as separate tape ops:
+# with ``numerics`` ops they compose the span head's scores, the reference
+# that its one tape node (``model._tape_head``) must equal bit for bit,
+# forward and backward.
+
+def matmul(a, b) -> Tensor:
+    """Matrix product: 2-D, or batched with equal batch dims (a batch of rows
+    times one matrix is ``linear``)."""
+    a, b = nm._as_tensor(a), nm._as_tensor(b)
+    if a.ndim > 2 or b.ndim > 2:
+        if a.data.shape[:-2] != b.data.shape[:-2]:
+            raise ValueError(f"batch dims differ: {a.data.shape} vs {b.data.shape}")
+    out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
+
+    def backward(g):
+        if a.requires_grad:
+            nm.accumulate(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if b.requires_grad:
+            nm.accumulate(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+
+    out._backward = backward
+    return out
+
+
+def reshape(a, shape) -> Tensor:
+    a = nm._as_tensor(a)
+    out = Tensor(a.data.reshape(shape), parents=(a,))
+    out._backward = lambda g: nm.accumulate(a, g.reshape(a.data.shape))
+    return out
+
+
+def transpose(a, axes) -> Tensor:
+    a = nm._as_tensor(a)
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+    out = Tensor(np.transpose(a.data, axes), parents=(a,))
+    out._backward = lambda g: nm.accumulate(a, np.transpose(g, inverse))
+    return out
+
+
+def unfold(v, m: int) -> Tensor:
+    """``sliding_windows`` on the tape; the NEG_INF cells do not propagate gradient."""
+    v = nm._as_tensor(v)
+    n = v.data.shape[-1]
+    out = Tensor(nm.sliding_windows(v.data, m), parents=(v,))
+
+    def backward(g):
+        gv = np.zeros_like(v.data)
+        for d in range(min(m, n)):  # diagonal d: cell (j, d) reads v[j + d]
+            gv[..., d:] += g[..., : n - d, d]
+        nm.accumulate(v, gv)
+
+    out._backward = backward
+    return out
+
+
+def head_inputs(rng: np.random.Generator, B: int, T: int, n: int, l_p: int, d: int):
+    """Random leaves of one span head: the (B, T, d) start and end rows and
+    the (B, l_p, d) type and (B, n, d) text rows of H."""
+    return [Tensor(rng.normal(size=(B, rows, d)), requires_grad=True) for rows in (T, T, l_p, n)]
