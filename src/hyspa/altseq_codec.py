@@ -427,35 +427,3 @@ class GenConstraints:
                 self.phase = _Phase.AFTER_PARENT
         else:
             raise RuntimeError(f"push in unexpected phase {ph}")
-
-
-# ---------------------------------------------------------------------------
-# mask-constrained sampling (no model required)
-# ---------------------------------------------------------------------------
-
-def sample_sequence(
-    vocab: TypeVocab,
-    n: int,
-    m: int,
-    rng: np.random.Generator,
-    traversal: Traversal = Traversal.BFS,
-    max_len: int = 160,
-) -> AltSequence:
-    """Draw a sequence from uniformly random logits under the masks.
-
-    Each step takes the argmax of fresh uniform logits plus the admissibility
-    mask, i.e. a uniform draw over the admitted slots.  A logit is drawn for
-    every output slot even when the mask covers only the type slots, so the
-    draws do not depend on the mask's length.
-    """
-    machine = GenConstraints(vocab, n, m, traversal, max_len)
-    items: list[int] = []
-    while True:
-        logits = rng.random(machine.size)
-        mask = machine.mask()
-        k = int(np.argmax(logits[: len(mask)] + mask))
-        if k == vocab.eos_index:
-            break
-        machine.push(k)
-        items.append(k)
-    return AltSequence(tuple(items), traversal, vocab, n, m)

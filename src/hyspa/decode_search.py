@@ -1,4 +1,4 @@
-"""Constrained greedy and beam-search generation, plus end-to-end extraction.
+"""Constrained beam-search generation, plus end-to-end extraction.
 
 Every hypothesis grows under its own constraint machine
 (``altseq_codec.GenConstraints``), whose additive mask the span head adds to
@@ -7,10 +7,10 @@ items with a sequence that decodes to a graph: decoding has no unfinished
 result.  A mask covers only the l_p type slots when no span is admissible,
 and the span head then scores the hypothesis over those slots alone, so a
 step's cost grows with n only for the hypotheses that can emit a span.
-Greedy decoding takes the argmax at each step; beam search keeps the rows of
-its live hypotheses in one target cache and advances them with one decoder
-call per step.  ``extract_graph`` decodes and inverts the sequence, and
-``evaluate_model`` scores a model on gold graphs.
+Beam search keeps the rows of its live hypotheses in one target cache and
+advances them with one decoder call per step; with one hypothesis it takes
+the argmax at each step, greedy decoding.  ``extract_graph`` decodes and
+inverts the sequence, and ``evaluate_model`` scores a model on gold graphs.
 """
 from __future__ import annotations
 
@@ -52,32 +52,6 @@ def _step_logprobs(sessions, machines) -> list[np.ndarray]:
     when the hypothesis can emit no span and l_p + n*m long otherwise."""
     hidden = np.array([s.last_hidden for s in sessions])
     return span_head(hidden, sessions[0].ctx, [machine.mask() for machine in machines])[1]
-
-
-def greedy_decode(
-    model: ExtractionModel | Engine,
-    tokens,
-    max_len: int | None = None,
-    traversal: Traversal | None = None,
-) -> DecodeResult:
-    """Argmax decoding under the constraint machine; ties break to the lowest index."""
-    traversal = traversal or model.traversal
-    n = len(tokens)
-    max_len = max_len or default_max_len(n)
-    session = model.open_session(tokens, max_len, traversal=traversal)
-    machine = GenConstraints(model.vocab, n, model.cfg.m, traversal, max_len)
-    items: list[int] = []
-    score = 0.0
-    while True:
-        logp = _step_logprobs([session], [machine])[0]
-        k = int(np.argmax(logp))
-        score += float(logp[k])
-        if k == model.vocab.eos_index:
-            break
-        machine.push(k)
-        session.append(k)
-        items.append(k)
-    return DecodeResult(AltSequence(tuple(items), traversal, model.vocab, n, model.cfg.m), score)
 
 
 def _candidates(logps: list[np.ndarray], scores: list[float], k: int) -> list[tuple[float, int, int]]:

@@ -18,7 +18,10 @@ Two forward implementations coexist on purpose:
   The tail node runs the engine's forward, ``_block_tail``, on the stacked
   rows; its backward runs the backward expressions of the ops it replaced,
   in their order (``numerics.layer_norm_grads``, ``numerics.linear_grads``),
-  so it keeps their bits; so does the span head's one node (``_tape_head``).
+  so it keeps their bits.  So do the tape's other one-node parts: H
+  (``_tape_hybrid``), the traversal embedding (``_traversal_embedding``),
+  the span head with the machine's mask (``_tape_head``) and the loss
+  (``numerics.label_smoothed_ce``).
   Source rows attend locally: row i to row j only when |i - j| <=
   ``cfg.source_radius`` (``_band``; None opens every pair).  The band is
   added to every batch: a radius that covers the input closes nothing, and
@@ -29,7 +32,7 @@ Two forward implementations coexist on purpose:
   drawn example by example in the order a per-example forward would draw
   them, so a batch and its examples one at a time agree to rounding;
 * a numpy inference engine (``encode_context``, ``DecodeSession``,
-  ``decode_step``, ``decoder_forward``, ``span_head``).  ``encode_context``
+  ``decode_step``, ``span_head``).  ``encode_context``
   runs once per input and stores each layer's source keys and values
   head-major, ``(heads, n, d/heads)``.  Its source self-attention takes all
   heads at once over chunks of query rows, in one score block of bounded
@@ -48,9 +51,9 @@ Two forward implementations coexist on purpose:
   writes the new keys and values of all B rows, the source attention reads
   the shared caches once for all B queries, and the target attention reads
   a (B, heads, t+1, d/heads) view of the cache.  ``DecodeSession.append``
-  is its one-row call, and cached decoding, full recomputation
-  (``decoder_forward``) and greedy decoding all feed rows through it with
-  the same shapes, so they are bitwise equal.  A step's input row is a span
+  is its one-row call, and cached decoding and the tests' references, full
+  recomputation and greedy decoding, all feed rows through it with the
+  same shapes, so they are bitwise equal.  A step's input row is a span
   row, memoised per slot in the context, plus a traversal row, memoised per
   position in the ``Engine``.  ``span_head`` likewise scores B hidden rows in
   one call, under the additive mask its caller passes: the constraint
@@ -63,7 +66,10 @@ Two forward implementations coexist on purpose:
   One ``Engine`` per decoding call holds the weights that ``encode_context``,
   ``decode_step`` and ``span_head`` read.
 
-Both forms run the second half of every decoder layer (residual, layer
+Both forms build H, the type rows followed by the text rows, through one
+forward, ``_hybrid_rows``: ``encode_context`` for one input, the tape's
+one node ``_tape_hybrid`` for a padded batch.  Both run the second half of
+every decoder layer (residual, layer
 norm, FFN, residual, layer norm) through one forward, ``_block_tail``: the
 engine for the source rows and the decode steps, the tape for both row sets
 with their dropout multipliers.  Both score the span head through two
@@ -75,11 +81,12 @@ Both take their softmax and log-softmax from :mod:`hyspa.numerics`
 two attention forwards scale the queries, not the scores, by 1/sqrt(d), and
 normalise late: they exponentiate the shifted scores in place
 (``numerics.shifted_exp``, the first half of ``softmax``) and divide
-``e @ v`` by the row sums.  The traversal embedding has one formula over
-the inputs that ``embeddings.bfs_components`` / ``dfs_components`` build
-from positions (level, offset, is [SEP]), which both forms count with
-``embeddings.advance``: the tape's ``_traversal_embedding`` applies it to a
-whole batch, ``Engine.traversal_row`` to one position, with the same bits.
+``e @ v`` by the row sums.  The traversal embedding has one forward,
+``_traversal_rows``, over the inputs that ``embeddings.bfs_components`` /
+``dfs_components`` build from positions (level, offset, is [SEP]), which
+both forms count with ``embeddings.advance``: the tape's one node
+``_traversal_embedding`` runs it on a whole batch, ``Engine.traversal_row``
+on one position, with the same bits.
 
 The paper-style external embedders are replaced by one trainable lookup table
 covering type names and text tokens; text rows additionally receive the
@@ -213,7 +220,10 @@ def init_params(cfg: ModelConfig, vocab: TypeVocab, token_vocab: TokenVocab, see
 
 
 def _h_row_ids(vocab: TypeVocab, token_ids: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.arange(vocab.l_p, dtype=np.intp), vocab.l_p + token_ids])
+    """The embedding rows of H: the l_p type rows, then the rows of the text
+    tokens ``token_ids``, (n,) or (B, n)."""
+    types = np.broadcast_to(np.arange(vocab.l_p, dtype=np.intp), token_ids.shape[:-1] + (vocab.l_p,))
+    return np.concatenate([types, vocab.l_p + token_ids], axis=-1)
 
 
 def _position_rows(vocab: TypeVocab, n: int, d: int) -> np.ndarray:
@@ -228,6 +238,30 @@ def _band(rows: int, cols: int, radius: int, first: int) -> np.ndarray:
     i and key position first + j are open when at most ``radius`` apart."""
     gap = np.arange(first, first + cols) - np.arange(rows)[:, None]
     return np.where(np.abs(gap) <= radius, 0.0, nm.NEG_INF)
+
+
+def _hybrid_rows(embed: np.ndarray, meta: np.ndarray, row_ids: np.ndarray, seg: np.ndarray,
+                 pos: np.ndarray) -> np.ndarray:
+    """H, the type rows followed by the text rows: the shared embedding's rows
+    ``row_ids`` (``_h_row_ids``, (l_h,) or (B, l_h)), plus the meta-type rows
+    of the segment ids ``seg`` (``type_vocab.segment_ids``), plus the position
+    rows ``pos`` (``_position_rows``).  The one forward of H for
+    ``encode_context`` and the tape."""
+    return embed[row_ids] + meta[seg] + pos
+
+
+def _traversal_rows(traversal: Traversal, parts: Sequence[np.ndarray], tables: Sequence[np.ndarray]) -> np.ndarray:
+    """The traversal embedding of stacked positions, from their constant
+    ``parts`` (``embeddings.bfs_components`` / ``dfs_components``) and the
+    traversal's learned ``tables``: under BFS, the level rows plus the role
+    rows times ``trav_pc`` plus the tree rows times ``trav_tree``; under DFS,
+    the ``dfs_level`` rows of the level ids plus the connection rows.  The one
+    forward of the traversal sum for ``Engine.traversal_row`` and the tape."""
+    if traversal == Traversal.BFS:
+        (levels, roles, trees), (trav_pc, trav_tree) = parts, tables
+        return levels + roles @ trav_pc + trees @ trav_tree
+    (level_ids, conns), (dfs_level,) = parts, tables
+    return dfs_level[level_ids] + conns
 
 
 _TAIL = ("ln1_g", "ln1_b", "w3", "b3", "w4", "b4", "ln2_g", "ln2_b")  # a layer's block-tail weights, in order
@@ -276,14 +310,35 @@ def _text_scores(s: np.ndarray, e: np.ndarray, h_text: np.ndarray, m: int) -> np
 # training path (autodiff, one padded tape per batch)
 # ---------------------------------------------------------------------------
 
+def _tape_hybrid(embed: Tensor, meta: Tensor, row_ids: np.ndarray, seg: np.ndarray, pos: np.ndarray) -> Tensor:
+    """H on the tape, (B, l_h, d): ``_hybrid_rows`` as one node over the
+    embedding and meta-type tables, for the (B, l_h) embedding rows
+    ``row_ids``.  The backward runs the backward expressions of the ops it
+    replaced: each table's row scatter, the meta gradient summed over the
+    batch first, as the broadcast add handed it on, so it gives their bits."""
+    y = _hybrid_rows(embed.data, meta.data, row_ids, seg, pos)
+
+    def backward(g):
+        nm.scatter_rows(embed, row_ids, g)
+        nm.scatter_rows(meta, seg, g.sum(axis=0))
+
+    return Tensor(y, parents=(embed, meta), backward=backward)
+
+
 def _traversal_embedding(
     seqs: Sequence[AltSequence], t_pad: int, cfg: ModelConfig, params: dict[str, Tensor]
 ) -> Tensor:
-    """(B, t_pad, d) traversal embedding of every decoder input.
+    """(B, t_pad, d) traversal embedding of every decoder input:
+    ``_traversal_rows`` as one node over its traversal's tables.
 
     Row 1 + i of example b holds item i; the [SOS] row and padding rows are 0.
+    BFS sums over all B * t_pad rows, its components zero on the empty ones;
+    DFS sums over the items' rows and places them.  The backward runs the
+    backward expressions of the ops it replaced, so it gives their bits:
+    ``linear``'s ``rows.T @ g`` for each BFS table, and for ``dfs_level`` the
+    row scatter of the gradient times 1 on item rows and 0 elsewhere.
     """
-    sep, traversal = seqs[0].vocab.sep_index, seqs[0].traversal
+    sep, traversal, d = seqs[0].vocab.sep_index, seqs[0].traversal, cfg.d_m
     positions = []
     for seq in seqs:
         level = offset = 0
@@ -292,21 +347,30 @@ def _traversal_embedding(
             level, offset = advance(level, offset, k, sep)
     at = np.concatenate([b * t_pad + 1 + np.arange(len(s.items)) for b, s in enumerate(seqs)])
 
-    def placed(rows: np.ndarray) -> np.ndarray:
+    def placed(rows: np.ndarray) -> np.ndarray:  # (B * t_pad, ...), row b * t_pad + 1 + i holding item i of b
         out = np.zeros((len(seqs) * t_pad,) + rows.shape[1:], dtype=rows.dtype)
         out[at] = rows
-        return out.reshape((len(seqs), t_pad) + rows.shape[1:])
+        return out
 
     if traversal == Traversal.BFS:
-        levels, roles, trees = bfs_components(positions, cfg.d_m)
-        return nm.add(
-            nm.add(Tensor(placed(levels)), nm.linear(Tensor(placed(roles)), params["trav_pc"])),
-            nm.linear(Tensor(placed(trees)), params["trav_tree"]),
-        )
-    level_ids, conns = dfs_components(positions, cfg.d_m)
-    levels = nm.take_rows(params["dfs_level"], placed(level_ids))
-    is_item = placed(np.ones((len(at), 1)))
-    return nm.add(nm.mul(levels, Tensor(is_item)), Tensor(placed(conns)))
+        tables = (params["trav_pc"], params["trav_tree"])
+        parts = [placed(c) for c in bfs_components(positions, d)]
+        y = _traversal_rows(traversal, parts, [t.data for t in tables])
+
+        def backward(g):
+            g = g.reshape(-1, d)
+            for table, rows in zip(tables, parts[1:]):
+                nm.accumulate(table, rows.T @ g)
+    else:
+        tables = (params["dfs_level"],)
+        level_ids, conns = dfs_components(positions, d)
+        y = placed(_traversal_rows(traversal, (level_ids, conns), [tables[0].data]))
+        ids, is_item = placed(level_ids), placed(np.ones((len(at), 1)))
+
+        def backward(g):
+            nm.scatter_rows(tables[0], ids, g.reshape(-1, d) * is_item)
+
+    return Tensor(y.reshape(len(seqs), t_pad, d), parents=tables, backward=backward)
 
 
 def _dropout_keep(
@@ -367,11 +431,12 @@ def _tape_tail(attn: Tensor, x: Tensor, w: list[Tensor], keep: np.ndarray | None
     return Tensor(y.reshape(shape), parents=parents, backward=backward)
 
 
-def _tape_head(s_rep: Tensor, e_rep: Tensor, h_types: Tensor, h_text: Tensor, m: int) -> Tensor:
+def _tape_head(s_rep: Tensor, e_rep: Tensor, h_types: Tensor, h_text: Tensor, m: int, mask: np.ndarray) -> Tensor:
     """The span head's scores on the tape, one node over the start and end
     rows ``s_rep``, ``e_rep``, (B, T, d), and the type and text rows of H,
     (B, l_p, d) and (B, n, d): (B, T, l_p + n*m), the type scores
-    (``_type_scores``) followed by the text-span scores (``_text_scores``).
+    (``_type_scores``) followed by the text-span scores (``_text_scores``),
+    plus the additive ``mask``, as ``span_head`` adds it.
     The backward runs the backward expressions of the ops the head is made
     of (concatenation, the start scores' broadcast over the m cells, the
     window gather, the four products) in the order the tape ran them as
@@ -380,6 +445,7 @@ def _tape_head(s_rep: Tensor, e_rep: Tensor, h_types: Tensor, h_text: Tensor, m:
     s, e, ht, hx = (t.data for t in parents)
     l_p, n = ht.shape[-2], hx.shape[-2]
     y = np.concatenate([_type_scores(s, e, ht), _text_scores(s, e, hx, m)], axis=-1)
+    y += mask
 
     def backward(g):
         # both parts contiguous, as the concatenation's backward handed them on
@@ -470,10 +536,8 @@ def sequence_logits(
         raise ModelError("a sequence item lies outside its hybrid index space")
 
     # hybrid representation H: shared embedding + meta-type + text positions
-    row_ids = np.concatenate([np.broadcast_to(np.arange(l_p), (B, l_p)), l_p + text_ids], axis=1)
-    h0 = nm.take_rows(params["embed"], row_ids)
-    meta = nm.take_rows(params["meta"], np.array(segment_ids(vocab, n_pad), dtype=np.intp))
-    H = nm.add(nm.add(h0, meta), Tensor(_position_rows(vocab, n_pad, d)))
+    seg = np.array(segment_ids(vocab, n_pad), dtype=np.intp)
+    H = _tape_hybrid(params["embed"], params["meta"], _h_row_ids(vocab, text_ids), seg, _position_rows(vocab, n_pad, d))
     h_types = nm.getitem(H, (slice(None), slice(0, l_p)))
     h_text = nm.getitem(H, (slice(None), slice(l_p, l_h)))
 
@@ -507,8 +571,7 @@ def sequence_logits(
     # hybrid span decoding head, batched over positions
     s_rep = nm.linear(tgt, params["head_w5"], params["head_b5"])
     e_rep = nm.linear(tgt, params["head_w6"], params["head_b6"])
-    logits = _tape_head(s_rep, e_rep, h_types, h_text, m)
-    return nm.add(logits, Tensor(_machine_masks(seqs, t_pad, l_p + n_pad * m))), targets
+    return _tape_head(s_rep, e_rep, h_types, h_text, m, _machine_masks(seqs, t_pad, l_p + n_pad * m)), targets
 
 
 def sequence_loss(
@@ -707,14 +770,12 @@ class Engine:
         a memoised row has the bits of a fresh one, and is never written into."""
         row = self.rows.get((traversal, position))
         if row is None:
-            p = self.arrays
+            p, d = self.arrays, self.cfg.d_m
             if traversal == Traversal.BFS:
-                levels, roles, trees = bfs_components([position], self.cfg.d_m)
-                row = (levels + roles @ p["trav_pc"] + trees @ p["trav_tree"])[0]
+                parts, tables = bfs_components([position], d), (p["trav_pc"], p["trav_tree"])
             else:
-                level_ids, conns = dfs_components([position], self.cfg.d_m)
-                row = (p["dfs_level"][level_ids] + conns)[0]
-            self.rows[traversal, position] = row
+                parts, tables = dfs_components([position], d), (p["dfs_level"],)
+            row = self.rows[traversal, position] = _traversal_rows(traversal, parts, tables)[0]
         return row
 
 
@@ -776,10 +837,9 @@ def encode_context(tokens: Sequence[str], engine: Engine) -> ContextRep:
         raise ModelError(f"input length {n} exceeds max_tokens={cfg.max_tokens}")
     d, heads = cfg.d_m, cfg.heads
     scale = 1.0 / math.sqrt(d)
-    token_ids = engine.token_vocab.ids(tokens)
     seg = np.array(segment_ids(vocab, n), dtype=np.intp)
-    H = p["embed"][_h_row_ids(vocab, token_ids)] + p["meta"][seg]
-    H = H + _position_rows(vocab, n, d)
+    H = _hybrid_rows(p["embed"], p["meta"], _h_row_ids(vocab, engine.token_vocab.ids(tokens)), seg,
+                     _position_rows(vocab, n, d))
 
     q_cls = H[vocab.l_p] @ p["span_w1"] + p["span_b1"]
     K = H @ p["span_w2"] + p["span_b2"]
@@ -949,21 +1009,6 @@ def decode_step(sessions: Sequence[DecodeSession], elements: Sequence[int | None
     for b, s in enumerate(sessions):
         s.last_hidden = x[b]
         s.t = t + 1
-
-
-def decoder_forward(ctx: ContextRep, elements: Sequence[int], traversal: Traversal = Traversal.BFS) -> np.ndarray:
-    """Final-layer hidden rows of the [SOS] row and of each input element,
-    fed one by one to a fresh one-row session.  Cached decoding runs the same
-    ``DecodeSession.append``, so gate C9 (cached equals full, bitwise) checks
-    that path against itself; the row gather of multi-row steps is checked to
-    1e-12 against one-row feeds, and the engine against the tape to 1e-9.
-    """
-    session = DecodeSession(ctx, traversal, max_len=len(elements) + 1)
-    rows = [session.last_hidden.copy()]
-    for k in elements:
-        session.append(k)
-        rows.append(session.last_hidden.copy())
-    return np.stack(rows)
 
 
 def span_head(

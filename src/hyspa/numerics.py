@@ -7,7 +7,8 @@ arithmetic stays finite while softmax still underflows masked slots to 0.
 
 The forwards the inference engine shares with the tape are plain functions
 on arrays, and the tape ops run them: ``softmax`` (in the multi-head
-``attention``) and ``log_probs`` (in ``log_softmax``).  ``sliding_windows``
+``attention``).  ``log_probs`` normalises the engine's span head and the
+loss, ``label_smoothed_ce``, one tape node.  ``sliding_windows``
 is the span head's score window, which ``model._text_scores`` runs on the
 tape and in the engine.  ``normalize`` is layer norm's forward, which the
 decoder block's tail (``model._block_tail``) runs on the tape and in the
@@ -44,10 +45,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     def item(self) -> float:
         return self.data.item()
@@ -104,6 +101,17 @@ def accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def scatter_rows(t: Tensor, ids: np.ndarray, g: np.ndarray) -> None:
+    """Add the rows of ``g`` into ``t.grad`` at the row indices ``ids``, once
+    per occurrence (``np.add.at``): the backward of the row gather
+    ``t.data[ids]``."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    np.add.at(t.grad, ids, g)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -129,20 +137,6 @@ def add(a, b) -> Tensor:
             accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
             accumulate(b, _unbroadcast(g, b.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data * b.data, parents=(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     out._backward = backward
     return out
@@ -254,26 +248,13 @@ def log_probs(x: np.ndarray, width: int | None = None) -> np.ndarray:
     (default: the row's own length).  A row padded so is summed exactly like
     the same row continued with NEG_INF slots to ``width``, whose
     exponentials are exact zeros too, so it gets that row's bits.  The
-    tape's ``log_softmax`` and the engine's span head both take it.
+    tape's loss (``label_smoothed_ce``) and the engine's span head both take it.
     """
     w = x.shape[-1]
     mx = np.maximum.reduce(x, axis=-1, keepdims=True)
     ex = np.zeros(x.shape[:-1] + (width or w,))
     np.exp(x - mx, out=ex[..., :w])
     return x - (mx + np.log(np.add.reduce(ex, axis=-1, keepdims=True)))
-
-
-def log_softmax(a) -> Tensor:
-    a = _as_tensor(a)
-    logp = log_probs(a.data)
-    out = Tensor(logp, parents=(a,))
-
-    def backward(g):
-        p = np.exp(logp)
-        accumulate(a, g - p * g.sum(axis=-1, keepdims=True))
-
-    out._backward = backward
-    return out
 
 
 def normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,23 +282,6 @@ def layer_norm_grads(g: np.ndarray, xhat: np.ndarray, std: np.ndarray, gamma: np
     return (gx - gxm - xhat * gxxm) / std, (g * xhat).sum(axis=0), g.sum(axis=0)
 
 
-def take_rows(table, ids) -> Tensor:
-    """Row gather (embedding lookup); gradients scatter-add back."""
-    table = _as_tensor(table)
-    ids = np.asarray(ids, dtype=np.intp)
-    out = Tensor(table.data[ids], parents=(table,))
-
-    def backward(g):
-        if not table.requires_grad:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids, g)
-
-    out._backward = backward
-    return out
-
-
 def concat(parts: Sequence, axis: int) -> Tensor:
     """Join tensors along ``axis``; each part gets its slice of the gradient back."""
     parts = [_as_tensor(p) for p in parts]
@@ -343,13 +307,6 @@ def getitem(a, index) -> Tensor:
         accumulate(a, full)
 
     out._backward = backward
-    return out
-
-
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(a.data.sum(), parents=(a,))
-    out._backward = lambda g: accumulate(a, np.broadcast_to(g, a.data.shape).copy())
     return out
 
 
@@ -390,7 +347,10 @@ def label_smoothed_ce(logits: Tensor, target, epsilon: float, weights=None) -> T
     1 - epsilon, the rest of the admissible classes share epsilon evenly.
     Row r's cross entropy enters the sum with ``weights[r]`` (default: the
     mean over rows); rows of weight 0 are padding, and their targets are not
-    read.
+    read.  One tape node, ``(log_probs(logits) * q).sum()`` for the target
+    distribution q times -weight; its backward runs the backward expressions
+    of the sum, the product and the log-softmax in that order, so it gives
+    the bits of those three ops as separate nodes.
     """
     logits = _as_tensor(logits)
     if not 0.0 <= epsilon < 1.0:
@@ -415,7 +375,14 @@ def label_smoothed_ce(logits: Tensor, target, epsilon: float, weights=None) -> T
     q[admissible] = np.repeat(spread, counts)
     q[rows, cols] = np.where(counts[rows] > 1, 1.0 - epsilon, 1.0)
     q *= -w[:, None]
-    return sum_all(mul(log_softmax(logits), Tensor(q.reshape(logits.data.shape))))
+    q = q.reshape(logits.data.shape)
+    logp = log_probs(logits.data)
+
+    def backward(g):  # the backwards of the sum, the product with q and the log-softmax, in turn
+        gq = g * q
+        accumulate(logits, gq - np.exp(logp) * gq.sum(axis=-1, keepdims=True))
+
+    return Tensor((logp * q).sum(), parents=(logits,), backward=backward)
 
 
 def inv_sqrt_lr(step: int, peak_lr: float, warmup: int) -> float:

@@ -8,6 +8,7 @@ import time
 import numpy as np
 
 from testutil import (
+    decoder_forward,
     fig4_bfs_items,
     fig4_graph,
     fit_exponent,
@@ -17,9 +18,10 @@ from testutil import (
     probe_decode_steps,
     random_edge_freq,
     random_graph,
+    sample_sequence,
 )
 
-from hyspa.altseq_codec import Traversal, decode_sequence, encode, sample_sequence, validate_sequence
+from hyspa.altseq_codec import Traversal, decode_sequence, encode, validate_sequence
 from hyspa.data_io import synth_generate
 from hyspa.decode_search import evaluate_model
 from hyspa.hybrid_index import TextSpan, span_rows, span_to_index
@@ -29,7 +31,6 @@ from hyspa.model import (
     ExtractionModel,
     ModelConfig,
     TokenVocab,
-    decoder_forward,
     encode_context,
     fit,
     init_params,

@@ -6,7 +6,8 @@ except comments and docstrings; string literals count, because perfbench
 names the functions it wraps in strings, so this is a word search over code,
 not a walk of the call graph.  ``src/hyspa/__init__.py`` is not searched: a
 re-export in ``hyspa.__all__`` is no use, so each public name needs a reader
-of its own.  Only the gate references below are exempt.
+of its own.  No name is exempt: a reference that only tests read lives in
+``tests/testutil.py``.
 
 Every name a module of ``src/hyspa/`` or ``tests/`` imports is read in that
 module.  The re-exports in ``hyspa.__all__`` count as read, and
@@ -24,17 +25,6 @@ import hyspa
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "hyspa"
-
-# library code that only gate tests call, each kept as the reference its gate checks against
-GATE_REFERENCES = {
-    "greedy_decode": "the reference beam 1 must equal (tests/test_decode_search.py)",
-    "sample_sequence": "draws sequences from the constraint machine alone (C4 mask soundness, C9)",
-    "decoder_forward": (
-        "the full recomputation cached decoding must equal bitwise (C9); both run "
-        "DecodeSession.append, so C9 checks that path against itself"
-    ),
-}
-
 
 def _definitions() -> dict[str, int]:
     """Each module-level function and class, and each non-dunder method, with its count of definitions."""
@@ -75,10 +65,7 @@ def test_no_unused_definitions():
         if path != SRC / "__init__.py":
             for word in _code_words(path.read_text()):
                 words[word] = words.get(word, 0) + 1
-    unused = sorted(
-        name for name, defined in _definitions().items()
-        if name not in GATE_REFERENCES and words.get(name, 0) <= defined
-    )
+    unused = sorted(name for name, defined in _definitions().items() if words.get(name, 0) <= defined)
     assert unused == [], f"defined but never used outside their definition: {unused}"
 
 

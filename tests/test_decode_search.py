@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
 
-from testutil import fig4_bfs_items, fig4_dfs_items, fig4_graph, fit_exponent, pinned_vocab
+from testutil import (
+    fig4_bfs_items, fig4_dfs_items, fig4_graph, fit_exponent, greedy_decode, pinned_vocab, sample_sequence,
+)
 
 from hyspa.altseq_codec import (
     AltSequence,
@@ -12,11 +14,10 @@ from hyspa.altseq_codec import (
     _Phase,
     decode_sequence,
     encode,
-    sample_sequence,
     validate_sequence,
 )
 from hyspa.data_io import synth_generate
-from hyspa.decode_search import beam_decode, evaluate_model, extract_graph, greedy_decode
+from hyspa.decode_search import beam_decode, evaluate_model, extract_graph
 from hyspa.hybrid_index import TextSpan
 from hyspa.info_graph import Mention, RelationEdge, canonicalize, graph_equal, make_graph, validate_graph
 from hyspa.model import Engine, ExtractionModel, ModelConfig, init_params, prepare_training_data, train_step
@@ -77,8 +78,11 @@ class ScriptedModel:
 
 
 def _patch_scripted(monkeypatch):
-    """Route span_head through each scripted session's current row, and the
-    batched decoder step through each session's own append."""
+    """Route span_head through each scripted session's current row, in beam
+    search and in the greedy reference, and the batched decoder step through
+    each session's own append."""
+    import testutil
+
     import hyspa.decode_search as ds_mod
 
     def fake_step_logprobs(sessions, machines):
@@ -98,6 +102,7 @@ def _patch_scripted(monkeypatch):
             session.append(k)
 
     monkeypatch.setattr(ds_mod, "_step_logprobs", fake_step_logprobs)
+    monkeypatch.setattr(testutil, "_step_logprobs", fake_step_logprobs)
     monkeypatch.setattr(ds_mod, "decode_step", fake_decode_step)
 
 

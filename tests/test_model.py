@@ -7,14 +7,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from testutil import (
-    FIG4_TOKENS, head_inputs, layer_norm, make_engine, matmul, open_mask, positions, random_edge_freq, random_graph,
-    relu, reshape, tail_inputs, transpose, unfold,
+    FIG4_TOKENS, decoder_forward, greedy_decode, head_inputs, layer_norm, log_softmax, make_engine, matmul, mul,
+    open_mask, positions, random_edge_freq, random_graph, relu, reshape, sum_all, tail_inputs, take_rows, transpose,
+    unfold,
 )
 
 from hyspa import numerics as nm
 from hyspa.altseq_codec import AltSequence, GenConstraints, Traversal, decode_sequence, encode, encode_bfs
 from hyspa.data_io import synth_generate
 from hyspa.decode_search import _step_logprobs
+from hyspa.embeddings import bfs_components, dfs_components
 from hyspa.hybrid_index import TextSpan, span_rows, span_to_index
 from hyspa.info_graph import Mention, canonicalize, graph_equal, make_graph
 from hyspa.model import (
@@ -23,7 +25,6 @@ from hyspa.model import (
     ModelConfig,
     ModelError,
     decode_step,
-    decoder_forward,
     encode_context,
     fit,
     init_params,
@@ -75,6 +76,29 @@ class TestEncodeContext:
             if row >= vocab.l_p:
                 expected = expected + sinusoidal(row - vocab.l_p, cfg.d_m)
             assert np.allclose(ctx.H[row], expected)
+
+    def test_tape_rows_equal_encode_context_bitwise(self, vocab, setup, monkeypatch):
+        # each example's rows of the H a padded tape builds are the H its own
+        # encode_context builds, bit for bit; the padding rows are not read
+        from hyspa import model as hm
+
+        ds, tv, cfg, params = setup
+        built, tape_hybrid = [], hm._tape_hybrid
+
+        def recording(*args):
+            built.append(tape_hybrid(*args))
+            return built[-1]
+
+        monkeypatch.setattr(hm, "_tape_hybrid", recording)
+        idxs = [3, 0, 7, 12]
+        graphs = [canonicalize(ds.examples[j][1], ds.edge_freq, vocab) for j in idxs]
+        batch = [(tv.ids(ds.examples[j][0]), encode_bfs(g, vocab)) for j, g in zip(idxs, graphs)]
+        assert len({len(ids) for ids, _ in batch}) > 2
+        sequence_logits(batch, cfg, params)
+        (H,) = built
+        for b, j in enumerate(idxs):
+            ctx = encode_context(ds.examples[j][0], make_engine(cfg, params, vocab, tv))
+            assert np.array_equal(H.data[b, : len(ctx.H)], ctx.H)
 
     def test_unknown_token_uses_reserved_id(self, vocab, setup):
         _, tv, cfg, params = setup
@@ -245,8 +269,6 @@ class TestEncodeHybridSpans:
         # reference of the training tape's rows: span attention over H plus
         # the tape's vectorised traversal features, for BFS and for DFS
         import math
-
-        from hyspa.embeddings import bfs_components, dfs_components
 
         ds, tv, cfg, params = setup
         for idx, traversal in itertools.product(range(5), (Traversal.BFS, Traversal.DFS)):
@@ -497,7 +519,7 @@ class TestSpanHead:
         hidden = rng.normal(size=(3, cfg.d_m)) * 3
         mask = np.where(rng.random((3, vocab.l_p + len(tokens) * cfg.m)) < 0.3, NEG_INF, 0.0)
         scores, logp = span_head(hidden, ctx, mask)
-        for row, want in zip(logp, nm.log_softmax(np.array(scores)).data):
+        for row, want in zip(logp, log_softmax(np.array(scores)).data):
             assert np.array_equal(row, want)
 
     def test_flat_slot_layout_matches_double_loop_oracle(self, vocab, setup):
@@ -645,7 +667,7 @@ class TestTrainingPath:
         ids = tv.ids(tokens)
         loss = sequence_loss([(ids, seq)], cfg, params, label_smoothing=0.0)
         logits, targets = sequence_logits([(ids, seq)], cfg, params)
-        logp = nm.log_softmax(logits).data[0]
+        logp = log_softmax(logits).data[0]
         total = sum(logp[i, t] for i, t in enumerate(targets[0]))
         assert loss.item() * len(targets[0]) == pytest.approx(-total, abs=1e-9)
 
@@ -701,7 +723,6 @@ class TestTrainingPath:
     def test_short_text_smaller_than_span_window(self, vocab, setup):
         # n=2 < m=16: codec, loss, and decoding must all stay correct
         from hyspa.info_graph import Mention, make_graph
-        from hyspa.decode_search import greedy_decode
 
         ds, tv, cfg, params = setup
         g = make_graph([Mention(TextSpan(0, 1), vocab.l_e)], [], n=2, m=cfg.m)
@@ -773,11 +794,11 @@ def _composed_tail(attn, x, w, keep):
     """The block tail composed of separate tape ops, the reference of its one node."""
     ln1_g, ln1_b, w3, b3, w4, b4, ln2_g, ln2_b = w
     if keep is not None:
-        attn = nm.mul(attn, nm.Tensor(keep[0]))
+        attn = mul(attn, nm.Tensor(keep[0]))
     x1 = layer_norm(nm.add(attn, x), ln1_g, ln1_b)
     ffn = nm.linear(relu(nm.linear(x1, w3, b3)), w4, b4)
     if keep is not None:
-        ffn = nm.mul(ffn, nm.Tensor(keep[1]))
+        ffn = mul(ffn, nm.Tensor(keep[1]))
     return layer_norm(nm.add(ffn, x1), ln2_g, ln2_b)
 
 
@@ -797,13 +818,13 @@ class TestTapeTail:
             for t in (attn, x, *w):
                 t.grad = None
             out = tail(attn, x, w, keep)
-            nm.sum_all(nm.mul(out, g)).backward()
+            sum_all(mul(out, g)).backward()
             results.append([out.data] + [t.grad for t in (attn, x, *w)])
         for k, (got, want) in enumerate(zip(*results, strict=True)):
             assert got.shape == want.shape and np.array_equal(got, want), k
 
 
-def _composed_head(s_rep, e_rep, h_types, h_text, m):
+def _composed_head(s_rep, e_rep, h_types, h_text, m, mask):
     """The span head composed of separate tape ops, the reference of its one node."""
     B, T, n = s_rep.shape[0], s_rep.shape[1], h_text.shape[1]
     types_t = transpose(h_types, (0, 2, 1))
@@ -811,7 +832,7 @@ def _composed_head(s_rep, e_rep, h_types, h_text, m):
     type_scores = nm.add(matmul(s_rep, types_t), matmul(e_rep, types_t))
     ts_vec, te_vec = matmul(s_rep, text_t), matmul(e_rep, text_t)
     t_mat = nm.add(unfold(te_vec, m), reshape(ts_vec, (B, T, n, 1)))
-    return nm.concat([type_scores, reshape(t_mat, (B, T, n * m))], axis=2)
+    return nm.add(nm.concat([type_scores, reshape(t_mat, (B, T, n * m))], axis=2), nm.Tensor(mask))
 
 
 class TestTapeHead:
@@ -828,15 +849,130 @@ class TestTapeHead:
         rng = np.random.default_rng(seed)
         leaves = head_inputs(rng, B, T, n, l_p, 2 * half_d)
         g = nm.Tensor(rng.normal(size=(B, T, l_p + n * m)))
+        mask = np.where(rng.random((B, T, l_p + n * m)) < 0.3, NEG_INF, 0.0)
         results = []
         for head in (hm._tape_head, _composed_head):
             for t in leaves:
                 t.grad = None
-            out = head(*leaves, m)
-            nm.sum_all(nm.mul(out, g)).backward()
+            out = head(*leaves, m, mask)
+            sum_all(mul(out, g)).backward()
             results.append([out.data] + [t.grad for t in leaves])
         for k, (got, want) in enumerate(zip(*results, strict=True)):
             assert got.shape == want.shape and np.array_equal(got, want), k
+
+
+def _composed_hybrid(embed, meta, row_ids, seg, pos):
+    """H composed of separate tape ops, the reference of its one node."""
+    return nm.add(nm.add(take_rows(embed, row_ids), take_rows(meta, seg)), nm.Tensor(pos))
+
+
+def _composed_traversal(seqs, t_pad, cfg, params):
+    """The traversal embedding composed of separate tape ops, the reference of its one node."""
+    traversal = seqs[0].traversal
+    pos = [p for seq in seqs for p in positions(seq)]
+    at = np.concatenate([b * t_pad + 1 + np.arange(len(s.items)) for b, s in enumerate(seqs)])
+
+    def placed(rows):
+        out = np.zeros((len(seqs) * t_pad,) + rows.shape[1:], dtype=rows.dtype)
+        out[at] = rows
+        return out.reshape((len(seqs), t_pad) + rows.shape[1:])
+
+    if traversal == Traversal.BFS:
+        levels, roles, trees = bfs_components(pos, cfg.d_m)
+        return nm.add(
+            nm.add(nm.Tensor(placed(levels)), nm.linear(nm.Tensor(placed(roles)), params["trav_pc"])),
+            nm.linear(nm.Tensor(placed(trees)), params["trav_tree"]),
+        )
+    level_ids, conns = dfs_components(pos, cfg.d_m)
+    levels = take_rows(params["dfs_level"], placed(level_ids))
+    return nm.add(mul(levels, nm.Tensor(placed(np.ones((len(at), 1))))), nm.Tensor(placed(conns)))
+
+
+def _smoothed_targets(logits, targets, epsilon, weights):
+    """The loss's target distribution times -weight, row by row: the target
+    gets 1 - epsilon and the other open slots share epsilon; a row of
+    weight 0 gets its smoothing mass only, times -0."""
+    q = np.zeros_like(logits)
+    for idx in np.ndindex(targets.shape):
+        open_slots = logits[idx] > NEG_INF / 2
+        count = open_slots.sum()
+        row = np.where(open_slots, epsilon / (count - 1) if count > 1 else 0.0, 0.0)
+        if weights[idx]:
+            row[targets[idx]] = 1.0 - epsilon if count > 1 else 1.0
+        q[idx] = row * -weights[idx]
+    return q
+
+
+class TestOneNodeEnds:
+    """H, the traversal embedding and the loss, one tape node each, against
+    the ops they replaced: the output and every gradient, bit for bit."""
+
+    @staticmethod
+    def _run(build, leaves, g):
+        for t in leaves:
+            t.grad = None
+        out = build()
+        (out if g is None else sum_all(mul(out, g))).backward()  # the loss is a scalar already
+        return [out.data] + [t.grad for t in leaves]
+
+    def _assert_equal(self, build, reference, leaves, g=None):
+        got, want = self._run(build, leaves, g), self._run(reference, leaves, g)
+        for k, (a, b) in enumerate(zip(got, want, strict=True)):
+            assert a.shape == b.shape and np.array_equal(a, b), k
+
+    @settings(max_examples=40, deadline=None)
+    @given(B=st.integers(1, 4), n=st.integers(1, 9), l_p=st.integers(1, 5), half_d=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_hybrid_rows(self, B, n, l_p, half_d, seed):
+        # the meta gradient is summed over the batch before it is scattered
+        from hyspa import model as hm
+
+        rng = np.random.default_rng(seed)
+        d, rows = 2 * half_d, l_p + n
+        embed = nm.Tensor(rng.normal(size=(l_p + 6, d)), requires_grad=True)
+        meta = nm.Tensor(rng.normal(size=(4, d)), requires_grad=True)
+        row_ids = np.concatenate([np.broadcast_to(np.arange(l_p), (B, l_p)), l_p + rng.integers(0, 6, (B, n))], axis=1)
+        seg, pos = rng.integers(0, 4, rows), rng.normal(size=(rows, d))
+        g = nm.Tensor(rng.normal(size=(B, rows, d)))
+        self._assert_equal(lambda: hm._tape_hybrid(embed, meta, row_ids, seg, pos),
+                           lambda: _composed_hybrid(embed, meta, row_ids, seg, pos), [embed, meta], g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(B=st.integers(1, 4), pad=st.integers(1, 3), traversal=st.sampled_from(Traversal),
+           seed=st.integers(0, 2**32 - 1))
+    def test_traversal_embedding(self, vocab, setup, B, pad, traversal, seed):
+        # a padded batch of random graphs; the padding rows stay 0
+        from hyspa import model as hm
+
+        _, _, cfg, _ = setup
+        rng = np.random.default_rng(seed)
+        graphs = [random_graph(rng, vocab, n_max=32, max_mentions=6, max_relations=8) for _ in range(B)]
+        seqs = [encode(canonicalize(g, {}, vocab), vocab, cfg.m, traversal) for g in graphs]
+        t_pad = max(len(seq.items) for seq in seqs) + pad
+        params = {name: nm.Tensor(rng.normal(size=shape), requires_grad=True) for name, shape in
+                  (("trav_pc", (2, cfg.d_m)), ("trav_tree", (96, cfg.d_m)), ("dfs_level", (64, cfg.d_m)))}
+        leaves = [params[k] for k in (("trav_pc", "trav_tree") if traversal == Traversal.BFS else ("dfs_level",))]
+        g = nm.Tensor(rng.normal(size=(B, t_pad, cfg.d_m)))
+        self._assert_equal(lambda: hm._traversal_embedding(seqs, t_pad, cfg, params),
+                           lambda: _composed_traversal(seqs, t_pad, cfg, params), leaves, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(B=st.integers(1, 3), T=st.integers(1, 5), C=st.integers(1, 8), epsilon=st.sampled_from([0.0, 0.1, 0.3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_label_smoothed_ce(self, B, T, C, epsilon, seed):
+        # closed (NEG_INF) slots, rows with one open slot, and padding rows of weight 0
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(B, T, C)) * 3
+        targets = rng.integers(0, C, (B, T))
+        closed = rng.random((B, T, C)) < 0.4
+        closed[np.arange(B)[:, None], np.arange(T), targets] = False
+        data[closed] = NEG_INF
+        weights = rng.random((B, T)) * (rng.random((B, T)) < 0.8)
+        targets[weights == 0] = -1
+        logits = nm.Tensor(data, requires_grad=True)
+        q = _smoothed_targets(data, targets, epsilon, weights)
+        self._assert_equal(lambda: nm.label_smoothed_ce(logits, targets, epsilon, weights),
+                           lambda: sum_all(mul(log_softmax(logits), nm.Tensor(q))), [logits])
 
 
 class TestOneAdmissibilityRule:
@@ -1067,7 +1203,7 @@ class TestBatchedTape:
 
         monkeypatch.setattr(nm.Tensor, "__init__", counting_init)
         train_step(batch, cfg, params, opt, label_smoothing=0.1, clip=0.25, rng=np.random.default_rng(0))
-        assert next(created) == 53
+        assert next(created) == 38
 
     def test_empty_batch_rejected(self, mixed):
         _, cfg, params = mixed
@@ -1113,8 +1249,6 @@ class TestCheckpoint:
 
     def test_loaded_model_decodes_identically(self, vocab, setup, tmp_path):
         ds, tv, cfg, params = setup
-        from hyspa.decode_search import greedy_decode
-
         model = ExtractionModel(cfg, params, vocab, tv, dict(ds.edge_freq), Traversal.BFS)
         path = tmp_path / "model.npz"
         model.save(path)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from testutil import head_inputs, tail_inputs
+from testutil import fig4_bfs_items, fig4_dfs_items, head_inputs, mul, sum_all, tail_inputs
 
 from hyspa import numerics as nm
-from hyspa.model import _tape_head, _tape_tail
+from hyspa.altseq_codec import AltSequence, Traversal
+from hyspa.model import ModelConfig, _tape_head, _tape_hybrid, _tape_tail, _traversal_embedding
 from hyspa.numerics import NEG_INF, AdamW, Tensor, finite_diff_check, inv_sqrt_lr
 
 
@@ -25,12 +26,20 @@ class TestPrimitiveGradients:
         x = Tensor(rng.normal(size=(1, 4, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(6,)))
         eye = Tensor(np.eye(6)[None])
-        _check_op(lambda: nm.sum_all(nm.mul(nm.attention(x, eye, eye, 0.0, 1, 1.0), w)), {"x": x})
+        _check_op(lambda: sum_all(mul(nm.attention(x, eye, eye, 0.0, 1, 1.0), w)), {"x": x})
 
-    def test_log_softmax(self, rng):
-        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(5,)))
-        _check_op(lambda: nm.sum_all(nm.mul(nm.log_softmax(x), w)), {"x": x})
+    def test_label_smoothed_ce(self, rng):
+        # the loss as the tape runs it, one node: closed (NEG_INF) slots,
+        # which get no smoothing mass and no gradient, a row with one open
+        # slot, and a padding row of weight 0, whose target is not read
+        x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+        targets = np.array([[0, 5, 2], [3, 1, -1]])
+        closed = rng.random((2, 3, 6)) < 0.4
+        closed[1, 1] = True
+        closed[np.arange(2)[:, None], np.arange(3), np.maximum(targets, 0)] = False
+        mask = Tensor(np.where(closed, NEG_INF, 0.0))
+        weights = np.array([[0.2, 0.1, 0.3], [0.15, 0.25, 0.0]])
+        _check_op(lambda: nm.label_smoothed_ce(nm.add(x, mask), targets, 0.1, weights), {"x": x})
 
     @pytest.mark.parametrize("dropout", [False, True])
     def test_block_tail(self, rng, dropout):
@@ -40,7 +49,7 @@ class TestPrimitiveGradients:
         attn, x, w, keep = tail_inputs(rng, 2, 3, 4, dropout)
         out = Tensor(rng.normal(size=(2, 3, 4)))
         _check_op(
-            lambda: nm.sum_all(nm.mul(_tape_tail(attn, x, w, keep), out)),
+            lambda: sum_all(mul(_tape_tail(attn, x, w, keep), out)),
             {"attn": attn, "x": x, **{f"w{k}": t for k, t in enumerate(w)}},
         )
 
@@ -48,21 +57,44 @@ class TestPrimitiveGradients:
     def test_span_head(self, rng, n, m):
         # the span head as the tape runs it, one node: type scores and text
         # windows, with windows that run past the text (n < m), whose last
-        # one ends at the text's end (n = m), and that stay inside it;
+        # one ends at the text's end (n = m), and that stay inside it, under
+        # a mask that closes random cells, as the constraint machine's does;
         # the closed cells hold NEG_INF, and their zero weights keep the loss finite
         s, e, h_types, h_text = head_inputs(rng, 2, 3, n, 4, 6)
-        w = rng.normal(size=(2, 3, 4 + n * m))
+        mask = np.where(rng.random((2, 3, 4 + n * m)) < 0.3, NEG_INF, 0.0)
+        w = rng.normal(size=(2, 3, 4 + n * m)) * (mask == 0.0)
         w[..., 4:] *= nm.span_windows(n, m)[1].reshape(-1)
         _check_op(
-            lambda: nm.sum_all(nm.mul(_tape_head(s, e, h_types, h_text, m), Tensor(w))),
+            lambda: sum_all(mul(_tape_head(s, e, h_types, h_text, m, mask), Tensor(w))),
             {"s": s, "e": e, "h_types": h_types, "h_text": h_text},
         )
 
-    def test_take_rows(self, rng):
-        t = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        ids = np.array([0, 2, 2, 5])
-        w = Tensor(rng.normal(size=(4, 3)))
-        _check_op(lambda: nm.sum_all(nm.mul(nm.take_rows(t, ids), w)), {"t": t})
+    def test_hybrid_rows(self, rng):
+        # H as the tape builds it, one node over the embedding and meta
+        # tables: embedding rows repeated within and across the two examples,
+        # and meta rows that every example reads
+        embed = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+        meta = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        row_ids = np.array([[0, 1, 3, 3, 5], [0, 1, 6, 3, 2]])
+        seg, pos = np.array([0, 0, 1, 2, 2]), rng.normal(size=(5, 4))
+        w = Tensor(rng.normal(size=(2, 5, 4)))
+        _check_op(lambda: sum_all(mul(_tape_hybrid(embed, meta, row_ids, seg, pos), w)), {"embed": embed, "meta": meta})
+
+    @pytest.mark.parametrize("traversal", list(Traversal), ids=lambda t: t.value)
+    def test_traversal_embedding(self, rng, vocab, traversal):
+        # the traversal embedding as the tape builds it, one node over its
+        # traversal's tables, for a batch of the Fig. 4 sequence and a prefix
+        # of it: the [SOS] rows and the padding rows of both examples stay 0
+        items = (fig4_bfs_items if traversal == Traversal.BFS else fig4_dfs_items)(vocab)
+        seqs = [AltSequence(tuple(its), traversal, vocab, 9, 16) for its in (items, items[:4])]
+        cfg = ModelConfig(d_m=4, heads=1)
+        params = {name: Tensor(rng.normal(size=(rows, 4)), requires_grad=True)
+                  for name, rows in (("trav_pc", 2), ("trav_tree", 96), ("dfs_level", 8))}
+        tables = ("trav_pc", "trav_tree") if traversal == Traversal.BFS else ("dfs_level",)
+        t_pad = len(items) + 3
+        w = Tensor(rng.normal(size=(2, t_pad, 4)))
+        _check_op(lambda: sum_all(mul(_traversal_embedding(seqs, t_pad, cfg, params), w)),
+                  {name: params[name] for name in tables})
 
     def test_linear_batched_left(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
@@ -72,8 +104,8 @@ class TestPrimitiveGradients:
         assert np.array_equal(out.data, np.matmul(x.data, w.data) + b.data)
         assert np.array_equal(nm.linear(x, w).data, np.matmul(x.data, w.data))
         g = Tensor(rng.normal(size=(2, 3, 5)))
-        _check_op(lambda: nm.sum_all(nm.mul(nm.linear(x, w, b), g)), {"x": x, "w": w, "b": b})
-        _check_op(lambda: nm.sum_all(nm.mul(nm.linear(x, w), g)), {"x": x, "w": w})
+        _check_op(lambda: sum_all(mul(nm.linear(x, w, b), g)), {"x": x, "w": w, "b": b})
+        _check_op(lambda: sum_all(mul(nm.linear(x, w), g)), {"x": x, "w": w})
 
     def test_attention_weights(self, rng):
         # one query row per batch, broadcast over three mask rows with closed
@@ -89,7 +121,7 @@ class TestPrimitiveGradients:
         ref = np.exp(scores - scores.max(axis=-1, keepdims=True))
         assert np.allclose(p, ref / ref.sum(axis=-1, keepdims=True), atol=1e-15)
         assert (p[mask[:, 0] < 0] == 0.0).all()
-        _check_op(lambda: nm.sum_all(nm.mul(nm.attention(q, k, eye, mask, 1, 0.5), w)), {"q": q, "k": k})
+        _check_op(lambda: sum_all(mul(nm.attention(q, k, eye, mask, 1, 0.5), w)), {"q": q, "k": k})
 
     def test_first_gradient_is_not_aliased(self, rng):
         # add hands one array to both parents; a later += into one must not reach the other
@@ -98,14 +130,14 @@ class TestPrimitiveGradients:
         w, v = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3))
         for swap in (False, True):
             a.grad = b.grad = None
-            parts = [nm.sum_all(nm.mul(nm.add(a, b), w)), nm.sum_all(nm.mul(a, v))]
+            parts = [sum_all(mul(nm.add(a, b), w)), sum_all(mul(a, v))]
             nm.add(*(parts[::-1] if swap else parts)).backward()
             assert np.allclose(a.grad, w.data + v.data) and np.allclose(b.grad, w.data)
 
     def test_backward_releases_the_graph(self, rng):
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        h = nm.log_softmax(nm.linear(x, Tensor(rng.normal(size=(4, 2)))))
-        loss = nm.sum_all(h)
+        h = nm.linear(x, Tensor(rng.normal(size=(4, 2))))
+        loss = nm.label_smoothed_ce(h, [0, 1, 1], 0.1)
         loss.backward()
         assert loss._parents == () and h._parents == () and h._backward is None
         assert x.grad is not None and h.grad is not None
@@ -117,7 +149,7 @@ class TestPrimitiveGradients:
         w = Tensor(rng.normal(size=(2, 3, 4)))
 
         def build():
-            return nm.sum_all(nm.mul(nm.attention(q, k, v, 0.0, 2, 0.5), w))
+            return sum_all(mul(nm.attention(q, k, v, 0.0, 2, 0.5), w))
 
         _check_op(build, {"q": q, "k": k, "v": v})
 
@@ -175,7 +207,7 @@ class TestAttention:
         assert out.shape == (B, rows, d)
         ref, ref_grads = _attention_reference(q.data, k.data, v.data, mask, heads, scale, w)
         assert np.abs(out.data - ref).max() <= 1e-12
-        nm.sum_all(nm.mul(out, Tensor(w))).backward()
+        sum_all(mul(out, Tensor(w))).backward()
         for name, t, want in zip("qkv", (q, k, v), ref_grads):
             rel = np.abs(t.grad - want) / np.maximum(np.maximum(np.abs(t.grad), np.abs(want)), 1e-5)
             assert rel.max() < 1e-6, (name, np.unravel_index(rel.argmax(), rel.shape), rel.max())
@@ -369,14 +401,14 @@ class TestClip:
 class TestFiniteDiffCheck:
     def test_quadratic(self):
         p = Tensor(np.array([3.0]), requires_grad=True)
-        report = finite_diff_check(lambda: nm.mul(p, p), {"p": p})
+        report = finite_diff_check(lambda: mul(p, p), {"p": p})
         assert report.max_rel_err < 1e-8
         p.grad = None
-        loss = nm.mul(p, p)
+        loss = mul(p, p)
         loss.backward()
         assert p.grad[0] == pytest.approx(6.0)
 
     def test_nonfinite_rejected(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         with pytest.raises(FloatingPointError):
-            finite_diff_check(lambda: nm.mul(p, Tensor(np.array([np.inf]))), {"p": p})
+            finite_diff_check(lambda: mul(p, Tensor(np.array([np.inf]))), {"p": p})

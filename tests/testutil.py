@@ -1,6 +1,8 @@
 """Shared fixtures: the pinned example configuration, random graph
-generation, the decode-step probe of criterion C7, and the tape ops the
-decoder block's tail node and the span head's node are checked against."""
+generation, the decode-step probe of criterion C7, the references the
+decoding gates check against (greedy decoding, full recomputation, sampling
+from the constraint machine alone), and the tape ops the one-node parts of
+the training tape are checked against."""
 from __future__ import annotations
 
 import time
@@ -9,13 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from hyspa import numerics as nm
-from hyspa.altseq_codec import GenConstraints
+from hyspa.altseq_codec import AltSequence, GenConstraints, Traversal
 from hyspa.data_io import DEFAULT_EDGE_TYPES, DEFAULT_NODE_TYPES
-from hyspa.decode_search import _step_logprobs
+from hyspa.decode_search import DecodeResult, _step_logprobs, default_max_len
 from hyspa.embeddings import advance
 from hyspa.hybrid_index import TextSpan
 from hyspa.info_graph import InfoGraph, Mention, RelationEdge, make_graph
-from hyspa.model import Engine, ExtractionModel, decode_step
+from hyspa.model import ContextRep, DecodeSession, Engine, ExtractionModel, decode_step
 from hyspa.numerics import NEG_INF, Tensor
 from hyspa.type_vocab import TypeVocab, build_vocab
 
@@ -57,6 +59,79 @@ def positions(seq):
         out.append((level, offset, k == sep))
         level, offset = advance(level, offset, k, sep)
     return out
+
+
+# The references the decoding gates check against: beam 1 against greedy
+# decoding, cached decoding against full recomputation (C9), and the
+# constraint machine's soundness against sequences it draws alone (C4).
+
+def greedy_decode(
+    model: ExtractionModel | Engine,
+    tokens,
+    max_len: int | None = None,
+    traversal: Traversal | None = None,
+) -> DecodeResult:
+    """Argmax decoding under the constraint machine; ties break to the lowest index."""
+    traversal = traversal or model.traversal
+    n = len(tokens)
+    max_len = max_len or default_max_len(n)
+    session = model.open_session(tokens, max_len, traversal=traversal)
+    machine = GenConstraints(model.vocab, n, model.cfg.m, traversal, max_len)
+    items: list[int] = []
+    score = 0.0
+    while True:
+        logp = _step_logprobs([session], [machine])[0]
+        k = int(np.argmax(logp))
+        score += float(logp[k])
+        if k == model.vocab.eos_index:
+            break
+        machine.push(k)
+        session.append(k)
+        items.append(k)
+    return DecodeResult(AltSequence(tuple(items), traversal, model.vocab, n, model.cfg.m), score)
+
+
+def decoder_forward(ctx: ContextRep, elements, traversal: Traversal = Traversal.BFS) -> np.ndarray:
+    """Final-layer hidden rows of the [SOS] row and of each input element,
+    fed one by one to a fresh one-row session.  Cached decoding runs the same
+    ``DecodeSession.append``, so gate C9 (cached equals full, bitwise) checks
+    that path against itself; the row gather of multi-row steps is checked to
+    1e-12 against one-row feeds, and the engine against the tape to 1e-9.
+    """
+    session = DecodeSession(ctx, traversal, max_len=len(elements) + 1)
+    rows = [session.last_hidden.copy()]
+    for k in elements:
+        session.append(k)
+        rows.append(session.last_hidden.copy())
+    return np.stack(rows)
+
+
+def sample_sequence(
+    vocab: TypeVocab,
+    n: int,
+    m: int,
+    rng: np.random.Generator,
+    traversal: Traversal = Traversal.BFS,
+    max_len: int = 160,
+) -> AltSequence:
+    """Draw a sequence from uniformly random logits under the masks.
+
+    Each step takes the argmax of fresh uniform logits plus the admissibility
+    mask, i.e. a uniform draw over the admitted slots.  A logit is drawn for
+    every output slot even when the mask covers only the type slots, so the
+    draws do not depend on the mask's length.
+    """
+    machine = GenConstraints(vocab, n, m, traversal, max_len)
+    items: list[int] = []
+    while True:
+        logits = rng.random(machine.size)
+        mask = machine.mask()
+        k = int(np.argmax(logits[: len(mask)] + mask))
+        if k == vocab.eos_index:
+            break
+        machine.push(k)
+        items.append(k)
+    return AltSequence(tuple(items), traversal, vocab, n, m)
 
 
 def make_engine(cfg, params, vocab, token_vocab) -> Engine:
@@ -231,7 +306,7 @@ def matmul(a, b) -> Tensor:
     """Matrix product: 2-D, or batched with equal batch dims (a batch of rows
     times one matrix is ``linear``)."""
     a, b = nm._as_tensor(a), nm._as_tensor(b)
-    if a.ndim > 2 or b.ndim > 2:
+    if a.data.ndim > 2 or b.data.ndim > 2:
         if a.data.shape[:-2] != b.data.shape[:-2]:
             raise ValueError(f"batch dims differ: {a.data.shape} vs {b.data.shape}")
     out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
@@ -282,3 +357,61 @@ def head_inputs(rng: np.random.Generator, B: int, T: int, n: int, l_p: int, d: i
     """Random leaves of one span head: the (B, T, d) start and end rows and
     the (B, l_p, d) type and (B, n, d) text rows of H."""
     return [Tensor(rng.normal(size=(B, rows, d)), requires_grad=True) for rows in (T, T, l_p, n)]
+
+
+# Row gather, product, sum and log-softmax as separate tape ops: composed,
+# they are the references that the one-node ends of the training tape must
+# equal bit for bit, forward and backward: H (``model._tape_hybrid``), the
+# traversal embedding (``model._traversal_embedding``) and the loss
+# (``numerics.label_smoothed_ce``).  ``sum_all(mul(out, g))`` also turns a
+# node's output into a scalar whose gradient into ``out`` is ``g``.
+
+def take_rows(table, ids) -> Tensor:
+    """Row gather (embedding lookup); gradients scatter-add back."""
+    table = nm._as_tensor(table)
+    ids = np.asarray(ids, dtype=np.intp)
+    out = Tensor(table.data[ids], parents=(table,))
+
+    def backward(g):
+        if not table.requires_grad:
+            return
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, ids, g)
+
+    out._backward = backward
+    return out
+
+
+def mul(a, b) -> Tensor:
+    a, b = nm._as_tensor(a), nm._as_tensor(b)
+    out = Tensor(a.data * b.data, parents=(a, b))
+
+    def backward(g):
+        if a.requires_grad:
+            nm.accumulate(a, nm._unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            nm.accumulate(b, nm._unbroadcast(g * a.data, b.data.shape))
+
+    out._backward = backward
+    return out
+
+
+def sum_all(a) -> Tensor:
+    a = nm._as_tensor(a)
+    out = Tensor(a.data.sum(), parents=(a,))
+    out._backward = lambda g: nm.accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+    return out
+
+
+def log_softmax(a) -> Tensor:
+    a = nm._as_tensor(a)
+    logp = nm.log_probs(a.data)
+    out = Tensor(logp, parents=(a,))
+
+    def backward(g):
+        p = np.exp(logp)
+        nm.accumulate(a, g - p * g.sum(axis=-1, keepdims=True))
+
+    out._backward = backward
+    return out
